@@ -135,13 +135,17 @@ class KrylovWorkspace:
 
 @dataclass
 class LowRankGramian:
-    """Low-rank factor Z with Z Z^T approximating a Gramian."""
+    """Low-rank factor Z with Z Z^T approximating a Gramian.
+
+    ``stop``: "converged", or "exact_space" when the basis reached dimension n.
+    """
 
     z: np.ndarray
     residual: float
     subspace_dim: int
     rank: int
     wall_time: float
+    stop: str
     trace: list = field(default=None, repr=False)
     workspace: KrylovWorkspace = field(default=None, repr=False)
 
@@ -263,10 +267,9 @@ class _Operator:
     T = back_map(basis) for residual evaluation in original coordinates.
     """
 
-    def __init__(self, n, m, symmetric=False):
+    def __init__(self, n, m):
         self.n = n
         self.m = m
-        self.symmetric = symmetric
 
     def matvec(self, v):
         raise NotImplementedError
@@ -281,20 +284,9 @@ class _Operator:
         raise NotImplementedError
 
 
-def _is_symmetric(a, tol=1e-12):
-    if _is_sparse(a):
-        d = (a - a.T).tocoo()
-        num = np.linalg.norm(d.data) if d.nnz else 0.0
-        scale = np.linalg.norm(a.tocoo().data) if a.nnz else 0.0
-    else:
-        num = np.linalg.norm(a - a.T, "fro")
-        scale = np.linalg.norm(a, "fro")
-    return num <= tol * max(scale, 1e-300)
-
-
 class _StandardOp(_Operator):
     def __init__(self, sys):
-        super().__init__(sys.n, sys.m, symmetric=_is_symmetric(sys.A))
+        super().__init__(sys.n, sys.m)
         self.sys = sys
         self.b0 = _dense(sys.B)
 
@@ -314,7 +306,7 @@ class _CholeskyOp(_Operator):
     def __init__(self, gen):
         self.ct = cholesky_transform(gen)
         std = self.ct.system
-        super().__init__(std.n, std.m, symmetric=_is_symmetric(std.A))
+        super().__init__(std.n, std.m)
         self.gen = gen
         self.b0 = std.B
 
@@ -336,7 +328,7 @@ class _MInvOp(_Operator):
     """Generalized system through the implicit M^{-1}A operator."""
 
     def __init__(self, gen):
-        super().__init__(gen.n, gen.m, symmetric=False)
+        super().__init__(gen.n, gen.m)
         self.gen = gen
         from .systems import _factor
 
@@ -358,7 +350,7 @@ class _DescriptorOp(_Operator):
     """Index-1 descriptor system through implicit block elimination."""
 
     def __init__(self, d):
-        super().__init__(d.n_f, d.m, symmetric=False)
+        super().__init__(d.n_f, d.m)
         self.d = d
         from .systems import _factor
 
@@ -426,11 +418,19 @@ def _hull_boundary(points, npts):
 def _select_shift(ritz, shifts, m, symmetric=False, npts=2000):
     """Next pole for the rational Krylov basis.
 
-    Maximizes prod|s - z_j| / prod|s - s_j|^m over a discretized boundary
-    of the convex hull of the mirrored Ritz values {-conj(z)}, excluding
-    points too close to previous shifts (1e-8 relative) or to mirrored
-    Ritz values (1e-12 relative). Complex results come back as the
-    upper-half-plane representative of the conjugate pair.
+    Druskin & Simoncini (2011, "Adaptive rational Krylov subspaces for
+    large-scale dynamical systems"): maximizes
+    prod|s - s_j|^m / prod|s - z_j|, with s_j the previous finite shifts
+    and z_j the Ritz values, over a discretized boundary of the convex
+    hull of the mirrored Ritz values {-conj(z)}. The next pole thus goes
+    where the rational function with the Ritz values as zeros and the
+    shifts as poles is smallest, i.e. where the current space resolves
+    the spectrum worst. Real spectra spanning a positive interval are
+    sampled on a geometric grid, so stiff spectra get candidates in
+    every decade.
+    Points too close to previous shifts (1e-8 relative) or to mirrored
+    Ritz values (1e-12 relative) are excluded. Complex results come back
+    as the upper-half-plane representative of the conjugate pair.
     """
     ritz = np.asarray(ritz, dtype=complex)
     if ritz.size == 0:
@@ -444,7 +444,8 @@ def _select_shift(ritz, shifts, m, symmetric=False, npts=2000):
         return _perturbed(mirrored[0], scale)
     if symmetric or np.all(np.abs(mirrored.imag) <= 1e-12 * scale):
         lo, hi = mirrored.real.min(), mirrored.real.max()
-        cand = np.linspace(lo, hi, npts).astype(complex)
+        grid = np.geomspace if lo > 0 else np.linspace
+        cand = grid(lo, hi, npts).astype(complex)
     else:
         cand = _hull_boundary(mirrored, npts)
     cand = np.where(cand.real < 0, 1j * cand.imag, cand)
@@ -458,9 +459,9 @@ def _select_shift(ritz, shifts, m, symmetric=False, npts=2000):
     if cand.size == 0:
         raise DegenerateHullError("all shift candidates excluded")
     with np.errstate(divide="ignore"):
-        obj = np.sum(np.log(np.abs(cand[:, None] - ritz[None, :])), axis=1)
+        obj = -np.sum(np.log(np.abs(cand[:, None] - ritz[None, :])), axis=1)
         for s in finite:
-            obj -= m * np.log(np.abs(cand - s))
+            obj += m * np.log(np.abs(cand - s))
     s = cand[int(np.argmax(obj))]
     if abs(s.imag) <= 1e-12 * max(abs(s), scale):
         return float(s.real)
@@ -469,7 +470,8 @@ def _select_shift(ritz, shifts, m, symmetric=False, npts=2000):
 
 def adaptive_shift(ws):
     """Select the next shift for a workspace (see :func:`_select_shift`)."""
-    symmetric = _is_symmetric(ws.h, tol=1e-12)
+    h = ws.h
+    symmetric = np.linalg.norm(h - h.T, "fro") <= 1e-12 * max(np.linalg.norm(h, "fro"), 1e-300)
     try:
         return _select_shift(ws.ritz_values(), ws.shifts, ws.m, symmetric=symmetric)
     except DegenerateHullError:
@@ -685,10 +687,7 @@ def _solve_lowrank(sys, window, cfg, mode, side):
                 f"expm change {f_change:.3e})"
             )
         # grow the basis
-        try:
-            s = _select_shift(ws.ritz_values(), shifts, m, symmetric=op.symmetric)
-        except DegenerateHullError:
-            s = _perturbed(-np.conj(ws.ritz_values()[0]), float(np.max(np.abs(ws.ritz_values()))) or 1.0)
+        s = adaptive_shift(ws)
         try:
             g = op.resolve(s, last_block)
         except SingularShiftError:
@@ -734,6 +733,7 @@ def _solve_lowrank(sys, window, cfg, mode, side):
         subspace_dim=int(ws.dim),
         rank=int(z.shape[1]),
         wall_time=time.perf_counter() - t0,
+        stop="exact_space" if ws.dim >= n else "converged",
         trace=trace,
         workspace=ws,
     )

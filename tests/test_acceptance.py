@@ -99,7 +99,11 @@ def test_a3_lowrank_vs_dense_published_tolerances():
         den = np.linalg.norm(s.B @ s.B.T - ge @ ge.T, 2)
         mu_gap = abs(g.residual - num / den)
         ok &= rel <= 1e-6 and g.residual <= 1e-8 and mu_gap <= 1e-10 and elapsed < 30.0
-        details.append(f"m={m}: rel {rel:.2e}, mu {g.residual:.2e}, mu gap {mu_gap:.2e}, {elapsed:.1f}s")
+        ok &= g.subspace_dim < s.n
+        details.append(
+            f"m={m}: d {g.subspace_dim}/{s.n}, rel {rel:.2e}, mu {g.residual:.2e}, "
+            f"mu gap {mu_gap:.2e}, {elapsed:.1f}s"
+        )
     _verdict("A3 low-rank vs dense (tau=1e-8)", ok, "; ".join(details))
 
 

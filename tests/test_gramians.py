@@ -149,14 +149,16 @@ def test_cauchy_near_defective_rejected():
 
 
 def test_select_shift_grid_oracle():
-    # Ritz {-1,-3}: mirrored interval [1,3]; |(s+1)(s+3)| grows with s
+    # Ritz {-1,-3}: mirrored interval [1,3]; with no finite shifts the
+    # Druskin-Simoncini objective is 1/|(s+1)(s+3)|, largest at s = 1
+    # (the solver's grid skips the mirrored Ritz value 1 itself)
     ritz = np.array([-1.0, -3.0])
-    grid = np.linspace(1.0, 3.0, 1000)
-    objective = np.abs((grid + 1.0) * (grid + 3.0))
+    grid = np.geomspace(1.0, 3.0, 1000)
+    objective = 1.0 / np.abs((grid + 1.0) * (grid + 3.0))
     expected = grid[np.argmax(objective)]
     got = _select_shift(ritz, [np.inf], 1)
     assert abs(got - expected) <= 2e-3 * abs(expected)
-    assert abs(got - 3.0) <= 1e-2
+    assert abs(got - 1.0) <= 1e-2
 
 
 def test_select_shift_avoids_poles_and_mirrors():
@@ -203,7 +205,39 @@ def test_adaptive_shift_public_api():
         q=np.eye(2), h=h, b_proj=np.array([[1.0], [0.0]]), shifts=[np.inf]
     )
     s = adaptive_shift(ws)
-    assert abs(s - 3.0) <= 1e-2
+    assert abs(s - 1.0) <= 1e-2
+
+
+# Stiff symmetric spectra with fast Hankel decay: the adaptive shifts must
+# spread over the spectrum so the basis stays far below n.
+
+
+def _assert_distinct_shifts(g):
+    finite = np.array([s for s in g.workspace.shifts if np.isfinite(s)], dtype=complex)
+    gap = np.abs(finite[:, None] - finite[None, :])
+    scale = np.maximum(np.abs(finite)[:, None], np.abs(finite)[None, :])
+    off = ~np.eye(finite.size, dtype=bool)
+    assert np.all(gap[off] > 1e-8 * scale[off])
+
+
+@pytest.mark.parametrize("side", ["reachability", "observability"])
+def test_heat_infinite_gramian_compresses(side):
+    s = make_synthetic("heat_like", 2000, 2, 2, seed=1)
+    g = solve_infinite_lowrank(s, SolverConfig(tol_f=1e-8, tol_p=1e-8), side)
+    assert g.stop == "converged" and g.residual <= 1e-8
+    assert g.subspace_dim <= 80
+    _assert_distinct_shifts(g)
+
+
+@pytest.mark.parametrize("side", ["reachability", "observability"])
+def test_heat_timelimited_gramian_compresses_at_scale(side):
+    s = make_synthetic("heat_like", 20000, 2, 2, seed=1)
+    g = solve_timelimited_lowrank(
+        s, TimeWindow(t_e=0.05), SolverConfig(tol_f=1e-8, tol_p=1e-8), side
+    )
+    assert g.stop == "converged" and g.residual <= 1e-8
+    assert g.subspace_dim <= 150
+    _assert_distinct_shifts(g)
 
 
 # ---------------------------------------------------------------------------
