@@ -7,8 +7,9 @@ Library layout:
   shifted solves, structural transformations.
 - :mod:`tlbt.gramians`: dense and low-rank (rational Krylov) Gramian
   solvers, infinite / time-limited / stability-preserving modified.
-- :mod:`tlbt.reduction`: square-root balancing, Hankel values, error
-  bounds, transfer evaluation.
+- :mod:`tlbt.reduction`: square-root balancing (``balance`` once per
+  mode, ``truncate`` per order), Hankel values, error bounds, transfer
+  evaluation.
 - :mod:`tlbt.simulate`: implicit midpoint integration and error metrics.
 - :mod:`tlbt.synthetic`: deterministic desk-scale test systems.
 - :mod:`tlbt.mmio`: Matrix Market + JSON sidecar persistence.
@@ -28,8 +29,10 @@ from .gramians import (
     solve_timelimited_lowrank,
 )
 from .reduction import (
+    Balancing,
     HsvReport,
     ReducedModel,
+    balance,
     hankel_sv,
     hinf_error_bound,
     numerical_rank,
@@ -70,8 +73,10 @@ __all__ = [
     "solve_infinite_lowrank",
     "solve_modified_lowrank",
     "solve_timelimited_lowrank",
+    "Balancing",
     "HsvReport",
     "ReducedModel",
+    "balance",
     "hankel_sv",
     "hinf_error_bound",
     "numerical_rank",

@@ -19,18 +19,9 @@ import numpy as np
 
 from . import mmio, reduction, simulate, synthetic
 from .errors import TlbtError
-from .gramians import (
-    SolverConfig,
-    TimeWindow,
-    solve_infinite_lowrank,
-    solve_modified_lowrank,
-    solve_timelimited_lowrank,
-)
-from .systems import DescriptorIndex1, eliminate_descriptor
+from .gramians import SolverConfig, TimeWindow, mode_gramian
 
 __all__ = ["main"]
-
-_GRAMIAN_KIND = {"bt": "infinite", "tlbt": "timelimited", "mtlbt": "modified"}
 
 
 def _fmt(x):
@@ -161,17 +152,6 @@ def cmd_synth(args):
     return 0
 
 
-def _solve_gramian(sys_obj, mode, window, cfg, side):
-    kind = _GRAMIAN_KIND[mode]
-    if kind == "infinite":
-        return solve_infinite_lowrank(sys_obj, cfg, side)
-    if window is None:
-        raise ValueError(f"mode {mode!r} requires --te")
-    if kind == "timelimited":
-        return solve_timelimited_lowrank(sys_obj, window, cfg, side)
-    return solve_modified_lowrank(sys_obj, window, cfg, side)
-
-
 def cmd_gramian(args):
     out = _out_dir(args)
     sys_obj, name = _load_system(args)
@@ -183,7 +163,7 @@ def cmd_gramian(args):
     for mode in args.mode:
         summary = {"mode": mode, "t_s": args.ts, "t_e": args.te}
         for side in sides:
-            g = _solve_gramian(sys_obj, mode, window, cfg, side)
+            g = mode_gramian(sys_obj, mode, window, cfg, side)
             tag = "ZP" if side == "reachability" else "ZQ"
             mmio.write_matrix(out / f"{name}_{tag}_{mode}.mtx", g.z)
             if args.trace:
@@ -208,18 +188,14 @@ def cmd_hsv(args):
     window = _window(args)
     cfg = _config(args)
     for mode in args.mode:
-        z_p, z_q, _ = reduction._factor_pair(sys_obj, mode, window, cfg, args.method)
-        work = sys_obj
-        if isinstance(sys_obj, DescriptorIndex1):
-            work, _ = eliminate_descriptor(sys_obj)
-        report = reduction.hankel_sv(z_p, z_q, reduction._mass(work), source=mode, window=window)
+        hsv = reduction.balance(sys_obj, mode, window, cfg, args.method).hsv
         _write_csv(
             out / f"{name}_hsv_{mode}.csv",
             ["index", "sigma"],
-            [(i + 1, v) for i, v in enumerate(report.values)],
+            [(i + 1, v) for i, v in enumerate(hsv)],
         )
-        shown = ", ".join(_fmt(v) for v in report.values[:5])
-        print(f"{name} {mode}: {report.values.size} singular values, leading [{shown}]")
+        shown = ", ".join(_fmt(v) for v in hsv[:5])
+        print(f"{name} {mode}: {hsv.size} singular values, leading [{shown}]")
     return 0
 
 
@@ -250,10 +226,9 @@ def cmd_reduce(args):
     window = _window(args)
     cfg = _config(args)
     for mode in args.mode:
+        bal = reduction.balance(sys_obj, mode, window, cfg, args.method)
         for r in args.order:
-            rom = reduction.reduce(
-                sys_obj, mode, window=window, r=r, cfg=cfg, method=args.method
-            )
+            rom = bal.truncate(r)
             _export_reduced(out, name, mode, r, rom)
             print(
                 f"{name} {mode} r={r}: stable={int(rom.stable)} "
@@ -308,15 +283,9 @@ def cmd_compare(args):
     table = []
     e_by_mode = {}
     for mode in args.mode:
-        z_p, z_q, info = reduction._factor_pair(sys_obj, mode, window, cfg, args.method)
-        work = sys_obj
-        if isinstance(sys_obj, DescriptorIndex1):
-            work, _ = eliminate_descriptor(sys_obj)
+        bal = reduction.balance(sys_obj, mode, window, cfg, args.method)
         for r in orders:
-            rom = reduction.square_root_reduce(work, z_p, z_q, r)
-            rom.mode = mode
-            rom.window = window
-            rom.info = dict(info)
+            rom = bal.truncate(r)
             if args.input == "impulse":
                 red = simulate.impulse_response(rom, dt=args.dt, t_f=tf)
             else:
@@ -329,7 +298,7 @@ def cmd_compare(args):
             )
             entry = {"mode": mode, "r": r, "E_T": e_max, "stable": int(rom.stable)}
             if args.timings:
-                entry["t_mor"] = info.get("t_gramians")
+                entry["t_mor"] = bal.info["t_gramians"]
             table.append(entry)
             e_by_mode.setdefault(mode, {})[r] = e_max
             print(f"{name} {mode} r={r}: E_T={_fmt(e_max)} stable={int(rom.stable)}")

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.spatial import ConvexHull, QhullError
 
 from . import linalg
@@ -32,13 +31,11 @@ from .errors import (
     UnstableSystemError,
 )
 from .systems import (
-    CholeskyTransform,
     DescriptorIndex1,
     GeneralizedSystem,
     StandardSystem,
     _dense,
-    _is_sparse,
-    cholesky_transform,
+    _factor,
     eliminate_descriptor,
     shifted_solve,
     spectral_abscissa,
@@ -61,7 +58,13 @@ __all__ = [
     "solve_timelimited_lowrank",
     "solve_modified_lowrank",
     "factor_psd",
+    "MODES",
+    "mode_gramian",
 ]
+
+#: balanced-truncation modes: bt balances the infinite Gramians, tlbt the
+#: time-limited ones, mtlbt the stability-preserving modified ones
+MODES = ("bt", "tlbt", "mtlbt")
 
 
 def dense_threshold():
@@ -218,6 +221,15 @@ def gramian_timelimited_dense(sys, window, side="reachability", route="auto"):
     return 0.5 * (p + p.T)
 
 
+def _dense_modified(sys, window, side="reachability"):
+    """Dense modified time-limited Gramian (absolute-value surrogate right-hand side)."""
+    a, b = _dense_state_input(_reach_form(sys, side))
+    b_s = linalg.expm(a * window.t_s) @ b if window.t_s > 0 else b
+    b_e = linalg.expm(a * window.t_e) @ b
+    b_mod = _surrogate_factor(b_s, b_e)
+    return linalg.lyap_dense(a, b_mod @ b_mod.T)
+
+
 def gramian_timelimited_cauchy(diag, t_e):
     """Time-limited reachability Gramian from the eigencoordinate factorization.
 
@@ -255,133 +267,52 @@ def factor_psd(p, trunc_tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# operator layer: engine coordinates vs original coordinates
+# the pencil operator
 
 
-class _Operator:
-    """Engine view of a system: start block, action, shifted solves.
+class _Pencil:
+    """Engine view of ``M x' = A x + B u``: the operator M^{-1} A and its start block.
 
-    The engine runs in coordinates where the state equation reads
-    x' = A_eff x + b0 u; ``back_map`` returns factors to original
-    coordinates and ``residual_maps`` provides (A T, M T) with
-    T = back_map(basis) for residual evaluation in original coordinates.
+    ``apply_a`` is the action of A (the Schur complement A1 - A2 A4^{-1} A3
+    for descriptors, whose mass is M1); ``mass`` is None for standard
+    systems. Shifted solves go through the pencil,
+    (M^{-1} A - s I)^{-1} v = (A - s M)^{-1} M v, so the basis, and with it
+    the Gramian factor, lives in the original coordinates.
     """
 
-    def __init__(self, n, m):
-        self.n = n
-        self.m = m
-
-    def matvec(self, v):
-        raise NotImplementedError
-
-    def resolve(self, s, v):
-        raise NotImplementedError
-
-    def back_map(self, z):
-        return z
-
-    def residual_maps(self, q):
-        raise NotImplementedError
-
-
-class _StandardOp(_Operator):
     def __init__(self, sys):
-        super().__init__(sys.n, sys.m)
         self.sys = sys
-        self.b0 = _dense(sys.B)
+        if isinstance(sys, DescriptorIndex1):
+            self.n, self.mass = sys.n_f, sys.M1
+            self.apply_a = lambda v: np.asarray(sys.schur_apply(v))
+            b = _dense(sys.B1) - sys.A2 @ sys.a4_solve(_dense(sys.B2))
+        elif isinstance(sys, (GeneralizedSystem, StandardSystem)):
+            self.n = sys.n
+            self.mass = sys.M if isinstance(sys, GeneralizedSystem) else None
+            self.apply_a = lambda v: sys.A @ v
+            b = _dense(sys.B)
+        else:
+            raise TypeError(f"unsupported system type {type(sys)!r}")
+        self.m = sys.m
+        if self.mass is None:
+            self.b0 = b
+        else:
+            self._msolve = _factor(self.mass, err=SingularShiftError)
+            self.b0 = self._msolve(np.asarray(b))
+
+    def mass_apply(self, v):
+        return v if self.mass is None else self.mass @ v
 
     def matvec(self, v):
-        return self.sys.A @ v
+        av = self.apply_a(v)
+        return av if self.mass is None else self._msolve(av)
 
     def resolve(self, s, v):
-        return shifted_solve(self.sys, s, v)
+        return shifted_solve(self.sys, s, self.mass_apply(v))
 
     def residual_maps(self, q):
-        return self.sys.A @ q, q
-
-
-class _CholeskyOp(_Operator):
-    """SPD-M generalized system folded through its Cholesky factor."""
-
-    def __init__(self, gen):
-        self.ct = cholesky_transform(gen)
-        std = self.ct.system
-        super().__init__(std.n, std.m)
-        self.gen = gen
-        self.b0 = std.B
-
-    def matvec(self, v):
-        return self.ct.system.A @ v
-
-    def resolve(self, s, v):
-        return shifted_solve(self.ct.system, s, v)
-
-    def back_map(self, z):
-        return self.ct.map_factor(z)
-
-    def residual_maps(self, q):
-        t = self.back_map(q)
-        return self.gen.A @ t, self.gen.M @ t
-
-
-class _MInvOp(_Operator):
-    """Generalized system through the implicit M^{-1}A operator."""
-
-    def __init__(self, gen):
-        super().__init__(gen.n, gen.m)
-        self.gen = gen
-        from .systems import _factor
-
-        mat = sp.csc_matrix(gen.M) if _is_sparse(gen.M) else _dense(gen.M)
-        self._msolve = _factor(mat, err=SingularShiftError)
-        self.b0 = self._msolve(_dense(gen.B))
-
-    def matvec(self, v):
-        return self._msolve(self.gen.A @ v)
-
-    def resolve(self, s, v):
-        return shifted_solve(self.gen, s, self.gen.M @ v)
-
-    def residual_maps(self, q):
-        return self.gen.A @ q, self.gen.M @ q
-
-
-class _DescriptorOp(_Operator):
-    """Index-1 descriptor system through implicit block elimination."""
-
-    def __init__(self, d):
-        super().__init__(d.n_f, d.m)
-        self.d = d
-        from .systems import _factor
-
-        mat = sp.csc_matrix(d.M1) if _is_sparse(d.M1) else _dense(d.M1)
-        self._m1solve = _factor(mat, err=SingularShiftError)
-        b_hat = _dense(d.B1) - d.A2 @ d.a4_solve(_dense(d.B2))
-        self.b0 = self._m1solve(np.asarray(b_hat))
-        self._m1 = d.M1
-
-    def matvec(self, v):
-        return self._m1solve(np.asarray(self.d.schur_apply(v)))
-
-    def resolve(self, s, v):
-        return shifted_solve(self.d, s, self._m1 @ v)
-
-    def residual_maps(self, q):
-        return np.asarray(self.d.schur_apply(q)), self._m1 @ q
-
-
-def _make_operator(sys):
-    if isinstance(sys, DescriptorIndex1):
-        return _DescriptorOp(sys)
-    if isinstance(sys, GeneralizedSystem):
-        # SPD mass folds through its Cholesky factor (dense at desk
-        # scale); otherwise work on the implicit M^{-1}A operator
-        if sys.spd and sys.n <= dense_threshold():
-            return _CholeskyOp(sys)
-        return _MInvOp(sys)
-    if isinstance(sys, StandardSystem):
-        return _StandardOp(sys)
-    raise TypeError(f"unsupported system type {type(sys)!r}")
+        """(A q, M q) for the residual of A X M^T + M X A^T + B B^T."""
+        return self.apply_a(q), self.mass_apply(q)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +447,13 @@ def modified_rhs(ws, window):
     """
     b_s = expm_action_approx(ws, window.t_s)[0] if window.t_s > 0 else ws.b_proj
     b_e = expm_action_approx(ws, window.t_e)[0]
-    return _abs_eig_factor(b_s @ b_s.T - b_e @ b_e.T)
+    return _surrogate_factor(b_s, b_e)
+
+
+def _surrogate_factor(b_s, b_e):
+    """Factor of |b_s b_s^T - b_e b_e^T|, the stability-preserving right-hand side."""
+    w = b_s @ b_s.T - b_e @ b_e.T
+    return _abs_eig_factor(0.5 * (w + w.T))
 
 
 def residual_norm(sys, ws, y, rhs_factors):
@@ -528,15 +465,19 @@ def residual_norm(sys, ws, y, rhs_factors):
     from a thin factored representation (one A-application per basis
     column), spectral norm, scaled by the right-hand-side norm.
     """
-    op = _make_operator(sys)
-    w_proj = np.zeros((ws.dim, ws.dim))
+    return _factored_residual(_Pencil(sys), ws.q, y, _rhs_core(rhs_factors, ws.dim))
+
+
+def _rhs_core(rhs_factors, d):
+    """sum sign * F F^T over the (coefficient_factor, sign) pairs."""
+    w_proj = np.zeros((d, d))
     for f, sign in rhs_factors:
         w_proj += sign * (f @ f.T)
-    return _factored_residual(op, ws.q, y, w_proj)
+    return w_proj
 
 
 def _factored_residual(op, q, y, w_proj):
-    """mu = ||A X M^T + M X A^T + G||/||G|| with X = T Y T^T lifted from q."""
+    """mu = ||A X M^T + M X A^T + G||/||G|| with X = q Y q^T."""
     at, mt = op.residual_maps(q)
     d = q.shape[1]
     u = np.hstack([np.asarray(at), np.asarray(mt)])
@@ -577,17 +518,12 @@ def _require_stable(sys):
         )
 
 
-def _small_lyap(h, w):
-    """Projected Lyapunov solve H Y + Y H^T = -W, symmetrized."""
-    return linalg.lyap_dense(h, w)
-
-
 def _solve_lowrank(sys, window, cfg, mode, side):
     """Shared driver behind the three low-rank Gramian solvers."""
     cfg = cfg or SolverConfig()
     _require_stable(sys)
     t0 = time.perf_counter()
-    op = _make_operator(_reach_form(sys, side))
+    op = _Pencil(_reach_form(sys, side))
     n, m = op.n, op.m
 
     b = np.atleast_2d(op.b0.astype(float))
@@ -643,13 +579,10 @@ def _solve_lowrank(sys, window, cfg, mode, side):
         elif mode == "timelimited":
             rhs_factors = [(b_s, +1), (coeffs["e"], -1)]
         else:  # modified
-            f_mod = _abs_eig_factor(b_s @ b_s.T - coeffs["e"] @ coeffs["e"].T)
-            rhs_factors = [(f_mod, +1)]
-        w_proj = np.zeros((d, d))
-        for f, sign in rhs_factors:
-            w_proj += sign * (f @ f.T)
+            rhs_factors = [(_surrogate_factor(b_s, coeffs["e"]), +1)]
+        w_proj = _rhs_core(rhs_factors, d)
         try:
-            y = _small_lyap(ws.h, w_proj)
+            y = linalg.lyap_dense(ws.h, w_proj)
         except SpectrumConflictError:
             return False, None, None, fch, np.inf
         mu_k = _factored_residual(op, ws.q, y, w_proj)
@@ -725,7 +658,7 @@ def _solve_lowrank(sys, window, cfg, mode, side):
     lead = max(lam[0], 0.0) if lam.size else 0.0
     keep = lam > cfg.trunc_tol * max(lead, 1e-300)
     z_coeff = vec[:, keep] * np.sqrt(lam[keep])[None, :]
-    z = np.asarray(op.back_map(ws.q @ z_coeff))
+    z = ws.q @ z_coeff
     ws.ritz = None
     return LowRankGramian(
         z=z,
@@ -752,3 +685,29 @@ def solve_timelimited_lowrank(sys, window, cfg=None, side="reachability"):
 def solve_modified_lowrank(sys, window, cfg=None, side="reachability"):
     """Low-rank factor of the stability-preserving modified Gramian."""
     return _solve_lowrank(sys, window, cfg, "modified", side)
+
+
+def mode_gramian(sys, mode, window=None, cfg=None, side="reachability", method="krylov"):
+    """One side's Gramian of a balanced-truncation mode (see :data:`MODES`).
+
+    ``method="krylov"`` returns a :class:`LowRankGramian`, ``"dense"`` the
+    dense Gramian. The table is built at call time from the module
+    attributes, so a rebound ``solve_*_lowrank`` (a tracer, a test spy)
+    sees every call.
+    """
+    routes = {
+        "bt": (solve_infinite_lowrank, gramian_infinite_dense),
+        "tlbt": (solve_timelimited_lowrank, gramian_timelimited_dense),
+        "mtlbt": (solve_modified_lowrank, _dense_modified),
+    }
+    if mode not in routes:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode != "bt" and window is None:
+        raise ValueError(f"mode {mode!r} needs a time window")
+    lowrank, dense = routes[mode]
+    args = (sys,) if mode == "bt" else (sys, window)
+    if method == "krylov":
+        return lowrank(*args, cfg=cfg, side=side)
+    if method == "dense":
+        return dense(*args, side=side)
+    raise ValueError(f"method must be dense|krylov, got {method!r}")

@@ -14,16 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import RankDeficientError, SingularShiftError
-from .gramians import (
-    LowRankGramian,
-    TimeWindow,
-    factor_psd,
-    gramian_infinite_dense,
-    gramian_timelimited_dense,
-    solve_infinite_lowrank,
-    solve_modified_lowrank,
-    solve_timelimited_lowrank,
-)
+from .gramians import MODES, LowRankGramian, TimeWindow, factor_psd, mode_gramian
 from .systems import (
     DescriptorIndex1,
     GeneralizedSystem,
@@ -36,6 +27,8 @@ from .systems import (
 __all__ = [
     "ReducedModel",
     "HsvReport",
+    "Balancing",
+    "balance",
     "square_root_reduce",
     "reduce",
     "hankel_sv",
@@ -45,8 +38,6 @@ __all__ = [
     "numerical_rank",
     "MODES",
 ]
-
-MODES = ("bt", "tlbt", "mtlbt")
 
 
 @dataclass
@@ -82,35 +73,62 @@ class HsvReport:
     window: TimeWindow | None = None
 
 
-def _apply_state(sys, v):
-    """A @ v for the system's effective state matrix (descriptor implicit)."""
-    if isinstance(sys, DescriptorIndex1):
-        return np.asarray(sys.schur_apply(v))
-    return sys.A @ v
+@dataclass
+class Balancing:
+    """Gramian factors of one mode and the SVD of Z_Q^T M Z_P, truncated on demand.
+
+    ``Z_Q^T M Z_P = u diag(hsv) v^T``; ``hsv`` holds every (time-limited)
+    Hankel singular value. ``system`` is the system the projection runs
+    on (a descriptor comes eliminated); ``t_svd`` the seconds the SVD took.
+    """
+
+    system: object
+    z_p: np.ndarray
+    z_q: np.ndarray
+    u: np.ndarray
+    hsv: np.ndarray
+    v: np.ndarray
+    mode: str
+    window: TimeWindow | None
+    info: dict
+    t_svd: float
+
+    def truncate(self, r):
+        """Reduced model of order r (see :func:`square_root_reduce`)."""
+        t0 = time.perf_counter()
+        rom = square_root_reduce(
+            self.system, self.z_p, self.z_q, r, svd=(self.u, self.hsv, self.v)
+        )
+        t_reduce = self.t_svd + time.perf_counter() - t0
+        rom.mode, rom.window = self.mode, self.window
+        rom.info = dict(
+            self.info, hsv_all=self.hsv, t_reduce=t_reduce,
+            t_mor=self.info["t_gramians"] + t_reduce,
+        )
+        return rom
 
 
-def _mass(sys):
+def _factor_svd(sys, z_p, z_q):
+    """Thin SVD (u, s, v) of Z_Q^T M Z_P, with M = I for standard systems."""
     if isinstance(sys, GeneralizedSystem):
-        return sys.M
-    if isinstance(sys, DescriptorIndex1):
-        return sys.M1
-    return None
+        return linalg.svd(z_q.T @ (sys.M @ z_p))
+    return linalg.svd(z_q.T @ z_p)
 
 
-def square_root_reduce(sys, z_p, z_q, r):
+def square_root_reduce(sys, z_p, z_q, r, svd=None):
     """Balance-and-truncate to order r from Gramian factors.
 
     Builds T = Z_P Y_1 S_1^{-1/2}, S = Z_Q X_1 S_1^{-1/2} from the thin
-    SVD of Z_Q^T M Z_P and projects. Raises RankDeficientError when the
-    r-th singular value is below 1e-14 of the largest.
+    SVD of Z_Q^T M Z_P and projects; ``svd`` passes that SVD in when it
+    is already known (:func:`balance` computes it once for every order).
+    Raises RankDeficientError when the r-th singular value is below
+    1e-14 of the largest.
     """
     if isinstance(sys, DescriptorIndex1):
         raise TypeError("reduce descriptor systems through their eliminated form")
     z_p = np.atleast_2d(z_p)
     z_q = np.atleast_2d(z_q)
-    m_mat = _mass(sys)
-    f = z_q.T @ (m_mat @ z_p) if m_mat is not None else z_q.T @ z_p
-    u, sig, v = linalg.svd(f)
+    u, sig, v = svd if svd is not None else _factor_svd(sys, z_p, z_q)
     if r < 1 or r > sig.size:
         raise RankDeficientError(f"order {r} out of range for factor rank {sig.size}")
     if sig[r - 1] <= 1e-14 * sig[0]:
@@ -125,7 +143,7 @@ def square_root_reduce(sys, z_p, z_q, r):
     scale = 1.0 / np.sqrt(sig[:r])
     t = z_p @ (v[:, :r] * scale[None, :])
     s = z_q @ (u[:, :r] * scale[None, :])
-    a_r = s.T @ _apply_state(sys, t)
+    a_r = s.T @ (sys.A @ t)
     b_r = s.T @ _dense(sys.B)
     c_r = _dense(sys.C) @ t
     d_r = np.array(sys.D, copy=True)
@@ -137,59 +155,37 @@ def square_root_reduce(sys, z_p, z_q, r):
     )
 
 
-def _factor_pair(sys, mode, window, cfg, method):
-    """Reachability and observability factors for the requested mode."""
+def balance(sys, mode, window=None, cfg=None, method="krylov"):
+    """Gramian factors of a balanced-truncation mode, balanced once.
+
+    ``method="krylov"`` uses the low-rank rational Krylov solver,
+    ``"dense"`` exact dense Gramians (desk-scale systems, unstable
+    admissible). Descriptor factors come from the implicit descriptor
+    path; the projection runs on the dense eliminated form (desk scale).
+    """
     mode = mode.lower()
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode != "bt" and window is None:
-        raise ValueError(f"mode {mode!r} needs a time window")
-    info = {}
     t0 = time.perf_counter()
+    sides = [
+        mode_gramian(sys, mode, window, cfg, side, method)
+        for side in ("reachability", "observability")
+    ]
+    info = {}
     if method == "dense":
         trunc = cfg.trunc_tol if cfg else 1e-12
-        if mode == "bt":
-            p = gramian_infinite_dense(sys, "reachability")
-            q = gramian_infinite_dense(sys, "observability")
-        elif mode == "tlbt":
-            p = gramian_timelimited_dense(sys, window, "reachability")
-            q = gramian_timelimited_dense(sys, window, "observability")
-        else:
-            p = _dense_modified(sys, window, "reachability")
-            q = _dense_modified(sys, window, "observability")
-        z_p, z_q = factor_psd(p, trunc), factor_psd(q, trunc)
-    elif method == "krylov":
-        if mode == "bt":
-            gp = solve_infinite_lowrank(sys, cfg, "reachability")
-            gq = solve_infinite_lowrank(sys, cfg, "observability")
-        elif mode == "tlbt":
-            gp = solve_timelimited_lowrank(sys, window, cfg, "reachability")
-            gq = solve_timelimited_lowrank(sys, window, cfg, "observability")
-        else:
-            gp = solve_modified_lowrank(sys, window, cfg, "reachability")
-            gq = solve_modified_lowrank(sys, window, cfg, "observability")
+        z_p, z_q = (factor_psd(p, trunc) for p in sides)
+    else:
+        gp, gq = sides
         z_p, z_q = gp.z, gq.z
         info.update(
             mu_p=gp.residual, mu_q=gq.residual,
             dim_p=gp.subspace_dim, dim_q=gq.subspace_dim,
             rank_p=gp.rank, rank_q=gq.rank,
         )
-    else:
-        raise ValueError(f"method must be dense|krylov, got {method!r}")
     info["t_gramians"] = time.perf_counter() - t0
-    return z_p, z_q, info
-
-
-def _dense_modified(sys, window, side):
-    """Dense modified time-limited Gramian (absolute-value surrogate RHS)."""
-    from .gramians import _abs_eig_factor, _dense_state_input, _reach_form
-
-    a, b = _dense_state_input(_reach_form(sys, side))
-    b_s = linalg.expm(a * window.t_s) @ b if window.t_s > 0 else b
-    b_e = linalg.expm(a * window.t_e) @ b
-    w = b_s @ b_s.T - b_e @ b_e.T
-    b_mod = _abs_eig_factor(0.5 * (w + w.T))
-    return linalg.lyap_dense(a, b_mod @ b_mod.T)
+    work = eliminate_descriptor(sys)[0] if isinstance(sys, DescriptorIndex1) else sys
+    t0 = time.perf_counter()
+    u, hsv, v = _factor_svd(work, z_p, z_q)
+    return Balancing(work, z_p, z_q, u, hsv, v, mode, window, info, time.perf_counter() - t0)
 
 
 def reduce(sys, mode, window=None, r=None, cfg=None, method="krylov", tol=None):
@@ -199,31 +195,15 @@ def reduce(sys, mode, window=None, r=None, cfg=None, method="krylov", tol=None):
     is below it (capped by ``r`` when both are given). ``method="dense"``
     uses exact dense Gramians (desk-scale systems, unstable admissible).
     """
-    if isinstance(sys, DescriptorIndex1):
-        # factors come from the implicit descriptor path; the projection
-        # step itself runs on the dense eliminated form (desk scale)
-        z_p, z_q, info = _factor_pair(sys, mode, window, cfg, method)
-        work, _ = eliminate_descriptor(sys)
-    else:
-        work = sys
-        z_p, z_q, info = _factor_pair(work, mode, window, cfg, method)
-    t0 = time.perf_counter()
-    report = hankel_sv(z_p, z_q, _mass(work), source=mode, window=window)
+    if r is None and tol is None:
+        raise ValueError("either r or tol must be given")
+    bal = balance(sys, mode, window, cfg, method)
     if tol is not None:
-        sig = report.values
+        sig = bal.hsv
         bounds = 2.0 * np.append(np.cumsum(sig[::-1])[::-1], 0.0)  # bound at order r
         r_tol = max(int(np.argmax(bounds <= tol)), 1)
         r = min(r, r_tol) if r is not None else r_tol
-    if r is None:
-        raise ValueError("either r or tol must be given")
-    rom = square_root_reduce(work, z_p, z_q, r)
-    info["t_reduce"] = time.perf_counter() - t0
-    info["t_mor"] = info["t_gramians"] + info["t_reduce"]
-    rom.mode = mode.lower()
-    rom.window = window
-    rom.info = info
-    rom.info["hsv_all"] = report.values
-    return rom
+    return bal.truncate(r)
 
 
 def hankel_sv(z_p, z_q, m_mat=None, source="infinite", window=None):

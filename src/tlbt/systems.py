@@ -40,9 +40,6 @@ __all__ = [
     "alpha_shift",
 ]
 
-#: below this total dimension, sparse block systems may be densified freely
-DENSE_FALLBACK = 500
-
 
 def _is_sparse(a):
     return sp.issparse(a)
@@ -205,9 +202,7 @@ class DescriptorIndex1:
     def a4_solve(self, rhs):
         """Solve ``A4 x = rhs`` with a cached factorization."""
         if self._a4_solve is None:
-            use_sparse = _is_sparse(self.A4) or self.n >= DENSE_FALLBACK
-            mat = sp.csc_matrix(self.A4) if use_sparse else _dense(self.A4)
-            self._a4_solve = _factor(mat, err=SingularBlockError)
+            self._a4_solve = _factor(self.A4, err=SingularBlockError)
         return self._a4_solve(np.asarray(rhs))
 
     def schur_apply(self, v):
@@ -325,10 +320,7 @@ def shifted_solve(sys, s, w):
         m_full, a_full, _, _ = sys.assemble()
         shifted = a_full - s * m_full if complex_shift else a_full - np.real(s) * m_full
         rhs_full = np.vstack([rhs, np.zeros((sys.n - sys.n_f, rhs.shape[1]), dtype=rhs.dtype)])
-        if sys.n < DENSE_FALLBACK and not complex_shift:
-            sol = _factor(_dense(shifted))(rhs_full)
-        else:
-            sol = _factor(sp.csc_matrix(shifted, dtype=complex if complex_shift else float))(rhs_full)
+        sol = _factor(sp.csc_matrix(shifted, dtype=complex if complex_shift else float))(rhs_full)
         out = sol[: sys.n_f]
     elif isinstance(sys, GeneralizedSystem):
         shifted = sys.A - s * sys.M

@@ -1,3 +1,4 @@
+import inspect
 import json
 from pathlib import Path
 
@@ -5,8 +6,13 @@ import jsonschema
 import numpy as np
 import pytest
 
+import tlbt.gramians
+from conftest import random_descriptor
 from tlbt import mmio, schemas
 from tlbt.cli import main
+from tlbt.gramians import TimeWindow
+from tlbt.reduction import balance, reduce
+from tlbt.synthetic import make_synthetic
 from tlbt.systems import StandardSystem
 
 SCALAR = StandardSystem(np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]]))
@@ -222,3 +228,52 @@ def test_compare_rerun_byte_identical(tmp_path):
     assert list(files1) == list(files2)
     for name in files1:
         assert files1[name] == files2[name], f"{name} differs between reruns"
+
+
+def test_hsv_and_compare_on_descriptor_sidecar(tmp_path):
+    sidecar = mmio.save_system(tmp_path / "sysdir", "desc", random_descriptor(20, 6, 2, 2, 7))
+    loaded, _ = mmio.load_system(sidecar)
+    window = TimeWindow(t_e=2.0)
+    out = tmp_path / "out"
+    rc = main(
+        ["hsv", "--system", str(sidecar), "--mode", "bt", "--mode", "tlbt",
+         "--te", "2.0", "--out", str(out)]
+    )
+    assert rc == 0
+    for mode in ("bt", "tlbt"):
+        lines = (out / f"desc_hsv_{mode}.csv").read_text().splitlines()[1:]
+        sig = np.array([float(line.split(",")[1]) for line in lines])
+        w = None if mode == "bt" else window
+        assert np.array_equal(sig, reduce(loaded, mode, window=w, r=1).info["hsv_all"])
+        assert np.array_equal(sig, balance(loaded, mode, w).hsv)
+    rc = main(
+        ["compare", "--system", str(sidecar), "--mode", "bt", "--mode", "tlbt",
+         "--order", "4", "--te", "2.0", "--dt", "0.02", "--out", str(out)]
+    )
+    assert rc == 0
+    table = json.loads((out / "desc_compare.json").read_text())
+    assert [row["mode"] for row in table["results"]] == ["bt", "tlbt"]
+
+
+def test_modes_call_solvers_through_module_attribute(tmp_path, monkeypatch):
+    # tracers and spies rebind gramians.solve_*_lowrank; every mode route
+    # must look the solver up there when it runs
+    real = tlbt.gramians.solve_timelimited_lowrank
+    sides = []
+
+    def spy(*args, **kwargs):
+        sides.append(inspect.signature(real).bind(*args, **kwargs).arguments["side"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tlbt.gramians, "solve_timelimited_lowrank", spy)
+    s = make_synthetic("random_stable", 12, 1, 1, seed=0)
+    reduce(s, "tlbt", window=TimeWindow(t_e=1.0), r=2)
+    assert sorted(sides) == ["observability", "reachability"]
+    sides.clear()
+    rc = main(
+        ["compare", "--synth", "random_stable", "--n", "12", "--seed", "0",
+         "--mode", "tlbt", "--order", "2", "--te", "1.0", "--dt", "0.01",
+         "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    assert sorted(sides) == ["observability", "reachability"]

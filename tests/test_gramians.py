@@ -240,6 +240,25 @@ def test_heat_timelimited_gramian_compresses_at_scale(side):
     _assert_distinct_shifts(g)
 
 
+def test_spd_mass_gramian_independent_of_dense_threshold(monkeypatch):
+    # the Krylov operator is the pencil (A, M) at every size; the threshold
+    # gates only the dense routes and the dense stability check
+    s = make_synthetic("heat_like", 300, 2, 2, seed=1)
+    cfg = SolverConfig(tol_f=1e-8, tol_p=1e-8)
+    monkeypatch.setenv("TLBT_DENSE_THRESHOLD", "1000")
+    big = solve_infinite_lowrank(s, cfg)
+    monkeypatch.setenv("TLBT_DENSE_THRESHOLD", "100")
+    with pytest.warns(UserWarning, match="unverified"):
+        small = solve_infinite_lowrank(s, cfg)
+    assert big.workspace.shifts == small.workspace.shifts
+    assert big.subspace_dim == small.subspace_dim
+    assert np.array_equal(big.z, small.z)
+    assert all(np.imag(sh) == 0 for sh in big.workspace.shifts)
+    monkeypatch.setenv("TLBT_DENSE_THRESHOLD", "1000")
+    p = gramian_infinite_dense(s)
+    assert np.linalg.norm(big.z @ big.z.T - p, 2) <= 1e-6 * np.linalg.norm(p, 2)
+
+
 # ---------------------------------------------------------------------------
 # projected quantities
 
@@ -478,7 +497,8 @@ def test_modified_lowrank_matches_dense(rng):
 
 
 def test_modified_rank_tracks_infinite(rng):
-    from tlbt.reduction import _dense_modified, numerical_rank
+    from tlbt.gramians import _dense_modified
+    from tlbt.reduction import numerical_rank
 
     s = make_synthetic("weakly_damped", 80, 1, 1, seed=4)
     w = TimeWindow(t_e=3.0)
