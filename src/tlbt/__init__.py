@@ -8,7 +8,8 @@ Library layout:
 - :mod:`tlbt.gramians`: dense and low-rank (rational Krylov) Gramian
   solvers, infinite / time-limited / stability-preserving modified.
 - :mod:`tlbt.reduction`: square-root balancing (``balance`` once per
-  mode, ``truncate`` per order), Hankel values, error bounds, transfer
+  mode, ``balance_modes`` sharing the Krylov shifts across modes,
+  ``truncate`` per order), Hankel values, error bounds, transfer
   evaluation.
 - :mod:`tlbt.simulate`: implicit midpoint integration and error metrics.
 - :mod:`tlbt.synthetic`: deterministic desk-scale test systems.
@@ -33,6 +34,7 @@ from .reduction import (
     HsvReport,
     ReducedModel,
     balance,
+    balance_modes,
     hankel_sv,
     hinf_error_bound,
     numerical_rank,
@@ -77,6 +79,7 @@ __all__ = [
     "HsvReport",
     "ReducedModel",
     "balance",
+    "balance_modes",
     "hankel_sv",
     "hinf_error_bound",
     "numerical_rank",

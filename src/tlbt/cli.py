@@ -153,6 +153,10 @@ def cmd_synth(args):
 
 
 def cmd_gramian(args):
+    if args.method != "krylov":
+        raise ValueError(
+            "tlbt gramian computes Krylov factors only; --method dense is not supported"
+        )
     out = _out_dir(args)
     sys_obj, name = _load_system(args)
     window = _window(args)
@@ -160,20 +164,19 @@ def cmd_gramian(args):
     sides = {"reach": ["reachability"], "obs": ["observability"]}.get(
         args.side, ["reachability", "observability"]
     )
+    poles = {}  # each side's shifts, replayed by the later modes
     for mode in args.mode:
         summary = {"mode": mode, "t_s": args.ts, "t_e": args.te}
         for side in sides:
-            g = mode_gramian(sys_obj, mode, window, cfg, side)
+            g = mode_gramian(sys_obj, mode, window, cfg, side, poles=poles.get(side))
+            poles[side] = max(poles.get(side, []), g.workspace.shifts, key=len)
             tag = "ZP" if side == "reachability" else "ZQ"
             mmio.write_matrix(out / f"{name}_{tag}_{mode}.mtx", g.z)
             if args.trace:
                 _write_trace(out / f"{name}_trace_{tag}_{mode}.csv", g.trace)
-            summary[side] = {
-                "d": g.subspace_dim,
-                "rank": g.rank,
-                "mu": g.residual,
-                "seconds": g.wall_time,
-            }
+            summary[side] = {"d": g.subspace_dim, "rank": g.rank, "mu": g.residual}
+            if args.timings:
+                summary[side]["seconds"] = g.wall_time
             print(
                 f"{name} {mode} {side}: d={g.subspace_dim} rank={g.rank} "
                 f"mu={_fmt(g.residual)} seconds={_fmt(g.wall_time)}"
@@ -187,8 +190,9 @@ def cmd_hsv(args):
     sys_obj, name = _load_system(args)
     window = _window(args)
     cfg = _config(args)
-    for mode in args.mode:
-        hsv = reduction.balance(sys_obj, mode, window, cfg, args.method).hsv
+    balances = reduction.balance_modes(sys_obj, args.mode, window, cfg, args.method)
+    for mode, bal in zip(args.mode, balances):
+        hsv = bal.hsv
         _write_csv(
             out / f"{name}_hsv_{mode}.csv",
             ["index", "sigma"],
@@ -199,7 +203,7 @@ def cmd_hsv(args):
     return 0
 
 
-def _export_reduced(out, name, mode, r, rom, e_max=None, timings=True):
+def _export_reduced(out, name, mode, r, rom, e_max=None, timings=False):
     tag = f"{name}_{mode}_r{r}"
     sidecar = mmio.save_system(out, tag, rom.to_system())
     meta = {
@@ -225,11 +229,11 @@ def cmd_reduce(args):
     sys_obj, name = _load_system(args)
     window = _window(args)
     cfg = _config(args)
-    for mode in args.mode:
-        bal = reduction.balance(sys_obj, mode, window, cfg, args.method)
+    balances = reduction.balance_modes(sys_obj, args.mode, window, cfg, args.method)
+    for mode, bal in zip(args.mode, balances):
         for r in args.order:
             rom = bal.truncate(r)
-            _export_reduced(out, name, mode, r, rom)
+            _export_reduced(out, name, mode, r, rom, timings=args.timings)
             print(
                 f"{name} {mode} r={r}: stable={int(rom.stable)} "
                 f"t_mor={_fmt(rom.info.get('t_mor', 0.0))}"
@@ -282,8 +286,8 @@ def cmd_compare(args):
     orders = sorted(args.order)
     table = []
     e_by_mode = {}
-    for mode in args.mode:
-        bal = reduction.balance(sys_obj, mode, window, cfg, args.method)
+    balances = reduction.balance_modes(sys_obj, args.mode, window, cfg, args.method)
+    for mode, bal in zip(args.mode, balances):
         for r in orders:
             rom = bal.truncate(r)
             if args.input == "impulse":
@@ -349,6 +353,9 @@ def _build_parser():
     p.add_argument("--mode", action="append", choices=reduction.MODES, required=True)
     p.add_argument("--side", choices=("reach", "obs", "both"), default="both")
     p.add_argument("--trace", action="store_true", help="write per-iteration trace CSV")
+    p.add_argument(
+        "--timings", action="store_true", help="include solve seconds in the JSON summary"
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gramian)
 
@@ -364,6 +371,7 @@ def _build_parser():
     _add_solver_args(p)
     p.add_argument("--mode", action="append", choices=reduction.MODES, required=True)
     p.add_argument("--order", action="append", type=int, required=True)
+    p.add_argument("--timings", action="store_true", help="include t_mor in the JSON metadata")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reduce)
 

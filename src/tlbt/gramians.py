@@ -518,9 +518,18 @@ def _require_stable(sys):
         )
 
 
-def _solve_lowrank(sys, window, cfg, mode, side):
-    """Shared driver behind the three low-rank Gramian solvers."""
+def _solve_lowrank(sys, window, cfg, mode, side, poles=None):
+    """Shared driver behind the three low-rank Gramian solvers.
+
+    ``poles`` replays the ``workspace.shifts`` (``inf`` first) of an
+    earlier solve of the same system and side: each growth step takes
+    ``poles[len(shifts)]`` while the list has an entry there and picks
+    adaptively after that; a complex pole still adds its conjugate, which
+    is the next entry. The shifts depend on the pencil and the start block,
+    never on the mode, so the result is bit-identical to a fresh solve.
+    """
     cfg = cfg or SolverConfig()
+    poles = poles or ()
     _require_stable(sys)
     t0 = time.perf_counter()
     op = _Pencil(_reach_form(sys, side))
@@ -620,7 +629,7 @@ def _solve_lowrank(sys, window, cfg, mode, side):
                 f"expm change {f_change:.3e})"
             )
         # grow the basis
-        s = adaptive_shift(ws)
+        s = poles[len(shifts)] if len(shifts) < len(poles) else adaptive_shift(ws)
         try:
             g = op.resolve(s, last_block)
         except SingularShiftError:
@@ -672,28 +681,31 @@ def _solve_lowrank(sys, window, cfg, mode, side):
     )
 
 
-def solve_infinite_lowrank(sys, cfg=None, side="reachability"):
+def solve_infinite_lowrank(sys, cfg=None, side="reachability", poles=None):
     """Low-rank factor of the infinite Gramian by the rational Krylov method."""
-    return _solve_lowrank(sys, None, cfg, "infinite", side)
+    return _solve_lowrank(sys, None, cfg, "infinite", side, poles)
 
 
-def solve_timelimited_lowrank(sys, window, cfg=None, side="reachability"):
+def solve_timelimited_lowrank(sys, window, cfg=None, side="reachability", poles=None):
     """Low-rank factor of the time-limited Gramian over [t_s, t_e]."""
-    return _solve_lowrank(sys, window, cfg, "timelimited", side)
+    return _solve_lowrank(sys, window, cfg, "timelimited", side, poles)
 
 
-def solve_modified_lowrank(sys, window, cfg=None, side="reachability"):
+def solve_modified_lowrank(sys, window, cfg=None, side="reachability", poles=None):
     """Low-rank factor of the stability-preserving modified Gramian."""
-    return _solve_lowrank(sys, window, cfg, "modified", side)
+    return _solve_lowrank(sys, window, cfg, "modified", side, poles)
 
 
-def mode_gramian(sys, mode, window=None, cfg=None, side="reachability", method="krylov"):
+def mode_gramian(
+    sys, mode, window=None, cfg=None, side="reachability", method="krylov", poles=None
+):
     """One side's Gramian of a balanced-truncation mode (see :data:`MODES`).
 
-    ``method="krylov"`` returns a :class:`LowRankGramian`, ``"dense"`` the
-    dense Gramian. The table is built at call time from the module
-    attributes, so a rebound ``solve_*_lowrank`` (a tracer, a test spy)
-    sees every call.
+    ``method="krylov"`` returns a :class:`LowRankGramian` (``poles``
+    replays the shifts of an earlier solve of this side, see
+    :func:`_solve_lowrank`), ``"dense"`` the dense Gramian. The table is
+    built at call time from the module attributes, so a rebound
+    ``solve_*_lowrank`` (a tracer, a test spy) sees every call.
     """
     routes = {
         "bt": (solve_infinite_lowrank, gramian_infinite_dense),
@@ -707,7 +719,7 @@ def mode_gramian(sys, mode, window=None, cfg=None, side="reachability", method="
     lowrank, dense = routes[mode]
     args = (sys,) if mode == "bt" else (sys, window)
     if method == "krylov":
-        return lowrank(*args, cfg=cfg, side=side)
+        return lowrank(*args, cfg=cfg, side=side, poles=poles)
     if method == "dense":
         return dense(*args, side=side)
     raise ValueError(f"method must be dense|krylov, got {method!r}")

@@ -29,6 +29,7 @@ __all__ = [
     "HsvReport",
     "Balancing",
     "balance",
+    "balance_modes",
     "square_root_reduce",
     "reduce",
     "hankel_sv",
@@ -79,7 +80,8 @@ class Balancing:
 
     ``Z_Q^T M Z_P = u diag(hsv) v^T``; ``hsv`` holds every (time-limited)
     Hankel singular value. ``system`` is the system the projection runs
-    on (a descriptor comes eliminated); ``t_svd`` the seconds the SVD took.
+    on (a descriptor comes eliminated); ``t_svd`` the seconds the SVD took;
+    ``shifts`` the Krylov shifts of each side (empty for dense Gramians).
     """
 
     system: object
@@ -92,6 +94,7 @@ class Balancing:
     window: TimeWindow | None
     info: dict
     t_svd: float
+    shifts: dict = field(default_factory=dict)
 
     def truncate(self, r):
         """Reduced model of order r (see :func:`square_root_reduce`)."""
@@ -155,21 +158,27 @@ def square_root_reduce(sys, z_p, z_q, r, svd=None):
     )
 
 
-def balance(sys, mode, window=None, cfg=None, method="krylov"):
+_SIDES = ("reachability", "observability")
+
+
+def balance(sys, mode, window=None, cfg=None, method="krylov", poles=None):
     """Gramian factors of a balanced-truncation mode, balanced once.
 
     ``method="krylov"`` uses the low-rank rational Krylov solver,
     ``"dense"`` exact dense Gramians (desk-scale systems, unstable
-    admissible). Descriptor factors come from the implicit descriptor
-    path; the projection runs on the dense eliminated form (desk scale).
+    admissible). ``poles`` maps a side to Krylov shifts to replay (see
+    :func:`balance_modes`). Descriptor factors come from the implicit
+    descriptor path; the projection runs on the dense eliminated form
+    (desk scale).
     """
     mode = mode.lower()
+    poles = poles or {}
     t0 = time.perf_counter()
     sides = [
-        mode_gramian(sys, mode, window, cfg, side, method)
-        for side in ("reachability", "observability")
+        mode_gramian(sys, mode, window, cfg, side, method, poles.get(side))
+        for side in _SIDES
     ]
-    info = {}
+    info, shifts = {}, {}
     if method == "dense":
         trunc = cfg.trunc_tol if cfg else 1e-12
         z_p, z_q = (factor_psd(p, trunc) for p in sides)
@@ -181,19 +190,42 @@ def balance(sys, mode, window=None, cfg=None, method="krylov"):
             dim_p=gp.subspace_dim, dim_q=gq.subspace_dim,
             rank_p=gp.rank, rank_q=gq.rank,
         )
+        shifts = {side: g.workspace.shifts for side, g in zip(_SIDES, sides)}
     info["t_gramians"] = time.perf_counter() - t0
     work = eliminate_descriptor(sys)[0] if isinstance(sys, DescriptorIndex1) else sys
     t0 = time.perf_counter()
     u, hsv, v = _factor_svd(work, z_p, z_q)
-    return Balancing(work, z_p, z_q, u, hsv, v, mode, window, info, time.perf_counter() - t0)
+    return Balancing(
+        work, z_p, z_q, u, hsv, v, mode, window, info, time.perf_counter() - t0, shifts
+    )
+
+
+def balance_modes(sys, modes, window=None, cfg=None, method="krylov"):
+    """Yield ``balance(sys, mode, ...)`` for each mode, picking each side's poles once.
+
+    The adaptive Krylov shifts depend on the system and the side, never
+    on the mode, so every mode replays the longest shift list of that
+    side so far and picks new shifts only where it needs a larger basis.
+    The results equal separate :func:`balance` calls.
+    """
+    poles = {}
+    for mode in modes:
+        bal = balance(sys, mode, window, cfg, method, poles)
+        for side, used in bal.shifts.items():
+            poles[side] = max(poles.get(side, []), used, key=len)
+        yield bal
 
 
 def reduce(sys, mode, window=None, r=None, cfg=None, method="krylov", tol=None):
     """Run the requested balanced-truncation variant to order r.
 
-    ``tol`` picks the smallest order whose tail bound 2*sum(sigma_tail)
-    is below it (capped by ``r`` when both are given). ``method="dense"``
-    uses exact dense Gramians (desk-scale systems, unstable admissible).
+    ``tol`` picks the smallest order whose tail 2*sum(sigma_tail) is below
+    it (capped by ``r`` when both are given). For ``bt`` that tail is the
+    proven H-infinity error bound; for ``tlbt`` and ``mtlbt`` it is only a
+    heuristic order selector, not a proven bound (Redmann & Kürschner
+    (2018) give a tlbt output error bound of a different form).
+    ``method="dense"`` uses exact dense Gramians (desk-scale systems,
+    unstable admissible).
     """
     if r is None and tol is None:
         raise ValueError("either r or tol must be given")
@@ -218,7 +250,12 @@ def hankel_sv(z_p, z_q, m_mat=None, source="infinite", window=None):
 
 
 def hinf_error_bound(hsv, r):
-    """Balanced-truncation error bound 2 * sum of truncated singular values."""
+    """Balanced-truncation error bound 2 * sum of truncated singular values.
+
+    A proven H-infinity bound for ``bt`` Hankel singular values only; from
+    time-limited (``tlbt``/``mtlbt``) values it is a heuristic (see
+    :func:`reduce`).
+    """
     hsv = np.asarray(hsv, dtype=float)
     if r < 0:
         raise ValueError("r must be >= 0")

@@ -8,7 +8,7 @@ _SOLVE_STATS = {
         "mu": {"type": "number", "minimum": 0},
         "seconds": {"type": "number", "minimum": 0},
     },
-    "required": ["d", "rank", "mu", "seconds"],
+    "required": ["d", "rank", "mu"],
     "additionalProperties": False,
 }
 

@@ -89,13 +89,59 @@ def test_reduce_bt_stable_flag(tmp_path):
     out = tmp_path / "out"
     rc = main(
         ["reduce", "--synth", "random_stable", "--n", "20", "--seed", "1",
-         "--mode", "bt", "--order", "2", "--out", str(out)]
+         "--mode", "bt", "--order", "2", "--timings", "--out", str(out)]
     )
     assert rc == 0
     meta = json.loads((out / "random_stable_n20_s1_bt_r2.json").read_text())
     assert meta["stable"] == 1
     assert meta["E_T"] is None
     assert meta["t_mor"] > 0
+
+
+def test_reduce_and_gramian_rerun_byte_identical(tmp_path):
+    # wall times go into the result files only with --timings
+    runs = {
+        "reduce": ["reduce", "--synth", "random_stable", "--n", "20", "--seed", "1",
+                   "--mode", "bt", "--mode", "tlbt", "--te", "1.0", "--order", "2"],
+        "gramian": ["gramian", "--synth", "random_stable", "--n", "20", "--seed", "1",
+                    "--mode", "bt", "--mode", "tlbt", "--te", "1.0"],
+    }
+    for cmd, args in runs.items():
+        out1, out2 = tmp_path / cmd / "run1", tmp_path / cmd / "run2"
+        assert main(args + ["--out", str(out1)]) == 0
+        assert main(args + ["--out", str(out2)]) == 0
+        files1, files2 = read_files(out1), read_files(out2)
+        assert list(files1) == list(files2)
+        for name in files1:
+            assert files1[name] == files2[name], f"{cmd}: {name} differs between reruns"
+    meta = json.loads((tmp_path / "reduce/run1/random_stable_n20_s1_tlbt_r2.json").read_text())
+    assert "t_mor" not in meta
+    summary_path = tmp_path / "gramian/run1/random_stable_n20_s1_gramian_bt.json"
+    summary = json.loads(summary_path.read_text())
+    assert "seconds" not in summary["reachability"]
+
+
+def test_gramian_timings_flag(tmp_path):
+    out = tmp_path / "out"
+    rc = main(
+        ["gramian", "--system", str(scalar_sidecar(tmp_path)), "--mode", "bt", "--timings",
+         "--out", str(out)]
+    )
+    assert rc == 0
+    summary = json.loads((out / "scalar1_gramian_bt.json").read_text())
+    jsonschema.validate(summary, schemas.GRAMIAN_SUMMARY)
+    assert summary["reachability"]["seconds"] > 0
+    assert summary["observability"]["seconds"] > 0
+
+
+def test_gramian_refuses_dense_method(tmp_path, capsys):
+    rc = main(
+        ["gramian", "--synth", "random_stable", "--n", "12", "--mode", "bt",
+         "--method", "dense", "--out", str(tmp_path / "out")]
+    )
+    assert rc == 2
+    assert "--method dense" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_reduce_mtlbt_stable_on_suite(tmp_path):
@@ -277,3 +323,47 @@ def test_modes_call_solvers_through_module_attribute(tmp_path, monkeypatch):
     )
     assert rc == 0
     assert sorted(sides) == ["observability", "reachability"]
+
+
+def test_compare_picks_poles_once_per_side(tmp_path, monkeypatch):
+    # later modes replay the first mode's shifts: no new shift selection,
+    # and each solve's shifted solves are the ones its shifts imply
+    gram = tlbt.gramians
+    active, picks, solves = [], [], []
+
+    def spy_solver(kind):
+        real = getattr(gram, f"solve_{kind}_lowrank")
+
+        def spy(*args, **kwargs):
+            side = inspect.signature(real).bind(*args, **kwargs).arguments["side"]
+            active.append({"solve": (kind, side), "shifted_solves": 0})
+            out = real(*args, **kwargs)
+            solves.append((active.pop(), out.workspace.shifts))
+            return out
+
+        return spy
+
+    def spy_pick(ws, real=gram.adaptive_shift):
+        picks.append(active[-1]["solve"])
+        return real(ws)
+
+    def spy_shifted_solve(*args, real=gram.shifted_solve, **kwargs):
+        active[-1]["shifted_solves"] += 1
+        return real(*args, **kwargs)
+
+    for kind in ("infinite", "timelimited", "modified"):
+        monkeypatch.setattr(gram, f"solve_{kind}_lowrank", spy_solver(kind))
+    monkeypatch.setattr(gram, "adaptive_shift", spy_pick)
+    monkeypatch.setattr(gram, "shifted_solve", spy_shifted_solve)
+    rc = main(
+        ["compare", "--synth", "weakly_damped", "--n", "60", "--m", "2", "--p", "2",
+         "--seed", "1", "--mode", "bt", "--mode", "tlbt", "--mode", "mtlbt",
+         "--order", "8", "--te", "5.0", "--dt", "0.01", "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    assert set(picks) == {("infinite", "reachability"), ("infinite", "observability")}
+    assert len(solves) == 6
+    for record, shifts in solves:
+        # a complex pole and its conjugate share one solve
+        implied = sum(1 for sh in shifts[1:] if np.imag(sh) >= 0)
+        assert record["shifted_solves"] == implied, record["solve"]

@@ -259,6 +259,38 @@ def test_spd_mass_gramian_independent_of_dense_threshold(monkeypatch):
     assert np.linalg.norm(big.z @ big.z.T - p, 2) <= 1e-6 * np.linalg.norm(p, 2)
 
 
+def _assert_same_solve(fresh, replayed):
+    assert replayed.workspace.shifts == fresh.workspace.shifts
+    assert replayed.subspace_dim == fresh.subspace_dim
+    assert replayed.rank == fresh.rank
+    assert replayed.stop == fresh.stop
+    assert np.array_equal(replayed.z, fresh.z)
+
+
+def test_replayed_poles_equal_fresh_solve_heat():
+    # bt's shifts run out at d = 52; the time-limited solve goes on adaptively
+    s = make_synthetic("heat_like", 300, 2, 2, seed=1)
+    cfg = SolverConfig(tol_f=1e-8, tol_p=1e-8)
+    window = TimeWindow(t_e=0.05)
+    bt = solve_infinite_lowrank(s, cfg)
+    fresh = solve_timelimited_lowrank(s, window, cfg)
+    assert bt.subspace_dim < fresh.subspace_dim
+    _assert_same_solve(fresh, solve_timelimited_lowrank(s, window, cfg, poles=bt.workspace.shifts))
+    # a list longer than needed: the solve stops where a fresh one stops
+    _assert_same_solve(bt, solve_infinite_lowrank(s, cfg, poles=fresh.workspace.shifts))
+
+
+@pytest.mark.parametrize("side", ["reachability", "observability"])
+def test_replayed_complex_poles_equal_fresh_solve(side):
+    s = make_synthetic("weakly_damped", 60, 2, 2, seed=1)
+    cfg = SolverConfig(tol_f=1e-8, tol_p=1e-8)
+    window = TimeWindow(t_e=5.0)
+    bt = solve_infinite_lowrank(s, cfg, side)
+    assert any(isinstance(sh, complex) for sh in bt.workspace.shifts)
+    fresh = solve_modified_lowrank(s, window, cfg, side)
+    _assert_same_solve(fresh, solve_modified_lowrank(s, window, cfg, side, bt.workspace.shifts))
+
+
 # ---------------------------------------------------------------------------
 # projected quantities
 
