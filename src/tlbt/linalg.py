@@ -188,20 +188,44 @@ def _spectrum_conflict(values, scale):
     return np.min(np.abs(s)) <= 1e-12 * max(scale, 1e-300)
 
 
+def _schur_eigenvalues(r):
+    """Eigenvalues of a real quasi-triangular Schur factor, from its diagonal blocks."""
+    vals = r.diagonal().astype(complex)
+    i = np.flatnonzero(r.diagonal(-1))  # first rows of the 2x2 blocks
+    a, b, c, d = r[i, i], r[i, i + 1], r[i + 1, i], r[i + 1, i + 1]
+    mean = 0.5 * (a + d)
+    root = np.sqrt((0.25 * (a - d) ** 2 + b * c).astype(complex))
+    vals[i], vals[i + 1] = mean + root, mean - root
+    return vals
+
+
 def lyap_dense(a, w):
     """Solve ``A X + X A^T = -W`` for symmetric ``W`` (Bartels-Stewart).
 
     Requires ``Lambda(A)`` and ``Lambda(-A)`` disjoint; raises
-    :class:`SpectrumConflictError` otherwise. The result is symmetrized.
+    :class:`SpectrumConflictError` otherwise. One real Schur form serves
+    both the check and the solve, which is the sequence of
+    ``scipy.linalg.solve_continuous_lyapunov`` (same result bit for bit).
+    The result is symmetrized.
     """
     a = np.asarray(a, dtype=float)
-    w = np.asarray(w, dtype=float)
+    w = check_finite(np.asarray(w, dtype=float), "W")
     if a.shape[0] != a.shape[1] or w.shape != a.shape:
         raise ValueError("A and W must be square of equal size")
-    vals = gen_eig(a, vectors=False).values
+    r, u = sla.schur(a, output="real")
+    vals = _schur_eigenvalues(r)
     if _spectrum_conflict(vals, np.max(np.abs(vals)) if vals.size else 0.0):
         raise SpectrumConflictError(
             "Lambda(A) and Lambda(-A) intersect; Lyapunov equation is singular"
         )
-    x = sla.solve_continuous_lyapunov(a, -w)
+    f = u.T @ (-w @ u)
+    trsyl, = sla.get_lapack_funcs(("trsyl",), (r, f))
+    y, scale, info = trsyl(r, r, f, tranb="T")
+    if info < 0:
+        raise ValueError(f"?TRSYL: illegal value in argument {-info}")
+    if info == 1:
+        warnings.warn("Lambda(A) and Lambda(-A) nearly intersect; perturbed solve",
+                      RuntimeWarning, stacklevel=2)
+    y *= scale
+    x = u @ y @ u.T
     return 0.5 * (x + x.T)

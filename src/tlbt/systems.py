@@ -279,13 +279,22 @@ def eliminate_descriptor(d):
     return gen, d_term
 
 
-def _factor(mat, err=SingularShiftError):
-    """LU factorization returning a solve closure; sparse or dense, any dtype."""
+def _factor(mat, err=SingularShiftError, checked=True):
+    """LU factorization returning a solve closure; sparse or dense, any dtype.
+
+    Dense solves call LAPACK ``getrs`` (what ``lu_solve`` ends in, bit for
+    bit), picked per right-hand side, so a real LU also solves complex
+    ones. Sparse solves raise ``err`` on non-finite results unless
+    ``checked`` is false. A closure must never refer to itself: the cycle
+    would keep its factorization alive until the cyclic GC runs.
+    """
     if _is_sparse(mat):
         try:
             lu = spla.splu(sp.csc_matrix(mat))
         except RuntimeError as exc:
             raise err(f"matrix factorization failed: {exc}") from exc
+        if not checked:
+            return lu.solve
         def solve(rhs):
             out = lu.solve(np.asarray(rhs))
             if not np.all(np.isfinite(out)):
@@ -296,13 +305,17 @@ def _factor(mat, err=SingularShiftError):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", sla.LinAlgWarning)
-            lu_piv = sla.lu_factor(mat, check_finite=False)
+            lu, piv = sla.lu_factor(mat, check_finite=False)
     except ValueError as exc:
         raise err(f"matrix factorization failed: {exc}") from exc
-    pivots = np.abs(np.diag(lu_piv[0]))
+    pivots = np.abs(np.diag(lu))
     if np.min(pivots) <= np.finfo(float).eps * max(np.linalg.norm(mat, 1), 1e-300):
         raise err("matrix is numerically singular")
-    return lambda rhs: sla.lu_solve(lu_piv, np.asarray(rhs), check_finite=False)
+    def solve(rhs):
+        rhs = np.asarray(rhs)
+        getrs, = sla.get_lapack_funcs(("getrs",), (lu, rhs))
+        return getrs(lu, piv, rhs)[0]
+    return solve
 
 
 def shifted_solve(sys, s, w):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg as sla
 
 from tlbt import linalg
 from tlbt.errors import OverflowRangeError, SingularMatrixError, SpectrumConflictError
@@ -249,7 +250,32 @@ def test_lyap_residual_contract(rng):
     assert np.allclose(x, x.T)
 
 
+@pytest.mark.parametrize("n", [20, 120])
+def test_lyap_one_schur_form_matches_scipy(rng, monkeypatch, n):
+    from conftest import random_stable_matrix
+
+    a = random_stable_matrix(n, rng)
+    b = rng.standard_normal((n, 3))
+    ref = sla.solve_continuous_lyapunov(a, -(b @ b.T))
+    monkeypatch.setattr(linalg, "gen_eig", None)  # the conflict check reads the Schur form
+    x = linalg.lyap_dense(a, b @ b.T)
+    assert np.array_equal(x, 0.5 * (ref + ref.T))
+
+
+def test_schur_eigenvalues_complex_pairs(rng):
+    from conftest import random_stable_matrix
+
+    a = random_stable_matrix(15, rng)
+    vals = linalg._schur_eigenvalues(sla.schur(a, output="real")[0])
+    ref = np.linalg.eigvals(a)
+    assert np.any(ref.imag != 0)
+    assert np.allclose(np.sort_complex(vals), np.sort_complex(ref), atol=1e-12)
+
+
 def test_lyap_spectrum_conflict():
     a = np.diag([1.0, -1.0])  # lambda_1 + lambda_2 = 0
     with pytest.raises(SpectrumConflictError):
         linalg.lyap_dense(a, np.eye(2))
+    rotation = np.array([[0.0, 2.0], [-2.0, 0.0]])  # +-2i, read off one 2x2 Schur block
+    with pytest.raises(SpectrumConflictError):
+        linalg.lyap_dense(rotation, np.eye(2))

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from tlbt import linalg
-from tlbt.errors import GridMismatchError, ZeroVectorError
+from conftest import random_descriptor
+from tlbt import linalg, simulate
+from tlbt.errors import GridMismatchError, SingularStepError, ZeroVectorError
 from tlbt.gramians import TimeWindow
+from tlbt.reduction import reduce
 from tlbt.simulate import (
     Trajectory,
     custom_input,
     half_decay_time,
+    impulse_input,
     impulse_response,
     implicit_midpoint,
     mac,
@@ -166,3 +172,117 @@ def test_mac_matrix_shape(rng):
 
 def test_half_decay_time_scalar():
     assert abs(half_decay_time(SCALAR) - np.log(2.0)) < 1e-12
+
+
+def _as_dense(a):
+    return a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
+
+
+def _reference_midpoint(sys, u, x0, dt, t_f):
+    """Plain midpoint loop: scipy ``lu_solve`` or ``splu`` per step, input sampled every step."""
+    if hasattr(sys, "to_system"):
+        sys = sys.to_system()
+    a, b, c, d = sys.A, _as_dense(sys.B), _as_dense(sys.C), sys.D
+    n, m = b.shape
+    m_mat = getattr(sys, "M", None)
+    if m_mat is None:
+        m_mat = sp.identity(n, format="csc") if sp.issparse(a) else np.eye(n)
+    minus = m_mat - (dt / 2.0) * a
+    plus = m_mat + (dt / 2.0) * a
+    if sp.issparse(minus):
+        solve = spla.splu(sp.csc_matrix(minus)).solve
+    else:
+        lu_piv = sla.lu_factor(minus, check_finite=False)
+        solve = lambda rhs: sla.lu_solve(lu_piv, rhs, check_finite=False)  # noqa: E731
+    nsteps = int(np.ceil(t_f / dt - 1e-9))
+    times = dt * np.arange(nsteps + 1)
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
+    outputs = np.empty((nsteps + 1, c.shape[0]))
+    for k in range(nsteps + 1):
+        outputs[k] = c @ x + d @ u.sample(times[k], m)
+        if k < nsteps:
+            x = solve(plus @ x + dt * (b @ u.sample(times[k] + dt / 2.0, m)))
+    return outputs
+
+
+def _reference_impulse(sys, dt, t_f):
+    form = sys.to_system() if hasattr(sys, "to_system") else sys
+    v = np.ones(form.m)
+    x0 = _as_dense(form.B) @ v
+    if getattr(form, "M", None) is not None:
+        x0 = spla.splu(sp.csc_matrix(form.M)).solve(x0)
+    return _reference_midpoint(form, impulse_input(v), x0, dt, t_f)
+
+
+_SYSTEMS = {
+    "dense": (lambda: make_synthetic("random_stable", 20, 2, 2, seed=1), 1e-2, 2.0),
+    "sparse_generalized": (lambda: make_synthetic("heat_like", 50, 2, 2, seed=1), 1e-4, 0.02),
+    "rom": (
+        lambda: reduce(make_synthetic("random_stable", 20, 2, 2, seed=1), "bt", r=6),
+        1e-2,
+        2.0,
+    ),
+}
+_INPUTS = {
+    "step": lambda: step_input(0.7),
+    "custom": lambda: custom_input(lambda t: np.array([np.sin(40.0 * t), np.cos(30.0 * t)])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SYSTEMS))
+def test_impulse_bit_identical_to_reference_loop(kind):
+    make, dt, t_f = _SYSTEMS[kind]
+    sys = make()
+    traj = impulse_response(sys, dt=dt, t_f=t_f)
+    assert traj.times.size == 201
+    assert np.array_equal(traj.outputs, _reference_impulse(sys, dt, t_f))
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse_generalized"])
+@pytest.mark.parametrize("signal", sorted(_INPUTS))
+def test_forced_response_bit_identical_to_reference_loop(kind, signal):
+    make, dt, t_f = _SYSTEMS[kind]
+    sys = make()
+    u = _INPUTS[signal]()
+    traj = implicit_midpoint(sys, u, None, dt, t_f)
+    assert np.array_equal(traj.outputs, _reference_midpoint(sys, u, None, dt, t_f))
+    assert np.any(traj.outputs != 0.0)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_singular_step_matrix_raises(sparse):
+    dt = 0.1
+    a = (2.0 / dt) * (sp.identity(3, format="csc") if sparse else np.eye(3))
+    s = StandardSystem(a, np.ones((3, 1)), np.ones((1, 3)))
+    with pytest.raises(SingularStepError):
+        implicit_midpoint(s, None, np.ones(3), dt, 1.0)
+    with pytest.raises(SingularStepError):
+        impulse_response(s, dt=dt, t_f=1.0)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_exploding_run_raises(sparse):
+    # each step multiplies x by (1 + 1.9)/(1 - 1.9): |x| passes 1e308 near step 605
+    dt = 1e-2
+    a = np.array([[1.9 * 2.0 / dt]])
+    s = StandardSystem(sp.csc_matrix(a) if sparse else a, np.ones((1, 1)), np.ones((1, 1)))
+    with pytest.raises(SingularStepError), np.errstate(over="ignore", invalid="ignore"):
+        implicit_midpoint(s, None, np.ones(1), dt, 1000 * dt)
+    finite = implicit_midpoint(s, None, np.ones(1), dt, 400 * dt)
+    assert np.all(np.isfinite(finite.outputs))
+
+
+def test_impulse_response_eliminates_descriptor_once(monkeypatch):
+    calls = []
+    real = simulate.eliminate_descriptor
+
+    def spy(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(simulate, "eliminate_descriptor", spy)
+    desc = random_descriptor(12, 4, 2, 2, seed=3)
+    impulse_response(desc, dt=1e-2, t_f=0.5)
+    assert len(calls) == 1
+    implicit_midpoint(desc, step_input(1.0), None, 1e-2, 0.5)
+    assert len(calls) == 2

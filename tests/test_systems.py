@@ -1,5 +1,9 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from conftest import random_descriptor
@@ -11,6 +15,7 @@ from tlbt.systems import (
     DescriptorIndex1,
     GeneralizedSystem,
     StandardSystem,
+    _factor,
     alpha_shift,
     cholesky_transform,
     diagonalize,
@@ -260,3 +265,38 @@ def test_sparse_standard_shifted_solve(rng):
     s = StandardSystem(a, rng.standard_normal((30, 1)), rng.standard_normal((1, 30)))
     v = shifted_solve(s, 1.0, s.B)
     assert np.allclose(v, s.B / -3.0)
+
+
+def test_dense_factor_solve_matches_lu_solve(rng):
+    a = rng.standard_normal((12, 12)) + 4.0 * np.eye(12)
+    lu_piv = sla.lu_factor(a)
+    solve = _factor(a)
+    for rhs in (
+        rng.standard_normal(12),
+        rng.standard_normal((12, 3)),
+        rng.standard_normal(12) + 1j * rng.standard_normal(12),
+        rng.standard_normal((12, 2)) + 1j * rng.standard_normal((12, 2)),
+    ):
+        out = solve(rhs)
+        assert out.dtype == rhs.dtype
+        assert np.array_equal(out, sla.lu_solve(lu_piv, rhs))
+
+
+def test_dense_factor_closure_frees_lu_without_gc(rng):
+    # a closure that reached itself would keep the LU alive until the cyclic GC ran
+    solve = _factor(rng.standard_normal((8, 8)) + 3.0 * np.eye(8))
+    solve(np.ones(8) + 1j)
+    lu = next(
+        cell.cell_contents
+        for cell in solve.__closure__
+        if isinstance(cell.cell_contents, np.ndarray) and cell.cell_contents.ndim == 2
+    )
+    ref = weakref.ref(lu)
+    del lu
+    gc.disable()
+    try:
+        assert ref() is not None
+        del solve
+        assert ref() is None
+    finally:
+        gc.enable()
