@@ -23,7 +23,6 @@ from .gramians import (
     SolverConfig,
     TimeWindow,
     gramian_infinite_dense,
-    gramian_timelimited_cauchy,
     gramian_timelimited_dense,
     solve_infinite_lowrank,
     solve_modified_lowrank,
@@ -70,7 +69,6 @@ __all__ = [
     "SolverConfig",
     "TimeWindow",
     "gramian_infinite_dense",
-    "gramian_timelimited_cauchy",
     "gramian_timelimited_dense",
     "solve_infinite_lowrank",
     "solve_modified_lowrank",

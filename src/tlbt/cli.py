@@ -174,7 +174,7 @@ def cmd_gramian(args):
             mmio.write_matrix(out / f"{name}_{tag}_{mode}.mtx", g.z)
             if args.trace:
                 _write_trace(out / f"{name}_trace_{tag}_{mode}.csv", g.trace)
-            summary[side] = {"d": g.subspace_dim, "rank": g.rank, "mu": g.residual}
+            summary[side] = {"d": g.subspace_dim, "rank": g.rank, "mu": g.residual, "stop": g.stop}
             if args.timings:
                 summary[side]["seconds"] = g.wall_time
             print(

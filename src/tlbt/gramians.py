@@ -6,11 +6,16 @@ system). The large-scale route is a rational Krylov subspace method with
 adaptive shift selection: the basis is grown by shifted solves until the
 subspace approximation of exp(A t) B stops changing, then the projected
 (time-limited) Lyapunov equation is solved and a factored residual norm
-decides termination. A stability-preserving variant replaces the possibly
+decides termination. The basis, its image and the projected matrix grow in
+place (block CGS2, bordering); the residual comes from the rational Arnoldi
+relation, whose rank-m premise holds only while the start block is the
+only pole at infinity. A stability-preserving variant replaces the possibly
 indefinite time-limited right-hand side by its absolute-eigenvalue
 surrogate.
 """
 
+import contextlib
+import contextvars
 import os
 import time
 import warnings
@@ -23,7 +28,6 @@ from . import linalg
 from .errors import (
     DegenerateHullError,
     MaxDimExceededError,
-    NearDefectiveError,
     NoConvergenceError,
     OverflowRangeError,
     SingularShiftError,
@@ -49,11 +53,9 @@ __all__ = [
     "dense_threshold",
     "gramian_infinite_dense",
     "gramian_timelimited_dense",
-    "gramian_timelimited_cauchy",
     "adaptive_shift",
     "expm_action_approx",
     "modified_rhs",
-    "residual_norm",
     "solve_infinite_lowrank",
     "solve_timelimited_lowrank",
     "solve_modified_lowrank",
@@ -230,32 +232,6 @@ def _dense_modified(sys, window, side="reachability"):
     return linalg.lyap_dense(a, b_mod @ b_mod.T)
 
 
-def gramian_timelimited_cauchy(diag, t_e):
-    """Time-limited reachability Gramian from the eigencoordinate factorization.
-
-    For a controllable, diagonalizable SISO system the Gramian is
-    X_B (C - e^{L t} C e^{L^H t}) X_B^H with the Cauchy matrix
-    C_ij = -1/(lam_i + conj(lam_j)). Rejects near-defective eigenbases.
-    """
-    if diag.cond_X > 1e8:
-        raise NearDefectiveError(
-            f"eigenvector condition {diag.cond_X:.2e} too large for the Cauchy route"
-        )
-    lam = diag.eigenvalues
-    denom = lam[:, None] + np.conj(lam)[None, :]
-    if np.min(np.abs(denom)) == 0.0:
-        raise SpectrumConflictError("lambda_i + conj(lambda_j) = 0 in Cauchy matrix")
-    cau = -1.0 / denom
-    e = np.exp(lam * t_e)
-    middle = cau - e[:, None] * cau * np.conj(e)[None, :]
-    p = diag.X_B @ middle @ diag.X_B.conj().T
-    scale = np.linalg.norm(p, "fro")
-    if scale > 0 and np.linalg.norm(p.imag, "fro") > 1e-10 * scale:
-        raise NearDefectiveError("Cauchy-route Gramian has a non-negligible imaginary part")
-    p = p.real
-    return 0.5 * (p + p.T)
-
-
 def factor_psd(p, trunc_tol=1e-12):
     """Cholesky-like factor Z of a symmetric PSD matrix: Z Z^T ~= P."""
     eig = linalg.sym_eig(p)
@@ -310,9 +286,92 @@ class _Pencil:
     def resolve(self, s, v):
         return shifted_solve(self.sys, s, self.mass_apply(v))
 
-    def residual_maps(self, q):
-        """(A q, M q) for the residual of A X M^T + M X A^T + B B^T."""
-        return self.apply_a(q), self.mass_apply(q)
+
+def _widen(a, rows, cols):
+    """``a`` in the leading block of a zero (rows x cols) array."""
+    out = np.zeros((rows, cols), order="F")
+    out[: a.shape[0], : a.shape[1]] = a
+    return out
+
+
+class _Basis(KrylovWorkspace):
+    """The rational Arnoldi state of a solve, grown in place.
+
+    Q, M^{-1} A Q, H = Q^T M^{-1} A Q and b_proj live in buffers that
+    double when full, so they never hold more than twice the columns in
+    use; ``q``, ``h`` and ``b_proj`` are views of the leading blocks. New
+    columns are orthogonalized by block CGS2, H is bordered with their rows
+    and columns, and b_proj with zero rows (B lies in the start block).
+    With a mass matrix the QR factors Q_M R_M of M Q are bordered with the
+    columns added since the previous residual evaluation.
+    """
+
+    def __init__(self, op, b):
+        super().__init__(np.zeros((op.n, 0)), np.zeros((0, 0)), np.zeros((0, b.shape[1])), [np.inf])
+        self.op, self._bp, self._qr_dim = op, self.b_proj, 0
+        self._q = self._aq = self._qm = self.q
+        self._h = self._rm = self.h
+        self.extend(b)
+        if self.dim == 0:
+            raise ValueError("input factor B is numerically zero")
+        self.m0 = self.dim
+        self._bp[: self.m0] = self.q.T @ b
+
+    def extend(self, v):
+        """Append the part of ``v`` outside ``range(Q)``; returns the columns added."""
+        d, n = self.dim, self.op.n
+        if d + v.shape[1] > self._q.shape[1]:
+            cap = max(d + v.shape[1], min(2 * self._q.shape[1], n))
+            self._q, self._aq = _widen(self._q, n, cap), _widen(self._aq, n, cap)
+            self._h, self._bp = _widen(self._h, cap, cap), _widen(self._bp, cap, self.m)
+            if self.op.mass is not None:
+                self._qm, self._rm = _widen(self._qm, n, cap), _widen(self._rm, cap, cap)
+        e = d + linalg.orthonormalize_into(self._q, d, v)
+        if e == d:
+            return 0
+        aq, new = self._aq, self._q[:, d:e]
+        aq[:, d:e] = self.op.matvec(new)
+        self._h[:e, d:e] = self._q[:, :e].T @ aq[:, d:e]
+        self._h[d:e, :d] = new.T @ aq[:, :d]
+        self.q, self.h, self.b_proj = self._q[:, :e], self._h[:e, :e], self._bp[:e]
+        return e - d
+
+    def _mass_qr_columns(self, v, d):
+        """Columns of Q_M and R_M that append M v to the QR factors of M Q[:, :d] (CGS2)."""
+        qm, w, c = self._qm[:, :d], np.asarray(self.op.mass_apply(v)), 0.0
+        for _ in range(2):
+            step = qm.T @ w
+            w, c = w - qm @ step, c + step
+        q_new, t = np.linalg.qr(w)
+        return q_new, np.vstack([c, t])
+
+    def residual(self, y, w):
+        """Scaled residual of the Lyapunov equation for X = Q Y Q^T, spectral norm.
+
+        ``mu = ||A X M^T + M X A^T + M Q W Q^T M^T|| / ||M Q W Q^T M^T||``.
+        Every pole after the start block is finite, so ``M^{-1} A`` maps the
+        space into itself plus ``range(M^{-1} A Q_start)``: the rational
+        Arnoldi relation reads ``M^{-1} A Q = Q H + U_F C`` with ``U_F``
+        (n x m) spanning ``(I - Q Q^T) M^{-1} A Q_start`` and
+        ``C = U_F^T (M^{-1} A Q - Q H)``. With ``H Y + Y H^T + W = 0`` the
+        residual is ``M U_F (C Y) (M Q)^T`` plus its transpose: of norm
+        ``||C Y||`` when ``M = I``, else read off the R factor of
+        ``[M Q, M U_F]``, which borders the stored R_M.
+        """
+        q, h, d, aq = self.q, self.h, self.dim, self._aq[:, : self.dim]
+        f = aq[:, : self.m0] - q @ h[:, : self.m0]
+        u = np.linalg.qr(f - q @ (q.T @ f))[0]
+        cy = (u.T @ aq - (u.T @ q) @ h) @ y
+        if self.op.mass is None:
+            num, den = np.linalg.norm(cy, 2), np.linalg.norm(w, 2)
+        else:
+            k, self._qr_dim = self._qr_dim, d
+            self._qm[:, k:d], self._rm[:d, k:d] = self._mass_qr_columns(q[:, k:], k)
+            rm, p = self._rm[:d, :d], np.zeros((d + u.shape[1],) * 2)
+            p[:, :d] = self._mass_qr_columns(u, d)[1] @ cy @ rm.T
+            num = np.max(np.abs(np.linalg.eigvalsh(p + p.T)))
+            den = np.max(np.abs(np.linalg.eigvalsh(rm @ w @ rm.T)))
+        return float(num) if den == 0.0 else float(num / den)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +417,9 @@ def _select_shift(ritz, shifts, m, symmetric=False, npts=2000):
     shifts as poles is smallest, i.e. where the current space resolves
     the spectrum worst. Real spectra spanning a positive interval are
     sampled on a geometric grid, so stiff spectra get candidates in
-    every decade.
+    every decade. Both point sets are closed under conjugation, so the
+    objective is too: only candidates in the upper half-plane are
+    evaluated, and each conjugate pair enters as one factor.
     Points too close to previous shifts (1e-8 relative) or to mirrored
     Ritz values (1e-12 relative) are excluded. Complex results come back
     as the upper-half-plane representative of the conjugate pair.
@@ -376,27 +437,46 @@ def _select_shift(ritz, shifts, m, symmetric=False, npts=2000):
     if symmetric or np.all(np.abs(mirrored.imag) <= 1e-12 * scale):
         lo, hi = mirrored.real.min(), mirrored.real.max()
         grid = np.geomspace if lo > 0 else np.linspace
-        cand = grid(lo, hi, npts).astype(complex)
+        cand = np.maximum(grid(lo, hi, npts), 0.0)
     else:
         cand = _hull_boundary(mirrored, npts)
-    cand = np.where(cand.real < 0, 1j * cand.imag, cand)
-    keep = np.ones(cand.shape, dtype=bool)
-    finite = [s for s in shifts if np.isfinite(s)]
-    for s in finite:
-        keep &= np.abs(cand - s) > 1e-8 * np.maximum(np.abs(cand), abs(s))
-    for z in mirrored:
-        keep &= np.abs(cand - z) > 1e-12 * np.maximum(np.abs(cand), abs(z))
-    cand = cand[keep]
-    if cand.size == 0:
+        cand = cand[cand.imag >= 0]
+        cand = np.where(cand.real < 0, 1j * cand.imag, cand)
+    finite = np.array([s for s in shifts if np.isfinite(s)], dtype=complex)
+    upper = [p[p.imag >= 0] for p in (finite, mirrored, ritz)]
+    # objective: one factor |(s - p)(s - conj(p))| per conjugate pair, and
+    # |s - p|^2 at half weight per real point
+    poles = _real_if_real(np.concatenate([upper[0], upper[2]]))
+    weight = np.repeat([float(m), -1.0], [upper[0].size, upper[2].size])
+    weight = np.where(poles.imag > 0, weight, 0.5 * weight)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = cand[:, None] - poles
+        f *= cand[:, None] - np.conj(poles)
+        f = np.abs(f)  # at most two (candidates x poles) arrays alive at once
+        obj = np.log(f, out=f) @ weight
+    # exclusions, tested on the best candidates first (the argmax over the
+    # admissible ones is the first admissible one in that order); a candidate
+    # in the upper half-plane is nearer to p than to conj(p) whenever p is
+    # there too, so the upper representatives decide
+    near = _real_if_real(np.concatenate(upper[:2]))
+    rel = np.repeat([1e-8, 1e-12], [upper[0].size, upper[1].size])
+    order = np.argsort(-obj, kind="stable")
+    for start in range(0, order.size, 64):
+        top = cand[order[start : start + 64]]
+        far = np.abs(top[:, None] - near) > rel * np.maximum(np.abs(top)[:, None], np.abs(near))
+        admissible = np.all(far, axis=1)
+        if admissible.any():
+            s = top[np.argmax(admissible)]
+            break
+    else:
         raise DegenerateHullError("all shift candidates excluded")
-    with np.errstate(divide="ignore"):
-        obj = -np.sum(np.log(np.abs(cand[:, None] - ritz[None, :])), axis=1)
-        for s in finite:
-            obj += m * np.log(np.abs(cand - s))
-    s = cand[int(np.argmax(obj))]
     if abs(s.imag) <= 1e-12 * max(abs(s), scale):
         return float(s.real)
     return complex(s.real, abs(s.imag))
+
+
+def _real_if_real(points):
+    return points if points.imag.any() else points.real.copy()
 
 
 def adaptive_shift(ws):
@@ -456,18 +536,6 @@ def _surrogate_factor(b_s, b_e):
     return _abs_eig_factor(0.5 * (w + w.T))
 
 
-def residual_norm(sys, ws, y, rhs_factors):
-    """Scaled Lyapunov residual of the lifted candidate solution.
-
-    ``rhs_factors`` is a list of (coefficient_factor, sign) pairs in
-    workspace coordinates; the right-hand side of the equation is
-    -(sum sign * (Q F)(Q F)^T) mapped to original coordinates. Computed
-    from a thin factored representation (one A-application per basis
-    column), spectral norm, scaled by the right-hand-side norm.
-    """
-    return _factored_residual(_Pencil(sys), ws.q, y, _rhs_core(rhs_factors, ws.dim))
-
-
 def _rhs_core(rhs_factors, d):
     """sum sign * F F^T over the (coefficient_factor, sign) pairs."""
     w_proj = np.zeros((d, d))
@@ -476,43 +544,38 @@ def _rhs_core(rhs_factors, d):
     return w_proj
 
 
-def _factored_residual(op, q, y, w_proj):
-    """mu = ||A X M^T + M X A^T + G||/||G|| with X = q Y q^T."""
-    at, mt = op.residual_maps(q)
-    d = q.shape[1]
-    u = np.hstack([np.asarray(at), np.asarray(mt)])
-    ru = np.linalg.qr(u, mode="r")
-    k = np.zeros((2 * d, 2 * d))
-    k[:d, d:] = y
-    k[d:, :d] = y
-    k[d:, d:] = w_proj
-    core = ru @ k @ ru.T
-    num = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (core + core.T)))))
-    rhs_core = ru[:, d:] @ w_proj @ ru[:, d:].T
-    den = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (rhs_core + rhs_core.T)))))
-    if den == 0.0:
-        return num
-    return num / den
-
-
 # ---------------------------------------------------------------------------
 # the rational Krylov solver
 
 
+_VERIFIED = contextvars.ContextVar("tlbt_verified_system", default=None)
+
+
+@contextlib.contextmanager
+def _stability_checked(sys, check=True):
+    """Verify ``sys`` on entry (with ``check``, unless an enclosing block did);
+    the low-rank solves of ``sys`` inside the block skip the check."""
+    if check and _VERIFIED.get() is not sys:
+        _require_stable(sys)
+    token = _VERIFIED.set(sys)
+    try:
+        yield
+    finally:
+        _VERIFIED.reset(token)
+
+
 def _require_stable(sys):
+    if _VERIFIED.get() is sys:
+        return
     n = sys.n_f if isinstance(sys, DescriptorIndex1) else sys.n
     if n > dense_threshold():
-        warnings.warn(
-            "system too large for dense stability verification; proceeding unverified",
-            stacklevel=3,
-        )
+        warnings.warn("system too large for dense stability verification; "
+                      "proceeding unverified", stacklevel=3)
         return
     ab = spectral_abscissa(sys)
     if ab >= 0:
-        warnings.warn(
-            f"system is not asymptotically stable (spectral abscissa {ab:.3e})",
-            stacklevel=3,
-        )
+        warnings.warn(f"system is not asymptotically stable (spectral abscissa {ab:.3e})",
+                      stacklevel=3)
         raise UnstableSystemError(
             "low-rank Krylov path requires a stable system; use the dense route"
         )
@@ -534,54 +597,32 @@ def _solve_lowrank(sys, window, cfg, mode, side, poles=None):
     t0 = time.perf_counter()
     op = _Pencil(_reach_form(sys, side))
     n, m = op.n, op.m
-
     b = np.atleast_2d(op.b0.astype(float))
-    q = linalg.orthonormal_extend(np.zeros((n, 0)), b)
-    if q.shape[1] == 0:
-        raise ValueError("input factor B is numerically zero")
-    aq = np.asarray(op.matvec(q))
-    shifts = [np.inf]
-    last_block = q
-    max_dim = min(n, cfg.max_dim) if cfg.max_dim else min(n, 600)
-
-    trace = []
-    prev_lift = {}
-    k = 0
-    since_check = 0
-    stagnant = 0
-    force_check = q.shape[1] >= n
+    ws = _Basis(op, b)
+    max_dim = min(n, cfg.max_dim or 600)
+    times = [("e", window.t_e)] + [("s", window.t_s)] * (window.t_s > 0) if window else []
+    bnorm = np.linalg.norm(b)
+    trace, prev_lift = [], {}
+    since_check = stagnant = 0
+    force_check = False
     mu = np.inf
-    f_change = np.inf
 
-    def run_check(ws):
-        """Returns (converged, y, rhs_coeff_factors, f_change, mu)."""
-        nonlocal prev_lift
-        d = ws.dim
-        exact_space = d >= n
-        f_changes = []
-        coeffs = {}
-        if mode != "infinite":
-            times = [("e", window.t_e)] + ([("s", window.t_s)] if window.t_s > 0 else [])
-            for key, t in times:
-                try:
-                    coeff, lifted = expm_action_approx(ws, t)
-                except OverflowRangeError:
-                    return False, None, None, np.inf, np.inf
-                coeffs[key] = coeff
-                bnorm = np.linalg.norm(b)
-                cur = np.linalg.norm(lifted)
-                diff = np.linalg.norm(lifted - prev_lift[key]) if key in prev_lift else np.inf
-                prev_lift[key] = lifted
-                if cur <= 1e-14 * bnorm and (diff <= 1e-14 * bnorm or not np.isfinite(diff)):
-                    f_changes.append(0.0)
-                elif np.isfinite(diff):
-                    f_changes.append(diff / max(cur, 1e-300))
-                else:
-                    f_changes.append(np.inf)
-        fch = max(f_changes) if f_changes else 0.0
-        if not exact_space and fch >= cfg.tol_f:
-            return False, None, None, fch, np.inf
-        # projected right-hand side
+    def run_check(final):
+        """(converged, y, f_change, mu); ``final`` (d = n or the cap) skips the tol_f gate."""
+        f_changes, coeffs = [0.0], {}
+        for key, t in times:
+            try:
+                coeffs[key], lifted = expm_action_approx(ws, t)
+            except OverflowRangeError:
+                return False, None, np.inf, np.inf
+            cur = np.linalg.norm(lifted)
+            diff = np.linalg.norm(lifted - prev_lift[key]) if key in prev_lift else np.inf
+            prev_lift[key] = lifted
+            small = cur <= 1e-14 * bnorm and (diff <= 1e-14 * bnorm or not np.isfinite(diff))
+            f_changes.append(0.0 if small else diff / max(cur, 1e-300))
+        fch = max(f_changes)
+        if not final and fch >= cfg.tol_f:
+            return False, None, fch, np.inf
         b_s = coeffs.get("s", ws.b_proj)
         if mode == "infinite":
             rhs_factors = [(ws.b_proj, +1)]
@@ -589,95 +630,65 @@ def _solve_lowrank(sys, window, cfg, mode, side, poles=None):
             rhs_factors = [(b_s, +1), (coeffs["e"], -1)]
         else:  # modified
             rhs_factors = [(_surrogate_factor(b_s, coeffs["e"]), +1)]
-        w_proj = _rhs_core(rhs_factors, d)
+        w_proj = _rhs_core(rhs_factors, ws.dim)
         try:
-            y = linalg.lyap_dense(ws.h, w_proj)
+            y, ws.ritz = linalg.lyap_dense(ws.h, w_proj, eigenvalues=True)
         except SpectrumConflictError:
-            return False, None, None, fch, np.inf
-        mu_k = _factored_residual(op, ws.q, y, w_proj)
-        return mu_k < cfg.tol_p, y, rhs_factors, fch, mu_k
+            return False, None, fch, np.inf
+        mu_k = ws.residual(y, w_proj)
+        return mu_k < cfg.tol_p, y, fch, mu_k
 
-    y = None
     while True:
-        d = q.shape[1]
-        ws = KrylovWorkspace(q=q, h=q.T @ aq, b_proj=q.T @ b, shifts=list(shifts), k=k)
-        scheduled = since_check >= cfg.cadence
-        if scheduled or force_check or d >= n:
-            converged, y, rhs_factors, f_change, mu = run_check(ws)
-            since_check = 0
-            force_check = False
-            trace.append(
-                {
-                    "k": k,
-                    "shift": shifts[-1] if len(shifts) > 1 else np.inf,
-                    "dim": d,
-                    "f_change": f_change,
-                    "mu": mu,
-                }
-            )
+        d = ws.dim
+        if since_check >= cfg.cadence or force_check or d >= max_dim:
+            ws.ritz = None
+            converged, y, f_change, mu = run_check(d >= max_dim)
+            since_check, force_check = 0, False
+            trace.append({"k": ws.k, "shift": ws.shifts[-1], "dim": d,
+                          "f_change": f_change, "mu": mu})
             if converged:
                 break
-        if d >= max_dim:
-            converged, y, rhs_factors, f_change, mu = run_check(ws)
-            if converged:
-                trace.append(
-                    {"k": k, "shift": shifts[-1], "dim": d, "f_change": f_change, "mu": mu}
+            if d >= max_dim:
+                raise MaxDimExceededError(
+                    f"subspace cap {max_dim} reached (dim {d}, mu {mu:.3e}, "
+                    f"expm change {f_change:.3e})"
                 )
-                break
-            raise MaxDimExceededError(
-                f"subspace cap {max_dim} reached (dim {d}, mu {mu:.3e}, "
-                f"expm change {f_change:.3e})"
-            )
+            if ws.ritz is None and len(ws.shifts) >= len(poles):
+                # after a check the Ritz values come from the Schur form of H, solved
+                # or not: then the shifts never depend on the mode (see poles=)
+                ws.ritz = linalg._real_schur(ws.h)[2]
         # grow the basis
-        s = poles[len(shifts)] if len(shifts) < len(poles) else adaptive_shift(ws)
+        s = poles[len(ws.shifts)] if len(ws.shifts) < len(poles) else adaptive_shift(ws)
         try:
-            g = op.resolve(s, last_block)
+            g = op.resolve(s, ws.q[:, -m:])
         except SingularShiftError:
             s = _perturbed(complex(s), max(abs(complex(s)), 1.0))
-            g = op.resolve(s, last_block)  # second failure propagates
+            g = op.resolve(s, ws.q[:, -m:])  # second failure propagates
         g = np.asarray(g)
-        is_complex = np.iscomplexobj(g) and abs(np.imag(complex(s))) > 0
-        before = q.shape[1]
-        q = linalg.orthonormal_extend(q, g.real)
-        k += 1
-        since_check += 1
-        shifts.append(complex(s) if is_complex else float(np.real(s)))
-        if is_complex:
-            q = linalg.orthonormal_extend(q, g.imag)
-            shifts.append(np.conj(complex(s)))
-            k += 1
-            since_check += 1
-        added = q.shape[1] - before
-        if added:
-            new_cols = q[:, before:]
-            aq = np.hstack([aq, np.asarray(op.matvec(new_cols))])
-            last_block = q[:, -min(m, q.shape[1]):]
+        if np.iscomplexobj(g) and abs(np.imag(complex(s))) > 0:
+            new = [complex(s), np.conj(complex(s))]
+            g = np.hstack([g.real, g.imag])
+        else:
+            new, g = [float(np.real(s))], g.real
+        ws.shifts += new
+        ws.k += len(new)
+        since_check += len(new)
+        if ws.extend(g):
             stagnant = 0
         else:
             stagnant += 1
             force_check = True
             if stagnant > 2:
                 raise NoConvergenceError(
-                    f"rational Krylov basis stagnated at dim {q.shape[1]} (mu {mu:.3e})"
+                    f"rational Krylov basis stagnated at dim {d} (mu {mu:.3e})"
                 )
 
-    # eigendecompose and truncate
-    eig = linalg.sym_eig(y)
-    lam, vec = eig.values, eig.vectors
-    lead = max(lam[0], 0.0) if lam.size else 0.0
-    keep = lam > cfg.trunc_tol * max(lead, 1e-300)
-    z_coeff = vec[:, keep] * np.sqrt(lam[keep])[None, :]
-    z = ws.q @ z_coeff
-    ws.ritz = None
+    z = ws.q @ factor_psd(y, cfg.trunc_tol)
     return LowRankGramian(
-        z=z,
-        residual=float(mu),
-        subspace_dim=int(ws.dim),
-        rank=int(z.shape[1]),
-        wall_time=time.perf_counter() - t0,
-        stop="exact_space" if ws.dim >= n else "converged",
+        z=z, residual=float(mu), subspace_dim=int(d), rank=int(z.shape[1]),
+        wall_time=time.perf_counter() - t0, stop="exact_space" if d >= n else "converged",
         trace=trace,
-        workspace=ws,
+        workspace=KrylovWorkspace(ws.q.copy(), ws.h.copy(), ws.b_proj.copy(), ws.shifts, k=ws.k),
     )
 
 

@@ -2,7 +2,7 @@
 
 Thin, contract-checked wrappers around LAPACK-backed routines (LU, SVD,
 eigensolvers, matrix exponential, Bartels-Stewart Lyapunov solve) plus a
-hand-rolled re-orthogonalized Gram-Schmidt used for incremental basis
+block Gram-Schmidt with reorthogonalization used for incremental basis
 growth. Everything operates on plain ndarrays; callers are expected to
 pass finite data (see :func:`check_finite`).
 """
@@ -25,6 +25,7 @@ __all__ = [
     "check_finite",
     "lu_solve",
     "orthonormal_extend",
+    "orthonormalize_into",
     "svd",
     "sym_eig",
     "gen_eig",
@@ -81,10 +82,8 @@ def lu_solve(a, rhs):
 def orthonormal_extend(q, v, tol=DEFLATION_TOL):
     """Extend an orthonormal basis ``q`` by the columns of ``v``.
 
-    Two-pass Gram-Schmidt; columns of ``v`` that are numerically in
-    ``range(q)`` (remaining norm below ``tol`` times the original column
-    norm) are dropped. Returns the extended basis; the number of accepted
-    columns is ``result.shape[1] - q.shape[1]``.
+    Returns a new extended basis (see :func:`orthonormalize_into`, which
+    drops dependent columns); ``result.shape[1] - q.shape[1]`` were accepted.
     """
     q = np.atleast_2d(np.asarray(q, dtype=float))
     v = np.asarray(v, dtype=float)
@@ -94,24 +93,34 @@ def orthonormal_extend(q, v, tol=DEFLATION_TOL):
         q = np.zeros((v.shape[0], 0))
     if v.shape[0] != q.shape[0]:
         raise ValueError("V rows must match Q rows")
-    cols = [q]
-    ncols = q.shape[1]
-    basis = q
+    d = q.shape[1]
+    buf = np.empty((q.shape[0], d + v.shape[1]), order="F")
+    buf[:, :d] = q
+    return buf[:, : d + orthonormalize_into(buf, d, v, tol)]
+
+
+def orthonormalize_into(buf, d, v, tol=DEFLATION_TOL):
+    """Orthonormalize the columns of ``v`` against ``buf[:, :d]``, in place into ``buf[:, d:]``.
+
+    Block CGS2: two BLAS-3 passes against the basis, then two passes column
+    by column within the block. A column whose remaining norm is at most
+    ``tol`` times its original norm is dropped. Returns the number kept.
+    """
+    q, w = buf[:, :d], buf[:, d : d + v.shape[1]]
+    w[...] = v
+    nrm0 = np.linalg.norm(w, axis=0)
+    for _ in range(2):
+        w -= q @ (q.T @ w)
+    kept = 0
     for j in range(v.shape[1]):
-        w = v[:, j].copy()
-        nrm0 = np.linalg.norm(w)
-        if nrm0 == 0.0:
-            continue
+        col, new = w[:, j], buf[:, d : d + kept]
         for _ in range(2):
-            if basis.shape[1]:
-                w -= basis @ (basis.T @ w)
-        nrm = np.linalg.norm(w)
-        if nrm <= tol * nrm0:
-            continue
-        cols.append((w / nrm)[:, None])
-        ncols += 1
-        basis = np.column_stack(cols)
-    return basis
+            col -= new @ (new.T @ col)
+        nrm = np.linalg.norm(col)
+        if nrm > tol * nrm0[j]:
+            buf[:, d + kept] = col / nrm
+            kept += 1
+    return kept
 
 
 def svd(a):
@@ -199,21 +208,29 @@ def _schur_eigenvalues(r):
     return vals
 
 
-def lyap_dense(a, w):
+def _real_schur(a):
+    """Real Schur form ``a = u r u^T`` and the eigenvalues read off ``r``, sorted as by gen_eig."""
+    r, u = sla.schur(a, output="real")
+    w = _schur_eigenvalues(r)
+    return r, u, w[np.lexsort((-w.imag, -w.real))]
+
+
+def lyap_dense(a, w, eigenvalues=False):
     """Solve ``A X + X A^T = -W`` for symmetric ``W`` (Bartels-Stewart).
 
     Requires ``Lambda(A)`` and ``Lambda(-A)`` disjoint; raises
     :class:`SpectrumConflictError` otherwise. One real Schur form serves
     both the check and the solve, which is the sequence of
     ``scipy.linalg.solve_continuous_lyapunov`` (same result bit for bit).
-    The result is symmetrized.
+    The result is symmetrized. With ``eigenvalues=True`` returns
+    ``(X, Lambda(A))``, the eigenvalues read off that Schur form (sorted as
+    by :func:`gen_eig`).
     """
     a = np.asarray(a, dtype=float)
     w = check_finite(np.asarray(w, dtype=float), "W")
     if a.shape[0] != a.shape[1] or w.shape != a.shape:
         raise ValueError("A and W must be square of equal size")
-    r, u = sla.schur(a, output="real")
-    vals = _schur_eigenvalues(r)
+    r, u, vals = _real_schur(a)
     if _spectrum_conflict(vals, np.max(np.abs(vals)) if vals.size else 0.0):
         raise SpectrumConflictError(
             "Lambda(A) and Lambda(-A) intersect; Lyapunov equation is singular"
@@ -228,4 +245,5 @@ def lyap_dense(a, w):
                       RuntimeWarning, stacklevel=2)
     y *= scale
     x = u @ y @ u.T
-    return 0.5 * (x + x.T)
+    x = 0.5 * (x + x.T)
+    return (x, vals) if eigenvalues else x

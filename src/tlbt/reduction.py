@@ -15,6 +15,7 @@ import numpy as np
 from . import linalg
 from .errors import RankDeficientError, SingularShiftError
 from .gramians import MODES, LowRankGramian, TimeWindow, factor_psd, mode_gramian
+from .gramians import _stability_checked
 from .systems import (
     DescriptorIndex1,
     GeneralizedSystem,
@@ -174,10 +175,11 @@ def balance(sys, mode, window=None, cfg=None, method="krylov", poles=None):
     mode = mode.lower()
     poles = poles or {}
     t0 = time.perf_counter()
-    sides = [
-        mode_gramian(sys, mode, window, cfg, side, method, poles.get(side))
-        for side in _SIDES
-    ]
+    with _stability_checked(sys, method == "krylov"):  # once for both sides
+        sides = [
+            mode_gramian(sys, mode, window, cfg, side, method, poles.get(side))
+            for side in _SIDES
+        ]
     info, shifts = {}, {}
     if method == "dense":
         trunc = cfg.trunc_tol if cfg else 1e-12
@@ -206,11 +208,13 @@ def balance_modes(sys, modes, window=None, cfg=None, method="krylov"):
     The adaptive Krylov shifts depend on the system and the side, never
     on the mode, so every mode replays the longest shift list of that
     side so far and picks new shifts only where it needs a larger basis.
-    The results equal separate :func:`balance` calls.
+    The results equal separate :func:`balance` calls; the stability of
+    ``sys`` is verified once, by the first.
     """
     poles = {}
-    for mode in modes:
-        bal = balance(sys, mode, window, cfg, method, poles)
+    for i, mode in enumerate(modes):
+        with _stability_checked(sys, check=i == 0 and method == "krylov"):
+            bal = balance(sys, mode, window, cfg, method, poles)
         for side, used in bal.shifts.items():
             poles[side] = max(poles.get(side, []), used, key=len)
         yield bal

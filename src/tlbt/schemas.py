@@ -6,9 +6,10 @@ _SOLVE_STATS = {
         "d": {"type": "integer", "minimum": 1},
         "rank": {"type": "integer", "minimum": 0},
         "mu": {"type": "number", "minimum": 0},
+        "stop": {"enum": ["converged", "exact_space"]},
         "seconds": {"type": "number", "minimum": 0},
     },
-    "required": ["d", "rank", "mu"],
+    "required": ["d", "rank", "mu", "stop"],
     "additionalProperties": False,
 }
 

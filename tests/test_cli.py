@@ -367,3 +367,47 @@ def test_compare_picks_poles_once_per_side(tmp_path, monkeypatch):
         # a complex pole and its conjugate share one solve
         implied = sum(1 for sh in shifts[1:] if np.imag(sh) >= 0)
         assert record["shifted_solves"] == implied, record["solve"]
+
+
+@pytest.mark.parametrize(
+    "kind, n, stop", [("weakly_damped", 200, "exact_space"), ("heat_like", 300, "converged")]
+)
+def test_gramian_summary_reports_stop(tmp_path, kind, n, stop):
+    out = tmp_path / "out"
+    rc = main(
+        ["gramian", "--synth", kind, "--n", str(n), "--m", "2", "--p", "2", "--seed", "1",
+         "--mode", "bt", "--out", str(out)]
+    )
+    assert rc == 0
+    summary = json.loads((out / f"{kind}_n{n}_s1_gramian_bt.json").read_text())
+    jsonschema.validate(summary, schemas.GRAMIAN_SUMMARY)
+    assert summary["reachability"]["stop"] == summary["observability"]["stop"] == stop
+
+
+def test_stability_verified_once_per_balance(tmp_path, monkeypatch):
+    # reduce balances once; a three-mode compare balances three times but
+    # verifies the same system once
+    real = tlbt.gramians.spectral_abscissa
+    calls = []
+
+    def spy(sys):
+        calls.append(sys)
+        return real(sys)
+
+    monkeypatch.setattr(tlbt.gramians, "spectral_abscissa", spy)
+    s = make_synthetic("weakly_damped", 40, 2, 2, seed=1)
+    reduce(s, "bt", r=4)
+    assert len(calls) == 1
+    calls.clear()
+    rc = main(
+        ["compare", "--synth", "weakly_damped", "--n", "40", "--m", "2", "--p", "2",
+         "--seed", "1", "--mode", "bt", "--mode", "tlbt", "--mode", "mtlbt", "--order", "4",
+         "--te", "5.0", "--dt", "0.01", "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    assert len(calls) == 1
+    # a direct solve outside balance still verifies
+    calls.clear()
+    tlbt.gramians.solve_infinite_lowrank(s)
+    tlbt.gramians.mode_gramian(s, "bt")
+    assert len(calls) == 2

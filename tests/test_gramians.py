@@ -1,30 +1,34 @@
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.sparse.linalg as spla
 
 from conftest import random_descriptor, random_stable_matrix
+from oracles import diagonalize, gramian_timelimited_cauchy, residual_norm
 from tlbt import linalg
 from tlbt.errors import MaxDimExceededError, NearDefectiveError, UnstableSystemError
+from tlbt.reduction import balance_modes, reduce
 from tlbt.gramians import (
     KrylovWorkspace,
     SolverConfig,
     TimeWindow,
     _abs_eig_factor,
+    _hull_boundary,
+    _reach_form,
+    _rhs_core,
     _select_shift,
     adaptive_shift,
     expm_action_approx,
     factor_psd,
     gramian_infinite_dense,
-    gramian_timelimited_cauchy,
     gramian_timelimited_dense,
     modified_rhs,
-    residual_norm,
     solve_infinite_lowrank,
     solve_modified_lowrank,
     solve_timelimited_lowrank,
 )
 from tlbt.synthetic import make_synthetic
-from tlbt.systems import StandardSystem, diagonalize
+from tlbt.systems import StandardSystem
 
 SCALAR = StandardSystem(np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]]))
 
@@ -169,6 +173,64 @@ def test_select_shift_avoids_poles_and_mirrors():
         assert abs(s - used) > 1e-8 * max(abs(s), abs(used))
     for z in -np.conj(ritz):
         assert abs(s - z) > 1e-12 * max(abs(s), abs(z))
+
+
+def _select_shift_loop(ritz, shifts, m, symmetric=False, npts=2000):
+    """The shift rule with one pass per shift and per Ritz value (the reference).
+
+    Same candidates as :func:`_select_shift` (the upper half of the hull
+    samples), each exclusion and each objective term taken separately.
+    """
+    ritz = np.asarray(ritz, dtype=complex)
+    scale = float(np.max(np.abs(ritz)))
+    mirrored = -np.conj(ritz)
+    if symmetric or np.all(np.abs(mirrored.imag) <= 1e-12 * scale):
+        lo, hi = mirrored.real.min(), mirrored.real.max()
+        cand = (np.geomspace if lo > 0 else np.linspace)(lo, hi, npts).astype(complex)
+    else:
+        cand = _hull_boundary(mirrored, npts)
+        cand = cand[cand.imag >= 0]
+    cand = np.where(cand.real < 0, 1j * cand.imag, cand)
+    keep = np.ones(cand.shape, dtype=bool)
+    finite = [s for s in shifts if np.isfinite(s)]
+    for s in finite:
+        keep &= np.abs(cand - s) > 1e-8 * np.maximum(np.abs(cand), abs(s))
+    for z in mirrored:
+        keep &= np.abs(cand - z) > 1e-12 * np.maximum(np.abs(cand), abs(z))
+    cand = cand[keep]
+    obj = -np.sum(np.log(np.abs(cand[:, None] - ritz[None, :])), axis=1)
+    for s in finite:
+        obj += m * np.log(np.abs(cand - s))
+    return cand, obj
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_select_shift_matches_loop_reference(seed):
+    # broadcast objective with conjugate pairs against the term-by-term loop:
+    # the same pick, or one whose reference objective ties the best within
+    # the rounding of a sum of logs
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(6, 60))
+    if seed % 2:
+        ritz = -np.geomspace(1.0, 10.0 ** rng.uniform(1, 5), d)
+        shifts = [np.inf, *rng.choice(-ritz, size=d // 3, replace=False) * 1.37]
+        symmetric = True
+    else:
+        im = rng.uniform(0.1, 30.0, d // 2)
+        re = -rng.uniform(0.01, 0.1) * im - 0.01
+        ritz = np.concatenate([re + 1j * im, re - 1j * im, [-0.5]])
+        shifts = [np.inf]
+        for v in rng.uniform(0.1, 30.0, d // 4):
+            shifts += [complex(0.05 * v, v), complex(0.05 * v, -v)]
+        symmetric = False
+    cand, obj = _select_shift_loop(ritz, shifts, 2, symmetric)
+    got = complex(_select_shift(ritz, shifts, 2, symmetric))
+    best = cand[np.argmax(obj)]
+    at_got = obj[np.argmin(np.abs(cand - got))]
+    assert np.min(np.abs(cand - got)) <= 1e-12 * abs(got)
+    assert got == complex(best.real, abs(best.imag)) or at_got >= obj.max() - 1e-10 * (
+        1.0 + abs(obj.max())
+    )
 
 
 def test_select_shift_degenerate_falls_back():
@@ -599,3 +661,98 @@ def test_decay_invariant_gap_shrinks_with_bound():
         gaps.append(gap)
         assert gap <= np.exp(2 * abscissa * t_e) * bound_const * (1 + 1e-8)
     assert all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
+
+
+@pytest.mark.parametrize(
+    "solve", [solve_infinite_lowrank, solve_timelimited_lowrank, solve_modified_lowrank]
+)
+def test_unstable_system_refused_by_every_solver(solve):
+    s = StandardSystem(np.diag([0.1, -1.0]), np.ones((2, 1)), np.ones((1, 2)))
+    args = (s,) if solve is solve_infinite_lowrank else (s, TimeWindow(t_e=1.0))
+    with pytest.warns(UserWarning), pytest.raises(UnstableSystemError):
+        solve(*args)
+
+
+def test_unstable_system_refused_by_reduce_and_balance_modes():
+    s = StandardSystem(np.diag([0.1, -1.0]), np.ones((2, 1)), np.ones((1, 2)))
+    with pytest.warns(UserWarning), pytest.raises(UnstableSystemError):
+        reduce(s, "bt", r=1)
+    with pytest.warns(UserWarning), pytest.raises(UnstableSystemError):
+        next(balance_modes(s, ["tlbt", "bt"], TimeWindow(t_e=1.0)))
+
+
+# ---------------------------------------------------------------------------
+# the in-place rational Arnoldi kernel
+
+
+def _stop_check_oracle(sys, g, mode, window, side):
+    """Explicit factored residual at the check where the solve stopped."""
+    ws = g.workspace
+    if mode == "infinite":
+        rhs = [(ws.b_proj, +1)]
+    else:
+        b_s = expm_action_approx(ws, window.t_s)[0] if window.t_s > 0 else ws.b_proj
+        rhs = [(b_s, +1), (expm_action_approx(ws, window.t_e)[0], -1)]
+    y = linalg.lyap_dense(ws.h, _rhs_core(rhs, ws.dim))
+    return residual_norm(_reach_form(sys, side), ws, y, rhs)
+
+
+MU_CASES = {
+    "weakly_damped_bt": (lambda: make_synthetic("weakly_damped", 60, 2, 2, seed=1), None),
+    "weakly_damped_tlbt": (
+        lambda: make_synthetic("weakly_damped", 60, 2, 2, seed=1), TimeWindow(t_e=5.0, t_s=1.0)
+    ),
+    "heat_like_spd_mass": (lambda: make_synthetic("heat_like", 300, 2, 2, seed=1), None),
+    "descriptor": (lambda: random_descriptor(40, 10, 2, 2, seed=3), None),
+    "weakly_damped_full_space": (lambda: make_synthetic("weakly_damped", 40, 2, 2, seed=1), None),
+}
+
+
+@pytest.mark.parametrize("side", ["reachability", "observability"])
+@pytest.mark.parametrize("tol_p", [1e-2, 1e-5, 1e-8])
+@pytest.mark.parametrize("case", sorted(MU_CASES))
+def test_arnoldi_residual_matches_explicit_oracle(case, tol_p, side):
+    # mu from the rational Arnoldi relation equals the explicit factored
+    # residual of the same Y, at the check where the solve stops
+    make, window = MU_CASES[case]
+    s = make()
+    mode = "infinite" if window is None else "timelimited"
+    cfg = SolverConfig(tol_p=tol_p)
+    if window is None:
+        g = solve_infinite_lowrank(s, cfg, side)
+    else:
+        g = solve_timelimited_lowrank(s, window, cfg, side)
+    if case == "weakly_damped_full_space":
+        assert g.stop == "exact_space" and g.subspace_dim == 40
+    oracle = _stop_check_oracle(s, g, mode, window, side)
+    assert abs(g.residual - oracle) <= max(1e-8 * oracle, 1e-13), (g.residual, oracle)
+
+
+def _fresh_projection(sys, side, q):
+    """Q^T M^{-1} A Q computed from scratch."""
+    r = _reach_form(sys, side)
+    aq = r.A @ q
+    if hasattr(r, "M"):
+        aq = spla.splu(r.M.tocsc()).solve(aq)
+    return q.T @ aq
+
+
+@pytest.mark.parametrize(
+    "kind, n, side",
+    [
+        ("weakly_damped", 200, "reachability"),
+        ("weakly_damped", 200, "observability"),
+        ("heat_like", 2000, "reachability"),
+    ],
+)
+def test_inplace_kernel_keeps_basis_and_projection(kind, n, side):
+    s = make_synthetic(kind, n, 2, 2, seed=1)
+    g = solve_infinite_lowrank(s, SolverConfig(tol_f=1e-8, tol_p=1e-8), side)
+    ws = g.workspace
+    if kind == "weakly_damped":  # d reaches n through complex shifts
+        assert g.subspace_dim == n and any(isinstance(sh, complex) for sh in ws.shifts)
+    assert ws.q.shape == (n, g.subspace_dim) and ws.h.shape == (g.subspace_dim,) * 2
+    assert np.linalg.norm(ws.q.T @ ws.q - np.eye(ws.dim)) <= 1e-10
+    assert not np.any(ws.b_proj[2:])
+    fresh = _fresh_projection(s, side, ws.q)
+    assert np.linalg.norm(ws.h - fresh) <= 1e-12 * np.linalg.norm(fresh)
