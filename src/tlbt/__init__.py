@@ -23,6 +23,7 @@ from .gramians import (
     SolverConfig,
     TimeWindow,
     gramian_infinite_dense,
+    gramian_timelimited_cauchy,
     gramian_timelimited_dense,
     solve_infinite_lowrank,
     solve_modified_lowrank,
@@ -69,6 +70,7 @@ __all__ = [
     "SolverConfig",
     "TimeWindow",
     "gramian_infinite_dense",
+    "gramian_timelimited_cauchy",
     "gramian_timelimited_dense",
     "solve_infinite_lowrank",
     "solve_modified_lowrank",

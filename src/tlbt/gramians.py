@@ -28,6 +28,7 @@ from . import linalg
 from .errors import (
     DegenerateHullError,
     MaxDimExceededError,
+    NearDefectiveError,
     NoConvergenceError,
     OverflowRangeError,
     SingularShiftError,
@@ -53,6 +54,7 @@ __all__ = [
     "dense_threshold",
     "gramian_infinite_dense",
     "gramian_timelimited_dense",
+    "gramian_timelimited_cauchy",
     "adaptive_shift",
     "expm_action_approx",
     "modified_rhs",
@@ -232,6 +234,32 @@ def _dense_modified(sys, window, side="reachability"):
     return linalg.lyap_dense(a, b_mod @ b_mod.T)
 
 
+def gramian_timelimited_cauchy(diag, t_e):
+    """Time-limited reachability Gramian from the eigencoordinate factorization.
+
+    For a controllable, diagonalizable SISO system the Gramian is
+    X_B (C - e^{L t} C e^{L^H t}) X_B^H with the Cauchy matrix
+    C_ij = -1/(lam_i + conj(lam_j)). Rejects near-defective eigenbases.
+    """
+    if diag.cond_X > 1e8:
+        raise NearDefectiveError(
+            f"eigenvector condition {diag.cond_X:.2e} too large for the Cauchy route"
+        )
+    lam = diag.eigenvalues
+    denom = lam[:, None] + np.conj(lam)[None, :]
+    if np.min(np.abs(denom)) == 0.0:
+        raise SpectrumConflictError("lambda_i + conj(lambda_j) = 0 in Cauchy matrix")
+    cau = -1.0 / denom
+    e = np.exp(lam * t_e)
+    middle = cau - e[:, None] * cau * np.conj(e)[None, :]
+    p = diag.X_B @ middle @ diag.X_B.conj().T
+    scale = np.linalg.norm(p, "fro")
+    if scale > 0 and np.linalg.norm(p.imag, "fro") > 1e-10 * scale:
+        raise NearDefectiveError("Cauchy-route Gramian has a non-negligible imaginary part")
+    p = p.real
+    return 0.5 * (p + p.T)
+
+
 def factor_psd(p, trunc_tol=1e-12):
     """Cholesky-like factor Z of a symmetric PSD matrix: Z Z^T ~= P."""
     eig = linalg.sym_eig(p)
@@ -326,7 +354,7 @@ class _Basis(KrylovWorkspace):
             self._h, self._bp = _widen(self._h, cap, cap), _widen(self._bp, cap, self.m)
             if self.op.mass is not None:
                 self._qm, self._rm = _widen(self._qm, n, cap), _widen(self._rm, cap, cap)
-        e = d + linalg.orthonormalize_into(self._q, d, v)
+        e = d + linalg.orthonormal_extend(self._q, d, v)
         if e == d:
             return 0
         aq, new = self._aq, self._q[:, d:e]
@@ -555,7 +583,7 @@ _VERIFIED = contextvars.ContextVar("tlbt_verified_system", default=None)
 def _stability_checked(sys, check=True):
     """Verify ``sys`` on entry (with ``check``, unless an enclosing block did);
     the low-rank solves of ``sys`` inside the block skip the check."""
-    if check and _VERIFIED.get() is not sys:
+    if check:
         _require_stable(sys)
     token = _VERIFIED.set(sys)
     try:
@@ -607,8 +635,8 @@ def _solve_lowrank(sys, window, cfg, mode, side, poles=None):
     force_check = False
     mu = np.inf
 
-    def run_check(final):
-        """(converged, y, f_change, mu); ``final`` (d = n or the cap) skips the tol_f gate."""
+    def run_check(exact):
+        """(converged, y, f_change, mu); ``exact`` (d = n) skips the tol_f gate."""
         f_changes, coeffs = [0.0], {}
         for key, t in times:
             try:
@@ -621,7 +649,7 @@ def _solve_lowrank(sys, window, cfg, mode, side, poles=None):
             small = cur <= 1e-14 * bnorm and (diff <= 1e-14 * bnorm or not np.isfinite(diff))
             f_changes.append(0.0 if small else diff / max(cur, 1e-300))
         fch = max(f_changes)
-        if not final and fch >= cfg.tol_f:
+        if not exact and fch >= cfg.tol_f:
             return False, None, fch, np.inf
         b_s = coeffs.get("s", ws.b_proj)
         if mode == "infinite":
@@ -642,7 +670,7 @@ def _solve_lowrank(sys, window, cfg, mode, side, poles=None):
         d = ws.dim
         if since_check >= cfg.cadence or force_check or d >= max_dim:
             ws.ritz = None
-            converged, y, f_change, mu = run_check(d >= max_dim)
+            converged, y, f_change, mu = run_check(d >= n)
             since_check, force_check = 0, False
             trace.append({"k": ws.k, "shift": ws.shifts[-1], "dim": d,
                           "f_change": f_change, "mu": mu})

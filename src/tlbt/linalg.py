@@ -25,7 +25,6 @@ __all__ = [
     "check_finite",
     "lu_solve",
     "orthonormal_extend",
-    "orthonormalize_into",
     "svd",
     "sym_eig",
     "gen_eig",
@@ -79,27 +78,7 @@ def lu_solve(a, rhs):
     return sla.lu_solve((lu, piv), rhs, check_finite=False)
 
 
-def orthonormal_extend(q, v, tol=DEFLATION_TOL):
-    """Extend an orthonormal basis ``q`` by the columns of ``v``.
-
-    Returns a new extended basis (see :func:`orthonormalize_into`, which
-    drops dependent columns); ``result.shape[1] - q.shape[1]`` were accepted.
-    """
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 1:
-        v = v[:, None]
-    if q.size == 0:
-        q = np.zeros((v.shape[0], 0))
-    if v.shape[0] != q.shape[0]:
-        raise ValueError("V rows must match Q rows")
-    d = q.shape[1]
-    buf = np.empty((q.shape[0], d + v.shape[1]), order="F")
-    buf[:, :d] = q
-    return buf[:, : d + orthonormalize_into(buf, d, v, tol)]
-
-
-def orthonormalize_into(buf, d, v, tol=DEFLATION_TOL):
+def orthonormal_extend(buf, d, v, tol=DEFLATION_TOL):
     """Orthonormalize the columns of ``v`` against ``buf[:, :d]``, in place into ``buf[:, d:]``.
 
     Block CGS2: two BLAS-3 passes against the basis, then two passes column
@@ -114,7 +93,7 @@ def orthonormalize_into(buf, d, v, tol=DEFLATION_TOL):
     kept = 0
     for j in range(v.shape[1]):
         col, new = w[:, j], buf[:, d : d + kept]
-        for _ in range(2):
+        for _ in range(2 if kept else 0):
             col -= new @ (new.T @ col)
         nrm = np.linalg.norm(col)
         if nrm > tol * nrm0[j]:

@@ -29,6 +29,8 @@ __all__ = [
     "StandardSystem",
     "GeneralizedSystem",
     "DescriptorIndex1",
+    "DiagonalizedSystem",
+    "diagonalize",
     "eliminate_descriptor",
     "shifted_solve",
     "cholesky_transform",
@@ -224,6 +226,36 @@ class DescriptorIndex1:
         b_full = np.vstack([_dense(self.B1), _dense(self.B2)])
         c_full = np.hstack([_dense(self.C1), _dense(self.C2)])
         return m_full, a_full, b_full, c_full
+
+
+@dataclass
+class DiagonalizedSystem:
+    """Eigencoordinate form of a SISO system: ``A = X diag(lam) X^{-1}``.
+
+    ``w = X^{-1} B`` and ``X_B = X diag(w)``; every ``w_i`` must be nonzero
+    (controllability in eigencoordinates).
+    """
+
+    eigenvalues: np.ndarray
+    X: np.ndarray
+    w: np.ndarray
+    X_B: np.ndarray
+
+    @property
+    def cond_X(self):
+        return np.linalg.cond(self.X)
+
+
+def diagonalize(sys):
+    """Build the eigencoordinate form of a SISO :class:`StandardSystem`."""
+    if sys.m != 1:
+        raise ValueError("diagonalization path requires m = 1")
+    eig = linalg.gen_eig(_dense(sys.A))
+    x = eig.vectors
+    w = linalg.lu_solve(x, _dense(sys.B)[:, 0].astype(complex))
+    if np.min(np.abs(w)) <= 1e-14 * np.max(np.abs(w)):
+        raise ValueError("system is numerically uncontrollable in eigencoordinates")
+    return DiagonalizedSystem(eigenvalues=eig.values, X=x, w=w, X_B=x * w[None, :])
 
 
 def eliminate_descriptor(d):

@@ -4,18 +4,11 @@
   the pencil to every basis column and takes one QR of ``[A Q, M Q]``,
   with no use of the rational Arnoldi relation; the solver's residual
   ``mu`` is checked against it.
-- ``gramian_timelimited_cauchy`` on ``diagonalize``: the time-limited
-  Gramian of a diagonalizable SISO system in closed form (the A2 oracle).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from tlbt import linalg
-from tlbt.errors import NearDefectiveError, SpectrumConflictError
 from tlbt.gramians import _Pencil, _rhs_core
-from tlbt.systems import _dense
 
 
 def residual_norm(sys, ws, y, rhs_factors):
@@ -47,59 +40,3 @@ def factored_residual(op, q, y, w_proj):
     if den == 0.0:
         return num
     return num / den
-
-
-@dataclass
-class DiagonalizedSystem:
-    """Eigencoordinate form of a SISO system: ``A = X diag(lam) X^{-1}``.
-
-    ``w = X^{-1} B`` and ``X_B = X diag(w)``; every ``w_i`` must be nonzero
-    (controllability in eigencoordinates).
-    """
-
-    eigenvalues: np.ndarray
-    X: np.ndarray
-    w: np.ndarray
-    X_B: np.ndarray
-
-    @property
-    def cond_X(self):
-        return np.linalg.cond(self.X)
-
-
-def diagonalize(sys):
-    """Build the eigencoordinate form of a SISO :class:`StandardSystem`."""
-    if sys.m != 1:
-        raise ValueError("diagonalization path requires m = 1")
-    eig = linalg.gen_eig(_dense(sys.A))
-    x = eig.vectors
-    w = linalg.lu_solve(x, _dense(sys.B)[:, 0].astype(complex))
-    if np.min(np.abs(w)) <= 1e-14 * np.max(np.abs(w)):
-        raise ValueError("system is numerically uncontrollable in eigencoordinates")
-    return DiagonalizedSystem(eigenvalues=eig.values, X=x, w=w, X_B=x * w[None, :])
-
-
-def gramian_timelimited_cauchy(diag, t_e):
-    """Time-limited reachability Gramian from the eigencoordinate factorization.
-
-    For a controllable, diagonalizable SISO system the Gramian is
-    X_B (C - e^{L t} C e^{L^H t}) X_B^H with the Cauchy matrix
-    C_ij = -1/(lam_i + conj(lam_j)). Rejects near-defective eigenbases.
-    """
-    if diag.cond_X > 1e8:
-        raise NearDefectiveError(
-            f"eigenvector condition {diag.cond_X:.2e} too large for the Cauchy route"
-        )
-    lam = diag.eigenvalues
-    denom = lam[:, None] + np.conj(lam)[None, :]
-    if np.min(np.abs(denom)) == 0.0:
-        raise SpectrumConflictError("lambda_i + conj(lambda_j) = 0 in Cauchy matrix")
-    cau = -1.0 / denom
-    e = np.exp(lam * t_e)
-    middle = cau - e[:, None] * cau * np.conj(e)[None, :]
-    p = diag.X_B @ middle @ diag.X_B.conj().T
-    scale = np.linalg.norm(p, "fro")
-    if scale > 0 and np.linalg.norm(p.imag, "fro") > 1e-10 * scale:
-        raise NearDefectiveError("Cauchy-route Gramian has a non-negligible imaginary part")
-    p = p.real
-    return 0.5 * (p + p.T)

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from conftest import random_descriptor
-from oracles import diagonalize, gramian_timelimited_cauchy
 from tlbt import linalg
 from tlbt.cli import main
 from tlbt.gramians import (
@@ -24,6 +23,7 @@ from tlbt.gramians import (
     expm_action_approx,
     factor_psd,
     gramian_infinite_dense,
+    gramian_timelimited_cauchy,
     gramian_timelimited_dense,
     solve_modified_lowrank,
     solve_timelimited_lowrank,
@@ -33,6 +33,7 @@ from tlbt.simulate import half_decay_time, impulse_response, implicit_midpoint, 
 from tlbt.synthetic import make_synthetic
 from tlbt.systems import (
     StandardSystem,
+    diagonalize,
     eliminate_descriptor,
     shifted_solve,
     similarity_transform,

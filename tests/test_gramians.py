@@ -4,7 +4,7 @@ import scipy.integrate
 import scipy.sparse.linalg as spla
 
 from conftest import random_descriptor, random_stable_matrix
-from oracles import diagonalize, gramian_timelimited_cauchy, residual_norm
+from oracles import residual_norm
 from tlbt import linalg
 from tlbt.errors import MaxDimExceededError, NearDefectiveError, UnstableSystemError
 from tlbt.reduction import balance_modes, reduce
@@ -21,6 +21,7 @@ from tlbt.gramians import (
     expm_action_approx,
     factor_psd,
     gramian_infinite_dense,
+    gramian_timelimited_cauchy,
     gramian_timelimited_dense,
     modified_rhs,
     solve_infinite_lowrank,
@@ -28,7 +29,7 @@ from tlbt.gramians import (
     solve_timelimited_lowrank,
 )
 from tlbt.synthetic import make_synthetic
-from tlbt.systems import StandardSystem
+from tlbt.systems import StandardSystem, diagonalize
 
 SCALAR = StandardSystem(np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]]))
 
@@ -615,6 +616,16 @@ def test_max_dim_exceeded():
     with pytest.raises(MaxDimExceededError):
         solve_timelimited_lowrank(
             s, TimeWindow(t_e=5.0), SolverConfig(tol_f=1e-12, tol_p=1e-12, max_dim=6)
+        )
+
+
+def test_max_dim_between_checks_keeps_expm_gate():
+    # checks fall at d = 6 and 12; the cap d = 8 comes between them with mu
+    # about 0.92 < tol_p, but exp(At)B is still changing, so no convergence
+    s = make_synthetic("weakly_damped", 60, 1, 1, seed=5)
+    with pytest.raises(MaxDimExceededError, match=r"dim 8,"):
+        solve_timelimited_lowrank(
+            s, TimeWindow(t_e=5.0), SolverConfig(tol_f=1e-12, tol_p=0.95, max_dim=8)
         )
 
 

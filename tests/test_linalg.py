@@ -53,9 +53,17 @@ def test_lu_solve_residual_bound_100_systems():
         assert np.linalg.norm(a @ x - b) <= 100 * eps * kappa * np.linalg.norm(b)
 
 
+def _extend(q, v):
+    """Basis ``q`` extended in place by the columns of ``v`` that were kept."""
+    v = v.reshape(q.shape[0], -1)
+    buf = np.zeros((q.shape[0], q.shape[1] + v.shape[1]), order="F")
+    buf[:, : q.shape[1]] = q
+    return buf[:, : q.shape[1] + linalg.orthonormal_extend(buf, q.shape[1], v)]
+
+
 def test_orthonormal_extend_already_orthogonal():
     q = np.eye(3)[:, :1]
-    out = linalg.orthonormal_extend(q, np.eye(3)[:, 1])
+    out = _extend(q, np.eye(3)[:, 1])
     assert out.shape == (3, 2)
     assert np.allclose(out.T @ out, np.eye(2), atol=1e-12)
     assert abs(abs(out[1, 1]) - 1.0) < 1e-12
@@ -63,14 +71,14 @@ def test_orthonormal_extend_already_orthogonal():
 
 def test_orthonormal_extend_deflates_dependent():
     q = np.eye(3)[:, :1]
-    out = linalg.orthonormal_extend(q, np.eye(3)[:, 0])
+    out = _extend(q, np.eye(3)[:, 0])
     assert out.shape == (3, 1)
 
 
 def test_orthonormal_extend_hand_gram_schmidt():
     # (1,1,0) against e1 leaves (0,1,0): new column is +-e2
     q = np.eye(3)[:, :1]
-    out = linalg.orthonormal_extend(q, np.array([1.0, 1.0, 0.0]))
+    out = _extend(q, np.array([1.0, 1.0, 0.0]))
     assert out.shape == (3, 2)
     assert abs(abs(out[1, 1]) - 1.0) < 1e-12
     assert abs(out[0, 1]) < 1e-12 and abs(out[2, 1]) < 1e-12
@@ -79,7 +87,7 @@ def test_orthonormal_extend_hand_gram_schmidt():
 def test_orthonormal_extend_block_orthogonality(rng):
     q = np.zeros((20, 0))
     for _ in range(4):
-        q = linalg.orthonormal_extend(q, rng.standard_normal((20, 3)))
+        q = _extend(q, rng.standard_normal((20, 3)))
     assert np.linalg.norm(q.T @ q - np.eye(q.shape[1])) < 1e-12
 
 

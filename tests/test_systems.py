@@ -7,7 +7,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from conftest import random_descriptor
-from oracles import diagonalize
 from tlbt import linalg
 from tlbt.errors import NotSpdError, SingularShiftError, SingularTransformError
 from tlbt.reduction import transfer_at
@@ -19,6 +18,7 @@ from tlbt.systems import (
     _factor,
     alpha_shift,
     cholesky_transform,
+    diagonalize,
     eliminate_descriptor,
     shifted_solve,
     similarity_transform,
