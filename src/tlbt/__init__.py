@@ -1,17 +1,24 @@
 """Balanced truncation over finite time horizons for LTI systems.
 
-Library layout:
+The pipeline is rational Krylov Gramian factors
+(:func:`~tlbt.gramians.mode_gramians`), one SVD per mode
+(:func:`~tlbt.reduction.balance`) and a projection per order
+(``Balancing.truncate``). Library layout:
 
-- :mod:`tlbt.linalg`: dense kernels (LU, SVD, eig, expm, Lyapunov).
+- :mod:`tlbt.linalg`: dense kernels (SVD, eig, expm, Lyapunov, block
+  Gram-Schmidt).
 - :mod:`tlbt.systems`: standard/generalized/descriptor representations,
-  shifted solves, structural transformations.
+  the shifted solves (one LU routine), descriptor elimination, spectral
+  abscissa.
 - :mod:`tlbt.gramians`: dense and low-rank (rational Krylov) Gramian
-  solvers, infinite / time-limited / stability-preserving modified.
+  solvers, infinite / time-limited / stability-preserving modified, and
+  ``mode_gramians``, which picks each side's poles once across modes.
 - :mod:`tlbt.reduction`: square-root balancing (``balance`` once per
-  mode, ``balance_modes`` sharing the Krylov shifts across modes,
-  ``truncate`` per order), Hankel values, error bounds, transfer
+  mode, ``balance_modes`` over several modes, ``truncate`` per order;
+  ``Balancing.hsv`` holds the Hankel values), error bounds, transfer
   evaluation.
-- :mod:`tlbt.simulate`: implicit midpoint integration and error metrics.
+- :mod:`tlbt.simulate`: implicit midpoint integration and the output
+  error metric.
 - :mod:`tlbt.synthetic`: deterministic desk-scale test systems.
 - :mod:`tlbt.mmio`: Matrix Market + JSON sidecar persistence.
 - :mod:`tlbt.cli`: the `tlbt` command.
@@ -23,7 +30,6 @@ from .gramians import (
     SolverConfig,
     TimeWindow,
     gramian_infinite_dense,
-    gramian_timelimited_cauchy,
     gramian_timelimited_dense,
     solve_infinite_lowrank,
     solve_modified_lowrank,
@@ -31,11 +37,9 @@ from .gramians import (
 )
 from .reduction import (
     Balancing,
-    HsvReport,
     ReducedModel,
     balance,
     balance_modes,
-    hankel_sv,
     hinf_error_bound,
     numerical_rank,
     reduce,
@@ -47,7 +51,6 @@ from .simulate import (
     half_decay_time,
     implicit_midpoint,
     impulse_response,
-    mac,
     relative_error_series,
 )
 from .synthetic import make_synthetic
@@ -55,10 +58,8 @@ from .systems import (
     DescriptorIndex1,
     GeneralizedSystem,
     StandardSystem,
-    cholesky_transform,
     eliminate_descriptor,
     shifted_solve,
-    similarity_transform,
     spectral_abscissa,
 )
 
@@ -70,17 +71,14 @@ __all__ = [
     "SolverConfig",
     "TimeWindow",
     "gramian_infinite_dense",
-    "gramian_timelimited_cauchy",
     "gramian_timelimited_dense",
     "solve_infinite_lowrank",
     "solve_modified_lowrank",
     "solve_timelimited_lowrank",
     "Balancing",
-    "HsvReport",
     "ReducedModel",
     "balance",
     "balance_modes",
-    "hankel_sv",
     "hinf_error_bound",
     "numerical_rank",
     "reduce",
@@ -90,15 +88,12 @@ __all__ = [
     "half_decay_time",
     "implicit_midpoint",
     "impulse_response",
-    "mac",
     "relative_error_series",
     "make_synthetic",
     "DescriptorIndex1",
     "GeneralizedSystem",
     "StandardSystem",
-    "cholesky_transform",
     "eliminate_descriptor",
     "shifted_solve",
-    "similarity_transform",
     "spectral_abscissa",
 ]

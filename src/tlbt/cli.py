@@ -19,7 +19,7 @@ import numpy as np
 
 from . import mmio, reduction, simulate, synthetic
 from .errors import TlbtError
-from .gramians import SolverConfig, TimeWindow, mode_gramian
+from .gramians import SIDES, SolverConfig, TimeWindow, mode_gramians
 
 __all__ = ["main"]
 
@@ -161,15 +161,11 @@ def cmd_gramian(args):
     sys_obj, name = _load_system(args)
     window = _window(args)
     cfg = _config(args)
-    sides = {"reach": ["reachability"], "obs": ["observability"]}.get(
-        args.side, ["reachability", "observability"]
-    )
-    poles = {}  # each side's shifts, replayed by the later modes
-    for mode in args.mode:
+    sides = {"reach": ["reachability"], "obs": ["observability"]}.get(args.side, SIDES)
+    gramians = mode_gramians(sys_obj, args.mode, window, cfg, sides=sides)
+    for mode, by_side in zip(args.mode, gramians):
         summary = {"mode": mode, "t_s": args.ts, "t_e": args.te}
-        for side in sides:
-            g = mode_gramian(sys_obj, mode, window, cfg, side, poles=poles.get(side))
-            poles[side] = max(poles.get(side, []), g.workspace.shifts, key=len)
+        for side, g in by_side.items():
             tag = "ZP" if side == "reachability" else "ZQ"
             mmio.write_matrix(out / f"{name}_{tag}_{mode}.mtx", g.z)
             if args.trace:

@@ -29,18 +29,6 @@ class SingularShiftError(TlbtError):
     """A shifted system matrix A - sM is numerically singular."""
 
 
-class NotSpdError(TlbtError):
-    """Cholesky factorization failed: the matrix is not positive definite."""
-
-
-class SingularTransformError(TlbtError):
-    """A state-space transformation matrix is numerically singular."""
-
-
-class NearDefectiveError(TlbtError):
-    """An eigenvector basis is too ill-conditioned to be trusted."""
-
-
 class DegenerateHullError(TlbtError):
     """No usable candidate region for adaptive shift selection."""
 
@@ -59,10 +47,6 @@ class RankDeficientError(TlbtError):
 
 class GridMismatchError(TlbtError):
     """Two trajectories do not share the same time grid."""
-
-
-class ZeroVectorError(TlbtError):
-    """A nonzero vector was required."""
 
 
 class SingularStepError(TlbtError):

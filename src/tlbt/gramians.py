@@ -28,7 +28,6 @@ from . import linalg
 from .errors import (
     DegenerateHullError,
     MaxDimExceededError,
-    NearDefectiveError,
     NoConvergenceError,
     OverflowRangeError,
     SingularShiftError,
@@ -54,21 +53,23 @@ __all__ = [
     "dense_threshold",
     "gramian_infinite_dense",
     "gramian_timelimited_dense",
-    "gramian_timelimited_cauchy",
     "adaptive_shift",
     "expm_action_approx",
-    "modified_rhs",
     "solve_infinite_lowrank",
     "solve_timelimited_lowrank",
     "solve_modified_lowrank",
     "factor_psd",
     "MODES",
+    "SIDES",
     "mode_gramian",
+    "mode_gramians",
 ]
 
 #: balanced-truncation modes: bt balances the infinite Gramians, tlbt the
 #: time-limited ones, mtlbt the stability-preserving modified ones
 MODES = ("bt", "tlbt", "mtlbt")
+#: the two Gramians of a mode, in the order every balancing route takes them
+SIDES = ("reachability", "observability")
 
 
 def dense_threshold():
@@ -170,8 +171,16 @@ def _reach_form(sys, side):
     raise ValueError(f"side must be reachability|observability, got {side!r}")
 
 
+def _order(sys):
+    """State dimension the solvers work in (n_f for descriptors)."""
+    return sys.n_f if isinstance(sys, DescriptorIndex1) else sys.n
+
+
 def _dense_state_input(sys):
-    """Dense (A, B) of the equivalent standard-form system."""
+    """Dense (A, B) of the equivalent standard-form system; refused above the threshold."""
+    n, lim = _order(sys), dense_threshold()
+    if n > lim:
+        raise ValueError(f"dense Gramian path refused for n={n} > threshold {lim}")
     if isinstance(sys, DescriptorIndex1):
         sys, _ = eliminate_descriptor(sys)
     if isinstance(sys, GeneralizedSystem):
@@ -182,16 +191,9 @@ def _dense_state_input(sys):
     return _dense(sys.A), _dense(sys.B)
 
 
-def _guard_dense(n):
-    lim = dense_threshold()
-    if n > lim:
-        raise ValueError(f"dense Gramian path refused for n={n} > threshold {lim}")
-
-
 def gramian_infinite_dense(sys, side="reachability"):
     """Solve A P + P A^T = -B B^T densely (observability via duality)."""
     a, b = _dense_state_input(_reach_form(sys, side))
-    _guard_dense(a.shape[0])
     return linalg.lyap_dense(a, b @ b.T)
 
 
@@ -205,17 +207,18 @@ def gramian_timelimited_dense(sys, window, side="reachability", route="auto"):
     route="auto" picks by stability.
     """
     a, b = _dense_state_input(_reach_form(sys, side))
-    _guard_dense(a.shape[0])
     if route == "auto":
         stable = float(np.max(linalg.gen_eig(a, vectors=False).values.real)) < 0
         route = "difference" if stable else "lyapunov"
     if route == "difference":
         p_inf = linalg.lyap_dense(a, b @ b.T)
         e_e = linalg.expm(a * window.t_e)
-        p = p_inf - e_e @ p_inf @ e_e.T
+        p_e = e_e @ p_inf @ e_e.T
         if window.t_s > 0:
             e_s = linalg.expm(a * window.t_s)
-            p = e_s @ p_inf @ e_s.T - e_e @ p_inf @ e_e.T
+            p = e_s @ p_inf @ e_s.T - p_e
+        else:
+            p = p_inf - p_e
     elif route == "lyapunov":
         b_s = linalg.expm(a * window.t_s) @ b if window.t_s > 0 else b
         b_e = linalg.expm(a * window.t_e) @ b
@@ -232,32 +235,6 @@ def _dense_modified(sys, window, side="reachability"):
     b_e = linalg.expm(a * window.t_e) @ b
     b_mod = _surrogate_factor(b_s, b_e)
     return linalg.lyap_dense(a, b_mod @ b_mod.T)
-
-
-def gramian_timelimited_cauchy(diag, t_e):
-    """Time-limited reachability Gramian from the eigencoordinate factorization.
-
-    For a controllable, diagonalizable SISO system the Gramian is
-    X_B (C - e^{L t} C e^{L^H t}) X_B^H with the Cauchy matrix
-    C_ij = -1/(lam_i + conj(lam_j)). Rejects near-defective eigenbases.
-    """
-    if diag.cond_X > 1e8:
-        raise NearDefectiveError(
-            f"eigenvector condition {diag.cond_X:.2e} too large for the Cauchy route"
-        )
-    lam = diag.eigenvalues
-    denom = lam[:, None] + np.conj(lam)[None, :]
-    if np.min(np.abs(denom)) == 0.0:
-        raise SpectrumConflictError("lambda_i + conj(lambda_j) = 0 in Cauchy matrix")
-    cau = -1.0 / denom
-    e = np.exp(lam * t_e)
-    middle = cau - e[:, None] * cau * np.conj(e)[None, :]
-    p = diag.X_B @ middle @ diag.X_B.conj().T
-    scale = np.linalg.norm(p, "fro")
-    if scale > 0 and np.linalg.norm(p.imag, "fro") > 1e-10 * scale:
-        raise NearDefectiveError("Cauchy-route Gramian has a non-negligible imaginary part")
-    p = p.real
-    return 0.5 * (p + p.T)
 
 
 def factor_psd(p, trunc_tol=1e-12):
@@ -546,18 +523,6 @@ def _abs_eig_factor(w_sym, tol=1e-12):
     return vec[:, keep] * np.sqrt(np.abs(lam[keep]))[None, :]
 
 
-def modified_rhs(ws, window):
-    """Coefficient factor of the stability-preserving surrogate right-hand side.
-
-    Eigendecomposes the projected time-limited inhomogeneity
-    b_s b_s^T - b_e b_e^T (b_t = e^{H t} q^T B) and takes absolute values
-    of the nonzero eigenvalues; at most 2m columns.
-    """
-    b_s = expm_action_approx(ws, window.t_s)[0] if window.t_s > 0 else ws.b_proj
-    b_e = expm_action_approx(ws, window.t_e)[0]
-    return _surrogate_factor(b_s, b_e)
-
-
 def _surrogate_factor(b_s, b_e):
     """Factor of |b_s b_s^T - b_e b_e^T|, the stability-preserving right-hand side."""
     w = b_s @ b_s.T - b_e @ b_e.T
@@ -595,8 +560,7 @@ def _stability_checked(sys, check=True):
 def _require_stable(sys):
     if _VERIFIED.get() is sys:
         return
-    n = sys.n_f if isinstance(sys, DescriptorIndex1) else sys.n
-    if n > dense_threshold():
+    if _order(sys) > dense_threshold():
         warnings.warn("system too large for dense stability verification; "
                       "proceeding unverified", stacklevel=3)
         return
@@ -762,3 +726,24 @@ def mode_gramian(
     if method == "dense":
         return dense(*args, side=side)
     raise ValueError(f"method must be dense|krylov, got {method!r}")
+
+
+def mode_gramians(sys, modes, window=None, cfg=None, method="krylov", sides=SIDES):
+    """Yield ``{side: mode_gramian(sys, mode, ...)}`` for each of ``modes``.
+
+    The stability of ``sys`` is verified once, before the first mode's
+    Krylov solves. The adaptive shifts depend on the system and the side,
+    never on the mode, so every mode replays the longest shift list of
+    each side so far (``poles=``) and picks new shifts only where it needs
+    a larger basis: the results equal separate :func:`mode_gramian` calls.
+    """
+    poles = {}
+    for i, mode in enumerate(modes):
+        # held only around the solves: a consumer may stop between modes
+        with _stability_checked(sys, check=i == 0 and method == "krylov"):
+            out = {side: mode_gramian(sys, mode, window, cfg, side, method, poles.get(side))
+                   for side in sides}
+        if method == "krylov":
+            for side, g in out.items():
+                poles[side] = max(poles.get(side, []), g.workspace.shifts, key=len)
+        yield out

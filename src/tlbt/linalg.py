@@ -1,9 +1,10 @@
 """Dense numerical kernels with explicit accuracy contracts.
 
-Thin, contract-checked wrappers around LAPACK-backed routines (LU, SVD,
+Thin, contract-checked wrappers around LAPACK-backed routines (SVD,
 eigensolvers, matrix exponential, Bartels-Stewart Lyapunov solve) plus a
 block Gram-Schmidt with reorthogonalization used for incremental basis
-growth. Everything operates on plain ndarrays; callers are expected to
+growth. The LU factorization behind shifted solves lives in
+:mod:`tlbt.systems`. Everything operates on plain ndarrays; callers are expected to
 pass finite data (see :func:`check_finite`).
 """
 
@@ -16,14 +17,12 @@ import scipy.linalg as sla
 from .errors import (
     NoConvergenceError,
     OverflowRangeError,
-    SingularMatrixError,
     SpectrumConflictError,
 )
 
 __all__ = [
     "EigDecomposition",
     "check_finite",
-    "lu_solve",
     "orthonormal_extend",
     "svd",
     "sym_eig",
@@ -50,32 +49,6 @@ def check_finite(a, name="matrix"):
     if a.size and not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
-
-
-def lu_solve(a, rhs):
-    """Solve ``A X = RHS`` by LU with partial pivoting.
-
-    Works for real and complex data. Raises :class:`SingularMatrixError`
-    when a pivot falls below ``eps * ||A||``.
-    """
-    a = np.asarray(a)
-    rhs = np.asarray(rhs)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("A must be square")
-    if rhs.shape[0] != a.shape[0]:
-        raise ValueError("RHS row count must match A")
-    if a.size == 0:
-        return np.zeros_like(rhs)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(a, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    scale = np.linalg.norm(a, 1)
-    if scale == 0.0 or np.min(pivots) <= np.finfo(float).eps * scale:
-        raise SingularMatrixError(
-            f"matrix is numerically singular (min pivot {pivots.min():.3e})"
-        )
-    return sla.lu_solve((lu, piv), rhs, check_finite=False)
 
 
 def orthonormal_extend(buf, d, v, tol=DEFLATION_TOL):

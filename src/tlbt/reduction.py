@@ -2,8 +2,9 @@
 
 Projectors are built from Gramian factors via the thin SVD of
 Z_Q^T M Z_P; the retained singular values are the (time-limited) Hankel
-singular values. Works with exact dense factors and with the low-rank
-factors produced by the rational Krylov solver.
+singular values, computed once per mode and reused at every order.
+Works with exact dense factors and with the low-rank factors produced by
+the rational Krylov solver.
 """
 
 import time
@@ -14,8 +15,7 @@ import numpy as np
 
 from . import linalg
 from .errors import RankDeficientError, SingularShiftError
-from .gramians import MODES, LowRankGramian, TimeWindow, factor_psd, mode_gramian
-from .gramians import _stability_checked
+from .gramians import MODES, LowRankGramian, TimeWindow, factor_psd, mode_gramians
 from .systems import (
     DescriptorIndex1,
     GeneralizedSystem,
@@ -27,13 +27,11 @@ from .systems import (
 
 __all__ = [
     "ReducedModel",
-    "HsvReport",
     "Balancing",
     "balance",
     "balance_modes",
     "square_root_reduce",
     "reduce",
-    "hankel_sv",
     "hinf_error_bound",
     "transfer_eval",
     "transfer_at",
@@ -67,22 +65,12 @@ class ReducedModel:
 
 
 @dataclass
-class HsvReport:
-    """Sorted (time-limited) Hankel singular values and their provenance."""
-
-    values: np.ndarray
-    source: str
-    window: TimeWindow | None = None
-
-
-@dataclass
 class Balancing:
     """Gramian factors of one mode and the SVD of Z_Q^T M Z_P, truncated on demand.
 
     ``Z_Q^T M Z_P = u diag(hsv) v^T``; ``hsv`` holds every (time-limited)
     Hankel singular value. ``system`` is the system the projection runs
-    on (a descriptor comes eliminated); ``t_svd`` the seconds the SVD took;
-    ``shifts`` the Krylov shifts of each side (empty for dense Gramians).
+    on (a descriptor comes eliminated); ``t_svd`` the seconds the SVD took.
     """
 
     system: object
@@ -95,7 +83,6 @@ class Balancing:
     window: TimeWindow | None
     info: dict
     t_svd: float
-    shifts: dict = field(default_factory=dict)
 
     def truncate(self, r):
         """Reduced model of order r (see :func:`square_root_reduce`)."""
@@ -159,65 +146,49 @@ def square_root_reduce(sys, z_p, z_q, r, svd=None):
     )
 
 
-_SIDES = ("reachability", "observability")
-
-
-def balance(sys, mode, window=None, cfg=None, method="krylov", poles=None):
+def balance(sys, mode, window=None, cfg=None, method="krylov"):
     """Gramian factors of a balanced-truncation mode, balanced once.
 
     ``method="krylov"`` uses the low-rank rational Krylov solver,
     ``"dense"`` exact dense Gramians (desk-scale systems, unstable
-    admissible). ``poles`` maps a side to Krylov shifts to replay (see
-    :func:`balance_modes`). Descriptor factors come from the implicit
-    descriptor path; the projection runs on the dense eliminated form
-    (desk scale).
+    admissible). Descriptor factors come from the implicit descriptor
+    path; the projection runs on the dense eliminated form (desk scale).
     """
-    mode = mode.lower()
-    poles = poles or {}
-    t0 = time.perf_counter()
-    with _stability_checked(sys, method == "krylov"):  # once for both sides
-        sides = [
-            mode_gramian(sys, mode, window, cfg, side, method, poles.get(side))
-            for side in _SIDES
-        ]
-    info, shifts = {}, {}
-    if method == "dense":
-        trunc = cfg.trunc_tol if cfg else 1e-12
-        z_p, z_q = (factor_psd(p, trunc) for p in sides)
-    else:
-        gp, gq = sides
-        z_p, z_q = gp.z, gq.z
-        info.update(
-            mu_p=gp.residual, mu_q=gq.residual,
-            dim_p=gp.subspace_dim, dim_q=gq.subspace_dim,
-            rank_p=gp.rank, rank_q=gq.rank,
-        )
-        shifts = {side: g.workspace.shifts for side, g in zip(_SIDES, sides)}
-    info["t_gramians"] = time.perf_counter() - t0
-    work = eliminate_descriptor(sys)[0] if isinstance(sys, DescriptorIndex1) else sys
-    t0 = time.perf_counter()
-    u, hsv, v = _factor_svd(work, z_p, z_q)
-    return Balancing(
-        work, z_p, z_q, u, hsv, v, mode, window, info, time.perf_counter() - t0, shifts
-    )
+    return next(balance_modes(sys, [mode], window, cfg, method))
 
 
 def balance_modes(sys, modes, window=None, cfg=None, method="krylov"):
     """Yield ``balance(sys, mode, ...)`` for each mode, picking each side's poles once.
 
-    The adaptive Krylov shifts depend on the system and the side, never
-    on the mode, so every mode replays the longest shift list of that
-    side so far and picks new shifts only where it needs a larger basis.
-    The results equal separate :func:`balance` calls; the stability of
-    ``sys`` is verified once, by the first.
+    The Gramians come from :func:`~tlbt.gramians.mode_gramians`, which
+    verifies the stability of ``sys`` once and replays each side's Krylov
+    shifts into the later modes; the results equal separate :func:`balance`
+    calls.
     """
-    poles = {}
-    for i, mode in enumerate(modes):
-        with _stability_checked(sys, check=i == 0 and method == "krylov"):
-            bal = balance(sys, mode, window, cfg, method, poles)
-        for side, used in bal.shifts.items():
-            poles[side] = max(poles.get(side, []), used, key=len)
-        yield bal
+    modes = [mode.lower() for mode in modes]
+    gramians = mode_gramians(sys, modes, window, cfg, method)
+    work = eliminate_descriptor(sys)[0] if isinstance(sys, DescriptorIndex1) else sys
+    for mode in modes:
+        t0 = time.perf_counter()
+        sides = next(gramians)
+        gp, gq = sides["reachability"], sides["observability"]
+        info = {}
+        if method == "dense":
+            trunc = cfg.trunc_tol if cfg else 1e-12
+            z_p, z_q = factor_psd(gp, trunc), factor_psd(gq, trunc)
+        else:
+            z_p, z_q = gp.z, gq.z
+            info.update(
+                mu_p=gp.residual, mu_q=gq.residual,
+                dim_p=gp.subspace_dim, dim_q=gq.subspace_dim,
+                rank_p=gp.rank, rank_q=gq.rank,
+            )
+        info["t_gramians"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        u, hsv, v = _factor_svd(work, z_p, z_q)
+        yield Balancing(
+            work, z_p, z_q, u, hsv, v, mode, window, info, time.perf_counter() - t0
+        )
 
 
 def reduce(sys, mode, window=None, r=None, cfg=None, method="krylov", tol=None):
@@ -240,17 +211,6 @@ def reduce(sys, mode, window=None, r=None, cfg=None, method="krylov", tol=None):
         r_tol = max(int(np.argmax(bounds <= tol)), 1)
         r = min(r, r_tol) if r is not None else r_tol
     return bal.truncate(r)
-
-
-def hankel_sv(z_p, z_q, m_mat=None, source="infinite", window=None):
-    """(Time-limited) Hankel singular values from Gramian factors."""
-    z_p = np.atleast_2d(z_p)
-    z_q = np.atleast_2d(z_q)
-    f = z_q.T @ (m_mat @ z_p) if m_mat is not None else z_q.T @ z_p
-    if f.size == 0:
-        return HsvReport(values=np.zeros(0), source=source, window=window)
-    sig = linalg.svd(f)[1]
-    return HsvReport(values=sig, source=source, window=window)
 
 
 def hinf_error_bound(hsv, r):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GridMismatchError, SingularMatrixError, SingularStepError, ZeroVectorError
+from .errors import GridMismatchError, SingularMatrixError, SingularStepError
 from .systems import (
     DescriptorIndex1,
     GeneralizedSystem,
@@ -36,8 +36,6 @@ __all__ = [
     "implicit_midpoint",
     "impulse_response",
     "relative_error_series",
-    "mac",
-    "mac_matrix",
     "half_decay_time",
 ]
 
@@ -181,27 +179,6 @@ def relative_error_series(y, y_red, window=None):
         mask = (y.times >= window.t_s - 1e-12) & (y.times <= window.t_e + 1e-12)
     e_max = float(np.max(err[mask])) if np.any(mask) else 0.0
     return err, e_max
-
-
-def mac(x, y):
-    """Modal assurance criterion |y^T x|^2 / (||x||^2 ||y||^2) in [0, 1]."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    nx, ny = np.dot(x, x), np.dot(y, y)
-    if nx == 0.0 or ny == 0.0:
-        raise ZeroVectorError("MAC requires nonzero vectors")
-    return float(np.dot(y, x) ** 2 / (nx * ny))
-
-
-def mac_matrix(x_cols, y_cols):
-    """MAC between all column pairs of two matrices."""
-    x_cols = np.atleast_2d(x_cols)
-    y_cols = np.atleast_2d(y_cols)
-    out = np.empty((x_cols.shape[1], y_cols.shape[1]))
-    for i in range(x_cols.shape[1]):
-        for j in range(y_cols.shape[1]):
-            out[i, j] = mac(x_cols[:, i], y_cols[:, j])
-    return out
 
 
 def half_decay_time(sys):

@@ -1,11 +1,12 @@
-"""LTI system representations and structural transformations.
+"""LTI system representations, shifted solves and the spectral abscissa.
 
 Standard (A, B, C[, D]) systems, generalized (M, A, B, C[, D]) systems
 with nonsingular M, and semi-explicit index-one descriptor systems in
 block form. Matrices can be dense ndarrays or scipy.sparse matrices;
-descriptor block elimination is exposed both densely (small systems) and
-implicitly through actions and shifted solves, since the eliminated state
-matrix is dense in general.
+dense ones must be finite. Descriptor block elimination is exposed both
+densely (small systems) and implicitly through actions and shifted
+solves, since the eliminated state matrix is dense in general. One LU
+factorization (``_factor``, sparse or dense) serves every shifted solve.
 """
 
 import warnings
@@ -17,25 +18,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import linalg
-from .errors import (
-    NotSpdError,
-    SingularBlockError,
-    SingularMatrixError,
-    SingularShiftError,
-    SingularTransformError,
-)
+from .errors import SingularBlockError, SingularShiftError
 
 __all__ = [
     "StandardSystem",
     "GeneralizedSystem",
     "DescriptorIndex1",
-    "DiagonalizedSystem",
-    "diagonalize",
     "eliminate_descriptor",
     "shifted_solve",
-    "cholesky_transform",
-    "CholeskyTransform",
-    "similarity_transform",
     "spectral_abscissa",
     "alpha_shift",
 ]
@@ -53,6 +43,27 @@ def _shape(a):
     return a.shape
 
 
+def _finite(a, name):
+    """Dense ``a`` as a finite float array of at least two dimensions; sparse as given."""
+    if _is_sparse(a):
+        return a
+    return linalg.check_finite(np.atleast_2d(np.asarray(a, dtype=float)), name)
+
+
+def _normalize(sys, *square):
+    """Check B and C against A and make the dense matrices finite float arrays.
+
+    ``square`` names the state matrices; D defaults to zeros and must be p x m.
+    """
+    if _shape(sys.B)[0] != sys.n or _shape(sys.C)[1] != sys.n:
+        raise ValueError("B/C dimensions inconsistent with A")
+    for name in square + ("B", "C"):
+        setattr(sys, name, _finite(getattr(sys, name), name))
+    sys.D = np.zeros((sys.p, sys.m)) if sys.D is None else _finite(sys.D, "D")
+    if sys.D.shape != (sys.p, sys.m):
+        raise ValueError("D must be p x m")
+
+
 @dataclass
 class StandardSystem:
     """State-space system ``x' = A x + B u``, ``y = C x + D u``."""
@@ -66,20 +77,7 @@ class StandardSystem:
         n, n2 = _shape(self.A)
         if n != n2:
             raise ValueError("A must be square")
-        if _shape(self.B)[0] != n or _shape(self.C)[1] != n:
-            raise ValueError("B/C dimensions inconsistent with A")
-        if not _is_sparse(self.A):
-            self.A = linalg.check_finite(np.asarray(self.A, dtype=float), "A")
-        if not _is_sparse(self.B):
-            self.B = linalg.check_finite(np.atleast_2d(np.asarray(self.B, dtype=float)), "B")
-        if not _is_sparse(self.C):
-            self.C = linalg.check_finite(np.atleast_2d(np.asarray(self.C, dtype=float)), "C")
-        if self.D is None:
-            self.D = np.zeros((_shape(self.C)[0], _shape(self.B)[1]))
-        else:
-            self.D = linalg.check_finite(np.atleast_2d(np.asarray(self.D, dtype=float)), "D")
-        if self.D.shape != (self.p, self.m):
-            raise ValueError("D must be p x m")
+        _normalize(self, "A")
 
     @property
     def n(self):
@@ -102,8 +100,9 @@ class StandardSystem:
 class GeneralizedSystem:
     """Generalized state-space system ``M x' = A x + B u``, ``y = C x + D u``.
 
-    ``spd`` flags M as symmetric positive definite (verified on demand by
-    :func:`cholesky_transform`).
+    ``spd`` flags M as symmetric positive definite. It is kept as given
+    (the JSON sidecar stores it) and not verified: every route works
+    through the pencil (A, M) whether or not M is SPD.
     """
 
     M: object
@@ -117,16 +116,7 @@ class GeneralizedSystem:
         n, n2 = _shape(self.M)
         if n != n2 or _shape(self.A) != (n, n):
             raise ValueError("M and A must be square of equal size")
-        if _shape(self.B)[0] != n or _shape(self.C)[1] != n:
-            raise ValueError("B/C dimensions inconsistent with A")
-        if not _is_sparse(self.B):
-            self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        if not _is_sparse(self.C):
-            self.C = np.atleast_2d(np.asarray(self.C, dtype=float))
-        if self.D is None:
-            self.D = np.zeros((_shape(self.C)[0], _shape(self.B)[1]))
-        else:
-            self.D = np.atleast_2d(np.asarray(self.D, dtype=float))
+        _normalize(self, "M", "A")
 
     @property
     def n(self):
@@ -228,36 +218,6 @@ class DescriptorIndex1:
         return m_full, a_full, b_full, c_full
 
 
-@dataclass
-class DiagonalizedSystem:
-    """Eigencoordinate form of a SISO system: ``A = X diag(lam) X^{-1}``.
-
-    ``w = X^{-1} B`` and ``X_B = X diag(w)``; every ``w_i`` must be nonzero
-    (controllability in eigencoordinates).
-    """
-
-    eigenvalues: np.ndarray
-    X: np.ndarray
-    w: np.ndarray
-    X_B: np.ndarray
-
-    @property
-    def cond_X(self):
-        return np.linalg.cond(self.X)
-
-
-def diagonalize(sys):
-    """Build the eigencoordinate form of a SISO :class:`StandardSystem`."""
-    if sys.m != 1:
-        raise ValueError("diagonalization path requires m = 1")
-    eig = linalg.gen_eig(_dense(sys.A))
-    x = eig.vectors
-    w = linalg.lu_solve(x, _dense(sys.B)[:, 0].astype(complex))
-    if np.min(np.abs(w)) <= 1e-14 * np.max(np.abs(w)):
-        raise ValueError("system is numerically uncontrollable in eigencoordinates")
-    return DiagonalizedSystem(eigenvalues=eig.values, X=x, w=w, X_B=x * w[None, :])
-
-
 def eliminate_descriptor(d):
     """Eliminate algebraic states: returns (GeneralizedSystem, D).
 
@@ -282,9 +242,9 @@ def eliminate_descriptor(d):
 def _factor(mat, err=SingularShiftError, checked=True):
     """LU factorization returning a solve closure; sparse or dense, any dtype.
 
-    Dense solves call LAPACK ``getrs`` (what ``lu_solve`` ends in, bit for
-    bit), picked per right-hand side, so a real LU also solves complex
-    ones. Sparse solves raise ``err`` on non-finite results unless
+    Dense solves call LAPACK ``getrs`` (what ``scipy.linalg.lu_solve``
+    ends in, bit for bit), picked per right-hand side, so a real LU also
+    solves complex ones. Sparse solves raise ``err`` on non-finite results unless
     ``checked`` is false. A closure must never refer to itself: the cycle
     would keep its factorization alive until the cyclic GC runs.
     """
@@ -347,48 +307,6 @@ def shifted_solve(sys, s, w):
     else:
         raise TypeError(f"unsupported system type {type(sys)!r}")
     return out if w.ndim == 2 else out[:, 0]
-
-
-@dataclass
-class CholeskyTransform:
-    """Result of :func:`cholesky_transform`: transformed system plus L.
-
-    Gramian factors computed for the transformed standard system map back
-    to generalized coordinates via ``map_factor`` (Z = L^{-T} Z_std).
-    """
-
-    system: StandardSystem
-    L: np.ndarray
-
-    def map_factor(self, z):
-        return sla.solve_triangular(self.L.T, z, lower=False)
-
-
-def cholesky_transform(g):
-    """Fold SPD mass matrix into the system: (L^{-1}AL^{-T}, L^{-1}B, CL^{-T})."""
-    m = _dense(g.M)
-    if np.linalg.norm(m - m.T, "fro") > 1e-10 * max(np.linalg.norm(m, "fro"), 1e-300):
-        raise NotSpdError("M is not symmetric")
-    try:
-        l = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise NotSpdError(f"M is not positive definite: {exc}") from exc
-    a = _dense(g.A)
-    a_t = sla.solve_triangular(l, sla.solve_triangular(l, a.T, lower=True).T, lower=True)
-    b_t = sla.solve_triangular(l, _dense(g.B), lower=True)
-    c_t = sla.solve_triangular(l, _dense(g.C).T, lower=True).T
-    return CholeskyTransform(system=StandardSystem(a_t, b_t, c_t, g.D), L=l)
-
-
-def similarity_transform(sys, t):
-    """Change of state coordinates: (T^{-1} A T, T^{-1} B, C T)."""
-    t = np.asarray(t, dtype=float)
-    try:
-        a = linalg.lu_solve(t, _dense(sys.A) @ t)
-        b = linalg.lu_solve(t, _dense(sys.B))
-    except SingularMatrixError as exc:
-        raise SingularTransformError(f"transformation is singular: {exc}") from exc
-    return StandardSystem(a, b, _dense(sys.C) @ t, sys.D)
 
 
 def _state_matrix(obj):

@@ -4,11 +4,97 @@
   the pencil to every basis column and takes one QR of ``[A Q, M Q]``,
   with no use of the rational Arnoldi relation; the solver's residual
   ``mu`` is checked against it.
+- ``diagonalize`` and ``gramian_timelimited_cauchy``: the time-limited
+  Gramian of a diagonalizable SISO system from its eigencoordinates and a
+  Cauchy matrix, independent of any Lyapunov solver.
+- ``similarity_transform``: a change of state coordinates, under which
+  transfer functions and Hankel singular values are invariant.
+
+They use numpy and scipy directly, not the kernels they check.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
+from tlbt.errors import SpectrumConflictError, TlbtError
 from tlbt.gramians import _Pencil, _rhs_core
+from tlbt.systems import StandardSystem, _dense
+
+
+class NearDefectiveError(TlbtError):
+    """An eigenvector basis is too ill-conditioned to be trusted."""
+
+
+class SingularTransformError(TlbtError):
+    """A state-space transformation matrix is numerically singular."""
+
+
+@dataclass
+class DiagonalizedSystem:
+    """Eigencoordinate form of a SISO system: ``A = X diag(lam) X^{-1}``.
+
+    ``w = X^{-1} B`` and ``X_B = X diag(w)``; every ``w_i`` must be nonzero
+    (controllability in eigencoordinates).
+    """
+
+    eigenvalues: np.ndarray
+    X: np.ndarray
+    w: np.ndarray
+    X_B: np.ndarray
+
+    @property
+    def cond_X(self):
+        return np.linalg.cond(self.X)
+
+
+def diagonalize(sys):
+    """Eigencoordinate form of a SISO :class:`StandardSystem`."""
+    if sys.m != 1:
+        raise ValueError("diagonalization path requires m = 1")
+    lam, x = np.linalg.eig(_dense(sys.A))
+    order = np.lexsort((-lam.imag, -lam.real))
+    lam, x = lam[order], x[:, order]
+    w = np.linalg.solve(x, _dense(sys.B)[:, 0].astype(complex))
+    if np.min(np.abs(w)) <= 1e-14 * np.max(np.abs(w)):
+        raise ValueError("system is numerically uncontrollable in eigencoordinates")
+    return DiagonalizedSystem(eigenvalues=lam, X=x, w=w, X_B=x * w[None, :])
+
+
+def gramian_timelimited_cauchy(diag, t_e):
+    """Time-limited reachability Gramian from the eigencoordinate factorization.
+
+    For a controllable, diagonalizable SISO system the Gramian is
+    X_B (C - e^{L t} C e^{L^H t}) X_B^H with the Cauchy matrix
+    C_ij = -1/(lam_i + conj(lam_j)). Rejects near-defective eigenbases.
+    """
+    if diag.cond_X > 1e8:
+        raise NearDefectiveError(
+            f"eigenvector condition {diag.cond_X:.2e} too large for the Cauchy route"
+        )
+    lam = diag.eigenvalues
+    denom = lam[:, None] + np.conj(lam)[None, :]
+    if np.min(np.abs(denom)) == 0.0:
+        raise SpectrumConflictError("lambda_i + conj(lambda_j) = 0 in Cauchy matrix")
+    cau = -1.0 / denom
+    e = np.exp(lam * t_e)
+    middle = cau - e[:, None] * cau * np.conj(e)[None, :]
+    p = diag.X_B @ middle @ diag.X_B.conj().T
+    scale = np.linalg.norm(p, "fro")
+    if scale > 0 and np.linalg.norm(p.imag, "fro") > 1e-10 * scale:
+        raise NearDefectiveError("Cauchy-route Gramian has a non-negligible imaginary part")
+    p = p.real
+    return 0.5 * (p + p.T)
+
+
+def similarity_transform(sys, t):
+    """Change of state coordinates: (T^{-1} A T, T^{-1} B, C T)."""
+    t = np.asarray(t, dtype=float)
+    if np.linalg.cond(t) > 1.0 / np.finfo(float).eps:
+        raise SingularTransformError("transformation is singular")
+    a = np.linalg.solve(t, _dense(sys.A) @ t)
+    b = np.linalg.solve(t, _dense(sys.B))
+    return StandardSystem(a, b, _dense(sys.C) @ t, sys.D)
 
 
 def residual_norm(sys, ws, y, rhs_factors):

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from conftest import random_descriptor
+from oracles import diagonalize, gramian_timelimited_cauchy, similarity_transform
 from tlbt import linalg
 from tlbt.cli import main
 from tlbt.gramians import (
@@ -23,21 +24,14 @@ from tlbt.gramians import (
     expm_action_approx,
     factor_psd,
     gramian_infinite_dense,
-    gramian_timelimited_cauchy,
     gramian_timelimited_dense,
     solve_modified_lowrank,
     solve_timelimited_lowrank,
 )
-from tlbt.reduction import numerical_rank, reduce, square_root_reduce, transfer_eval, hankel_sv
+from tlbt.reduction import balance, numerical_rank, reduce, square_root_reduce, transfer_eval
 from tlbt.simulate import half_decay_time, impulse_response, implicit_midpoint, relative_error_series
 from tlbt.synthetic import make_synthetic
-from tlbt.systems import (
-    StandardSystem,
-    diagonalize,
-    eliminate_descriptor,
-    shifted_solve,
-    similarity_transform,
-)
+from tlbt.systems import StandardSystem, eliminate_descriptor, shifted_solve
 
 
 def _verdict(name, ok, detail=""):
@@ -194,7 +188,7 @@ def test_a7_hinf_bound_sampled():
     p = gramian_infinite_dense(s)
     q = gramian_infinite_dense(s, "observability")
     z_p, z_q = factor_psd(p), factor_psd(q)
-    sig = hankel_sv(z_p, z_q).values
+    sig = balance(s, "bt", method="dense").hsv
     freqs = np.logspace(-2, 3, 200)
     ok = True
     details = []
@@ -212,17 +206,12 @@ def test_a7_hinf_bound_sampled():
 def test_a8_hsv_invariance():
     s = make_synthetic("weakly_damped", 20, 1, 1, seed=9)
     w = TimeWindow(t_e=2.0)
-    p = gramian_timelimited_dense(s, w)
-    q = gramian_timelimited_dense(s, w, "observability")
-    sig0 = hankel_sv(factor_psd(p), factor_psd(q)).values
+    sig0 = balance(s, "tlbt", w, method="dense").hsv
     rng = np.random.default_rng(31)
     worst = 0.0
     for _ in range(10):
         t = rng.standard_normal((20, 20)) + 4 * np.eye(20)
-        st = similarity_transform(s, t)
-        pt = gramian_timelimited_dense(st, w)
-        qt = gramian_timelimited_dense(st, w, "observability")
-        sig1 = hankel_sv(factor_psd(pt), factor_psd(qt)).values
+        sig1 = balance(similarity_transform(s, t), "tlbt", w, method="dense").hsv
         k = min(sig0.size, sig1.size)
         worst = max(worst, np.max(np.abs(sig0[:k] - sig1[:k])) / sig0[0])
     _verdict("A8 windowed Hankel value invariance", worst <= 1e-8, f"worst rel dev {worst:.2e}")

@@ -10,7 +10,7 @@ import tlbt.gramians
 from conftest import random_descriptor
 from tlbt import mmio, schemas
 from tlbt.cli import main
-from tlbt.gramians import TimeWindow
+from tlbt.gramians import SolverConfig, TimeWindow, mode_gramian
 from tlbt.reduction import balance, reduce
 from tlbt.synthetic import make_synthetic
 from tlbt.systems import StandardSystem
@@ -411,3 +411,30 @@ def test_stability_verified_once_per_balance(tmp_path, monkeypatch):
     tlbt.gramians.solve_infinite_lowrank(s)
     tlbt.gramians.mode_gramian(s, "bt")
     assert len(calls) == 2
+
+
+def test_gramian_command_verifies_once_and_replays_poles(tmp_path, monkeypatch):
+    # one stability check for all modes and sides; the replayed poles give
+    # the factors of fresh per-mode solves, bit for bit
+    real = tlbt.gramians.spectral_abscissa
+    calls = []
+
+    def spy(sys):
+        calls.append(sys)
+        return real(sys)
+
+    monkeypatch.setattr(tlbt.gramians, "spectral_abscissa", spy)
+    rc = main(
+        ["gramian", "--synth", "weakly_damped", "--n", "40", "--m", "2", "--p", "2",
+         "--seed", "1", "--mode", "bt", "--mode", "tlbt", "--mode", "mtlbt", "--te", "5.0",
+         "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    assert len(calls) == 1
+    s = make_synthetic("weakly_damped", 40, 2, 2, seed=1)
+    window, cfg = TimeWindow(t_e=5.0), SolverConfig()
+    for mode in ("bt", "tlbt", "mtlbt"):
+        for side, tag in (("reachability", "ZP"), ("observability", "ZQ")):
+            fresh = mode_gramian(s, mode, window, cfg, side)
+            written = mmio.read_matrix(tmp_path / f"weakly_damped_n40_s1_{tag}_{mode}.mtx")
+            assert np.array_equal(written, fresh.z), (mode, side)

@@ -3,10 +3,11 @@ import pytest
 import scipy.integrate
 import scipy.sparse.linalg as spla
 
+import tlbt.gramians
 from conftest import random_descriptor, random_stable_matrix
-from oracles import residual_norm
+from oracles import NearDefectiveError, diagonalize, gramian_timelimited_cauchy, residual_norm
 from tlbt import linalg
-from tlbt.errors import MaxDimExceededError, NearDefectiveError, UnstableSystemError
+from tlbt.errors import MaxDimExceededError, UnstableSystemError
 from tlbt.reduction import balance_modes, reduce
 from tlbt.gramians import (
     KrylovWorkspace,
@@ -17,19 +18,19 @@ from tlbt.gramians import (
     _reach_form,
     _rhs_core,
     _select_shift,
+    _surrogate_factor,
     adaptive_shift,
     expm_action_approx,
     factor_psd,
     gramian_infinite_dense,
-    gramian_timelimited_cauchy,
     gramian_timelimited_dense,
-    modified_rhs,
+    mode_gramian,
     solve_infinite_lowrank,
     solve_modified_lowrank,
     solve_timelimited_lowrank,
 )
 from tlbt.synthetic import make_synthetic
-from tlbt.systems import StandardSystem, diagonalize
+from tlbt.systems import StandardSystem
 
 SCALAR = StandardSystem(np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]]))
 
@@ -147,6 +148,23 @@ def test_cauchy_near_defective_rejected():
     s = StandardSystem(a, np.ones((2, 1)), np.ones((1, 2)))
     with pytest.raises(NearDefectiveError):
         gramian_timelimited_cauchy(diagonalize(s), 1.0)
+
+
+@pytest.mark.parametrize("mode", ["bt", "tlbt", "mtlbt"])
+def test_every_dense_route_refused_above_threshold_before_densifying(monkeypatch, mode):
+    s = make_synthetic("heat_like", 20, 2, 2, seed=1)
+    window = TimeWindow(t_e=0.05)
+
+    def densified(a):
+        raise AssertionError("densified before the size check")
+
+    monkeypatch.setenv("TLBT_DENSE_THRESHOLD", "10")
+    monkeypatch.setattr(tlbt.gramians, "_dense", densified)
+    for side in ("reachability", "observability"):
+        with pytest.raises(ValueError, match="dense Gramian path refused for n=20"):
+            mode_gramian(s, mode, window, side=side, method="dense")
+    with pytest.raises(ValueError, match="dense Gramian path refused"):
+        reduce(s, mode, window, r=2, method="dense")
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +419,7 @@ def test_modified_rhs_long_horizon_recovers_infinite():
     s = make_synthetic("random_stable", 20, 2, 1, seed=6)
     g = solve_timelimited_lowrank(s, TimeWindow(t_e=60.0))
     ws = g.workspace
-    f = modified_rhs(ws, TimeWindow(t_e=60.0))
+    f = _surrogate_factor(ws.b_proj, expm_action_approx(ws, 60.0)[0])
     bb = ws.b_proj @ ws.b_proj.T
     assert np.linalg.norm(f @ f.T - bb, 2) <= 1e-10 * np.linalg.norm(bb, 2)
 
@@ -413,7 +431,7 @@ def test_modified_rhs_rank_bound_100_workspaces():
         m = int(rng.integers(1, 4))
         bs = rng.standard_normal((d, m))
         be = rng.standard_normal((d, m))
-        f = _abs_eig_factor(bs @ bs.T - be @ be.T)
+        f = _surrogate_factor(bs, be)
         assert f.shape[1] <= 2 * m
 
 

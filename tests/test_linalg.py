@@ -5,36 +5,42 @@ import scipy.linalg as sla
 
 from tlbt import linalg
 from tlbt.errors import OverflowRangeError, SingularMatrixError, SpectrumConflictError
+from tlbt.systems import _factor
+
+
+def lu_solve(a, rhs):
+    """The dense LU solve behind every shifted solve and integrator step."""
+    return _factor(a, err=SingularMatrixError)(rhs)
 
 
 def test_lu_solve_identity():
     b = np.array([[1.0], [2.0], [3.0]])
-    assert np.allclose(linalg.lu_solve(np.eye(3), b), b)
+    assert np.allclose(lu_solve(np.eye(3), b), b)
 
 
 def test_lu_solve_diagonal():
-    x = linalg.lu_solve(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
+    x = lu_solve(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
     assert np.allclose(x, [1.0, 1.0])
 
 
 def test_lu_solve_residual_oracle(rng):
     a = rng.standard_normal((8, 8)) + 4 * np.eye(8)
     b = rng.standard_normal(8)
-    x = linalg.lu_solve(a, b)
+    x = lu_solve(a, b)
     assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_lu_solve_complex(rng):
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)) + 4 * np.eye(5)
     b = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
-    x = linalg.lu_solve(a, b)
+    x = lu_solve(a, b)
     assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_lu_solve_singular():
     a = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularMatrixError):
-        linalg.lu_solve(a, np.ones(2))
+        lu_solve(a, np.ones(2))
 
 
 def test_lu_solve_residual_bound_100_systems():
@@ -49,7 +55,7 @@ def test_lu_solve_residual_bound_100_systems():
         s = np.geomspace(1.0, 1.0 / kappa, n)
         a = u @ np.diag(s) @ v.T
         b = rng.standard_normal(n)
-        x = linalg.lu_solve(a, b)
+        x = lu_solve(a, b)
         assert np.linalg.norm(a @ x - b) <= 100 * eps * kappa * np.linalg.norm(b)
 
 

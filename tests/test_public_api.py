@@ -1,0 +1,41 @@
+"""The public surface: every exported name resolves and is owned by a module.
+
+Guards against ``__all__`` entries left behind when a helper is deleted or
+moved, and against package re-exports that bypass a module's ``__all__``.
+"""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import tlbt
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(tlbt.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_names_resolve(name):
+    mod = importlib.import_module(f"tlbt.{name}")
+    exported = getattr(mod, "__all__", [])
+    assert len(set(exported)) == len(exported)
+    missing = [attr for attr in exported if not hasattr(mod, attr)]
+    assert not missing, f"tlbt.{name}.__all__ names missing attributes: {missing}"
+
+
+def test_package_all_names_resolve():
+    assert len(set(tlbt.__all__)) == len(tlbt.__all__)
+    missing = [attr for attr in tlbt.__all__ if not hasattr(tlbt, attr)]
+    assert not missing, f"tlbt.__all__ names missing attributes: {missing}"
+
+
+def test_package_reexports_are_in_their_module_all():
+    stray = []
+    for attr in tlbt.__all__:
+        obj = getattr(tlbt, attr)
+        owner = getattr(obj, "__module__", None)
+        if owner is None or not owner.startswith("tlbt."):
+            continue  # a submodule, not a re-export
+        if attr not in importlib.import_module(owner).__all__:
+            stray.append(f"{owner}.{attr}")
+    assert not stray, f"re-exported but not in the module's __all__: {stray}"

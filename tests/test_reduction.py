@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_stable_matrix
+from oracles import similarity_transform
 from tlbt import linalg
 from tlbt.errors import RankDeficientError
 from tlbt.gramians import (
@@ -11,7 +12,7 @@ from tlbt.gramians import (
     gramian_timelimited_dense,
 )
 from tlbt.reduction import (
-    hankel_sv,
+    balance,
     hinf_error_bound,
     numerical_rank,
     reduce,
@@ -20,7 +21,7 @@ from tlbt.reduction import (
     transfer_eval,
 )
 from tlbt.synthetic import make_synthetic
-from tlbt.systems import StandardSystem, similarity_transform
+from tlbt.systems import StandardSystem
 
 SCALAR = StandardSystem(np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]]))
 
@@ -135,14 +136,17 @@ def test_biorthogonality_all_modes():
 
 
 def test_hankel_scalar():
-    z = np.array([[np.sqrt(0.5)]])
-    report = hankel_sv(z, z)
-    assert abs(report.values[0] - 0.5) < 1e-14
+    hsv = balance(SCALAR, "bt", method="dense").hsv
+    assert abs(hsv[0] - 0.5) < 1e-14
 
 
 def test_hankel_zero_factor():
-    report = hankel_sv(np.zeros((4, 2)), np.ones((4, 3)))
-    assert np.allclose(report.values, 0.0)
+    # no input reaches the state: the reachability factor is zero
+    s = StandardSystem(random_stable_matrix(4, np.random.default_rng(0)), np.zeros((4, 2)),
+                       np.ones((3, 4)))
+    hsv = balance(s, "bt", method="dense").hsv
+    assert np.allclose(hsv, 0.0)
+    assert hsv.size == 0  # a zero Gramian leaves no factor column
 
 
 def test_hankel_matches_product_eigenvalues(rng):
@@ -150,7 +154,7 @@ def test_hankel_matches_product_eigenvalues(rng):
     w = TimeWindow(t_e=2.0)
     p = gramian_timelimited_dense(s, w)
     q = gramian_timelimited_dense(s, w, "observability")
-    sig = hankel_sv(factor_psd(p), factor_psd(q)).values
+    sig = balance(s, "tlbt", w, method="dense").hsv
     lam = np.sort(np.linalg.eigvals(p @ q).real)[::-1]
     lam = np.sqrt(np.clip(lam, 0.0, None))[: sig.size]
     assert np.linalg.norm(sig - lam) <= 1e-8 * lam[0]
@@ -159,9 +163,9 @@ def test_hankel_matches_product_eigenvalues(rng):
 def test_hankel_invariance_under_similarity(rng):
     s = make_synthetic("random_stable", 20, 1, 1, seed=7)
     w = TimeWindow(t_e=1.5)
-    sig0 = hankel_sv(*exact_factors(s, w)).values
+    sig0 = balance(s, "tlbt", w, method="dense").hsv
     t = rng.standard_normal((20, 20)) + 4 * np.eye(20)
-    sig1 = hankel_sv(*exact_factors(similarity_transform(s, t), w)).values
+    sig1 = balance(similarity_transform(s, t), "tlbt", w, method="dense").hsv
     k = min(sig0.size, sig1.size)
     assert np.max(np.abs(sig0[:k] - sig1[:k])) <= 1e-8 * sig0[0]
 
@@ -190,7 +194,7 @@ def test_transfer_feedthrough_only():
 def test_sampled_hinf_bound_exact_factors(rng):
     s = make_synthetic("random_stable", 24, 2, 2, seed=8)
     z_p, z_q = exact_factors(s)
-    sig = hankel_sv(z_p, z_q).values
+    sig = balance(s, "bt", method="dense").hsv
     for r in (2, 6):
         rom = square_root_reduce(s, z_p, z_q, r)
         bound = hinf_error_bound(sig, r) + 1e-9 * sig[0]

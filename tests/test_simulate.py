@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 
 from conftest import random_descriptor
 from tlbt import linalg, simulate
-from tlbt.errors import GridMismatchError, SingularStepError, ZeroVectorError
+from tlbt.errors import GridMismatchError, SingularStepError
 from tlbt.gramians import TimeWindow
 from tlbt.reduction import reduce
 from tlbt.simulate import (
@@ -16,8 +16,6 @@ from tlbt.simulate import (
     impulse_input,
     impulse_response,
     implicit_midpoint,
-    mac,
-    mac_matrix,
     relative_error_series,
     step_input,
 )
@@ -142,32 +140,6 @@ def test_relative_error_grid_mismatch():
     yr = Trajectory(times=np.linspace(0, 2, 5), outputs=np.ones((5, 1)))
     with pytest.raises(GridMismatchError):
         relative_error_series(y, yr)
-
-
-def test_mac_self_is_one(rng):
-    x = rng.standard_normal(7)
-    assert abs(mac(x, x) - 1.0) < 1e-14
-
-
-def test_mac_orthogonal_zero():
-    assert mac(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-
-def test_mac_direct_formula():
-    assert abs(mac(np.array([1.0, 1.0]), np.array([1.0, 0.0])) - 0.5) < 1e-15
-
-
-def test_mac_zero_vector_rejected():
-    with pytest.raises(ZeroVectorError):
-        mac(np.zeros(3), np.ones(3))
-
-
-def test_mac_matrix_shape(rng):
-    x = rng.standard_normal((6, 3))
-    y = rng.standard_normal((6, 2))
-    m = mac_matrix(x, y)
-    assert m.shape == (3, 2)
-    assert np.all((0 <= m) & (m <= 1 + 1e-12))
 
 
 def test_half_decay_time_scalar():

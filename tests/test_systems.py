@@ -7,8 +7,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from conftest import random_descriptor
-from tlbt import linalg
-from tlbt.errors import NotSpdError, SingularShiftError, SingularTransformError
+from oracles import SingularTransformError, diagonalize, similarity_transform
+from tlbt.errors import SingularShiftError
 from tlbt.reduction import transfer_at
 from tlbt.synthetic import make_synthetic
 from tlbt.systems import (
@@ -17,11 +17,8 @@ from tlbt.systems import (
     StandardSystem,
     _factor,
     alpha_shift,
-    cholesky_transform,
-    diagonalize,
     eliminate_descriptor,
     shifted_solve,
-    similarity_transform,
     spectral_abscissa,
 )
 
@@ -124,54 +121,6 @@ def test_shifted_solve_singular_shift():
         shifted_solve(s, -1.0, np.ones(1))
 
 
-def test_cholesky_identity_unchanged(rng):
-    a = rng.standard_normal((4, 4))
-    g = GeneralizedSystem(np.eye(4), a, rng.standard_normal((4, 1)), rng.standard_normal((1, 4)))
-    ct = cholesky_transform(g)
-    assert np.allclose(ct.system.A, a)
-    assert np.allclose(ct.L, np.eye(4))
-
-
-def test_cholesky_scalar():
-    g = GeneralizedSystem(
-        np.array([[4.0]]), np.array([[-2.0]]), np.array([[3.0]]), np.array([[5.0]])
-    )
-    ct = cholesky_transform(g)
-    assert np.allclose(ct.system.A, [[-0.5]])
-    assert np.allclose(ct.system.B, [[1.5]])
-    assert np.allclose(ct.system.C, [[2.5]])
-
-
-def test_cholesky_not_spd():
-    g = GeneralizedSystem(-np.eye(2), -np.eye(2), np.ones((2, 1)), np.ones((1, 2)))
-    with pytest.raises(NotSpdError):
-        cholesky_transform(g)
-
-
-def test_cholesky_generalized_lyapunov_residual(rng):
-    # L^{-T} P_std L^{-1} solves A P M^T + M P A^T = -B B^T
-    n = 5
-    w = rng.standard_normal((n, n))
-    m = w @ w.T + n * np.eye(n)
-    a = rng.standard_normal((n, n)) - 3 * np.eye(n)
-    b = rng.standard_normal((n, 2))
-    g = GeneralizedSystem(m, a, b, rng.standard_normal((1, n)), spd=True)
-    ct = cholesky_transform(g)
-    p_std = linalg.lyap_dense(ct.system.A, ct.system.B @ ct.system.B.T)
-    p_gen = ct.map_factor(ct.map_factor(p_std).T)  # L^{-T} P L^{-1}
-    res = a @ p_gen @ m.T + m @ p_gen @ a.T + b @ b.T
-    assert np.linalg.norm(res) <= 1e-9 * np.linalg.norm(b @ b.T)
-
-
-def test_cholesky_transfer_preserved(rng):
-    g = make_synthetic("heat_like", 30, 2, 2, seed=6)
-    ct = cholesky_transform(g)
-    for s in 1j * np.geomspace(0.1, 1e3, 6):
-        h_gen = transfer_at(g, s)
-        h_std = transfer_at(ct.system, s)
-        assert np.linalg.norm(h_gen - h_std) <= 1e-9 * max(np.linalg.norm(h_gen), 1e-30)
-
-
 def test_similarity_identity(rng):
     s = make_synthetic("random_stable", 6, 1, 1, seed=0)
     out = similarity_transform(s, np.eye(6))
@@ -199,6 +148,26 @@ def test_similarity_singular_transform():
     s = StandardSystem(np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]]))
     with pytest.raises(SingularTransformError):
         similarity_transform(s, np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["M", "A", "B", "C", "D"])
+def test_generalized_system_refuses_non_finite_dense_input(name, bad):
+    mats = {"M": np.eye(2), "A": -np.eye(2), "B": np.ones((2, 1)), "C": np.ones((1, 2)),
+            "D": np.zeros((1, 1))}
+    mats[name] = mats[name].copy()
+    mats[name][0, 0] = bad
+    with pytest.raises(ValueError, match=f"{name} contains non-finite entries"):
+        GeneralizedSystem(**mats)
+    if name != "M":
+        del mats["M"]
+        with pytest.raises(ValueError, match=f"{name} contains non-finite entries"):
+            StandardSystem(**mats)
+
+
+def test_generalized_system_checks_feedthrough_shape():
+    with pytest.raises(ValueError, match="D must be p x m"):
+        GeneralizedSystem(np.eye(2), -np.eye(2), np.ones((2, 1)), np.ones((1, 2)), D=np.ones((2, 2)))
 
 
 def test_spectral_abscissa_diagonal():
