@@ -39,6 +39,7 @@ from .systems import (
     GeneralizedSystem,
     StandardSystem,
     _dense,
+    _dense_standard,
     _factor,
     eliminate_descriptor,
     shifted_solve,
@@ -558,9 +559,14 @@ def _stability_checked(sys, check=True):
 
 
 def _require_stable(sys):
+    """Raise UnstableSystemError unless ``sys`` is verified stable.
+
+    A dense standard system is verified at any size from the Schur form its
+    shifted solves need anyway; other systems only up to the dense threshold.
+    """
     if _VERIFIED.get() is sys:
         return
-    if _order(sys) > dense_threshold():
+    if _order(sys) > dense_threshold() and not _dense_standard(sys):
         warnings.warn("system too large for dense stability verification; "
                       "proceeding unverified", stacklevel=3)
         return

@@ -3,9 +3,10 @@
 Thin, contract-checked wrappers around LAPACK-backed routines (SVD,
 eigensolvers, matrix exponential, Bartels-Stewart Lyapunov solve) plus a
 block Gram-Schmidt with reorthogonalization used for incremental basis
-growth. The LU factorization behind shifted solves lives in
-:mod:`tlbt.systems`. Everything operates on plain ndarrays; callers are expected to
-pass finite data (see :func:`check_finite`).
+growth. The factorizations behind shifted solves (a cached complex Schur
+form for dense standard systems, LU otherwise) live in :mod:`tlbt.systems`.
+Everything operates on plain ndarrays; callers are expected to pass finite
+data (see :func:`check_finite`).
 """
 
 import warnings

@@ -5,8 +5,10 @@ with nonsingular M, and semi-explicit index-one descriptor systems in
 block form. Matrices can be dense ndarrays or scipy.sparse matrices;
 dense ones must be finite. Descriptor block elimination is exposed both
 densely (small systems) and implicitly through actions and shifted
-solves, since the eliminated state matrix is dense in general. One LU
-factorization (``_factor``, sparse or dense) serves every shifted solve.
+solves, since the eliminated state matrix is dense in general. A dense
+standard system and its dual share one complex Schur form of A, computed
+on first use, for every shifted solve and for the spectrum; every other
+shifted solve factors its shifted matrix by LU (``_factor``).
 """
 
 import warnings
@@ -31,21 +33,13 @@ __all__ = [
 ]
 
 
-def _is_sparse(a):
-    return sp.issparse(a)
-
-
 def _dense(a):
-    return a.toarray() if _is_sparse(a) else np.asarray(a, dtype=float)
-
-
-def _shape(a):
-    return a.shape
+    return a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
 
 
 def _finite(a, name):
     """Dense ``a`` as a finite float array of at least two dimensions; sparse as given."""
-    if _is_sparse(a):
+    if sp.issparse(a):
         return a
     return linalg.check_finite(np.atleast_2d(np.asarray(a, dtype=float)), name)
 
@@ -55,7 +49,7 @@ def _normalize(sys, *square):
 
     ``square`` names the state matrices; D defaults to zeros and must be p x m.
     """
-    if _shape(sys.B)[0] != sys.n or _shape(sys.C)[1] != sys.n:
+    if sys.B.shape[0] != sys.n or sys.C.shape[1] != sys.n:
         raise ValueError("B/C dimensions inconsistent with A")
     for name in square + ("B", "C"):
         setattr(sys, name, _finite(getattr(sys, name), name))
@@ -72,28 +66,42 @@ class StandardSystem:
     B: object
     C: object
     D: object = None
+    # [T, Z, ||A||_1, ||A||_inf] of the primal once computed, shared with the dual
+    _schur: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _dual: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n, n2 = _shape(self.A)
+        n, n2 = self.A.shape
         if n != n2:
             raise ValueError("A must be square")
         _normalize(self, "A")
 
     @property
     def n(self):
-        return _shape(self.A)[0]
+        return self.A.shape[0]
 
     @property
     def m(self):
-        return _shape(self.B)[1]
+        return self.B.shape[1]
 
     @property
     def p(self):
-        return _shape(self.C)[0]
+        return self.C.shape[0]
 
     def transposed(self):
-        """Dual system (A^T, C^T, B^T); swaps reachability and observability."""
-        return StandardSystem(self.A.T, _dense(self.C).T, _dense(self.B).T, self.D.T)
+        """Dual system (A^T, C^T, B^T), sharing the Schur form; swaps the Gramians."""
+        dual = StandardSystem(self.A.T, _dense(self.C).T, _dense(self.B).T, self.D.T)
+        dual._schur, dual._dual = self._schur, not self._dual
+        return dual
+
+    def _schur_form(self):
+        """``(T, Z, ||A||_1)``, the primal's ``A = Z T Z^H``; a dual's ``A^T = conj(Z) T^T Z^T``."""
+        if not self._schur:
+            a = self.A.T if self._dual else self.A
+            norms = np.linalg.norm(a, 1), np.linalg.norm(a, np.inf)
+            self._schur += [*sla.schur(a, output="complex"), *norms]
+        t, z, norm_1, norm_inf = self._schur
+        return t, z, norm_inf if self._dual else norm_1
 
 
 @dataclass
@@ -113,22 +121,22 @@ class GeneralizedSystem:
     spd: bool = False
 
     def __post_init__(self):
-        n, n2 = _shape(self.M)
-        if n != n2 or _shape(self.A) != (n, n):
+        n, n2 = self.M.shape
+        if n != n2 or self.A.shape != (n, n):
             raise ValueError("M and A must be square of equal size")
         _normalize(self, "M", "A")
 
     @property
     def n(self):
-        return _shape(self.A)[0]
+        return self.A.shape[0]
 
     @property
     def m(self):
-        return _shape(self.B)[1]
+        return self.B.shape[1]
 
     @property
     def p(self):
-        return _shape(self.C)[0]
+        return self.C.shape[0]
 
     def transposed(self):
         return GeneralizedSystem(
@@ -154,34 +162,35 @@ class DescriptorIndex1:
     C1: object
     C2: object
     _a4_solve: object = field(default=None, repr=False, compare=False)
+    _assembled: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nf = _shape(self.A1)[0]
-        na = _shape(self.A4)[0]
-        if _shape(self.M1) != (nf, nf) or _shape(self.A1) != (nf, nf):
+        nf = self.A1.shape[0]
+        na = self.A4.shape[0]
+        if self.M1.shape != (nf, nf) or self.A1.shape != (nf, nf):
             raise ValueError("M1/A1 must be n_f x n_f")
-        if _shape(self.A2) != (nf, na) or _shape(self.A3) != (na, nf) or _shape(self.A4) != (na, na):
+        if self.A2.shape != (nf, na) or self.A3.shape != (na, nf) or self.A4.shape != (na, na):
             raise ValueError("off-diagonal blocks inconsistent")
-        if _shape(self.B1)[0] != nf or _shape(self.B2)[0] != na:
+        if self.B1.shape[0] != nf or self.B2.shape[0] != na:
             raise ValueError("B blocks inconsistent")
-        if _shape(self.C1)[1] != nf or _shape(self.C2)[1] != na:
+        if self.C1.shape[1] != nf or self.C2.shape[1] != na:
             raise ValueError("C blocks inconsistent")
 
     @property
     def n_f(self):
-        return _shape(self.A1)[0]
+        return self.A1.shape[0]
 
     @property
     def n(self):
-        return self.n_f + _shape(self.A4)[0]
+        return self.n_f + self.A4.shape[0]
 
     @property
     def m(self):
-        return _shape(self.B1)[1]
+        return self.B1.shape[1]
 
     @property
     def p(self):
-        return _shape(self.C1)[0]
+        return self.C1.shape[0]
 
     def transposed(self):
         return DescriptorIndex1(
@@ -201,7 +210,12 @@ class DescriptorIndex1:
         return self.A1 @ v - self.A2 @ self.a4_solve(self.A3 @ v)
 
     def assemble(self):
-        """Full (M, A, B, C) matrices of the blocked pencil (sparse)."""
+        """Full (M, A, B, C) matrices of the blocked pencil (sparse), built once."""
+        if self._assembled is None:
+            self._assembled = self._assemble()
+        return self._assembled
+
+    def _assemble(self):
         nf, na = self.n_f, self.n - self.n_f
         m_full = sp.bmat(
             [[sp.csc_matrix(self.M1), None], [None, sp.csc_matrix((na, na))]], format="csc"
@@ -248,7 +262,7 @@ def _factor(mat, err=SingularShiftError, checked=True):
     ``checked`` is false. A closure must never refer to itself: the cycle
     would keep its factorization alive until the cyclic GC runs.
     """
-    if _is_sparse(mat):
+    if sp.issparse(mat):
         try:
             lu = spla.splu(sp.csc_matrix(mat))
         except RuntimeError as exc:
@@ -278,13 +292,42 @@ def _factor(mat, err=SingularShiftError, checked=True):
     return solve
 
 
+def _dense_standard(sys):
+    """True for a standard system with dense A, whose solves use its Schur form."""
+    return isinstance(sys, StandardSystem) and not sp.issparse(sys.A)
+
+
+def _schur_solve(sys, s, rhs):
+    """``Z (T - s I)^{-1} Z^H rhs``, or ``conj(Z) (T - s I)^{-T} Z^T rhs`` for a dual."""
+    t, z, norm = sys._schur_form()
+    diag = t.diagonal() - s
+    if np.min(np.abs(diag)) <= np.finfo(float).eps * (norm + abs(s)):
+        raise SingularShiftError("shift is numerically an eigenvalue")
+    shifted = t.copy(order="F")
+    np.fill_diagonal(shifted, diag)
+    trtrs, = sla.get_lapack_funcs(("trtrs",), (shifted,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if sys._dual:
+            u, _ = trtrs(shifted, z.T @ rhs, trans=1)
+            x = (z @ u.conj()).conj()
+        else:
+            u, _ = trtrs(shifted, (z.T @ rhs.conj()).conj())
+            x = z @ u
+    if not np.all(np.isfinite(x)):
+        raise SingularShiftError("shifted solve is not finite")
+    return x.real if np.isrealobj(s) and np.isrealobj(rhs) else x
+
+
 def shifted_solve(sys, s, w):
     """Solve the shifted system for the rational Krylov engine.
 
-    Standard: ``(A - s I) V = W``; generalized: ``(A - s M) V = W``;
-    descriptor: the sparse augmented system ``(A - s M)[V; Psi] = [W; 0]``
-    returning the leading ``n_f`` rows (equal to the dense eliminated
-    solve ``(A_hat - s M1)^{-1} W``).
+    Standard: ``(A - s I) V = W``, in O(n^2) through the cached Schur form
+    when A is dense; generalized: ``(A - s M) V = W``; descriptor: the sparse
+    augmented system ``(A - s M)[V; Psi] = [W; 0]`` returning the leading
+    ``n_f`` rows (equal to the dense eliminated solve ``(A_hat - s M1)^{-1} W``).
+    The others factor the shifted matrix by LU on every call. A real ``s``
+    with a real ``W`` gives a real ``V``; a shift on an eigenvalue raises
+    :class:`SingularShiftError`.
     """
     w = np.asarray(w)
     rhs = w if w.ndim == 2 else w[:, None]
@@ -298,34 +341,30 @@ def shifted_solve(sys, s, w):
     elif isinstance(sys, GeneralizedSystem):
         shifted = sys.A - s * sys.M
         out = _factor(shifted)(rhs)
+    elif _dense_standard(sys):
+        out = _schur_solve(sys, s, rhs)
     elif isinstance(sys, StandardSystem):
-        if _is_sparse(sys.A):
-            shifted = sys.A - s * sp.identity(sys.n, format="csc")
-        else:
-            shifted = sys.A - s * np.eye(sys.n)
-        out = _factor(shifted)(rhs)
+        out = _factor(sys.A - s * sp.identity(sys.n, format="csc"))(rhs)
     else:
         raise TypeError(f"unsupported system type {type(sys)!r}")
     return out if w.ndim == 2 else out[:, 0]
 
 
-def _state_matrix(obj):
-    """Dense effective state matrix of a system or raw square matrix."""
-    if isinstance(obj, DescriptorIndex1):
-        gen, _ = eliminate_descriptor(obj)
-        obj = gen
-    if isinstance(obj, GeneralizedSystem):
-        return np.linalg.solve(_dense(obj.M), _dense(obj.A))
-    if isinstance(obj, StandardSystem):
-        return _dense(obj.A)
-    return _dense(obj)
-
-
 def spectral_abscissa(obj):
-    """Largest real part of the (generalized) spectrum."""
-    a = _state_matrix(obj)
+    """Largest real part of the (generalized) spectrum of a system or square matrix.
+
+    A dense standard system reads it off the diagonal of its Schur form.
+    """
+    if isinstance(obj, DescriptorIndex1):
+        obj = eliminate_descriptor(obj)[0]
+    if isinstance(obj, GeneralizedSystem):
+        a = np.linalg.solve(_dense(obj.M), _dense(obj.A))
+    else:
+        a = _dense(obj.A if isinstance(obj, StandardSystem) else obj)
     if a.size == 0:
         return -np.inf
+    if _dense_standard(obj):
+        return float(np.max(obj._schur_form()[0].diagonal().real))
     return float(np.max(linalg.gen_eig(a, vectors=False).values.real))
 
 
@@ -336,7 +375,7 @@ def alpha_shift(sys, alpha):
     if isinstance(sys, GeneralizedSystem):
         return GeneralizedSystem(sys.M, sys.A - alpha * sys.M, sys.B, sys.C, sys.D, spd=sys.spd)
     if isinstance(sys, StandardSystem):
-        eye = sp.identity(sys.n, format="csc") if _is_sparse(sys.A) else np.eye(sys.n)
+        eye = sp.identity(sys.n, format="csc") if sp.issparse(sys.A) else np.eye(sys.n)
         return StandardSystem(sys.A - alpha * eye, sys.B, sys.C, sys.D)
     if isinstance(sys, DescriptorIndex1):
         return DescriptorIndex1(

@@ -5,8 +5,10 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+import scipy.linalg
 
 import tlbt.gramians
+import tlbt.linalg
 from conftest import random_descriptor
 from tlbt import mmio, schemas
 from tlbt.cli import main
@@ -351,10 +353,35 @@ def test_compare_picks_poles_once_per_side(tmp_path, monkeypatch):
         active[-1]["shifted_solves"] += 1
         return real(*args, **kwargs)
 
+    # one complex Schur form of A serves every mode and side, and the
+    # stability check reads its eigenvalues instead of calling gen_eig
+    forms, checks, verifying, eig_in_check = [], [], [], []
+
+    def spy_schur(a, output="real", real=scipy.linalg.schur, **kwargs):
+        if output == "complex":
+            forms.append(np.shape(a))
+        return real(a, output=output, **kwargs)
+
+    def spy_abscissa(sys, real=gram.spectral_abscissa):
+        checks.append(sys)
+        verifying.append(sys)
+        try:
+            return real(sys)
+        finally:
+            verifying.pop()
+
+    def spy_gen_eig(a, *args, real=tlbt.linalg.gen_eig, **kwargs):
+        if verifying:
+            eig_in_check.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
     for kind in ("infinite", "timelimited", "modified"):
         monkeypatch.setattr(gram, f"solve_{kind}_lowrank", spy_solver(kind))
     monkeypatch.setattr(gram, "adaptive_shift", spy_pick)
     monkeypatch.setattr(gram, "shifted_solve", spy_shifted_solve)
+    monkeypatch.setattr(scipy.linalg, "schur", spy_schur)
+    monkeypatch.setattr(gram, "spectral_abscissa", spy_abscissa)
+    monkeypatch.setattr(tlbt.linalg, "gen_eig", spy_gen_eig)
     rc = main(
         ["compare", "--synth", "weakly_damped", "--n", "60", "--m", "2", "--p", "2",
          "--seed", "1", "--mode", "bt", "--mode", "tlbt", "--mode", "mtlbt",
@@ -367,6 +394,8 @@ def test_compare_picks_poles_once_per_side(tmp_path, monkeypatch):
         # a complex pole and its conjugate share one solve
         implied = sum(1 for sh in shifts[1:] if np.imag(sh) >= 0)
         assert record["shifted_solves"] == implied, record["solve"]
+    assert forms == [(60, 60)]
+    assert len(checks) == 1 and eig_in_check == []
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -30,7 +32,7 @@ from tlbt.gramians import (
     solve_timelimited_lowrank,
 )
 from tlbt.synthetic import make_synthetic
-from tlbt.systems import StandardSystem
+from tlbt.systems import StandardSystem, alpha_shift, spectral_abscissa
 
 SCALAR = StandardSystem(np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]]))
 
@@ -700,6 +702,21 @@ def test_unstable_system_refused_by_every_solver(solve):
     args = (s,) if solve is solve_infinite_lowrank else (s, TimeWindow(t_e=1.0))
     with pytest.warns(UserWarning), pytest.raises(UnstableSystemError):
         solve(*args)
+
+
+def test_dense_standard_stability_verified_above_dense_threshold(monkeypatch):
+    # the Schur form that serves the shifted solves also gives the verdict,
+    # so a dense standard system is verified at any size
+    monkeypatch.setenv("TLBT_DENSE_THRESHOLD", "10")
+    s = make_synthetic("random_stable", 40, 2, 2, seed=1)
+    unstable = alpha_shift(s, spectral_abscissa(s) - 0.5)
+    with pytest.warns(UserWarning, match="not asymptotically stable"):
+        with pytest.raises(UnstableSystemError):
+            solve_infinite_lowrank(unstable)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solve_infinite_lowrank(s)
+    assert not [w for w in caught if "unverified" in str(w.message)]
 
 
 def test_unstable_system_refused_by_reduce_and_balance_modes():

@@ -115,10 +115,91 @@ def test_shifted_solve_descriptor_vs_elimination(rng):
         assert np.linalg.norm(v_aug - v_dense) <= 1e-9 * np.linalg.norm(v_dense)
 
 
-def test_shifted_solve_singular_shift():
-    s = StandardSystem(np.array([[-1.0]]), np.ones((1, 1)), np.ones((1, 1)))
-    with pytest.raises(SingularShiftError):
-        shifted_solve(s, -1.0, np.ones(1))
+@pytest.mark.parametrize(
+    "a, shift, scale",
+    [
+        (np.array([[-1.0]]), -1.0, 1.0),
+        (np.diag([-1.0, -2.0, -3.0]), -2.0, 1.0),
+        # not singular to working precision, but the solution overflows
+        (np.diag([-1e-300, -2e-300]), 0.0, 1e10),
+    ],
+    ids=["scalar", "diag3", "overflow"],
+)
+def test_shifted_solve_singular_shift(a, shift, scale):
+    n = a.shape[0]
+    s = StandardSystem(a, np.ones((n, 1)), np.ones((1, n)))
+    for sys in (s, s.transposed()):
+        with pytest.raises(SingularShiftError):
+            shifted_solve(sys, shift, scale * np.ones(n))
+
+
+def _schur_forms(monkeypatch):
+    """Shapes of the complex Schur forms computed from now on."""
+    shapes, real = [], sla.schur
+
+    def spy(a, output="real", **kwargs):
+        if output == "complex":
+            shapes.append(np.shape(a))
+        return real(a, output=output, **kwargs)
+
+    monkeypatch.setattr(sla, "schur", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("kind", ["random_stable", "weakly_damped"])
+@pytest.mark.parametrize("form_first", [True, False], ids=["form_then_dual", "dual_then_form"])
+def test_schur_shifted_solve_matches_dense_solve(monkeypatch, rng, kind, form_first):
+    n = 60
+    s = make_synthetic(kind, n, 2, 2, seed=3)
+    forms = _schur_forms(monkeypatch)
+    if form_first:
+        spectral_abscissa(s)
+    dual = s.transposed()
+    systems = (s, dual) if form_first else (dual, s)
+    cases = [
+        rng.standard_normal(n),
+        rng.standard_normal((n, 3)),
+        rng.standard_normal(n) + 1j * rng.standard_normal(n),
+        rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)),
+    ]
+    for sys in systems:
+        for shift in (0.7, 0.4 + 1.3j, -0.05 - 2.0j):
+            for w in cases:
+                v = shifted_solve(sys, shift, w)
+                ref = np.linalg.solve(sys.A - shift * np.eye(n), w)
+                assert v.shape == w.shape
+                assert np.linalg.norm(v - ref) <= 1e-10 * np.linalg.norm(ref)
+                real = np.isrealobj(shift) and np.isrealobj(w)
+                assert v.dtype == (np.float64 if real else np.complex128)
+    # one form serves the system and its dual, whichever computed it
+    assert forms == [(n, n)]
+
+
+def test_schur_spectral_abscissa_matches_eigenvalues():
+    s = make_synthetic("weakly_damped", 60, 2, 2, seed=3)
+    ref = np.max(np.linalg.eigvals(s.A).real)
+    assert abs(spectral_abscissa(s.transposed()) - ref) <= 1e-10 * np.linalg.norm(s.A, 2)
+    assert abs(spectral_abscissa(s) - ref) <= 1e-10 * np.linalg.norm(s.A, 2)
+
+
+def test_descriptor_assembled_once_across_solves(monkeypatch, rng):
+    w = rng.standard_normal((20, 2))
+    shifts = (0.5, 2.0 + 1.3j, 0.5, 3.0)
+    # a fresh system per solve assembles its pencil afresh, as every solve used to
+    fresh = [shifted_solve(random_descriptor(20, 12, 2, 2, seed=9), s, w) for s in shifts]
+    fresh_h = transfer_at(random_descriptor(20, 12, 2, 2, seed=9), 1.5j)
+    built, real = [], sp.bmat
+
+    def spy(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "bmat", spy)
+    d = random_descriptor(20, 12, 2, 2, seed=9)
+    for s, ref in zip(shifts, fresh):
+        assert np.array_equal(shifted_solve(d, s, w), ref)
+    assert np.array_equal(transfer_at(d, 1.5j), fresh_h)
+    assert len(built) == 2  # M and A, once
 
 
 def test_similarity_identity(rng):
