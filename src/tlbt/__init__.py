@@ -7,9 +7,11 @@ The pipeline is rational Krylov Gramian factors
 
 - :mod:`tlbt.linalg`: dense kernels (SVD, eig, expm, Lyapunov, block
   Gram-Schmidt).
-- :mod:`tlbt.systems`: standard/generalized/descriptor representations,
-  the shifted solves (one LU routine), descriptor elimination, spectral
-  abscissa.
+- :mod:`tlbt.systems`: standard/generalized/descriptor representations
+  behind one interface (order, mass and its cached solve, action of A,
+  Krylov start block, first-order form, cached dual), the shifted solves
+  (a cached Schur form for dense standard systems, LU otherwise),
+  descriptor elimination, spectral abscissa.
 - :mod:`tlbt.gramians`: dense and low-rank (rational Krylov) Gramian
   solvers, infinite / time-limited / stability-preserving modified, and
   ``mode_gramians``, which picks each side's poles once across modes.

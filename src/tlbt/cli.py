@@ -240,13 +240,8 @@ def cmd_reduce(args):
 def cmd_simulate(args):
     out = _out_dir(args)
     sys_obj, name = _load_system(args)
-    m = sys_obj.m
     tf = args.tf if args.tf is not None else (args.te or 1.0)
-    u = _input_signal(args, m)
-    if args.input == "impulse":
-        traj = simulate.impulse_response(sys_obj, dt=args.dt, t_f=tf)
-    else:
-        traj = simulate.implicit_midpoint(sys_obj, u, None, args.dt, tf)
+    traj = simulate.implicit_midpoint(sys_obj, _input_signal(args, sys_obj.m), None, args.dt, tf)
     cols = [f"y{j + 1}" for j in range(traj.outputs.shape[1])]
     norms = traj.output_norms()
     _write_csv(
@@ -274,10 +269,7 @@ def cmd_compare(args):
     cfg = _config(args)
     tf = args.tf if args.tf is not None else args.te
     u = _input_signal(args, sys_obj.m)
-    if args.input == "impulse":
-        ref = simulate.impulse_response(sys_obj, dt=args.dt, t_f=tf)
-    else:
-        ref = simulate.implicit_midpoint(sys_obj, u, None, args.dt, tf)
+    ref = simulate.implicit_midpoint(sys_obj, u, None, args.dt, tf)
 
     orders = sorted(args.order)
     table = []
@@ -286,10 +278,7 @@ def cmd_compare(args):
     for mode, bal in zip(args.mode, balances):
         for r in orders:
             rom = bal.truncate(r)
-            if args.input == "impulse":
-                red = simulate.impulse_response(rom, dt=args.dt, t_f=tf)
-            else:
-                red = simulate.implicit_midpoint(rom, u, None, args.dt, tf)
+            red = simulate.implicit_midpoint(rom, u, None, args.dt, tf)
             err, e_max = simulate.relative_error_series(ref, red, window)
             _write_csv(
                 out / f"{name}_error_t_{mode}_r{r}.csv",

@@ -34,17 +34,7 @@ from .errors import (
     SpectrumConflictError,
     UnstableSystemError,
 )
-from .systems import (
-    DescriptorIndex1,
-    GeneralizedSystem,
-    StandardSystem,
-    _dense,
-    _dense_standard,
-    _factor,
-    eliminate_descriptor,
-    shifted_solve,
-    spectral_abscissa,
-)
+from .systems import _dense, _dense_standard, shifted_solve, spectral_abscissa
 
 __all__ = [
     "TimeWindow",
@@ -164,7 +154,7 @@ class LowRankGramian:
 
 
 def _reach_form(sys, side):
-    """System whose reachability Gramian is the requested one."""
+    """System whose reachability Gramian is the requested one (the cached dual)."""
     if side == "reachability":
         return sys
     if side == "observability":
@@ -172,24 +162,16 @@ def _reach_form(sys, side):
     raise ValueError(f"side must be reachability|observability, got {side!r}")
 
 
-def _order(sys):
-    """State dimension the solvers work in (n_f for descriptors)."""
-    return sys.n_f if isinstance(sys, DescriptorIndex1) else sys.n
-
-
 def _dense_state_input(sys):
-    """Dense (A, B) of the equivalent standard-form system; refused above the threshold."""
-    n, lim = _order(sys), dense_threshold()
+    """Dense (M^{-1} A, M^{-1} B) of the first-order form; refused above the threshold."""
+    n, lim = sys.order, dense_threshold()
     if n > lim:
         raise ValueError(f"dense Gramian path refused for n={n} > threshold {lim}")
-    if isinstance(sys, DescriptorIndex1):
-        sys, _ = eliminate_descriptor(sys)
-    if isinstance(sys, GeneralizedSystem):
-        m = _dense(sys.M)
-        a = np.linalg.solve(m, _dense(sys.A))
-        b = np.linalg.solve(m, _dense(sys.B))
-        return a, b
-    return _dense(sys.A), _dense(sys.B)
+    sys = sys.first_order()
+    if sys.mass is None:
+        return _dense(sys.A), _dense(sys.B)
+    m = _dense(sys.mass)
+    return np.linalg.solve(m, _dense(sys.A)), np.linalg.solve(m, _dense(sys.B))
 
 
 def gramian_infinite_dense(sys, side="reachability"):
@@ -249,48 +231,7 @@ def factor_psd(p, trunc_tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# the pencil operator
-
-
-class _Pencil:
-    """Engine view of ``M x' = A x + B u``: the operator M^{-1} A and its start block.
-
-    ``apply_a`` is the action of A (the Schur complement A1 - A2 A4^{-1} A3
-    for descriptors, whose mass is M1); ``mass`` is None for standard
-    systems. Shifted solves go through the pencil,
-    (M^{-1} A - s I)^{-1} v = (A - s M)^{-1} M v, so the basis, and with it
-    the Gramian factor, lives in the original coordinates.
-    """
-
-    def __init__(self, sys):
-        self.sys = sys
-        if isinstance(sys, DescriptorIndex1):
-            self.n, self.mass = sys.n_f, sys.M1
-            self.apply_a = lambda v: np.asarray(sys.schur_apply(v))
-            b = _dense(sys.B1) - sys.A2 @ sys.a4_solve(_dense(sys.B2))
-        elif isinstance(sys, (GeneralizedSystem, StandardSystem)):
-            self.n = sys.n
-            self.mass = sys.M if isinstance(sys, GeneralizedSystem) else None
-            self.apply_a = lambda v: sys.A @ v
-            b = _dense(sys.B)
-        else:
-            raise TypeError(f"unsupported system type {type(sys)!r}")
-        self.m = sys.m
-        if self.mass is None:
-            self.b0 = b
-        else:
-            self._msolve = _factor(self.mass, err=SingularShiftError)
-            self.b0 = self._msolve(np.asarray(b))
-
-    def mass_apply(self, v):
-        return v if self.mass is None else self.mass @ v
-
-    def matvec(self, v):
-        av = self.apply_a(v)
-        return av if self.mass is None else self._msolve(av)
-
-    def resolve(self, s, v):
-        return shifted_solve(self.sys, s, self.mass_apply(v))
+# the rational Arnoldi basis
 
 
 def _widen(a, rows, cols):
@@ -309,12 +250,13 @@ class _Basis(KrylovWorkspace):
     columns are orthogonalized by block CGS2, H is bordered with their rows
     and columns, and b_proj with zero rows (B lies in the start block).
     With a mass matrix the QR factors Q_M R_M of M Q are bordered with the
-    columns added since the previous residual evaluation.
+    columns added since the previous residual evaluation. ``sys`` supplies
+    the pencil (A, M) through the system interface (``apply_a``, ``mass``).
     """
 
-    def __init__(self, op, b):
-        super().__init__(np.zeros((op.n, 0)), np.zeros((0, 0)), np.zeros((0, b.shape[1])), [np.inf])
-        self.op, self._bp, self._qr_dim = op, self.b_proj, 0
+    def __init__(self, sys, b):
+        super().__init__(np.zeros((sys.order, 0)), np.zeros((0, 0)), np.zeros((0, sys.m)), [np.inf])
+        self.sys, self._bp, self._qr_dim = sys, self.b_proj, 0
         self._q = self._aq = self._qm = self.q
         self._h = self._rm = self.h
         self.extend(b)
@@ -325,18 +267,18 @@ class _Basis(KrylovWorkspace):
 
     def extend(self, v):
         """Append the part of ``v`` outside ``range(Q)``; returns the columns added."""
-        d, n = self.dim, self.op.n
+        d, n = self.dim, self.sys.order
         if d + v.shape[1] > self._q.shape[1]:
             cap = max(d + v.shape[1], min(2 * self._q.shape[1], n))
             self._q, self._aq = _widen(self._q, n, cap), _widen(self._aq, n, cap)
             self._h, self._bp = _widen(self._h, cap, cap), _widen(self._bp, cap, self.m)
-            if self.op.mass is not None:
+            if self.sys.mass is not None:
                 self._qm, self._rm = _widen(self._qm, n, cap), _widen(self._rm, cap, cap)
         e = d + linalg.orthonormal_extend(self._q, d, v)
         if e == d:
             return 0
         aq, new = self._aq, self._q[:, d:e]
-        aq[:, d:e] = self.op.matvec(new)
+        aq[:, d:e] = self.sys.mass_solve(self.sys.apply_a(new))
         self._h[:e, d:e] = self._q[:, :e].T @ aq[:, d:e]
         self._h[d:e, :d] = new.T @ aq[:, :d]
         self.q, self.h, self.b_proj = self._q[:, :e], self._h[:e, :e], self._bp[:e]
@@ -344,7 +286,7 @@ class _Basis(KrylovWorkspace):
 
     def _mass_qr_columns(self, v, d):
         """Columns of Q_M and R_M that append M v to the QR factors of M Q[:, :d] (CGS2)."""
-        qm, w, c = self._qm[:, :d], np.asarray(self.op.mass_apply(v)), 0.0
+        qm, w, c = self._qm[:, :d], np.asarray(self.sys.mass_apply(v)), 0.0
         for _ in range(2):
             step = qm.T @ w
             w, c = w - qm @ step, c + step
@@ -368,7 +310,7 @@ class _Basis(KrylovWorkspace):
         f = aq[:, : self.m0] - q @ h[:, : self.m0]
         u = np.linalg.qr(f - q @ (q.T @ f))[0]
         cy = (u.T @ aq - (u.T @ q) @ h) @ y
-        if self.op.mass is None:
+        if self.sys.mass is None:
             num, den = np.linalg.norm(cy, 2), np.linalg.norm(w, 2)
         else:
             k, self._qr_dim = self._qr_dim, d
@@ -566,7 +508,7 @@ def _require_stable(sys):
     """
     if _VERIFIED.get() is sys:
         return
-    if _order(sys) > dense_threshold() and not _dense_standard(sys):
+    if sys.order > dense_threshold() and not _dense_standard(sys):
         warnings.warn("system too large for dense stability verification; "
                       "proceeding unverified", stacklevel=3)
         return
@@ -593,10 +535,10 @@ def _solve_lowrank(sys, window, cfg, mode, side, poles=None):
     poles = poles or ()
     _require_stable(sys)
     t0 = time.perf_counter()
-    op = _Pencil(_reach_form(sys, side))
-    n, m = op.n, op.m
-    b = np.atleast_2d(op.b0.astype(float))
-    ws = _Basis(op, b)
+    form = _reach_form(sys, side)
+    n, m = form.order, form.m
+    b = np.atleast_2d(form.mass_solve(form.start_block()).astype(float))
+    ws = _Basis(form, b)
     max_dim = min(n, cfg.max_dim or 600)
     times = [("e", window.t_e)] + [("s", window.t_s)] * (window.t_s > 0) if window else []
     bnorm = np.linalg.norm(b)
@@ -655,13 +597,15 @@ def _solve_lowrank(sys, window, cfg, mode, side, poles=None):
                 # after a check the Ritz values come from the Schur form of H, solved
                 # or not: then the shifts never depend on the mode (see poles=)
                 ws.ritz = linalg._real_schur(ws.h)[2]
-        # grow the basis
+        # grow the basis by (M^{-1} A - s I)^{-1} v = (A - s M)^{-1} M v, so the
+        # basis, and with it the Gramian factor, lives in the original coordinates
         s = poles[len(ws.shifts)] if len(ws.shifts) < len(poles) else adaptive_shift(ws)
+        mv = form.mass_apply(ws.q[:, -m:])
         try:
-            g = op.resolve(s, ws.q[:, -m:])
+            g = shifted_solve(form, s, mv)
         except SingularShiftError:
             s = _perturbed(complex(s), max(abs(complex(s)), 1.0))
-            g = op.resolve(s, ws.q[:, -m:])  # second failure propagates
+            g = shifted_solve(form, s, mv)  # second failure propagates
         g = np.asarray(g)
         if np.iscomplexobj(g) and abs(np.imag(complex(s))) > 0:
             new = [complex(s), np.conj(complex(s))]

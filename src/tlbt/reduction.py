@@ -16,14 +16,7 @@ import numpy as np
 from . import linalg
 from .errors import RankDeficientError, SingularShiftError
 from .gramians import MODES, LowRankGramian, TimeWindow, factor_psd, mode_gramians
-from .systems import (
-    DescriptorIndex1,
-    GeneralizedSystem,
-    StandardSystem,
-    _dense,
-    _factor,
-    eliminate_descriptor,
-)
+from .systems import DescriptorIndex1, StandardSystem, _dense, _factor
 
 __all__ = [
     "ReducedModel",
@@ -99,13 +92,6 @@ class Balancing:
         return rom
 
 
-def _factor_svd(sys, z_p, z_q):
-    """Thin SVD (u, s, v) of Z_Q^T M Z_P, with M = I for standard systems."""
-    if isinstance(sys, GeneralizedSystem):
-        return linalg.svd(z_q.T @ (sys.M @ z_p))
-    return linalg.svd(z_q.T @ z_p)
-
-
 def square_root_reduce(sys, z_p, z_q, r, svd=None):
     """Balance-and-truncate to order r from Gramian factors.
 
@@ -119,7 +105,7 @@ def square_root_reduce(sys, z_p, z_q, r, svd=None):
         raise TypeError("reduce descriptor systems through their eliminated form")
     z_p = np.atleast_2d(z_p)
     z_q = np.atleast_2d(z_q)
-    u, sig, v = svd if svd is not None else _factor_svd(sys, z_p, z_q)
+    u, sig, v = svd if svd is not None else linalg.svd(z_q.T @ sys.mass_apply(z_p))
     if r < 1 or r > sig.size:
         raise RankDeficientError(f"order {r} out of range for factor rank {sig.size}")
     if sig[r - 1] <= 1e-14 * sig[0]:
@@ -152,7 +138,8 @@ def balance(sys, mode, window=None, cfg=None, method="krylov"):
     ``method="krylov"`` uses the low-rank rational Krylov solver,
     ``"dense"`` exact dense Gramians (desk-scale systems, unstable
     admissible). Descriptor factors come from the implicit descriptor
-    path; the projection runs on the dense eliminated form (desk scale).
+    path; the projection runs on the first-order form, for a descriptor
+    its cached dense eliminated form (desk scale).
     """
     return next(balance_modes(sys, [mode], window, cfg, method))
 
@@ -167,7 +154,7 @@ def balance_modes(sys, modes, window=None, cfg=None, method="krylov"):
     """
     modes = [mode.lower() for mode in modes]
     gramians = mode_gramians(sys, modes, window, cfg, method)
-    work = eliminate_descriptor(sys)[0] if isinstance(sys, DescriptorIndex1) else sys
+    work = sys.first_order()
     for mode in modes:
         t0 = time.perf_counter()
         sides = next(gramians)
@@ -185,7 +172,7 @@ def balance_modes(sys, modes, window=None, cfg=None, method="krylov"):
             )
         info["t_gramians"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        u, hsv, v = _factor_svd(work, z_p, z_q)
+        u, hsv, v = linalg.svd(z_q.T @ work.mass_apply(z_p))
         yield Balancing(
             work, z_p, z_q, u, hsv, v, mode, window, info, time.perf_counter() - t0
         )
@@ -234,14 +221,10 @@ def transfer_at(obj, s):
         m_full, a_full, b_full, c_full = obj.assemble()
         sol = _factor((s * m_full - a_full).tocsc())(b_full.astype(complex))
         return c_full @ sol
-    if isinstance(obj, GeneralizedSystem):
-        lhs = s * _dense(obj.M) - _dense(obj.A)
-    elif isinstance(obj, StandardSystem):
-        if obj.n == 0:
-            return obj.D.astype(complex)
-        lhs = s * np.eye(obj.n) - _dense(obj.A)
-    else:
-        raise TypeError(f"unsupported system type {type(obj)!r}")
+    if obj.n == 0:
+        return obj.D.astype(complex)
+    mass = np.eye(obj.n) if obj.mass is None else _dense(obj.mass)
+    lhs = s * mass - _dense(obj.A)
     sol = _factor(lhs.astype(complex), err=SingularShiftError)(_dense(obj.B).astype(complex))
     return _dense(obj.C) @ sol + obj.D
 

@@ -1,13 +1,13 @@
 """Time-domain validation: implicit midpoint integration and error metrics.
 
 The integrator is the A-stable implicit midpoint rule with a fixed step.
-A system is converted to its integrable form once per call, the step
-matrix is factorized once, and each step is one matrix-vector product
-(CSR when sparse) and one LAPACK ``getrs`` or SuperLU solve, with one
-finiteness check after the loop. Impulse responses are computed by
-integrating the uncontrolled system from the initial state B v
-(M x0 = B v for generalized systems), never by sampling a delta on the
-grid; since the input is zero after t = 0, no input is sampled or
+It steps the system's first-order form (a descriptor's eliminated form is
+built once and cached on the system), factorizes the step matrix once,
+and each step is one matrix-vector product (CSR when sparse) and one
+LAPACK ``getrs`` or SuperLU solve, with one finiteness check after the
+loop. An impulse input u = delta(t) v is realized as the initial state
+x0 + M^{-1} B v of the uncontrolled system, never by sampling a delta on
+the grid; since the input is zero after t = 0, no input is sampled or
 multiplied through B and D in the loop.
 """
 
@@ -17,15 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import GridMismatchError, SingularMatrixError, SingularStepError
-from .systems import (
-    DescriptorIndex1,
-    GeneralizedSystem,
-    StandardSystem,
-    _dense,
-    _factor,
-    eliminate_descriptor,
-    spectral_abscissa,
-)
+from .systems import _dense, _factor, spectral_abscissa
 
 __all__ = [
     "Trajectory",
@@ -74,7 +66,7 @@ class InputSignal:
 
 
 def impulse_input(v=None):
-    """Impulse u(t) = delta(t) v; realized as x0 = B v by the integrator."""
+    """Impulse u(t) = delta(t) v (default v = ones); the integrator adds M^{-1} B v to x0."""
     return InputSignal(kind="impulse", vector=None if v is None else np.asarray(v, dtype=float))
 
 
@@ -87,49 +79,40 @@ def custom_input(fn):
     return InputSignal(kind="custom", fn=fn)
 
 
-def _simulatable(sys):
-    """(M or None, A, B, C, D) of the system in integrable form."""
-    if hasattr(sys, "to_system"):
-        sys = sys.to_system()
-    if isinstance(sys, DescriptorIndex1):
-        gen, _ = eliminate_descriptor(sys)
-        return _dense(gen.M), _dense(gen.A), gen.B, gen.C, gen.D
-    if isinstance(sys, GeneralizedSystem):
-        return sys.M, sys.A, _dense(sys.B), _dense(sys.C), sys.D
-    if isinstance(sys, StandardSystem):
-        return None, sys.A, _dense(sys.B), _dense(sys.C), sys.D
-    raise TypeError(f"unsupported system type {type(sys)!r}")
-
-
 def implicit_midpoint(sys, u, x0, dt, t_f, store_states=False):
     """Integrate M x' = A x + B u from x(0) = x0 with the midpoint rule.
 
     One step solves (M - dt/2 A) x_{k+1} = (M + dt/2 A) x_k + dt B u(t_k + dt/2);
     outputs are y_k = C x_k + D u(t_k). Second-order accurate,
-    unconditionally stable on stable linear systems.
+    unconditionally stable on stable linear systems. An impulse input
+    u = delta(t) v starts the uncontrolled system from x0 + M^{-1} B v;
+    from x0 = None it is :func:`impulse_response`.
     """
-    return _integrate(_simulatable(sys), u, x0, dt, t_f, store_states)
+    if u is not None and u.kind == "impulse" and x0 is None:
+        return impulse_response(sys, u.vector, dt, t_f, store_states)
+    return _integrate(sys, u, x0, dt, t_f, store_states)
 
 
 def impulse_response(sys, v=None, dt=1e-3, t_f=1.0, store_states=False):
     """Response to u(t) = delta(t) v (default v = ones): y(t) = C e^{At} B v."""
-    form = _simulatable(sys)
-    m_mat, _, b, _, _ = form
-    vv = np.ones(b.shape[1]) if v is None else np.asarray(v, dtype=float).reshape(b.shape[1])
-    rhs = b @ vv
-    if m_mat is None:
-        x0 = rhs
-    else:
-        x0 = _factor(m_mat, err=SingularMatrixError)(rhs)
-    return _integrate(form, impulse_input(vv), x0, dt, t_f, store_states)
+    return _integrate(sys, impulse_input(v), None, dt, t_f, store_states)
 
 
-def _integrate(form, u, x0, dt, t_f, store_states):
-    """Midpoint loop on the integrable form (M or None, A, B, C, D) of a system."""
+def _integrate(sys, u, x0, dt, t_f, store_states):
+    """Midpoint loop on the first-order form of ``sys`` (a reduced model as its system)."""
     if dt <= 0 or t_f <= 0:
         raise ValueError("dt and t_f must be positive")
-    m_mat, a, b, c, d = form
+    form = (sys.to_system() if hasattr(sys, "to_system") else sys).first_order()
+    a, b, c, d = form.A, _dense(form.B), _dense(form.C), form.D
     n, m = b.shape
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
+    if u is not None and u.kind == "impulse":
+        v = np.ones(m) if u.vector is None else u.vector.reshape(m)
+        kick = b @ v
+        if form.mass is not None:  # one solve per response: no LU kept on the system
+            kick = _factor(form.mass, err=SingularMatrixError)(kick)
+        x = kick if x0 is None else x + kick
+    m_mat = form.mass
     if m_mat is None:
         m_mat = sp.identity(n, format="csc") if sp.issparse(a) else np.eye(n)
     minus = m_mat - (dt / 2.0) * a
@@ -139,7 +122,6 @@ def _integrate(form, u, x0, dt, t_f, store_states):
     step_solve = _factor(minus, err=SingularStepError, checked=False)
     nsteps = int(np.ceil(t_f / dt - 1e-9))
     times = dt * np.arange(nsteps + 1)
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
     forced = u is not None and u.kind != "impulse"
     outputs = np.empty((nsteps + 1, c.shape[0]))
     states = np.empty((nsteps + 1, n)) if store_states else None

@@ -3,12 +3,24 @@
 Standard (A, B, C[, D]) systems, generalized (M, A, B, C[, D]) systems
 with nonsingular M, and semi-explicit index-one descriptor systems in
 block form. Matrices can be dense ndarrays or scipy.sparse matrices;
-dense ones must be finite. Descriptor block elimination is exposed both
-densely (small systems) and implicitly through actions and shifted
-solves, since the eliminated state matrix is dense in general. A dense
-standard system and its dual share one complex Schur form of A, computed
-on first use, for every shifted solve and for the spectrum; every other
-shifted solve factors its shifted matrix by LU (``_factor``).
+dense ones must be finite.
+
+The three types answer the solvers' questions alike, so no solver asks
+which type it holds: ``order`` is the dimension the solvers work in (n,
+or n_f for a descriptor); ``mass`` is M of the pencil (A, M) (None for
+M = I, M1 for a descriptor), with ``mass_apply`` and ``mass_solve``;
+``apply_a`` is the action of A (for a descriptor the Schur complement
+A1 - A2 A4^{-1} A3); ``start_block()`` is the Krylov start block (B, or
+B1 - A2 A4^{-1} B2); ``first_order()`` is the system as a standard or
+generalized one (a descriptor eliminated densely, for the dense routes,
+the balancing projection and the integrator); ``transposed()`` is the
+dual. Systems are not mutated after construction, so what they derive is
+built on first use and cached on them: the LU of M, the dual, a
+descriptor's A4 LU, block pencil and eliminated form, and the complex
+Schur form that a dense standard system shares with its dual for every
+shifted solve and for the spectrum. No cached object refers back to the
+system that holds it. Every other shifted solve factors its shifted
+matrix by LU (``_factor``).
 """
 
 import warnings
@@ -20,7 +32,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import linalg
-from .errors import SingularBlockError, SingularShiftError
+from .errors import SingularBlockError, SingularMatrixError, SingularShiftError
 
 __all__ = [
     "StandardSystem",
@@ -59,22 +71,12 @@ def _normalize(sys, *square):
 
 
 @dataclass
-class StandardSystem:
-    """State-space system ``x' = A x + B u``, ``y = C x + D u``."""
+class _System:
+    """The questions the solvers ask of a system (see the module docstring)."""
 
-    A: object
-    B: object
-    C: object
-    D: object = None
-    # [T, Z, ||A||_1, ||A||_inf] of the primal once computed, shared with the dual
-    _schur: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _dual: bool = field(default=False, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n, n2 = self.A.shape
-        if n != n2:
-            raise ValueError("A must be square")
-        _normalize(self, "A")
+    # derived data, built on first use
+    _transposed: object = field(default=None, init=False, repr=False, compare=False)
+    _mass_lu: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self):
@@ -88,24 +90,78 @@ class StandardSystem:
     def p(self):
         return self.C.shape[0]
 
+    @property
+    def order(self):
+        """State dimension the solvers work in."""
+        return self.n
+
+    def apply_a(self, v):
+        return self.A @ v
+
+    def start_block(self):
+        """Krylov start block: the input matrix of the first-order form, before M^{-1}."""
+        return _dense(self.B)
+
+    def first_order(self):
+        """The system as ``M x' = A x + B u`` (``M`` may be I)."""
+        return self
+
+    def mass_apply(self, v):
+        """``M v``; ``v`` itself when M = I."""
+        return v if self.mass is None else self.mass @ v
+
+    def mass_solve(self, rhs):
+        """``M^{-1} rhs`` from one cached LU of M; ``rhs`` itself when M = I."""
+        if self.mass is None:
+            return rhs
+        if self._mass_lu is None:
+            self._mass_lu = _factor(self.mass, err=SingularMatrixError)
+        return self._mass_lu(np.asarray(rhs))
+
     def transposed(self):
-        """Dual system (A^T, C^T, B^T), sharing the Schur form; swaps the Gramians."""
+        """The dual system, built once; it swaps the Gramians."""
+        if self._transposed is None:
+            self._transposed = self._dual()
+        return self._transposed
+
+
+@dataclass
+class StandardSystem(_System):
+    """State-space system ``x' = A x + B u``, ``y = C x + D u``."""
+
+    A: object
+    B: object
+    C: object
+    D: object = None
+    # [T, Z, ||A||_1, ||A||_inf] of the primal once computed, shared with the dual
+    _schur: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _is_dual: bool = field(default=False, init=False, repr=False, compare=False)
+    mass = None
+
+    def __post_init__(self):
+        n, n2 = self.A.shape
+        if n != n2:
+            raise ValueError("A must be square")
+        _normalize(self, "A")
+
+    def _dual(self):
+        """(A^T, C^T, B^T), sharing the Schur form."""
         dual = StandardSystem(self.A.T, _dense(self.C).T, _dense(self.B).T, self.D.T)
-        dual._schur, dual._dual = self._schur, not self._dual
+        dual._schur, dual._is_dual = self._schur, not self._is_dual
         return dual
 
     def _schur_form(self):
         """``(T, Z, ||A||_1)``, the primal's ``A = Z T Z^H``; a dual's ``A^T = conj(Z) T^T Z^T``."""
         if not self._schur:
-            a = self.A.T if self._dual else self.A
+            a = self.A.T if self._is_dual else self.A
             norms = np.linalg.norm(a, 1), np.linalg.norm(a, np.inf)
             self._schur += [*sla.schur(a, output="complex"), *norms]
         t, z, norm_1, norm_inf = self._schur
-        return t, z, norm_inf if self._dual else norm_1
+        return t, z, norm_inf if self._is_dual else norm_1
 
 
 @dataclass
-class GeneralizedSystem:
+class GeneralizedSystem(_System):
     """Generalized state-space system ``M x' = A x + B u``, ``y = C x + D u``.
 
     ``spd`` flags M as symmetric positive definite. It is kept as given
@@ -127,29 +183,23 @@ class GeneralizedSystem:
         _normalize(self, "M", "A")
 
     @property
-    def n(self):
-        return self.A.shape[0]
+    def mass(self):
+        return self.M
 
-    @property
-    def m(self):
-        return self.B.shape[1]
-
-    @property
-    def p(self):
-        return self.C.shape[0]
-
-    def transposed(self):
+    def _dual(self):
         return GeneralizedSystem(
             self.M.T, self.A.T, _dense(self.C).T, _dense(self.B).T, self.D.T, spd=self.spd
         )
 
 
 @dataclass
-class DescriptorIndex1:
+class DescriptorIndex1(_System):
     """Semi-explicit index-one descriptor system in block form.
 
     ``M = [[M1, 0], [0, 0]]``, ``A = [[A1, A2], [A3, A4]]`` with M1 and A4
-    nonsingular; B, C split conformably. ``n_f`` differential states.
+    nonsingular; B, C split conformably. ``n_f`` differential states, in
+    which the solvers work: the mass is M1 and A acts as its Schur
+    complement ``A1 - A2 A4^{-1} A3``.
     """
 
     M1: object
@@ -161,8 +211,9 @@ class DescriptorIndex1:
     B2: object
     C1: object
     C2: object
-    _a4_solve: object = field(default=None, repr=False, compare=False)
+    _a4_lu: object = field(default=None, init=False, repr=False, compare=False)
     _assembled: tuple = field(default=None, init=False, repr=False, compare=False)
+    _eliminated: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nf = self.A1.shape[0]
@@ -192,7 +243,15 @@ class DescriptorIndex1:
     def p(self):
         return self.C1.shape[0]
 
-    def transposed(self):
+    @property
+    def order(self):
+        return self.n_f
+
+    @property
+    def mass(self):
+        return self.M1
+
+    def _dual(self):
         return DescriptorIndex1(
             self.M1.T, self.A1.T, self.A3.T, self.A2.T, self.A4.T,
             _dense(self.C1).T, _dense(self.C2).T, _dense(self.B1).T, _dense(self.B2).T,
@@ -200,36 +259,43 @@ class DescriptorIndex1:
 
     def a4_solve(self, rhs):
         """Solve ``A4 x = rhs`` with a cached factorization."""
-        if self._a4_solve is None:
-            self._a4_solve = _factor(self.A4, err=SingularBlockError)
-        return self._a4_solve(np.asarray(rhs))
+        if self._a4_lu is None:
+            self._a4_lu = _factor(self.A4, err=SingularBlockError)
+        return self._a4_lu(np.asarray(rhs))
 
-    def schur_apply(self, v):
+    def apply_a(self, v):
         """Action of the eliminated state matrix  A1 - A2 A4^{-1} A3."""
         v = np.asarray(v)
         return self.A1 @ v - self.A2 @ self.a4_solve(self.A3 @ v)
 
+    def start_block(self):
+        """The eliminated input matrix  B1 - A2 A4^{-1} B2."""
+        return _dense(self.B1) - self.A2 @ self.a4_solve(_dense(self.B2))
+
+    def first_order(self):
+        """The eliminated :class:`GeneralizedSystem` (dense), built once."""
+        if self._eliminated is None:
+            self._eliminated = eliminate_descriptor(self)[0]
+        return self._eliminated
+
     def assemble(self):
         """Full (M, A, B, C) matrices of the blocked pencil (sparse), built once."""
         if self._assembled is None:
-            self._assembled = self._assemble()
+            na = self.n - self.n_f
+            m_full = sp.bmat(
+                [[sp.csc_matrix(self.M1), None], [None, sp.csc_matrix((na, na))]], format="csc"
+            )
+            a_full = sp.bmat(
+                [
+                    [sp.csc_matrix(self.A1), sp.csc_matrix(self.A2)],
+                    [sp.csc_matrix(self.A3), sp.csc_matrix(self.A4)],
+                ],
+                format="csc",
+            )
+            b_full = np.vstack([_dense(self.B1), _dense(self.B2)])
+            c_full = np.hstack([_dense(self.C1), _dense(self.C2)])
+            self._assembled = m_full, a_full, b_full, c_full
         return self._assembled
-
-    def _assemble(self):
-        nf, na = self.n_f, self.n - self.n_f
-        m_full = sp.bmat(
-            [[sp.csc_matrix(self.M1), None], [None, sp.csc_matrix((na, na))]], format="csc"
-        )
-        a_full = sp.bmat(
-            [
-                [sp.csc_matrix(self.A1), sp.csc_matrix(self.A2)],
-                [sp.csc_matrix(self.A3), sp.csc_matrix(self.A4)],
-            ],
-            format="csc",
-        )
-        b_full = np.vstack([_dense(self.B1), _dense(self.B2)])
-        c_full = np.hstack([_dense(self.C1), _dense(self.C2)])
-        return m_full, a_full, b_full, c_full
 
 
 def eliminate_descriptor(d):
@@ -237,7 +303,8 @@ def eliminate_descriptor(d):
 
     Dense construction; intended for systems at desk scale (the eliminated
     state matrix is dense in general). Large systems should go through
-    :func:`shifted_solve` / :meth:`DescriptorIndex1.schur_apply` instead.
+    :func:`shifted_solve` / :meth:`DescriptorIndex1.apply_a` instead;
+    :meth:`DescriptorIndex1.first_order` caches the eliminated system.
     """
     a2 = _dense(d.A2)
     b2 = _dense(d.B2)
@@ -307,7 +374,7 @@ def _schur_solve(sys, s, rhs):
     np.fill_diagonal(shifted, diag)
     trtrs, = sla.get_lapack_funcs(("trtrs",), (shifted,))
     with np.errstate(over="ignore", invalid="ignore"):
-        if sys._dual:
+        if sys._is_dual:
             u, _ = trtrs(shifted, z.T @ rhs, trans=1)
             x = (z @ u.conj()).conj()
         else:
@@ -338,29 +405,25 @@ def shifted_solve(sys, s, w):
         rhs_full = np.vstack([rhs, np.zeros((sys.n - sys.n_f, rhs.shape[1]), dtype=rhs.dtype)])
         sol = _factor(sp.csc_matrix(shifted, dtype=complex if complex_shift else float))(rhs_full)
         out = sol[: sys.n_f]
-    elif isinstance(sys, GeneralizedSystem):
-        shifted = sys.A - s * sys.M
-        out = _factor(shifted)(rhs)
     elif _dense_standard(sys):
         out = _schur_solve(sys, s, rhs)
-    elif isinstance(sys, StandardSystem):
-        out = _factor(sys.A - s * sp.identity(sys.n, format="csc"))(rhs)
     else:
-        raise TypeError(f"unsupported system type {type(sys)!r}")
+        mass = sp.identity(sys.n, format="csc") if sys.mass is None else sys.mass
+        out = _factor(sys.A - s * mass)(rhs)
     return out if w.ndim == 2 else out[:, 0]
 
 
 def spectral_abscissa(obj):
     """Largest real part of the (generalized) spectrum of a system or square matrix.
 
-    A dense standard system reads it off the diagonal of its Schur form.
+    A system answers through its first-order form; a dense standard system
+    reads it off the diagonal of its Schur form.
     """
-    if isinstance(obj, DescriptorIndex1):
-        obj = eliminate_descriptor(obj)[0]
-    if isinstance(obj, GeneralizedSystem):
-        a = np.linalg.solve(_dense(obj.M), _dense(obj.A))
+    if isinstance(obj, _System):
+        obj = obj.first_order()
+        a = _dense(obj.A) if obj.mass is None else np.linalg.solve(_dense(obj.mass), _dense(obj.A))
     else:
-        a = _dense(obj.A if isinstance(obj, StandardSystem) else obj)
+        a = _dense(obj)
     if a.size == 0:
         return -np.inf
     if _dense_standard(obj):

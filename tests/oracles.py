@@ -1,9 +1,10 @@
 """Reference computations the tests check the library against.
 
-- ``residual_norm``: the explicit factored Lyapunov residual. It applies
-  the pencil to every basis column and takes one QR of ``[A Q, M Q]``,
-  with no use of the rational Arnoldi relation; the solver's residual
-  ``mu`` is checked against it.
+- ``residual_norm``: the explicit factored Lyapunov residual. It forms
+  ``A Q`` and ``M Q`` from the system's matrices (for a descriptor, the
+  Schur complement ``A1 - A2 A4^{-1} A3`` through a dense solve with A4)
+  and takes one QR of ``[A Q, M Q]``, with no use of the rational Arnoldi
+  relation; the solver's residual ``mu`` is checked against it.
 - ``diagonalize`` and ``gramian_timelimited_cauchy``: the time-limited
   Gramian of a diagonalizable SISO system from its eigencoordinates and a
   Cauchy matrix, independent of any Lyapunov solver.
@@ -16,10 +17,14 @@ They use numpy and scipy directly, not the kernels they check.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from tlbt.errors import SpectrumConflictError, TlbtError
-from tlbt.gramians import _Pencil, _rhs_core
-from tlbt.systems import StandardSystem, _dense
+from tlbt.systems import StandardSystem
+
+
+def _dense(a):
+    return a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
 
 
 class NearDefectiveError(TlbtError):
@@ -97,24 +102,28 @@ def similarity_transform(sys, t):
     return StandardSystem(a, b, _dense(sys.C) @ t, sys.D)
 
 
+def _pencil_images(sys, q):
+    """(A Q, M Q) of the pencil the solver works on, from the system's blocks."""
+    if hasattr(sys, "A4"):  # descriptor: Schur complement, mass M1
+        a4_inv_a3q = np.linalg.solve(_dense(sys.A4), _dense(sys.A3 @ q))
+        return sys.A1 @ q - sys.A2 @ a4_inv_a3q, sys.M1 @ q
+    return sys.A @ q, (sys.M @ q if hasattr(sys, "M") else q)
+
+
 def residual_norm(sys, ws, y, rhs_factors):
     """Scaled Lyapunov residual of the lifted candidate solution.
 
     ``rhs_factors`` is a list of (coefficient_factor, sign) pairs in
     workspace coordinates; the right-hand side of the equation is
-    -(sum sign * (Q F)(Q F)^T) mapped to original coordinates. Computed
-    from a thin factored representation (one A-application per basis
-    column), spectral norm, scaled by the right-hand-side norm.
+    -(sum sign * (Q F)(Q F)^T) mapped to original coordinates, so
+    ``G = M Q W Q^T M^T`` with ``W = sum sign * F F^T``. Returns
+    ``mu = ||A X M^T + M X A^T + G|| / ||G||`` for ``X = Q Y Q^T``, in the
+    spectral norm, from the R factor of ``[A Q, M Q]`` (never n x n).
     """
-    return factored_residual(_Pencil(sys), ws.q, y, _rhs_core(rhs_factors, ws.dim))
-
-
-def factored_residual(op, q, y, w_proj):
-    """mu = ||A X M^T + M X A^T + G||/||G|| with X = q Y q^T, G = M q W q^T M^T."""
-    at, mt = op.apply_a(q), op.mass_apply(q)
-    d = q.shape[1]
-    u = np.hstack([np.asarray(at), np.asarray(mt)])
-    ru = np.linalg.qr(u, mode="r")
+    q, d = ws.q, ws.dim
+    w_proj = sum(sign * (f @ f.T) for f, sign in rhs_factors)
+    aq, mq = _pencil_images(sys, q)
+    ru = np.linalg.qr(np.hstack([np.asarray(aq), np.asarray(mq)]), mode="r")
     k = np.zeros((2 * d, 2 * d))
     k[:d, d:] = y
     k[d:, :d] = y

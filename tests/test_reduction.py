@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from conftest import random_stable_matrix
+from conftest import random_descriptor, random_stable_matrix
 from oracles import similarity_transform
-from tlbt import linalg
+from tlbt import gramians, linalg, reduction, simulate, systems
 from tlbt.errors import RankDeficientError
 from tlbt.gramians import (
     TimeWindow,
@@ -13,6 +14,7 @@ from tlbt.gramians import (
 )
 from tlbt.reduction import (
     balance,
+    balance_modes,
     hinf_error_bound,
     numerical_rank,
     reduce,
@@ -226,3 +228,57 @@ def test_stability_flag_marginal_counts_unstable():
         StandardSystem(np.zeros((1, 1)), np.array([[1.0]]), np.array([[1.0]])), z, z, 1
     )
     assert not rom.stable
+
+
+# ---------------------------------------------------------------------------
+# derived data is built once per system
+
+
+def _calls(monkeypatch, module, name):
+    """Argument tuples of the calls to ``module.name`` from now on, through any binding."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in (module, gramians, reduction, simulate, systems):
+        if vars(mod).get(name) is real:
+            monkeypatch.setattr(mod, name, spy)
+    return calls
+
+
+MODES = ("bt", "tlbt", "mtlbt")
+
+
+def _assert_bit_identical(balancings, fresh):
+    for bal, ref in zip(balancings, fresh, strict=True):
+        for key in ("z_p", "z_q", "u", "hsv", "v"):
+            assert np.array_equal(getattr(bal, key), getattr(ref, key)), (bal.mode, key)
+
+
+def test_descriptor_balance_modes_builds_each_side_once(monkeypatch):
+    # the dual is cached, so its block pencil and its A4 and M1 LUs are built
+    # once, not once per mode; the results are those of fresh systems
+    window = TimeWindow(t_e=1.0)
+    fresh = [balance(random_descriptor(40, 10, 2, 2, seed=3), mode, window) for mode in MODES]
+    factored = _calls(monkeypatch, systems, "_factor")
+    assemblies = _calls(monkeypatch, sp, "bmat")
+    _assert_bit_identical(
+        balance_modes(random_descriptor(40, 10, 2, 2, seed=3), MODES, window), fresh
+    )
+    shapes = [np.shape(args[0]) for args in factored]
+    assert len(assemblies) == 2 * 2  # M and A of the primal's and the dual's pencil
+    assert shapes.count((10, 10)) == 2  # A4 and A4^T
+    assert shapes.count((40, 40)) == 2  # M1 and M1^T
+
+
+def test_generalized_balance_modes_factors_mass_once_per_side(monkeypatch):
+    window = TimeWindow(t_e=0.05)
+    s = make_synthetic("heat_like", 60, 2, 2, seed=1)
+    fresh = [balance(make_synthetic("heat_like", 60, 2, 2, seed=1), mode, window)
+             for mode in MODES]
+    factored = _calls(monkeypatch, systems, "_factor")
+    _assert_bit_identical(balance_modes(s, MODES, window), fresh)
+    masses = [a for a, *_ in factored if a.shape == s.M.shape and abs(a - s.M).max() == 0]
+    assert len(masses) == 2  # M and M^T (equal: heat_like's M is symmetric)

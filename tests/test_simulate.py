@@ -5,7 +5,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import random_descriptor
-from tlbt import linalg, simulate
+from tlbt import gramians, linalg, reduction, simulate, systems
 from tlbt.errors import GridMismatchError, SingularStepError
 from tlbt.gramians import TimeWindow
 from tlbt.reduction import reduce
@@ -244,17 +244,51 @@ def test_exploding_run_raises(sparse):
     assert np.all(np.isfinite(finite.outputs))
 
 
-def test_impulse_response_eliminates_descriptor_once(monkeypatch):
-    calls = []
-    real = simulate.eliminate_descriptor
+def test_descriptor_eliminated_once_per_system(monkeypatch):
+    # reduce, the impulse responses of the system and of its reduced model and
+    # a forced response share the one eliminated form cached on the system
+    window, dt = TimeWindow(t_e=0.5), 1e-2
 
-    def spy(d):
-        calls.append(d)
-        return real(d)
+    def desc():
+        return random_descriptor(12, 4, 2, 2, seed=3)
 
-    monkeypatch.setattr(simulate, "eliminate_descriptor", spy)
-    desc = random_descriptor(12, 4, 2, 2, seed=3)
-    impulse_response(desc, dt=1e-2, t_f=0.5)
+    fresh_rom = reduce(desc(), "mtlbt", window, r=4)
+    fresh = [
+        impulse_response(desc(), dt=dt, t_f=0.5),
+        impulse_response(fresh_rom, dt=dt, t_f=0.5),
+        implicit_midpoint(desc(), step_input(1.0), None, dt, 0.5),
+    ]
+    calls, real = [], systems.eliminate_descriptor
+    for mod in (systems, gramians, reduction, simulate):  # every module binding
+        if vars(mod).get("eliminate_descriptor") is real:
+            monkeypatch.setattr(mod, "eliminate_descriptor", lambda d: calls.append(d) or real(d))
+    d = desc()
+    rom = reduce(d, "mtlbt", window, r=4)
+    trajectories = [
+        impulse_response(d, dt=dt, t_f=0.5),
+        impulse_response(rom, dt=dt, t_f=0.5),
+        implicit_midpoint(d, step_input(1.0), None, dt, 0.5),
+    ]
     assert len(calls) == 1
-    implicit_midpoint(desc, step_input(1.0), None, 1e-2, 0.5)
-    assert len(calls) == 2
+    for key in ("A", "B", "C", "D"):
+        assert np.array_equal(getattr(rom, key), getattr(fresh_rom, key))
+    for traj, ref in zip(trajectories, fresh, strict=True):
+        assert np.array_equal(traj.outputs, ref.outputs)
+
+
+@pytest.mark.parametrize("kind", ["weakly_damped", "heat_like"])
+def test_midpoint_impulse_input_starts_from_mass_solved_kick(kind):
+    # an impulse input u = delta(t) v starts from x0 + M^{-1} B v, and from
+    # x0 = None it is the impulse response
+    s = make_synthetic(kind, 20, 2, 2, seed=1)
+    v, dt, t_f = np.array([1.0, -0.5]), 1e-2, 1.0
+    traj = implicit_midpoint(s, impulse_input(v), None, dt, t_f)
+    assert np.max(np.abs(traj.outputs)) > 0.1
+    assert np.array_equal(traj.outputs, impulse_response(s, v, dt, t_f).outputs)
+    kick = s.B @ v
+    if kind == "heat_like":
+        kick = spla.spsolve(s.M.tocsc(), kick)
+    x0 = np.linspace(-1.0, 1.0, 20)
+    ref = implicit_midpoint(s, None, x0 + kick, dt, t_f).outputs
+    out = implicit_midpoint(s, impulse_input(v), x0, dt, t_f).outputs
+    assert np.allclose(out, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -347,6 +348,37 @@ def test_dense_factor_closure_frees_lu_without_gc(rng):
     try:
         assert ref() is not None
         del solve
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("cls", [StandardSystem, GeneralizedSystem, DescriptorIndex1])
+def test_cache_fields_are_not_parameters(cls):
+    cached = [f for f in dataclasses.fields(cls) if f.name.startswith("_")]
+    assert cached
+    for f in cached:
+        assert not (f.init or f.repr or f.compare), f.name
+
+
+@pytest.mark.parametrize("kind", ["weakly_damped", "heat_like", "descriptor"])
+def test_cached_derived_data_refers_back_to_no_system(kind):
+    # with every cache filled, the system is freed by reference counting alone
+    if kind == "descriptor":
+        s = random_descriptor(20, 6, 2, 2, seed=4)
+    else:
+        s = make_synthetic(kind, 20, 2, 2, seed=4)
+    dual = s.transposed()
+    assert s.transposed() is dual
+    for sys in (s, dual):
+        shifted_solve(sys, 0.5, np.ones(sys.order))
+        sys.mass_solve(sys.start_block())
+        sys.first_order().mass_solve(np.ones(sys.order))
+        spectral_abscissa(sys)
+    ref = weakref.ref(s)
+    gc.disable()
+    try:
+        del s
         assert ref() is None
     finally:
         gc.enable()
