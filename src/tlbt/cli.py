@@ -240,8 +240,8 @@ def cmd_reduce(args):
 def cmd_simulate(args):
     out = _out_dir(args)
     sys_obj, name = _load_system(args)
-    tf = args.tf if args.tf is not None else (args.te or 1.0)
-    traj = simulate.implicit_midpoint(sys_obj, _input_signal(args, sys_obj.m), None, args.dt, tf)
+    u = _input_signal(args, sys_obj.m)
+    traj = simulate.implicit_midpoint(sys_obj, u, None, args.dt, args.tf)
     cols = [f"y{j + 1}" for j in range(traj.outputs.shape[1])]
     norms = traj.output_norms()
     _write_csv(
@@ -251,7 +251,7 @@ def cmd_simulate(args):
     )
     summary = {
         "dt": args.dt,
-        "t_f": tf,
+        "t_f": args.tf,
         "input": args.input,
         "max_output_norm": float(np.max(traj.output_norms())),
     }
@@ -287,7 +287,7 @@ def cmd_compare(args):
             )
             entry = {"mode": mode, "r": r, "E_T": e_max, "stable": int(rom.stable)}
             if args.timings:
-                entry["t_mor"] = bal.info["t_gramians"]
+                entry["t_mor"] = rom.info["t_mor"]
             table.append(entry)
             e_by_mode.setdefault(mode, {})[r] = e_max
             print(f"{name} {mode} r={r}: E_T={_fmt(e_max)} stable={int(rom.stable)}")
@@ -362,10 +362,9 @@ def _build_parser():
 
     p = sub.add_parser("simulate", help="time-domain response of a system")
     _add_system_args(p)
-    _add_solver_args(p)
     _add_sim_args(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, tf=1.0)
 
     p = sub.add_parser("compare", help="reduction error comparison across modes/orders")
     _add_system_args(p)

@@ -9,13 +9,12 @@ subspace approximation of exp(A t) B stops changing, then the projected
 decides termination. The basis, its image and the projected matrix grow in
 place (block CGS2, bordering); the residual comes from the rational Arnoldi
 relation, whose rank-m premise holds only while the start block is the
-only pole at infinity. A stability-preserving variant replaces the possibly
-indefinite time-limited right-hand side by its absolute-eigenvalue
-surrogate.
+only pole at infinity. The modes differ only in the Lyapunov right-hand
+side W, built by one map (``_rhs``) for the Krylov check and the dense
+routes; mtlbt replaces the possibly indefinite time-limited W by its
+absolute-eigenvalue surrogate.
 """
 
-import contextlib
-import contextvars
 import os
 import time
 import warnings
@@ -61,6 +60,7 @@ __all__ = [
 MODES = ("bt", "tlbt", "mtlbt")
 #: the two Gramians of a mode, in the order every balancing route takes them
 SIDES = ("reachability", "observability")
+_TRUNC_TOL = 1e-12  # relative eigenvalue cutoff of the Gramian factors (factor_psd)
 
 
 def dense_threshold():
@@ -93,7 +93,6 @@ class SolverConfig:
     tol_p: float = 1e-8
     cadence: int = 5
     max_dim: int | None = None
-    trunc_tol: float = 1e-12
 
     def __post_init__(self):
         if not (0 < self.tol_f < 1 and 0 < self.tol_p < 1):
@@ -108,7 +107,7 @@ class KrylovWorkspace:
 
     q: orthonormal basis (n x d); h: projection q^T A q; b_proj: q^T B
     with leading block beta; shifts: used shifts starting with inf;
-    ritz: eigenvalues of h; k: completed iteration count.
+    ritz: eigenvalues of h.
     """
 
     q: np.ndarray
@@ -116,7 +115,6 @@ class KrylovWorkspace:
     b_proj: np.ndarray
     shifts: list
     ritz: np.ndarray = None
-    k: int = 0
 
     @property
     def m(self):
@@ -174,10 +172,18 @@ def _dense_state_input(sys):
     return np.linalg.solve(m, _dense(sys.A)), np.linalg.solve(m, _dense(sys.B))
 
 
+def _dense_rhs(mode, a, b, window):
+    """W of a mode's dense equation, from e^{A t} B at the ends of ``window`` (None for bt)."""
+    if window is None:
+        return _rhs(mode, b, None, None)
+    b_s = linalg.expm(a * window.t_s) @ b if window.t_s > 0 else b
+    return _rhs(mode, b, b_s, linalg.expm(a * window.t_e) @ b)
+
+
 def gramian_infinite_dense(sys, side="reachability"):
     """Solve A P + P A^T = -B B^T densely (observability via duality)."""
     a, b = _dense_state_input(_reach_form(sys, side))
-    return linalg.lyap_dense(a, b @ b.T)
+    return linalg.lyap_dense(a, _dense_rhs("bt", a, b, None))
 
 
 def gramian_timelimited_dense(sys, window, side="reachability", route="auto"):
@@ -187,12 +193,11 @@ def gramian_timelimited_dense(sys, window, side="reachability", route="auto"):
     P_T = e^{A t_s} P_inf e^{A^T t_s} - e^{A t_e} P_inf e^{A^T t_e};
     route="lyapunov" solves A P + P A^T = -B_s B_s^T + B_e B_e^T with
     B_t = e^{A t} B (valid for admissible unstable A as well);
-    route="auto" picks by stability.
+    route="auto" picks by the stability verdict cached on ``sys``.
     """
     a, b = _dense_state_input(_reach_form(sys, side))
     if route == "auto":
-        stable = float(np.max(linalg.gen_eig(a, vectors=False).values.real)) < 0
-        route = "difference" if stable else "lyapunov"
+        route = "difference" if spectral_abscissa(sys) < 0 else "lyapunov"
     if route == "difference":
         p_inf = linalg.lyap_dense(a, b @ b.T)
         e_e = linalg.expm(a * window.t_e)
@@ -203,9 +208,7 @@ def gramian_timelimited_dense(sys, window, side="reachability", route="auto"):
         else:
             p = p_inf - p_e
     elif route == "lyapunov":
-        b_s = linalg.expm(a * window.t_s) @ b if window.t_s > 0 else b
-        b_e = linalg.expm(a * window.t_e) @ b
-        p = linalg.lyap_dense(a, b_s @ b_s.T - b_e @ b_e.T)
+        p = linalg.lyap_dense(a, _dense_rhs("tlbt", a, b, window))
     else:
         raise ValueError(f"unknown route {route!r}")
     return 0.5 * (p + p.T)
@@ -214,13 +217,10 @@ def gramian_timelimited_dense(sys, window, side="reachability", route="auto"):
 def _dense_modified(sys, window, side="reachability"):
     """Dense modified time-limited Gramian (absolute-value surrogate right-hand side)."""
     a, b = _dense_state_input(_reach_form(sys, side))
-    b_s = linalg.expm(a * window.t_s) @ b if window.t_s > 0 else b
-    b_e = linalg.expm(a * window.t_e) @ b
-    b_mod = _surrogate_factor(b_s, b_e)
-    return linalg.lyap_dense(a, b_mod @ b_mod.T)
+    return linalg.lyap_dense(a, _dense_rhs("mtlbt", a, b, window))
 
 
-def factor_psd(p, trunc_tol=1e-12):
+def factor_psd(p, trunc_tol=_TRUNC_TOL):
     """Cholesky-like factor Z of a symmetric PSD matrix: Z Z^T ~= P."""
     eig = linalg.sym_eig(p)
     lam, vec = eig.values, eig.vectors
@@ -468,46 +468,35 @@ def _abs_eig_factor(w_sym, tol=1e-12):
 
 def _surrogate_factor(b_s, b_e):
     """Factor of |b_s b_s^T - b_e b_e^T|, the stability-preserving right-hand side."""
-    w = b_s @ b_s.T - b_e @ b_e.T
+    w = _rhs("tlbt", None, b_s, b_e)
     return _abs_eig_factor(0.5 * (w + w.T))
 
 
-def _rhs_core(rhs_factors, d):
-    """sum sign * F F^T over the (coefficient_factor, sign) pairs."""
-    w_proj = np.zeros((d, d))
-    for f, sign in rhs_factors:
-        w_proj += sign * (f @ f.T)
-    return w_proj
+def _rhs(mode, b, b_s, b_e):
+    """W of a mode's Lyapunov equation H P + P H^T + W = 0.
+
+    From the input block ``b`` and e^{H t} b at the window ends (``b_s``,
+    ``b_e``; unused by bt): bt takes b b^T, tlbt b_s b_s^T - b_e b_e^T
+    (Gawronski & Juang 1990), mtlbt its absolute-eigenvalue surrogate.
+    """
+    if mode == "bt":
+        return b @ b.T
+    if mode == "tlbt":
+        return b_s @ b_s.T - b_e @ b_e.T
+    f = _surrogate_factor(b_s, b_e)
+    return f @ f.T
 
 
 # ---------------------------------------------------------------------------
 # the rational Krylov solver
 
 
-_VERIFIED = contextvars.ContextVar("tlbt_verified_system", default=None)
-
-
-@contextlib.contextmanager
-def _stability_checked(sys, check=True):
-    """Verify ``sys`` on entry (with ``check``, unless an enclosing block did);
-    the low-rank solves of ``sys`` inside the block skip the check."""
-    if check:
-        _require_stable(sys)
-    token = _VERIFIED.set(sys)
-    try:
-        yield
-    finally:
-        _VERIFIED.reset(token)
-
-
 def _require_stable(sys):
-    """Raise UnstableSystemError unless ``sys`` is verified stable.
+    """Raise UnstableSystemError unless the abscissa cached on ``sys`` proves it stable.
 
     A dense standard system is verified at any size from the Schur form its
     shifted solves need anyway; other systems only up to the dense threshold.
     """
-    if _VERIFIED.get() is sys:
-        return
     if sys.order > dense_threshold() and not _dense_standard(sys):
         warnings.warn("system too large for dense stability verification; "
                       "proceeding unverified", stacklevel=3)
@@ -563,14 +552,7 @@ def _solve_lowrank(sys, window, cfg, mode, side, poles=None):
         fch = max(f_changes)
         if not exact and fch >= cfg.tol_f:
             return False, None, fch, np.inf
-        b_s = coeffs.get("s", ws.b_proj)
-        if mode == "infinite":
-            rhs_factors = [(ws.b_proj, +1)]
-        elif mode == "timelimited":
-            rhs_factors = [(b_s, +1), (coeffs["e"], -1)]
-        else:  # modified
-            rhs_factors = [(_surrogate_factor(b_s, coeffs["e"]), +1)]
-        w_proj = _rhs_core(rhs_factors, ws.dim)
+        w_proj = _rhs(mode, ws.b_proj, coeffs.get("s", ws.b_proj), coeffs.get("e"))
         try:
             y, ws.ritz = linalg.lyap_dense(ws.h, w_proj, eigenvalues=True)
         except SpectrumConflictError:
@@ -584,7 +566,7 @@ def _solve_lowrank(sys, window, cfg, mode, side, poles=None):
             ws.ritz = None
             converged, y, f_change, mu = run_check(d >= n)
             since_check, force_check = 0, False
-            trace.append({"k": ws.k, "shift": ws.shifts[-1], "dim": d,
+            trace.append({"k": len(ws.shifts) - 1, "shift": ws.shifts[-1], "dim": d,
                           "f_change": f_change, "mu": mu})
             if converged:
                 break
@@ -613,7 +595,6 @@ def _solve_lowrank(sys, window, cfg, mode, side, poles=None):
         else:
             new, g = [float(np.real(s))], g.real
         ws.shifts += new
-        ws.k += len(new)
         since_check += len(new)
         if ws.extend(g):
             stagnant = 0
@@ -625,28 +606,28 @@ def _solve_lowrank(sys, window, cfg, mode, side, poles=None):
                     f"rational Krylov basis stagnated at dim {d} (mu {mu:.3e})"
                 )
 
-    z = ws.q @ factor_psd(y, cfg.trunc_tol)
+    z = ws.q @ factor_psd(y)
     return LowRankGramian(
         z=z, residual=float(mu), subspace_dim=int(d), rank=int(z.shape[1]),
         wall_time=time.perf_counter() - t0, stop="exact_space" if d >= n else "converged",
         trace=trace,
-        workspace=KrylovWorkspace(ws.q.copy(), ws.h.copy(), ws.b_proj.copy(), ws.shifts, k=ws.k),
+        workspace=KrylovWorkspace(ws.q.copy(), ws.h.copy(), ws.b_proj.copy(), ws.shifts),
     )
 
 
 def solve_infinite_lowrank(sys, cfg=None, side="reachability", poles=None):
     """Low-rank factor of the infinite Gramian by the rational Krylov method."""
-    return _solve_lowrank(sys, None, cfg, "infinite", side, poles)
+    return _solve_lowrank(sys, None, cfg, "bt", side, poles)
 
 
 def solve_timelimited_lowrank(sys, window, cfg=None, side="reachability", poles=None):
     """Low-rank factor of the time-limited Gramian over [t_s, t_e]."""
-    return _solve_lowrank(sys, window, cfg, "timelimited", side, poles)
+    return _solve_lowrank(sys, window, cfg, "tlbt", side, poles)
 
 
 def solve_modified_lowrank(sys, window, cfg=None, side="reachability", poles=None):
     """Low-rank factor of the stability-preserving modified Gramian."""
-    return _solve_lowrank(sys, window, cfg, "modified", side, poles)
+    return _solve_lowrank(sys, window, cfg, "mtlbt", side, poles)
 
 
 def mode_gramian(
@@ -681,18 +662,16 @@ def mode_gramian(
 def mode_gramians(sys, modes, window=None, cfg=None, method="krylov", sides=SIDES):
     """Yield ``{side: mode_gramian(sys, mode, ...)}`` for each of ``modes``.
 
-    The stability of ``sys`` is verified once, before the first mode's
-    Krylov solves. The adaptive shifts depend on the system and the side,
-    never on the mode, so every mode replays the longest shift list of
-    each side so far (``poles=``) and picks new shifts only where it needs
-    a larger basis: the results equal separate :func:`mode_gramian` calls.
+    Krylov solves verify ``sys`` from the spectral abscissa it caches. The
+    adaptive shifts depend on the system and the side, never on the mode,
+    so every mode replays the longest shift list of each side so far
+    (``poles=``) and picks new shifts only where it needs a larger basis:
+    the results equal separate :func:`mode_gramian` calls.
     """
     poles = {}
-    for i, mode in enumerate(modes):
-        # held only around the solves: a consumer may stop between modes
-        with _stability_checked(sys, check=i == 0 and method == "krylov"):
-            out = {side: mode_gramian(sys, mode, window, cfg, side, method, poles.get(side))
-                   for side in sides}
+    for mode in modes:
+        out = {side: mode_gramian(sys, mode, window, cfg, side, method, poles.get(side))
+               for side in sides}
         if method == "krylov":
             for side, g in out.items():
                 poles[side] = max(poles.get(side, []), g.workspace.shifts, key=len)

@@ -148,9 +148,9 @@ def balance_modes(sys, modes, window=None, cfg=None, method="krylov"):
     """Yield ``balance(sys, mode, ...)`` for each mode, picking each side's poles once.
 
     The Gramians come from :func:`~tlbt.gramians.mode_gramians`, which
-    verifies the stability of ``sys`` once and replays each side's Krylov
-    shifts into the later modes; the results equal separate :func:`balance`
-    calls.
+    replays each side's Krylov shifts into the later modes; the stability
+    verdict is computed once and cached on ``sys``. The results equal
+    separate :func:`balance` calls.
     """
     modes = [mode.lower() for mode in modes]
     gramians = mode_gramians(sys, modes, window, cfg, method)
@@ -161,8 +161,7 @@ def balance_modes(sys, modes, window=None, cfg=None, method="krylov"):
         gp, gq = sides["reachability"], sides["observability"]
         info = {}
         if method == "dense":
-            trunc = cfg.trunc_tol if cfg else 1e-12
-            z_p, z_q = factor_psd(gp, trunc), factor_psd(gq, trunc)
+            z_p, z_q = factor_psd(gp), factor_psd(gq)
         else:
             z_p, z_q = gp.z, gq.z
             info.update(

@@ -15,12 +15,12 @@ B1 - A2 A4^{-1} B2); ``first_order()`` is the system as a standard or
 generalized one (a descriptor eliminated densely, for the dense routes,
 the balancing projection and the integrator); ``transposed()`` is the
 dual. Systems are not mutated after construction, so what they derive is
-built on first use and cached on them: the LU of M, the dual, a
-descriptor's A4 LU, block pencil and eliminated form, and the complex
-Schur form that a dense standard system shares with its dual for every
-shifted solve and for the spectrum. No cached object refers back to the
-system that holds it. Every other shifted solve factors its shifted
-matrix by LU (``_factor``).
+built on first use and cached on them: the LU of M, the dual, the
+spectral abscissa, a descriptor's A4 LU, block pencil and eliminated
+form, and the complex Schur form that a dense standard system shares
+with its dual for every shifted solve and for the spectrum. No cached
+object refers back to the system that holds it. Every other shifted
+solve factors its shifted matrix by LU (``_factor``).
 """
 
 import warnings
@@ -77,6 +77,7 @@ class _System:
     # derived data, built on first use
     _transposed: object = field(default=None, init=False, repr=False, compare=False)
     _mass_lu: object = field(default=None, init=False, repr=False, compare=False)
+    _abscissa: float = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self):
@@ -216,6 +217,8 @@ class DescriptorIndex1(_System):
     _eliminated: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("M1", "A1", "A2", "A3", "A4", "B1", "B2", "C1", "C2"):
+            setattr(self, name, _finite(getattr(self, name), name))
         nf = self.A1.shape[0]
         na = self.A4.shape[0]
         if self.M1.shape != (nf, nf) or self.A1.shape != (nf, nf):
@@ -413,22 +416,22 @@ def shifted_solve(sys, s, w):
     return out if w.ndim == 2 else out[:, 0]
 
 
-def spectral_abscissa(obj):
-    """Largest real part of the (generalized) spectrum of a system or square matrix.
+def spectral_abscissa(sys):
+    """Largest real part of the spectrum of a system's pencil, computed once and cached.
 
     A system answers through its first-order form; a dense standard system
-    reads it off the diagonal of its Schur form.
+    reads it off the diagonal of its Schur form, any other forms M^{-1} A densely.
     """
-    if isinstance(obj, _System):
-        obj = obj.first_order()
-        a = _dense(obj.A) if obj.mass is None else np.linalg.solve(_dense(obj.mass), _dense(obj.A))
-    else:
-        a = _dense(obj)
-    if a.size == 0:
-        return -np.inf
-    if _dense_standard(obj):
-        return float(np.max(obj._schur_form()[0].diagonal().real))
-    return float(np.max(linalg.gen_eig(a, vectors=False).values.real))
+    if sys._abscissa is None:
+        obj = sys.first_order()
+        if _dense_standard(obj) and obj.n:  # an empty A has no Schur norms
+            eigs = obj._schur_form()[0].diagonal()
+        else:
+            a = _dense(obj.A)
+            a = a if obj.mass is None else np.linalg.solve(_dense(obj.mass), a)
+            eigs = linalg.gen_eig(a, vectors=False).values
+        sys._abscissa = float(np.max(eigs.real, initial=-np.inf))
+    return sys._abscissa
 
 
 def alpha_shift(sys, alpha):

@@ -10,7 +10,7 @@ import scipy.linalg
 import tlbt.gramians
 import tlbt.linalg
 from conftest import random_descriptor
-from tlbt import mmio, schemas
+from tlbt import mmio, reduction, schemas
 from tlbt.cli import main
 from tlbt.gramians import SolverConfig, TimeWindow, mode_gramian
 from tlbt.reduction import balance, reduce
@@ -186,6 +186,45 @@ def test_simulate_writes_response(tmp_path):
     assert len(lines) == 102
 
 
+def test_simulate_horizon_defaults_to_one(tmp_path):
+    rc = main(["simulate", "--synth", "random_stable", "--n", "6", "--dt", "0.1",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "random_stable_n6_s0_response.json").read_text())
+    assert summary["t_f"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "flag", [["--method", "dense"], ["--cadence", "3"], ["--tol-f", "0.5"], ["--tol-p", "0.5"],
+             ["--max-dim", "2"], ["--ts", "0.3"], ["--te", "2.0"]],
+)
+def test_simulate_rejects_solver_flags(tmp_path, flag):
+    # simulate runs no solver: a solver flag is a configuration error
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--synth", "random_stable", "--n", "6", *flag, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+def test_compare_and_reduce_timings_share_t_mor(tmp_path, monkeypatch):
+    # t_mor is the reduced model's time to build (Gramians, SVD and
+    # projection) in both commands
+    real, t_mor = reduction.Balancing.truncate, []
+
+    def spy(self, r):
+        rom = real(self, r)
+        t_mor.append(rom.info["t_mor"])
+        return rom
+
+    monkeypatch.setattr(reduction.Balancing, "truncate", spy)
+    common = ["--synth", "random_stable", "--n", "12", "--seed", "1", "--mode", "tlbt",
+              "--order", "2", "--te", "1.0", "--timings"]
+    assert main(["compare", *common, "--dt", "0.01", "--out", str(tmp_path / "c")]) == 0
+    table = json.loads((tmp_path / "c" / "random_stable_n12_s1_compare.json").read_text())
+    assert main(["reduce", *common, "--out", str(tmp_path / "r")]) == 0
+    meta = json.loads((tmp_path / "r" / "random_stable_n12_s1_tlbt_r2.json").read_text())
+    assert [table["results"][0]["t_mor"], meta["t_mor"]] == t_mor
+
+
 def test_hsv_command(tmp_path):
     out = tmp_path / "out"
     rc = main(
@@ -355,15 +394,9 @@ def test_compare_picks_poles_once_per_side(tmp_path, monkeypatch):
 
     # one complex Schur form of A serves every mode and side, and the
     # stability check reads its eigenvalues instead of calling gen_eig
-    forms, checks, verifying, eig_in_check = [], [], [], []
-
-    def spy_schur(a, output="real", real=scipy.linalg.schur, **kwargs):
-        if output == "complex":
-            forms.append(np.shape(a))
-        return real(a, output=output, **kwargs)
+    forms, verifying, eig_in_check = _count_schur_forms(monkeypatch), [], []
 
     def spy_abscissa(sys, real=gram.spectral_abscissa):
-        checks.append(sys)
         verifying.append(sys)
         try:
             return real(sys)
@@ -379,7 +412,6 @@ def test_compare_picks_poles_once_per_side(tmp_path, monkeypatch):
         monkeypatch.setattr(gram, f"solve_{kind}_lowrank", spy_solver(kind))
     monkeypatch.setattr(gram, "adaptive_shift", spy_pick)
     monkeypatch.setattr(gram, "shifted_solve", spy_shifted_solve)
-    monkeypatch.setattr(scipy.linalg, "schur", spy_schur)
     monkeypatch.setattr(gram, "spectral_abscissa", spy_abscissa)
     monkeypatch.setattr(tlbt.linalg, "gen_eig", spy_gen_eig)
     rc = main(
@@ -394,8 +426,9 @@ def test_compare_picks_poles_once_per_side(tmp_path, monkeypatch):
         # a complex pole and its conjugate share one solve
         implied = sum(1 for sh in shifts[1:] if np.imag(sh) >= 0)
         assert record["shifted_solves"] == implied, record["solve"]
+    # the spectrum of the system is computed once: its one Schur form
     assert forms == [(60, 60)]
-    assert len(checks) == 1 and eig_in_check == []
+    assert eig_in_check == []
 
 
 @pytest.mark.parametrize(
@@ -413,9 +446,22 @@ def test_gramian_summary_reports_stop(tmp_path, kind, n, stop):
     assert summary["reachability"]["stop"] == summary["observability"]["stop"] == stop
 
 
+def _count_schur_forms(monkeypatch):
+    """Shapes of the complex Schur forms computed, the spectrum of a dense standard system."""
+    forms = []
+
+    def spy_schur(a, output="real", real=scipy.linalg.schur, **kwargs):
+        if output == "complex":
+            forms.append(np.shape(a))
+        return real(a, output=output, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", spy_schur)
+    return forms
+
+
 def test_stability_verified_once_per_balance(tmp_path, monkeypatch):
     # reduce balances once; a three-mode compare balances three times but
-    # verifies the same system once
+    # computes the spectrum of the same system once
     real = tlbt.gramians.spectral_abscissa
     calls = []
 
@@ -424,42 +470,37 @@ def test_stability_verified_once_per_balance(tmp_path, monkeypatch):
         return real(sys)
 
     monkeypatch.setattr(tlbt.gramians, "spectral_abscissa", spy)
+    forms = _count_schur_forms(monkeypatch)
     s = make_synthetic("weakly_damped", 40, 2, 2, seed=1)
     reduce(s, "bt", r=4)
-    assert len(calls) == 1
-    calls.clear()
+    assert forms == [(40, 40)]
+    forms.clear()
     rc = main(
         ["compare", "--synth", "weakly_damped", "--n", "40", "--m", "2", "--p", "2",
          "--seed", "1", "--mode", "bt", "--mode", "tlbt", "--mode", "mtlbt", "--order", "4",
          "--te", "5.0", "--dt", "0.01", "--out", str(tmp_path)]
     )
     assert rc == 0
-    assert len(calls) == 1
-    # a direct solve outside balance still verifies
+    assert forms == [(40, 40)]
+    # a direct solve outside balance still verifies, from the cached spectrum
     calls.clear()
+    forms.clear()
     tlbt.gramians.solve_infinite_lowrank(s)
     tlbt.gramians.mode_gramian(s, "bt")
-    assert len(calls) == 2
+    assert len(calls) == 2 and forms == []
 
 
 def test_gramian_command_verifies_once_and_replays_poles(tmp_path, monkeypatch):
-    # one stability check for all modes and sides; the replayed poles give
+    # one spectrum computed for all modes and sides; the replayed poles give
     # the factors of fresh per-mode solves, bit for bit
-    real = tlbt.gramians.spectral_abscissa
-    calls = []
-
-    def spy(sys):
-        calls.append(sys)
-        return real(sys)
-
-    monkeypatch.setattr(tlbt.gramians, "spectral_abscissa", spy)
+    forms = _count_schur_forms(monkeypatch)
     rc = main(
         ["gramian", "--synth", "weakly_damped", "--n", "40", "--m", "2", "--p", "2",
          "--seed", "1", "--mode", "bt", "--mode", "tlbt", "--mode", "mtlbt", "--te", "5.0",
          "--out", str(tmp_path)]
     )
     assert rc == 0
-    assert len(calls) == 1
+    assert forms == [(40, 40)]
     s = make_synthetic("weakly_damped", 40, 2, 2, seed=1)
     window, cfg = TimeWindow(t_e=5.0), SolverConfig()
     for mode in ("bt", "tlbt", "mtlbt"):

@@ -247,6 +247,16 @@ def test_generalized_system_refuses_non_finite_dense_input(name, bad):
             StandardSystem(**mats)
 
 
+@pytest.mark.parametrize("name", ["M1", "A1", "A2", "A3", "A4", "B1", "B2", "C1", "C2"])
+def test_descriptor_refuses_non_finite_dense_blocks(name):
+    d = random_descriptor(6, 3, 2, 2, seed=1)
+    blocks = {f.name: getattr(d, f.name) for f in dataclasses.fields(d) if f.init}
+    blocks[name] = blocks[name].copy()
+    blocks[name][0, 0] = np.nan
+    with pytest.raises(ValueError, match=f"{name} contains non-finite entries"):
+        DescriptorIndex1(**blocks)
+
+
 def test_generalized_system_checks_feedthrough_shape():
     with pytest.raises(ValueError, match="D must be p x m"):
         GeneralizedSystem(np.eye(2), -np.eye(2), np.ones((2, 1)), np.ones((1, 2)), D=np.ones((2, 2)))
