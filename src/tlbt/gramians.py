@@ -33,7 +33,7 @@ from .errors import (
     SpectrumConflictError,
     UnstableSystemError,
 )
-from .systems import _dense, _dense_standard, shifted_solve, spectral_abscissa
+from .systems import _dense_standard, shifted_solve, spectral_abscissa
 
 __all__ = [
     "TimeWindow",
@@ -61,6 +61,7 @@ MODES = ("bt", "tlbt", "mtlbt")
 #: the two Gramians of a mode, in the order every balancing route takes them
 SIDES = ("reachability", "observability")
 _TRUNC_TOL = 1e-12  # relative eigenvalue cutoff of the Gramian factors (factor_psd)
+_NPTS = 2000  # shift candidates sampled from the mirrored Ritz values (_select_shift)
 
 
 def dense_threshold():
@@ -161,15 +162,11 @@ def _reach_form(sys, side):
 
 
 def _dense_state_input(sys):
-    """Dense (M^{-1} A, M^{-1} B) of the first-order form; refused above the threshold."""
+    """Dense (M^{-1} A, M^{-1} B) of the first-order form (cached); refused above the threshold."""
     n, lim = sys.order, dense_threshold()
     if n > lim:
         raise ValueError(f"dense Gramian path refused for n={n} > threshold {lim}")
-    sys = sys.first_order()
-    if sys.mass is None:
-        return _dense(sys.A), _dense(sys.B)
-    m = _dense(sys.mass)
-    return np.linalg.solve(m, _dense(sys.A)), np.linalg.solve(m, _dense(sys.B))
+    return sys.dense_state_input()
 
 
 def _dense_rhs(mode, a, b, window):
@@ -333,27 +330,23 @@ def _perturbed(point, scale):
 
 
 def _hull_boundary(points, npts):
-    """Sample npts points from the boundary of the convex hull of complex points."""
-    xy = np.column_stack([points.real, points.imag])
+    """npts points on the convex hull boundary of complex points, spaced by linspace per edge."""
     try:
-        hull = ConvexHull(xy)
+        hull = ConvexHull(np.column_stack([points.real, points.imag]))
     except QhullError:
         # collinear: sample the segment between the two most distant points
         d0 = np.argmax(np.abs(points - points[0]))
         d1 = np.argmax(np.abs(points - points[d0]))
         return np.linspace(points[d0], points[d1], npts)
     verts = points[hull.vertices]
-    edges = np.abs(np.roll(verts, -1) - verts)
-    perim = edges.sum()
-    out = []
-    for i, v in enumerate(verts):
-        w = verts[(i + 1) % len(verts)]
-        cnt = max(int(round(npts * edges[i] / perim)), 2)
-        out.append(np.linspace(v, w, cnt, endpoint=False))
-    return np.concatenate(out)
+    step = np.roll(verts, -1) - verts
+    edges = np.abs(step)
+    cnt = np.maximum(np.round(npts * edges / edges.sum()).astype(int), 2)
+    k = np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    return k.astype(complex) * np.repeat(step / cnt, cnt) + np.repeat(verts, cnt)
 
 
-def _select_shift(ritz, shifts, m, symmetric=False, npts=2000):
+def _select_shift(ritz, shifts, m, symmetric=False):
     """Next pole for the rational Krylov basis.
 
     Druskin & Simoncini (2011, "Adaptive rational Krylov subspaces for
@@ -366,8 +359,10 @@ def _select_shift(ritz, shifts, m, symmetric=False, npts=2000):
     the spectrum worst. Real spectra spanning a positive interval are
     sampled on a geometric grid, so stiff spectra get candidates in
     every decade. Both point sets are closed under conjugation, so the
-    objective is too: only candidates in the upper half-plane are
-    evaluated, and each conjugate pair enters as one factor.
+    objective is too: only candidates ``x + iy`` in the upper half-plane are
+    evaluated, a pair ``a +/- ib`` as one real factor ``|(s - p)(s - conj(p))|^2
+    = ((x - a)^2 + b^2 - y^2)^2 + (2y(x - a))^2`` (its root on real candidates)
+    of the points divided by the largest Ritz modulus (4th powers stay in range).
     Points too close to previous shifts (1e-8 relative) or to mirrored
     Ritz values (1e-12 relative) are excluded. Complex results come back
     as the upper-half-plane representative of the conjugate pair.
@@ -375,56 +370,69 @@ def _select_shift(ritz, shifts, m, symmetric=False, npts=2000):
     ritz = np.asarray(ritz, dtype=complex)
     if ritz.size == 0:
         raise DegenerateHullError("no Ritz values available")
-    scale = float(np.max(np.abs(ritz)))
-    if scale == 0.0:
-        scale = 1.0
+    scale = float(np.max(np.abs(ritz))) or 1.0
     mirrored = -np.conj(ritz)
-    uniq = np.unique(np.round(mirrored / scale, 14))
-    if uniq.size == 1:
+    rounded = np.round(mirrored / scale, 14)
+    if np.all(rounded == rounded[0]):
         return _perturbed(mirrored[0], scale)
     if symmetric or np.all(np.abs(mirrored.imag) <= 1e-12 * scale):
         lo, hi = mirrored.real.min(), mirrored.real.max()
         grid = np.geomspace if lo > 0 else np.linspace
-        cand = np.maximum(grid(lo, hi, npts), 0.0)
+        cand = np.maximum(grid(lo, hi, _NPTS), 0.0)
     else:
-        cand = _hull_boundary(mirrored, npts)
+        cand = _hull_boundary(mirrored, _NPTS)
         cand = cand[cand.imag >= 0]
         cand = np.where(cand.real < 0, 1j * cand.imag, cand)
-    finite = np.array([s for s in shifts if np.isfinite(s)], dtype=complex)
-    upper = [p[p.imag >= 0] for p in (finite, mirrored, ritz)]
-    # objective: one factor |(s - p)(s - conj(p))| per conjugate pair, and
-    # |s - p|^2 at half weight per real point
-    poles = _real_if_real(np.concatenate([upper[0], upper[2]]))
+    shifts = np.asarray(shifts, dtype=complex)
+    upper = [p[p.imag >= 0] for p in (shifts[np.isfinite(shifts)], mirrored, ritz)]
+    # objective: log|(s - p)(s - conj(p))| per pair, at half weight per real point
+    poles = np.concatenate([upper[0], upper[2]])
     weight = np.repeat([float(m), -1.0], [upper[0].size, upper[2].size])
     weight = np.where(poles.imag > 0, weight, 0.5 * weight)
+    y, b2 = cand.imag / scale, ((poles.imag / scale) ** 2)[:, None]
+    f = cand.real / scale - (poles.real / scale)[:, None]  # x - a, poles x candidates
+    # in place: a fresh (poles x candidates) array costs more than the arithmetic
     with np.errstate(divide="ignore", invalid="ignore"):
-        f = cand[:, None] - poles
-        f *= cand[:, None] - np.conj(poles)
-        f = np.abs(f)  # at most two (candidates x poles) arrays alive at once
-        obj = np.log(f, out=f) @ weight
-    # exclusions, tested on the best candidates first (the argmax over the
-    # admissible ones is the first admissible one in that order); a candidate
-    # in the upper half-plane is nearer to p than to conj(p) whenever p is
-    # there too, so the upper representatives decide
-    near = _real_if_real(np.concatenate(upper[:2]))
+        if y.any():  # |(s - p)(s - conj(p))|^2, hence half the weight
+            g = f * f
+            g -= y * y
+            g += b2
+            g *= g
+            f *= 2.0 * y
+            f *= f
+            f += g
+            weight = 0.5 * weight
+        else:
+            f *= f
+            if b2.any():
+                f += b2
+        obj = weight @ np.log(f, out=f)
+    # exclusions: the argmax if finite and admissible, else the first admissible
+    # candidate in stable order; the upper representatives decide, as a candidate
+    # in the upper half-plane is nearer to p than to conj(p) whenever p is there too
+    near = np.concatenate(upper[:2])
     rel = np.repeat([1e-8, 1e-12], [upper[0].size, upper[1].size])
-    order = np.argsort(-obj, kind="stable")
-    for start in range(0, order.size, 64):
-        top = cand[order[start : start + 64]]
+
+    def admissible(top):
         far = np.abs(top[:, None] - near) > rel * np.maximum(np.abs(top)[:, None], np.abs(near))
-        admissible = np.all(far, axis=1)
-        if admissible.any():
-            s = top[np.argmax(admissible)]
-            break
+        return np.all(far, axis=1)
+
+    best = np.argmax(obj)
+    if np.isfinite(obj[best]) and admissible(cand[best : best + 1])[0]:
+        s = cand[best]
     else:
-        raise DegenerateHullError("all shift candidates excluded")
+        order = np.argsort(-obj, kind="stable")
+        for start in range(0, order.size, 64):
+            top = cand[order[start : start + 64]]
+            ok = admissible(top)
+            if ok.any():
+                s = top[np.argmax(ok)]
+                break
+        else:
+            raise DegenerateHullError("all shift candidates excluded")
     if abs(s.imag) <= 1e-12 * max(abs(s), scale):
         return float(s.real)
     return complex(s.real, abs(s.imag))
-
-
-def _real_if_real(points):
-    return points if points.imag.any() else points.real.copy()
 
 
 def adaptive_shift(ws):

@@ -16,7 +16,8 @@ generalized one (a descriptor eliminated densely, for the dense routes,
 the balancing projection and the integrator); ``transposed()`` is the
 dual. Systems are not mutated after construction, so what they derive is
 built on first use and cached on them: the LU of M, the dual, the
-spectral abscissa, a descriptor's A4 LU, block pencil and eliminated
+spectral abscissa, ``dense_state_input()`` (M^{-1} A and M^{-1} B when
+M is not I), a descriptor's A4 LU, block pencil and eliminated
 form, and the complex Schur form that a dense standard system shares
 with its dual for every shifted solve and for the spectrum. No cached
 object refers back to the system that holds it. Every other shifted
@@ -78,6 +79,7 @@ class _System:
     _transposed: object = field(default=None, init=False, repr=False, compare=False)
     _mass_lu: object = field(default=None, init=False, repr=False, compare=False)
     _abscissa: float = field(default=None, init=False, repr=False, compare=False)
+    _state_input: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self):
@@ -118,6 +120,14 @@ class _System:
         if self._mass_lu is None:
             self._mass_lu = _factor(self.mass, err=SingularMatrixError)
         return self._mass_lu(np.asarray(rhs))
+
+    def dense_state_input(self):
+        """Dense ``(M^{-1} A, M^{-1} B)`` of the first-order form, cached only when M is not I."""
+        obj = self.first_order()
+        if obj._state_input is None and obj.mass is not None:
+            m = _dense(obj.mass)
+            obj._state_input = np.linalg.solve(m, _dense(obj.A)), np.linalg.solve(m, _dense(obj.B))
+        return obj._state_input or (_dense(obj.A), _dense(obj.B))
 
     def transposed(self):
         """The dual system, built once; it swaps the Gramians."""
@@ -327,10 +337,10 @@ def _factor(mat, err=SingularShiftError, checked=True):
     """LU factorization returning a solve closure; sparse or dense, any dtype.
 
     Dense solves call LAPACK ``getrs`` (what ``scipy.linalg.lu_solve``
-    ends in, bit for bit), picked per right-hand side, so a real LU also
-    solves complex ones. Sparse solves raise ``err`` on non-finite results unless
-    ``checked`` is false. A closure must never refer to itself: the cycle
-    would keep its factorization alive until the cyclic GC runs.
+    ends in, bit for bit), looked up once each for real and for complex
+    right-hand sides. Sparse solves raise ``err`` on non-finite results
+    unless ``checked`` is false. A closure must never refer to itself: the
+    cycle would keep its factorization alive until the cyclic GC runs.
     """
     if sp.issparse(mat):
         try:
@@ -355,10 +365,9 @@ def _factor(mat, err=SingularShiftError, checked=True):
     pivots = np.abs(np.diag(lu))
     if np.min(pivots) <= np.finfo(float).eps * max(np.linalg.norm(mat, 1), 1e-300):
         raise err("matrix is numerically singular")
+    getrs = [sla.get_lapack_funcs(("getrs",), (lu, np.empty(0, t)))[0] for t in (float, complex)]
     def solve(rhs):
-        rhs = np.asarray(rhs)
-        getrs, = sla.get_lapack_funcs(("getrs",), (lu, rhs))
-        return getrs(lu, piv, rhs)[0]
+        return getrs[np.iscomplexobj(rhs)](lu, piv, rhs)[0]
     return solve
 
 
@@ -420,16 +429,14 @@ def spectral_abscissa(sys):
     """Largest real part of the spectrum of a system's pencil, computed once and cached.
 
     A system answers through its first-order form; a dense standard system
-    reads it off the diagonal of its Schur form, any other forms M^{-1} A densely.
+    reads it off the diagonal of its Schur form, any other off its cached dense M^{-1} A.
     """
     if sys._abscissa is None:
         obj = sys.first_order()
         if _dense_standard(obj) and obj.n:  # an empty A has no Schur norms
             eigs = obj._schur_form()[0].diagonal()
         else:
-            a = _dense(obj.A)
-            a = a if obj.mass is None else np.linalg.solve(_dense(obj.mass), a)
-            eigs = linalg.gen_eig(a, vectors=False).values
+            eigs = linalg.gen_eig(obj.dense_state_input()[0], vectors=False).values
         sys._abscissa = float(np.max(eigs.real, initial=-np.inf))
     return sys._abscissa
 

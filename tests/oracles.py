@@ -10,6 +10,10 @@
   Cauchy matrix, independent of any Lyapunov solver.
 - ``similarity_transform``: a change of state coordinates, under which
   transfer functions and Hankel singular values are invariant.
+- ``hull_boundary_linspace`` and ``select_shift_broadcast``: the adaptive
+  shift rule with one ``np.linspace`` per hull edge and the objective as a
+  complex broadcast, ``log|(s - p)(s - conj(p))|``, ranked by a stable
+  sort; the solver's real-arithmetic pass must pick the same shift.
 
 They use numpy and scipy directly, not the kernels they check.
 """
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.spatial import ConvexHull, QhullError
 
 from tlbt.errors import SpectrumConflictError, TlbtError
 from tlbt.systems import StandardSystem
@@ -135,3 +140,57 @@ def residual_norm(sys, ws, y, rhs_factors):
     if den == 0.0:
         return num
     return num / den
+
+
+def hull_boundary_linspace(points, npts):
+    """``npts`` points on the convex hull boundary of complex points, one linspace per edge."""
+    try:
+        hull = ConvexHull(np.column_stack([points.real, points.imag]))
+    except QhullError:
+        d0 = np.argmax(np.abs(points - points[0]))
+        d1 = np.argmax(np.abs(points - points[d0]))
+        return np.linspace(points[d0], points[d1], npts)
+    verts = points[hull.vertices]
+    edges = np.abs(np.roll(verts, -1) - verts)
+    perim = edges.sum()
+    out = []
+    for i, v in enumerate(verts):
+        w = verts[(i + 1) % len(verts)]
+        cnt = max(int(round(npts * edges[i] / perim)), 2)
+        out.append(np.linspace(v, w, cnt, endpoint=False))
+    return np.concatenate(out)
+
+
+def select_shift_broadcast(ritz, shifts, m, symmetric=False, npts=2000):
+    """The Druskin-Simoncini shift over the same candidates as the solver.
+
+    For Ritz values that are not all equal; returns None when every
+    candidate is excluded.
+    """
+    ritz = np.asarray(ritz, dtype=complex)
+    scale = float(np.max(np.abs(ritz))) or 1.0
+    mirrored = -np.conj(ritz)
+    if symmetric or np.all(np.abs(mirrored.imag) <= 1e-12 * scale):
+        lo, hi = mirrored.real.min(), mirrored.real.max()
+        cand = np.maximum((np.geomspace if lo > 0 else np.linspace)(lo, hi, npts), 0.0)
+    else:
+        cand = hull_boundary_linspace(mirrored, npts)
+        cand = cand[cand.imag >= 0]
+        cand = np.where(cand.real < 0, 1j * cand.imag, cand)
+    finite = np.array([s for s in shifts if np.isfinite(s)], dtype=complex)
+    upper = [p[p.imag >= 0] for p in (finite, mirrored, ritz)]
+    poles = np.concatenate([upper[0], upper[2]])
+    weight = np.repeat([float(m), -1.0], [upper[0].size, upper[2].size])
+    weight = np.where(poles.imag > 0, weight, 0.5 * weight)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.abs((cand[:, None] - poles) * (cand[:, None] - np.conj(poles)))
+        obj = np.log(f) @ weight
+    near = np.concatenate(upper[:2])
+    rel = np.repeat([1e-8, 1e-12], [upper[0].size, upper[1].size])
+    for i in np.argsort(-obj, kind="stable"):
+        s = cand[i]
+        if np.all(np.abs(s - near) > rel * np.maximum(abs(s), np.abs(near))):
+            if abs(s.imag) <= 1e-12 * max(abs(s), scale):
+                return float(s.real)
+            return complex(s.real, abs(s.imag))
+    return None

@@ -7,8 +7,16 @@ import scipy.integrate
 import scipy.sparse.linalg as spla
 
 import tlbt.gramians
+import tlbt.systems
 from conftest import random_descriptor, random_stable_matrix
-from oracles import NearDefectiveError, diagonalize, gramian_timelimited_cauchy, residual_norm
+from oracles import (
+    NearDefectiveError,
+    diagonalize,
+    gramian_timelimited_cauchy,
+    hull_boundary_linspace,
+    residual_norm,
+    select_shift_broadcast,
+)
 from tlbt import linalg
 from tlbt.errors import MaxDimExceededError, UnstableSystemError
 from tlbt.reduction import balance_modes, reduce
@@ -157,11 +165,11 @@ def test_every_dense_route_refused_above_threshold_before_densifying(monkeypatch
     s = make_synthetic("heat_like", 20, 2, 2, seed=1)
     window = TimeWindow(t_e=0.05)
 
-    def densified(a):
+    def densified(sys):
         raise AssertionError("densified before the size check")
 
     monkeypatch.setenv("TLBT_DENSE_THRESHOLD", "10")
-    monkeypatch.setattr(tlbt.gramians, "_dense", densified)
+    monkeypatch.setattr(tlbt.systems._System, "dense_state_input", densified)
     for side in ("reachability", "observability"):
         with pytest.raises(ValueError, match="dense Gramian path refused for n=20"):
             mode_gramian(s, mode, window, side=side, method="dense")
@@ -225,11 +233,20 @@ def _select_shift_loop(ritz, shifts, m, symmetric=False, npts=2000):
     return cand, obj
 
 
+def _assert_broadcast_pick(ritz, shifts, m, symmetric=False):
+    """The solver's pick, asserted identical to the complex-broadcast reference's."""
+    got = _select_shift(ritz, shifts, m, symmetric)
+    ref = select_shift_broadcast(ritz, shifts, m, symmetric)
+    assert type(got) is type(ref) and got == ref
+    return got
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_select_shift_matches_loop_reference(seed):
-    # broadcast objective with conjugate pairs against the term-by-term loop:
-    # the same pick, or one whose reference objective ties the best within
-    # the rounding of a sum of logs
+    # real-arithmetic objective with conjugate pairs: exactly the pick of the
+    # complex broadcast, and against the term-by-term loop the same pick, or
+    # one whose reference objective ties the best within the rounding of a
+    # sum of logs
     rng = np.random.default_rng(seed)
     d = int(rng.integers(6, 60))
     if seed % 2:
@@ -245,13 +262,57 @@ def test_select_shift_matches_loop_reference(seed):
             shifts += [complex(0.05 * v, v), complex(0.05 * v, -v)]
         symmetric = False
     cand, obj = _select_shift_loop(ritz, shifts, 2, symmetric)
-    got = complex(_select_shift(ritz, shifts, 2, symmetric))
+    got = complex(_assert_broadcast_pick(ritz, shifts, 2, symmetric))
     best = cand[np.argmax(obj)]
     at_got = obj[np.argmin(np.abs(cand - got))]
     assert np.min(np.abs(cand - got)) <= 1e-12 * abs(got)
     assert got == complex(best.real, abs(best.imag)) or at_got >= obj.max() - 1e-10 * (
         1.0 + abs(obj.max())
     )
+
+
+_ON_GRID = np.geomspace(1.0, 3.0, 2000)[700]  # a candidate of the Ritz values {-1, -3}
+_MIXED_RITZ = np.concatenate(
+    [-0.1 - 1j * np.arange(1, 8), -0.1 + 1j * np.arange(1, 8), [-0.5, -3.0]]
+)
+
+
+@pytest.mark.parametrize(
+    "ritz, shifts, symmetric",
+    [
+        # real poles only (grid candidates); real shifts against hull candidates;
+        # a complex shift pair against grid candidates
+        (-np.geomspace(1.0, 1e4, 30), [np.inf, 2.0, 40.0, 900.0], False),
+        (_MIXED_RITZ[:14], [np.inf, 0.3, 2.0], False),
+        (-np.geomspace(1.0, 1e4, 30), [np.inf, complex(50.0, 3.0), complex(50.0, -3.0)], True),
+        # complex pairs and real points among both the Ritz values and the shifts
+        (_MIXED_RITZ, [np.inf, 0.4, complex(0.2, 2.5), complex(0.2, -2.5), 1.5], False),
+        # a candidate on a previous shift: an objective entry of -inf
+        (np.array([-1.0, -3.0]), [np.inf, _ON_GRID], False),
+        # a candidate on the mirrored Ritz value 0: the argmax is +inf and excluded
+        (np.array([0.0, -1.0, -3.0]), [np.inf], False),
+        # ... and on a previous shift too: a NaN entry
+        (np.array([0.0, -1.0, -3.0]), [np.inf, 0.0, 2.0], False),
+        # a finite argmax that is excluded: the mirrored Ritz value 1
+        (np.array([-1.0, -3.0]), [np.inf], False),
+    ],
+    ids=["real-grid", "real-shifts-hull", "complex-shift-grid", "mixed", "on-shift",
+         "on-mirrored", "nan", "argmax-excluded"],
+)
+def test_select_shift_equals_broadcast_reference(ritz, shifts, symmetric):
+    for m in (1, 2):
+        _assert_broadcast_pick(ritz, shifts, m, symmetric)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hull_boundary_equals_linspace_reference(seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(3, 60))
+    pts = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * 10.0 ** rng.uniform(-3, 5)
+    if seed == 0:
+        pts = (1.0 + 2.0j) * rng.standard_normal(k)  # collinear: one segment
+    got, ref = _hull_boundary(pts, 2000), hull_boundary_linspace(pts, 2000)
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def test_select_shift_degenerate_falls_back():
@@ -311,6 +372,17 @@ def test_heat_infinite_gramian_compresses(side):
     assert g.stop == "converged" and g.residual <= 1e-8
     assert g.subspace_dim <= 80
     _assert_distinct_shifts(g)
+
+
+@pytest.mark.parametrize("side", ["reachability", "observability"])
+def test_heat200_subspace_does_not_grow(side):
+    # the benchmark's heat200 system: a change to the shift rule that grows d shows here
+    s = make_synthetic("heat_like", 200, 2, 2, seed=1)
+    cfg = SolverConfig(tol_f=1e-8, tol_p=1e-8)
+    bt = solve_infinite_lowrank(s, cfg, side)
+    tl = solve_timelimited_lowrank(s, TimeWindow(t_e=0.05), cfg, side)
+    assert bt.stop == tl.stop == "converged"
+    assert bt.subspace_dim <= 42 and tl.subspace_dim <= 72
 
 
 @pytest.mark.parametrize("side", ["reachability", "observability"])

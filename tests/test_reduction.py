@@ -273,6 +273,20 @@ def test_descriptor_balance_modes_builds_each_side_once(monkeypatch):
     assert shapes.count((40, 40)) == 2  # M1 and M1^T
 
 
+def test_dense_balance_modes_solves_each_pencil_once(monkeypatch):
+    # the dense M^{-1} A is solved once for the system and once for its dual,
+    # and the stability verdict of the tlbt route reads the first
+    window = TimeWindow(t_e=0.05)
+    fresh = [balance(make_synthetic("heat_like", 60, 2, 2, seed=1), mode, window, method="dense")
+             for mode in MODES]
+    solves = _calls(monkeypatch, np.linalg, "solve")
+    _assert_bit_identical(
+        balance_modes(make_synthetic("heat_like", 60, 2, 2, seed=1), MODES, window, method="dense"),
+        fresh,
+    )
+    assert [np.shape(b) for _, b in solves].count((60, 60)) == 2
+
+
 def test_generalized_balance_modes_factors_mass_once_per_side(monkeypatch):
     window = TimeWindow(t_e=0.05)
     s = make_synthetic("heat_like", 60, 2, 2, seed=1)
