@@ -17,7 +17,7 @@ The pipeline is rational Krylov Gramian factors
   ``mode_gramians``, which picks each side's poles once across modes.
 - :mod:`tlbt.reduction`: square-root balancing (``balance`` once per
   mode, ``balance_modes`` over several modes, ``truncate`` per order;
-  ``Balancing.hsv`` holds the Hankel values), error bounds, transfer
+  ``Balancing.hsv`` holds the Hankel values), transfer function
   evaluation.
 - :mod:`tlbt.simulate`: implicit midpoint integration and the output
   error metric.
@@ -42,11 +42,9 @@ from .reduction import (
     ReducedModel,
     balance,
     balance_modes,
-    hinf_error_bound,
     numerical_rank,
     reduce,
     square_root_reduce,
-    transfer_eval,
 )
 from .simulate import (
     Trajectory,
@@ -81,11 +79,9 @@ __all__ = [
     "ReducedModel",
     "balance",
     "balance_modes",
-    "hinf_error_bound",
     "numerical_rank",
     "reduce",
     "square_root_reduce",
-    "transfer_eval",
     "Trajectory",
     "half_decay_time",
     "implicit_midpoint",

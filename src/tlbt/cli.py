@@ -107,12 +107,6 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) if isinstance(v, (int, float, np.floating)) else str(v) for v in row) + "\n")
 
 
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _out_dir(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -177,7 +171,7 @@ def cmd_gramian(args):
                 f"{name} {mode} {side}: d={g.subspace_dim} rank={g.rank} "
                 f"mu={_fmt(g.residual)} seconds={_fmt(g.wall_time)}"
             )
-        _write_json(out / f"{name}_gramian_{mode}.json", summary)
+        mmio._write_json(out / f"{name}_gramian_{mode}.json", summary)
     return 0
 
 
@@ -216,7 +210,7 @@ def _export_reduced(out, name, mode, r, rom, e_max=None, timings=False):
     }
     if timings:
         meta["t_mor"] = rom.info.get("t_mor")
-    _write_json(out / f"{tag}.json", meta)
+    mmio._write_json(out / f"{tag}.json", meta)
     return sidecar
 
 
@@ -255,7 +249,7 @@ def cmd_simulate(args):
         "input": args.input,
         "max_output_norm": float(np.max(traj.output_norms())),
     }
-    _write_json(out / f"{name}_response.json", summary)
+    mmio._write_json(out / f"{name}_response.json", summary)
     print(f"{name}: simulated {traj.times.size} steps, wrote {name}_response.csv")
     return 0
 
@@ -307,7 +301,7 @@ def cmd_compare(args):
         "seed": args.seed,
         "results": table,
     }
-    _write_json(out / f"{name}_compare.json", payload)
+    mmio._write_json(out / f"{name}_compare.json", payload)
     return 0
 
 

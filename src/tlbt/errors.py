@@ -29,10 +29,6 @@ class SingularShiftError(TlbtError):
     """A shifted system matrix A - sM is numerically singular."""
 
 
-class DegenerateHullError(TlbtError):
-    """No usable candidate region for adaptive shift selection."""
-
-
 class MaxDimExceededError(TlbtError):
     """The Krylov subspace hit its dimension cap before converging."""
 

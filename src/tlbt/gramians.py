@@ -1,18 +1,19 @@
-"""Infinite and time-limited Gramians: dense oracles and the low-rank solver.
+"""Infinite and time-limited Gramians: the dense route and the low-rank solver.
 
-The dense routes solve the Lyapunov equations directly (or use the
-exponential-difference identity for the time-limited Gramian of a stable
-system). The large-scale route is a rational Krylov subspace method with
+Every mode's Gramian solves one Lyapunov equation A P + P A^T + W = 0. One
+map (``_rhs``) builds W from B and from e^{A t} B at the window ends
+(Gawronski & Juang): bt takes B B^T, tlbt B_s B_s^T - B_e B_e^T, and mtlbt
+the absolute-eigenvalue surrogate of the possibly indefinite tlbt W. The
+dense route (``_dense_gramian``) solves that equation for M^{-1} A. The
+large-scale route is a rational Krylov subspace method with
 adaptive shift selection: the basis is grown by shifted solves until the
 subspace approximation of exp(A t) B stops changing, then the projected
 (time-limited) Lyapunov equation is solved and a factored residual norm
 decides termination. The basis, its image and the projected matrix grow in
 place (block CGS2, bordering); the residual comes from the rational Arnoldi
 relation, whose rank-m premise holds only while the start block is the
-only pole at infinity. The modes differ only in the Lyapunov right-hand
-side W, built by one map (``_rhs``) for the Krylov check and the dense
-routes; mtlbt replaces the possibly indefinite time-limited W by its
-absolute-eigenvalue surrogate.
+only pole at infinity. Its checks solve the projected equation with the
+same ``_rhs``.
 """
 
 import os
@@ -25,7 +26,6 @@ from scipy.spatial import ConvexHull, QhullError
 
 from . import linalg
 from .errors import (
-    DegenerateHullError,
     MaxDimExceededError,
     NoConvergenceError,
     OverflowRangeError,
@@ -43,7 +43,6 @@ __all__ = [
     "dense_threshold",
     "gramian_infinite_dense",
     "gramian_timelimited_dense",
-    "adaptive_shift",
     "expm_action_approx",
     "solve_infinite_lowrank",
     "solve_timelimited_lowrank",
@@ -107,28 +106,17 @@ class KrylovWorkspace:
     """Snapshot of the rational Arnoldi state.
 
     q: orthonormal basis (n x d); h: projection q^T A q; b_proj: q^T B
-    with leading block beta; shifts: used shifts starting with inf;
-    ritz: eigenvalues of h.
+    with leading block beta; shifts: used shifts starting with inf.
     """
 
     q: np.ndarray
     h: np.ndarray
     b_proj: np.ndarray
     shifts: list
-    ritz: np.ndarray = None
-
-    @property
-    def m(self):
-        return self.b_proj.shape[1]
 
     @property
     def dim(self):
         return self.q.shape[1]
-
-    def ritz_values(self):
-        if self.ritz is None or len(self.ritz) != self.h.shape[0]:
-            self.ritz = linalg.gen_eig(self.h, vectors=False).values
-        return self.ritz
 
 
 @dataclass
@@ -169,62 +157,40 @@ def _dense_state_input(sys):
     return sys.dense_state_input()
 
 
-def _dense_rhs(mode, a, b, window):
-    """W of a mode's dense equation, from e^{A t} B at the ends of ``window`` (None for bt)."""
-    if window is None:
-        return _rhs(mode, b, None, None)
-    b_s = linalg.expm(a * window.t_s) @ b if window.t_s > 0 else b
-    return _rhs(mode, b, b_s, linalg.expm(a * window.t_e) @ b)
+def _dense_gramian(sys, mode, window, side):
+    """Dense Gramian of a mode: M^{-1} A P + P (M^{-1} A)^T + W = 0, W from :func:`_rhs`.
+
+    B_t = e^{M^{-1} A t} M^{-1} B at the window ends (bt ignores ``window``);
+    the equation holds for an unstable A whose spectrum is disjoint from
+    its mirror as well.
+    """
+    a, b = _dense_state_input(_reach_form(sys, side))
+    ends = (None, None)
+    if mode != "bt":
+        ends = [linalg.expm(a * t) @ b if t > 0 else b for t in (window.t_s, window.t_e)]
+    return linalg.lyap_dense(a, _rhs(mode, b, *ends))
 
 
 def gramian_infinite_dense(sys, side="reachability"):
     """Solve A P + P A^T = -B B^T densely (observability via duality)."""
-    a, b = _dense_state_input(_reach_form(sys, side))
-    return linalg.lyap_dense(a, _dense_rhs("bt", a, b, None))
+    return _dense_gramian(sys, "bt", None, side)
 
 
-def gramian_timelimited_dense(sys, window, side="reachability", route="auto"):
-    """Dense time-limited Gramian over [t_s, t_e].
+def gramian_timelimited_dense(sys, window, side="reachability"):
+    """Solve A P + P A^T = -B_s B_s^T + B_e B_e^T densely, B_t = e^{A t} B over [t_s, t_e]."""
+    return _dense_gramian(sys, "tlbt", window, side)
 
-    route="difference" uses the stable-system identity
-    P_T = e^{A t_s} P_inf e^{A^T t_s} - e^{A t_e} P_inf e^{A^T t_e};
-    route="lyapunov" solves A P + P A^T = -B_s B_s^T + B_e B_e^T with
-    B_t = e^{A t} B (valid for admissible unstable A as well);
-    route="auto" picks by the stability verdict cached on ``sys``.
+
+def factor_psd(p, absolute=False):
+    """Cholesky-like factor Z of a symmetric PSD matrix: Z Z^T ~= P.
+
+    With ``absolute`` P may be indefinite and Z Z^T ~= sum |lambda_i| v_i v_i^T.
+    Eigenvalues at most 1e-12 of the largest are dropped.
     """
-    a, b = _dense_state_input(_reach_form(sys, side))
-    if route == "auto":
-        route = "difference" if spectral_abscissa(sys) < 0 else "lyapunov"
-    if route == "difference":
-        p_inf = linalg.lyap_dense(a, b @ b.T)
-        e_e = linalg.expm(a * window.t_e)
-        p_e = e_e @ p_inf @ e_e.T
-        if window.t_s > 0:
-            e_s = linalg.expm(a * window.t_s)
-            p = e_s @ p_inf @ e_s.T - p_e
-        else:
-            p = p_inf - p_e
-    elif route == "lyapunov":
-        p = linalg.lyap_dense(a, _dense_rhs("tlbt", a, b, window))
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    return 0.5 * (p + p.T)
-
-
-def _dense_modified(sys, window, side="reachability"):
-    """Dense modified time-limited Gramian (absolute-value surrogate right-hand side)."""
-    a, b = _dense_state_input(_reach_form(sys, side))
-    return linalg.lyap_dense(a, _dense_rhs("mtlbt", a, b, window))
-
-
-def factor_psd(p, trunc_tol=_TRUNC_TOL):
-    """Cholesky-like factor Z of a symmetric PSD matrix: Z Z^T ~= P."""
     eig = linalg.sym_eig(p)
-    lam, vec = eig.values, eig.vectors
-    if lam.size == 0:
-        return np.zeros((p.shape[0], 0))
-    keep = lam > trunc_tol * max(lam[0], 0.0)
-    return vec[:, keep] * np.sqrt(lam[keep])[None, :]
+    lam = np.abs(eig.values) if absolute else eig.values
+    keep = lam > _TRUNC_TOL * lam.max(initial=0.0)
+    return eig.vectors[:, keep] * np.sqrt(lam[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +204,7 @@ def _widen(a, rows, cols):
     return out
 
 
-class _Basis(KrylovWorkspace):
+class _Basis:
     """The rational Arnoldi state of a solve, grown in place.
 
     Q, M^{-1} A Q, H = Q^T M^{-1} A Q and b_proj live in buffers that
@@ -252,15 +218,19 @@ class _Basis(KrylovWorkspace):
     """
 
     def __init__(self, sys, b):
-        super().__init__(np.zeros((sys.order, 0)), np.zeros((0, 0)), np.zeros((0, sys.m)), [np.inf])
-        self.sys, self._bp, self._qr_dim = sys, self.b_proj, 0
-        self._q = self._aq = self._qm = self.q
-        self._h = self._rm = self.h
+        self.sys, self.m, self.shifts, self._qr_dim = sys, sys.m, [np.inf], 0
+        self.q = self._q = self._aq = self._qm = np.zeros((sys.order, 0))
+        self.h = self._h = self._rm = np.zeros((0, 0))
+        self.b_proj = self._bp = np.zeros((0, self.m))
         self.extend(b)
         if self.dim == 0:
             raise ValueError("input factor B is numerically zero")
         self.m0 = self.dim
         self._bp[: self.m0] = self.q.T @ b
+
+    @property
+    def dim(self):
+        return self.q.shape[1]
 
     def extend(self, v):
         """Append the part of ``v`` outside ``range(Q)``; returns the columns added."""
@@ -364,12 +334,12 @@ def _select_shift(ritz, shifts, m, symmetric=False):
     = ((x - a)^2 + b^2 - y^2)^2 + (2y(x - a))^2`` (its root on real candidates)
     of the points divided by the largest Ritz modulus (4th powers stay in range).
     Points too close to previous shifts (1e-8 relative) or to mirrored
-    Ritz values (1e-12 relative) are excluded. Complex results come back
+    Ritz values (1e-12 relative) are excluded; when every candidate is, or
+    the mirrored Ritz values coincide, a point next to the first mirrored
+    Ritz value is returned (``_perturbed``). Complex results come back
     as the upper-half-plane representative of the conjugate pair.
     """
     ritz = np.asarray(ritz, dtype=complex)
-    if ritz.size == 0:
-        raise DegenerateHullError("no Ritz values available")
     scale = float(np.max(np.abs(ritz))) or 1.0
     mirrored = -np.conj(ritz)
     rounded = np.round(mirrored / scale, 14)
@@ -428,22 +398,11 @@ def _select_shift(ritz, shifts, m, symmetric=False):
             if ok.any():
                 s = top[np.argmax(ok)]
                 break
-        else:
-            raise DegenerateHullError("all shift candidates excluded")
+        else:  # every candidate excluded
+            return _perturbed(mirrored[0], max(scale, 1.0))
     if abs(s.imag) <= 1e-12 * max(abs(s), scale):
         return float(s.real)
     return complex(s.real, abs(s.imag))
-
-
-def adaptive_shift(ws):
-    """Select the next shift for a workspace (see :func:`_select_shift`)."""
-    h = ws.h
-    symmetric = np.linalg.norm(h - h.T, "fro") <= 1e-12 * max(np.linalg.norm(h, "fro"), 1e-300)
-    try:
-        return _select_shift(ws.ritz_values(), ws.shifts, ws.m, symmetric=symmetric)
-    except DegenerateHullError:
-        mirrored = -np.conj(ws.ritz_values()[0])
-        return _perturbed(mirrored, max(float(np.max(np.abs(ws.ritz_values()))), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -461,25 +420,6 @@ def expm_action_approx(ws, t):
     return coeff, ws.q @ coeff
 
 
-def _abs_eig_factor(w_sym, tol=1e-12):
-    """Factor F with F F^T = sum |lambda_i| v_i v_i^T of a symmetric matrix."""
-    eig = linalg.sym_eig(w_sym)
-    lam, vec = eig.values, eig.vectors
-    if lam.size == 0:
-        return np.zeros((w_sym.shape[0], 0))
-    scale = float(np.max(np.abs(lam)))
-    if scale == 0.0:
-        return np.zeros((w_sym.shape[0], 0))
-    keep = np.abs(lam) > tol * scale
-    return vec[:, keep] * np.sqrt(np.abs(lam[keep]))[None, :]
-
-
-def _surrogate_factor(b_s, b_e):
-    """Factor of |b_s b_s^T - b_e b_e^T|, the stability-preserving right-hand side."""
-    w = _rhs("tlbt", None, b_s, b_e)
-    return _abs_eig_factor(0.5 * (w + w.T))
-
-
 def _rhs(mode, b, b_s, b_e):
     """W of a mode's Lyapunov equation H P + P H^T + W = 0.
 
@@ -489,9 +429,10 @@ def _rhs(mode, b, b_s, b_e):
     """
     if mode == "bt":
         return b @ b.T
+    w = b_s @ b_s.T - b_e @ b_e.T
     if mode == "tlbt":
-        return b_s @ b_s.T - b_e @ b_e.T
-    f = _surrogate_factor(b_s, b_e)
+        return w
+    f = factor_psd(w, absolute=True)
     return f @ f.T
 
 
@@ -511,10 +452,9 @@ def _require_stable(sys):
         return
     ab = spectral_abscissa(sys)
     if ab >= 0:
-        warnings.warn(f"system is not asymptotically stable (spectral abscissa {ab:.3e})",
-                      stacklevel=3)
         raise UnstableSystemError(
-            "low-rank Krylov path requires a stable system; use the dense route"
+            f"system is not asymptotically stable (spectral abscissa {ab:.3e}); "
+            "the low-rank Krylov path requires a stable system, use the dense route"
         )
 
 
@@ -545,13 +485,16 @@ def _solve_lowrank(sys, window, cfg, mode, side, poles=None):
     mu = np.inf
 
     def run_check(exact):
-        """(converged, y, f_change, mu); ``exact`` (d = n) skips the tol_f gate."""
+        """(converged, y, f_change, mu, Ritz values of the solve or None).
+
+        ``exact`` (d = n) skips the tol_f gate.
+        """
         f_changes, coeffs = [0.0], {}
         for key, t in times:
             try:
                 coeffs[key], lifted = expm_action_approx(ws, t)
             except OverflowRangeError:
-                return False, None, np.inf, np.inf
+                return False, None, np.inf, np.inf, None
             cur = np.linalg.norm(lifted)
             diff = np.linalg.norm(lifted - prev_lift[key]) if key in prev_lift else np.inf
             prev_lift[key] = lifted
@@ -559,20 +502,20 @@ def _solve_lowrank(sys, window, cfg, mode, side, poles=None):
             f_changes.append(0.0 if small else diff / max(cur, 1e-300))
         fch = max(f_changes)
         if not exact and fch >= cfg.tol_f:
-            return False, None, fch, np.inf
+            return False, None, fch, np.inf, None
         w_proj = _rhs(mode, ws.b_proj, coeffs.get("s", ws.b_proj), coeffs.get("e"))
         try:
-            y, ws.ritz = linalg.lyap_dense(ws.h, w_proj, eigenvalues=True)
+            y, ritz = linalg.lyap_dense(ws.h, w_proj, eigenvalues=True)
         except SpectrumConflictError:
-            return False, None, fch, np.inf
+            return False, None, fch, np.inf, None
         mu_k = ws.residual(y, w_proj)
-        return mu_k < cfg.tol_p, y, fch, mu_k
+        return mu_k < cfg.tol_p, y, fch, mu_k, ritz
 
     while True:
-        d = ws.dim
-        if since_check >= cfg.cadence or force_check or d >= max_dim:
-            ws.ritz = None
-            converged, y, f_change, mu = run_check(d >= n)
+        d, ritz = ws.dim, None
+        checked = since_check >= cfg.cadence or force_check or d >= max_dim
+        if checked:
+            converged, y, f_change, mu, ritz = run_check(d >= n)
             since_check, force_check = 0, False
             trace.append({"k": len(ws.shifts) - 1, "shift": ws.shifts[-1], "dim": d,
                           "f_change": f_change, "mu": mu})
@@ -583,13 +526,19 @@ def _solve_lowrank(sys, window, cfg, mode, side, poles=None):
                     f"subspace cap {max_dim} reached (dim {d}, mu {mu:.3e}, "
                     f"expm change {f_change:.3e})"
                 )
-            if ws.ritz is None and len(ws.shifts) >= len(poles):
+        if len(ws.shifts) < len(poles):
+            s = poles[len(ws.shifts)]
+        else:
+            if ritz is None:
                 # after a check the Ritz values come from the Schur form of H, solved
                 # or not: then the shifts never depend on the mode (see poles=)
-                ws.ritz = linalg._real_schur(ws.h)[2]
+                ritz = (linalg._real_schur(ws.h)[2] if checked
+                        else linalg.gen_eig(ws.h, vectors=False).values)
+            h = ws.h
+            sym = np.linalg.norm(h - h.T, "fro") <= 1e-12 * max(np.linalg.norm(h, "fro"), 1e-300)
+            s = _select_shift(ritz, ws.shifts, m, sym)
         # grow the basis by (M^{-1} A - s I)^{-1} v = (A - s M)^{-1} M v, so the
         # basis, and with it the Gramian factor, lives in the original coordinates
-        s = poles[len(ws.shifts)] if len(ws.shifts) < len(poles) else adaptive_shift(ws)
         mv = form.mass_apply(ws.q[:, -m:])
         try:
             g = shifted_solve(form, s, mv)
@@ -645,26 +594,22 @@ def mode_gramian(
 
     ``method="krylov"`` returns a :class:`LowRankGramian` (``poles``
     replays the shifts of an earlier solve of this side, see
-    :func:`_solve_lowrank`), ``"dense"`` the dense Gramian. The table is
-    built at call time from the module attributes, so a rebound
+    :func:`_solve_lowrank`), ``"dense"`` the dense Gramian. The solvers
+    are looked up at call time from the module attributes, so a rebound
     ``solve_*_lowrank`` (a tracer, a test spy) sees every call.
     """
-    routes = {
-        "bt": (solve_infinite_lowrank, gramian_infinite_dense),
-        "tlbt": (solve_timelimited_lowrank, gramian_timelimited_dense),
-        "mtlbt": (solve_modified_lowrank, _dense_modified),
-    }
-    if mode not in routes:
+    if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode != "bt" and window is None:
         raise ValueError(f"mode {mode!r} needs a time window")
-    lowrank, dense = routes[mode]
-    args = (sys,) if mode == "bt" else (sys, window)
-    if method == "krylov":
-        return lowrank(*args, cfg=cfg, side=side, poles=poles)
     if method == "dense":
-        return dense(*args, side=side)
-    raise ValueError(f"method must be dense|krylov, got {method!r}")
+        return _dense_gramian(sys, mode, window, side)
+    if method != "krylov":
+        raise ValueError(f"method must be dense|krylov, got {method!r}")
+    if mode == "bt":
+        return solve_infinite_lowrank(sys, cfg=cfg, side=side, poles=poles)
+    lowrank = solve_timelimited_lowrank if mode == "tlbt" else solve_modified_lowrank
+    return lowrank(sys, window, cfg=cfg, side=side, poles=poles)
 
 
 def mode_gramians(sys, modes, window=None, cfg=None, method="krylov", sides=SIDES):

@@ -25,8 +25,6 @@ __all__ = [
     "balance_modes",
     "square_root_reduce",
     "reduce",
-    "hinf_error_bound",
-    "transfer_eval",
     "transfer_at",
     "numerical_rank",
     "MODES",
@@ -199,19 +197,6 @@ def reduce(sys, mode, window=None, r=None, cfg=None, method="krylov", tol=None):
     return bal.truncate(r)
 
 
-def hinf_error_bound(hsv, r):
-    """Balanced-truncation error bound 2 * sum of truncated singular values.
-
-    A proven H-infinity bound for ``bt`` Hankel singular values only; from
-    time-limited (``tlbt``/``mtlbt``) values it is a heuristic (see
-    :func:`reduce`).
-    """
-    hsv = np.asarray(hsv, dtype=float)
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    return float(2.0 * hsv[r:].sum())
-
-
 def transfer_at(obj, s):
     """Transfer function C (s M - A)^{-1} B + D at a complex point s."""
     if isinstance(obj, ReducedModel):
@@ -226,11 +211,6 @@ def transfer_at(obj, s):
     lhs = s * mass - _dense(obj.A)
     sol = _factor(lhs.astype(complex), err=SingularShiftError)(_dense(obj.B).astype(complex))
     return _dense(obj.C) @ sol + obj.D
-
-
-def transfer_eval(obj, omega):
-    """Frequency response H(i*omega)."""
-    return transfer_at(obj, 1j * float(omega))
 
 
 def numerical_rank(obj, eps):

@@ -8,6 +8,10 @@
 - ``diagonalize`` and ``gramian_timelimited_cauchy``: the time-limited
   Gramian of a diagonalizable SISO system from its eigencoordinates and a
   Cauchy matrix, independent of any Lyapunov solver.
+- ``gramian_timelimited_difference``: the time-limited Gramian of a stable
+  standard system from the infinite one,
+  ``e^{A t_s} P e^{A^T t_s} - e^{A t_e} P e^{A^T t_e}``, an identity the
+  library's single Lyapunov equation does not use.
 - ``similarity_transform``: a change of state coordinates, under which
   transfer functions and Hankel singular values are invariant.
 - ``hull_boundary_linspace`` and ``select_shift_broadcast``: the adaptive
@@ -21,6 +25,7 @@ They use numpy and scipy directly, not the kernels they check.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.spatial import ConvexHull, QhullError
 
@@ -95,6 +100,23 @@ def gramian_timelimited_cauchy(diag, t_e):
         raise NearDefectiveError("Cauchy-route Gramian has a non-negligible imaginary part")
     p = p.real
     return 0.5 * (p + p.T)
+
+
+def gramian_timelimited_difference(sys, window):
+    """Time-limited reachability Gramian of a stable standard system over ``window``.
+
+    ``P_T = e^{A t_s} P e^{A^T t_s} - e^{A t_e} P e^{A^T t_e}`` with the
+    infinite Gramian ``A P + P A^T = -B B^T``.
+    """
+    a, b = _dense(sys.A), _dense(sys.B)
+    p = sla.solve_continuous_lyapunov(a, -b @ b.T)
+
+    def pushed(t):
+        e = sla.expm(a * t)
+        return e @ p @ e.T
+
+    p_t = (pushed(window.t_s) if window.t_s > 0 else p) - pushed(window.t_e)
+    return 0.5 * (p_t + p_t.T)
 
 
 def similarity_transform(sys, t):

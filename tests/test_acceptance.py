@@ -15,7 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from conftest import random_descriptor
-from oracles import diagonalize, gramian_timelimited_cauchy, similarity_transform
+from oracles import (
+    diagonalize,
+    gramian_timelimited_cauchy,
+    gramian_timelimited_difference,
+    similarity_transform,
+)
 from tlbt import linalg
 from tlbt.cli import main
 from tlbt.gramians import (
@@ -28,7 +33,7 @@ from tlbt.gramians import (
     solve_modified_lowrank,
     solve_timelimited_lowrank,
 )
-from tlbt.reduction import balance, numerical_rank, reduce, square_root_reduce, transfer_eval
+from tlbt.reduction import balance, numerical_rank, reduce, square_root_reduce, transfer_at
 from tlbt.simulate import half_decay_time, impulse_response, implicit_midpoint, relative_error_series
 from tlbt.synthetic import make_synthetic
 from tlbt.systems import StandardSystem, eliminate_descriptor, shifted_solve
@@ -49,12 +54,12 @@ def test_a1_gramian_identity_two_routes():
         t_e = float(rng.uniform(0.5, 4.0))
         t_s = float(rng.uniform(0.0, 0.3 * t_e))
         w = TimeWindow(t_e=t_e, t_s=t_s)
-        pa = gramian_timelimited_dense(s, w, route="difference")
-        pb = gramian_timelimited_dense(s, w, route="lyapunov")
+        pa = gramian_timelimited_difference(s, w)
+        pb = gramian_timelimited_dense(s, w)
         worst = max(worst, np.linalg.norm(pa - pb, 2) / np.linalg.norm(pa, 2))
     elapsed = time.perf_counter() - t0
     _verdict(
-        "A1 Gramian identity (two dense routes)",
+        "A1 Gramian identity (Lyapunov equation against the difference identity)",
         worst <= 1e-9 and elapsed < 10.0,
         f"worst rel diff {worst:.2e}, {elapsed:.1f}s for 20 systems",
     )
@@ -195,7 +200,7 @@ def test_a7_hinf_bound_sampled():
     for r in (1, n // 4, n // 2):
         rom = square_root_reduce(s, z_p, z_q, r)
         worst = max(
-            np.linalg.norm(transfer_eval(s, om) - transfer_eval(rom, om), 2) for om in freqs
+            np.linalg.norm(transfer_at(s, 1j * om) - transfer_at(rom, 1j * om), 2) for om in freqs
         )
         bound = 2.0 * sig[r:].sum() + 1e-9 * sig[0]
         ok &= worst <= bound
@@ -269,8 +274,6 @@ def test_a11_descriptor_path():
         worst_solve = max(
             worst_solve, np.linalg.norm(v_aug - v_dense) / np.linalg.norm(v_dense)
         )
-    from tlbt.reduction import transfer_at
-
     worst_tf = 0.0
     for s_pt in 1j * np.geomspace(0.05, 50, 10):
         h_full = transfer_at(d, s_pt)

@@ -384,9 +384,9 @@ def test_compare_picks_poles_once_per_side(tmp_path, monkeypatch):
 
         return spy
 
-    def spy_pick(ws, real=gram.adaptive_shift):
+    def spy_pick(*args, real=gram._select_shift, **kwargs):
         picks.append(active[-1]["solve"])
-        return real(ws)
+        return real(*args, **kwargs)
 
     def spy_shifted_solve(*args, real=gram.shifted_solve, **kwargs):
         active[-1]["shifted_solves"] += 1
@@ -410,7 +410,7 @@ def test_compare_picks_poles_once_per_side(tmp_path, monkeypatch):
 
     for kind in ("infinite", "timelimited", "modified"):
         monkeypatch.setattr(gram, f"solve_{kind}_lowrank", spy_solver(kind))
-    monkeypatch.setattr(gram, "adaptive_shift", spy_pick)
+    monkeypatch.setattr(gram, "_select_shift", spy_pick)
     monkeypatch.setattr(gram, "shifted_solve", spy_shifted_solve)
     monkeypatch.setattr(gram, "spectral_abscissa", spy_abscissa)
     monkeypatch.setattr(tlbt.linalg, "gen_eig", spy_gen_eig)

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 import scipy.sparse.linalg as spla
 
 import tlbt.gramians
@@ -13,6 +14,7 @@ from oracles import (
     NearDefectiveError,
     diagonalize,
     gramian_timelimited_cauchy,
+    gramian_timelimited_difference,
     hull_boundary_linspace,
     residual_norm,
     select_shift_broadcast,
@@ -24,12 +26,9 @@ from tlbt.gramians import (
     KrylovWorkspace,
     SolverConfig,
     TimeWindow,
-    _abs_eig_factor,
     _hull_boundary,
     _reach_form,
     _select_shift,
-    _surrogate_factor,
-    adaptive_shift,
     expm_action_approx,
     factor_psd,
     gramian_infinite_dense,
@@ -110,11 +109,27 @@ def test_timelimited_dense_long_horizon_limit(rng):
 
 
 def test_timelimited_dense_routes_agree(rng):
+    # the Lyapunov equation against the difference identity of the infinite Gramian
     s = make_synthetic("random_stable", 20, 2, 1, seed=4)
     w = TimeWindow(t_e=2.0, t_s=0.3)
-    pa = gramian_timelimited_dense(s, w, route="difference")
-    pb = gramian_timelimited_dense(s, w, route="lyapunov")
+    pa = gramian_timelimited_difference(s, w)
+    pb = gramian_timelimited_dense(s, w)
     assert np.linalg.norm(pa - pb, 2) <= 1e-9 * np.linalg.norm(pa, 2)
+
+
+@pytest.mark.parametrize("mode", ["bt", "tlbt", "mtlbt"])
+def test_dense_mode_gramian_solves_the_mode_equation(mode):
+    # A P + P A^T + W = 0 for each side, W built here from e^{A t} B at the window ends
+    s = make_synthetic("random_stable", 20, 2, 2, seed=4)
+    w = TimeWindow(t_e=2.0, t_s=0.3)
+    for side, a, b in [("reachability", s.A, s.B), ("observability", s.A.T, s.C.T)]:
+        b_s, b_e = (scipy.linalg.expm(a * t) @ b for t in (w.t_s, w.t_e))
+        rhs = {"bt": b @ b.T, "tlbt": b_s @ b_s.T - b_e @ b_e.T}
+        lam, vec = np.linalg.eigh(rhs["tlbt"])
+        rhs["mtlbt"] = (vec * np.abs(lam)) @ vec.T
+        ref = scipy.linalg.solve_continuous_lyapunov(a, -rhs[mode])
+        p = mode_gramian(s, mode, w, side=side, method="dense")
+        assert np.linalg.norm(p - ref, 2) <= 1e-10 * np.linalg.norm(ref, 2), side
 
 
 def test_timelimited_dense_unstable_admissible(rng):
@@ -124,7 +139,7 @@ def test_timelimited_dense_unstable_admissible(rng):
     b = np.array([[1.0], [1.0]])
     s = StandardSystem(a, b, np.ones((1, 2)))
     w = TimeWindow(t_e=1.5)
-    p = gramian_timelimited_dense(s, w, route="lyapunov")
+    p = gramian_timelimited_dense(s, w)
 
     def integrand(t):
         e = linalg.expm(a * t)
@@ -316,8 +331,11 @@ def test_hull_boundary_equals_linspace_reference(seed):
 
 
 def test_select_shift_degenerate_falls_back():
-    s = _select_shift(np.array([-2.0, -2.0]), [np.inf], 1)
-    assert np.isfinite(s) and np.real(s) > 0
+    # coinciding mirrored Ritz values; and two 1e-13 apart, where every grid
+    # candidate lies within 1e-12 of one of them and is excluded
+    for ritz in ([-2.0, -2.0], [-1.0, -1.0 - 1e-13]):
+        s = _select_shift(np.array(ritz), [np.inf], 1)
+        assert np.isfinite(s) and np.real(s) > 0
 
 
 def test_symmetric_system_real_shifts():
@@ -341,15 +359,6 @@ def test_no_duplicate_shifts_over_runs():
             for j in range(i + 1, len(finite)):
                 gap = abs(finite[i] - finite[j])
                 assert gap > 1e-12 * max(abs(finite[i]), abs(finite[j]))
-
-
-def test_adaptive_shift_public_api():
-    h = np.diag([-1.0, -3.0])
-    ws = KrylovWorkspace(
-        q=np.eye(2), h=h, b_proj=np.array([[1.0], [0.0]]), shifts=[np.inf]
-    )
-    s = adaptive_shift(ws)
-    assert abs(s - 1.0) <= 1e-2
 
 
 # Stiff symmetric spectra with fast Hankel decay: the adaptive shifts must
@@ -485,7 +494,7 @@ def test_abs_eig_factor_absolute_values():
     rng = np.random.default_rng(3)
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     w = q[:, :2] @ np.diag([2.0, -3.0]) @ q[:, :2].T
-    f = _abs_eig_factor(w)
+    f = factor_psd(w, absolute=True)
     vals = np.sort(np.linalg.eigvalsh(f @ f.T))[::-1]
     assert np.allclose(vals[:2], [3.0, 2.0], atol=1e-12)
     assert f.shape[1] == 2
@@ -495,7 +504,8 @@ def test_modified_rhs_long_horizon_recovers_infinite():
     s = make_synthetic("random_stable", 20, 2, 1, seed=6)
     g = solve_timelimited_lowrank(s, TimeWindow(t_e=60.0))
     ws = g.workspace
-    f = _surrogate_factor(ws.b_proj, expm_action_approx(ws, 60.0)[0])
+    b_e = expm_action_approx(ws, 60.0)[0]
+    f = factor_psd(ws.b_proj @ ws.b_proj.T - b_e @ b_e.T, absolute=True)
     bb = ws.b_proj @ ws.b_proj.T
     assert np.linalg.norm(f @ f.T - bb, 2) <= 1e-10 * np.linalg.norm(bb, 2)
 
@@ -507,7 +517,7 @@ def test_modified_rhs_rank_bound_100_workspaces():
         m = int(rng.integers(1, 4))
         bs = rng.standard_normal((d, m))
         be = rng.standard_normal((d, m))
-        f = _surrogate_factor(bs, be)
+        f = factor_psd(bs @ bs.T - be @ be.T, absolute=True)
         assert f.shape[1] <= 2 * m
 
 
@@ -680,19 +690,18 @@ def test_modified_lowrank_matches_dense(rng):
     g = solve_modified_lowrank(s, w)
     b_e = linalg.expm(s.A * w.t_e) @ s.B
     rhs = s.B @ s.B.T - b_e @ b_e.T
-    b_mod = _abs_eig_factor(0.5 * (rhs + rhs.T))
+    b_mod = factor_psd(rhs, absolute=True)
     p_ref = linalg.lyap_dense(s.A, b_mod @ b_mod.T)
     assert np.linalg.norm(g.z @ g.z.T - p_ref, 2) <= 1e-6 * np.linalg.norm(p_ref, 2)
 
 
 def test_modified_rank_tracks_infinite(rng):
-    from tlbt.gramians import _dense_modified
     from tlbt.reduction import numerical_rank
 
     s = make_synthetic("weakly_damped", 80, 1, 1, seed=4)
     w = TimeWindow(t_e=3.0)
     p_inf = gramian_infinite_dense(s)
-    p_mod = _dense_modified(s, w, "reachability")
+    p_mod = mode_gramian(s, "mtlbt", w, method="dense")
     r_inf = numerical_rank(p_inf, 1e-12)
     r_mod = numerical_rank(p_mod, 1e-12)
     assert abs(r_mod - r_inf) <= 0.1 * r_inf + 1
@@ -700,9 +709,8 @@ def test_modified_rank_tracks_infinite(rng):
 
 def test_unstable_system_refused_for_krylov():
     s = StandardSystem(np.diag([0.1, -1.0]), np.ones((2, 1)), np.ones((1, 2)))
-    with pytest.warns(UserWarning):
-        with pytest.raises(UnstableSystemError):
-            solve_timelimited_lowrank(s, TimeWindow(t_e=1.0))
+    with pytest.raises(UnstableSystemError, match="spectral abscissa"):
+        solve_timelimited_lowrank(s, TimeWindow(t_e=1.0))
 
 
 def test_max_dim_exceeded():
@@ -774,7 +782,7 @@ def test_decay_invariant_gap_shrinks_with_bound():
 def test_unstable_system_refused_by_every_solver(solve):
     s = StandardSystem(np.diag([0.1, -1.0]), np.ones((2, 1)), np.ones((1, 2)))
     args = (s,) if solve is solve_infinite_lowrank else (s, TimeWindow(t_e=1.0))
-    with pytest.warns(UserWarning), pytest.raises(UnstableSystemError):
+    with pytest.raises(UnstableSystemError, match="spectral abscissa"):
         solve(*args)
 
 
@@ -784,9 +792,8 @@ def test_dense_standard_stability_verified_above_dense_threshold(monkeypatch):
     monkeypatch.setenv("TLBT_DENSE_THRESHOLD", "10")
     s = make_synthetic("random_stable", 40, 2, 2, seed=1)
     unstable = alpha_shift(s, spectral_abscissa(s) - 0.5)
-    with pytest.warns(UserWarning, match="not asymptotically stable"):
-        with pytest.raises(UnstableSystemError):
-            solve_infinite_lowrank(unstable)
+    with pytest.raises(UnstableSystemError, match="spectral abscissa"):
+        solve_infinite_lowrank(unstable)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         solve_infinite_lowrank(s)
@@ -813,9 +820,9 @@ def test_second_reduce_computes_no_spectrum(monkeypatch):
 
 def test_unstable_system_refused_by_reduce_and_balance_modes():
     s = StandardSystem(np.diag([0.1, -1.0]), np.ones((2, 1)), np.ones((1, 2)))
-    with pytest.warns(UserWarning), pytest.raises(UnstableSystemError):
+    with pytest.raises(UnstableSystemError, match="spectral abscissa"):
         reduce(s, "bt", r=1)
-    with pytest.warns(UserWarning), pytest.raises(UnstableSystemError):
+    with pytest.raises(UnstableSystemError, match="spectral abscissa"):
         next(balance_modes(s, ["tlbt", "bt"], TimeWindow(t_e=1.0)))
 
 

@@ -1,11 +1,15 @@
 """The public surface: every exported name resolves and is owned by a module.
 
 Guards against ``__all__`` entries left behind when a helper is deleted or
-moved, and against package re-exports that bypass a module's ``__all__``.
+moved, against package re-exports that bypass a module's ``__all__``, and
+against losing the solver functions the benchmark's tracer wraps.
 """
 
 import importlib
+import importlib.util
 import pkgutil
+import types
+from pathlib import Path
 
 import pytest
 
@@ -39,3 +43,18 @@ def test_package_reexports_are_in_their_module_all():
         if attr not in importlib.import_module(owner).__all__:
             stray.append(f"{owner}.{attr}")
     assert not stray, f"re-exported but not in the module's __all__: {stray}"
+
+
+def test_tracer_solvers_are_public_gramian_functions():
+    # perfbench/tracing.py wraps the public functions of each module and checks
+    # each Krylov solve's shifted solves inside the span of one of its SOLVERS
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    gramians = importlib.import_module("tlbt.gramians")
+    for name in tracing.SOLVERS:
+        module, attr = name.split(".")
+        assert module == "gramians" and attr in gramians.__all__, name
+        fn = getattr(gramians, attr)
+        assert isinstance(fn, types.FunctionType) and fn.__module__ == "tlbt.gramians", name

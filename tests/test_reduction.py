@@ -15,12 +15,10 @@ from tlbt.gramians import (
 from tlbt.reduction import (
     balance,
     balance_modes,
-    hinf_error_bound,
     numerical_rank,
     reduce,
     square_root_reduce,
     transfer_at,
-    transfer_eval,
 )
 from tlbt.synthetic import make_synthetic
 from tlbt.systems import StandardSystem
@@ -54,7 +52,7 @@ def test_square_root_decoupled_keeps_dominant():
     s = StandardSystem(np.diag([-1.0, -10.0]), np.ones((2, 1)), np.ones((1, 2)))
     z_p, z_q = exact_factors(s)
     rom = square_root_reduce(s, z_p, z_q, 1)
-    dc = transfer_eval(rom, 0.0)[0, 0].real
+    dc = transfer_at(rom, 0j)[0, 0].real
     candidates = {1.0: abs(dc - 1.0), 0.1: abs(dc - 0.1)}
     assert candidates[1.0] < candidates[0.1]
     assert abs(dc - 1.0) <= 2 * rom.hsv.min() + 1e-9
@@ -66,8 +64,8 @@ def test_square_root_full_order_preserves_transfer(rng):
     r = min(z_p.shape[1], z_q.shape[1])
     rom = square_root_reduce(s, z_p, z_q, r)
     for w in np.geomspace(0.01, 100, 10):
-        h = transfer_eval(s, w)
-        h_r = transfer_eval(rom, w)
+        h = transfer_at(s, 1j * w)
+        h_r = transfer_at(rom, 1j * w)
         assert np.linalg.norm(h - h_r) <= 1e-9 * max(np.linalg.norm(h), 1e-30)
 
 
@@ -95,8 +93,8 @@ def test_reduce_tlbt_long_horizon_matches_bt():
     rom_bt = reduce(s, "bt", r=5)
     rom_tl = reduce(s, "tlbt", window=TimeWindow(t_e=80.0), r=5)
     for w in np.geomspace(0.01, 10, 8):
-        h_b = transfer_eval(rom_bt, w)
-        h_t = transfer_eval(rom_tl, w)
+        h_b = transfer_at(rom_bt, 1j * w)
+        h_t = transfer_at(rom_tl, 1j * w)
         assert np.linalg.norm(h_b - h_t) <= 1e-6 * max(np.linalg.norm(h_b), 1e-30)
 
 
@@ -111,9 +109,9 @@ def test_reduce_tolerance_based_order():
     s = make_synthetic("random_stable", 20, 1, 1, seed=3)
     rom = reduce(s, "bt", tol=1e-6)
     sig = rom.info["hsv_all"]
-    assert hinf_error_bound(sig, rom.order) <= 1e-6
+    assert 2 * sig[rom.order:].sum() <= 1e-6
     if rom.order > 1:
-        assert hinf_error_bound(sig, rom.order - 1) > 1e-6
+        assert 2 * sig[rom.order - 1 :].sum() > 1e-6
 
 
 def test_reduce_dense_method_matches_krylov():
@@ -123,8 +121,8 @@ def test_reduce_dense_method_matches_krylov():
     rom_d = reduce(s, "tlbt", window=w, r=5, method="dense")
     for om in (0.0, 1.0, 10.0):
         assert np.linalg.norm(
-            transfer_eval(rom_k, om) - transfer_eval(rom_d, om)
-        ) <= 1e-6 * max(np.linalg.norm(transfer_eval(rom_d, om)), 1e-30)
+            transfer_at(rom_k, 1j * om) - transfer_at(rom_d, 1j * om)
+        ) <= 1e-6 * max(np.linalg.norm(transfer_at(rom_d, 1j * om)), 1e-30)
 
 
 def test_biorthogonality_all_modes():
@@ -158,8 +156,12 @@ def test_hankel_matches_product_eigenvalues(rng):
     q = gramian_timelimited_dense(s, w, "observability")
     sig = balance(s, "tlbt", w, method="dense").hsv
     lam = np.sort(np.linalg.eigvals(p @ q).real)[::-1]
-    lam = np.sqrt(np.clip(lam, 0.0, None))[: sig.size]
-    assert np.linalg.norm(sig - lam) <= 1e-8 * lam[0]
+    lam = np.sqrt(np.clip(lam, 0.0, None))
+    # sqrt(eig(P Q)) in double precision carries errors near sqrt(eps) sigma_1, so
+    # it is a reference only above 1e-6 sigma_1; both sides must agree on that cut
+    k = np.count_nonzero(lam >= 1e-6 * lam[0])
+    assert np.count_nonzero(sig >= 1e-6 * lam[0]) == k
+    assert np.linalg.norm(sig[:k] - lam[:k]) <= 1e-8 * lam[0]
 
 
 def test_hankel_invariance_under_similarity(rng):
@@ -172,25 +174,19 @@ def test_hankel_invariance_under_similarity(rng):
     assert np.max(np.abs(sig0[:k] - sig1[:k])) <= 1e-8 * sig0[0]
 
 
-def test_hinf_bound_trivial_cases():
-    assert hinf_error_bound([3.0, 2.0, 1.0], 2) == 2.0
-    assert hinf_error_bound([3.0, 2.0, 1.0], 3) == 0.0
-    assert hinf_error_bound([3.0, 2.0, 1.0], 0) == 12.0
-
-
 def test_transfer_scalar_dc():
-    assert abs(transfer_eval(SCALAR, 0.0)[0, 0] - 1.0) < 1e-14
+    assert abs(transfer_at(SCALAR, 0j)[0, 0] - 1.0) < 1e-14
 
 
 def test_transfer_high_frequency_rolloff():
-    h = transfer_eval(SCALAR, 1e6)
+    h = transfer_at(SCALAR, 1j * 1e6)
     assert np.abs(h[0, 0]) <= 1.1e-6
 
 
 def test_transfer_feedthrough_only():
     d = np.array([[2.0, 1.0]])
     s = StandardSystem(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((1, 0)), D=d)
-    assert np.allclose(transfer_eval(s, 3.0), d)
+    assert np.allclose(transfer_at(s, 1j * 3.0), d)
 
 
 def test_sampled_hinf_bound_exact_factors(rng):
@@ -199,9 +195,9 @@ def test_sampled_hinf_bound_exact_factors(rng):
     sig = balance(s, "bt", method="dense").hsv
     for r in (2, 6):
         rom = square_root_reduce(s, z_p, z_q, r)
-        bound = hinf_error_bound(sig, r) + 1e-9 * sig[0]
+        bound = 2 * sig[r:].sum() + 1e-9 * sig[0]
         worst = max(
-            np.linalg.norm(transfer_eval(s, w) - transfer_eval(rom, w), 2)
+            np.linalg.norm(transfer_at(s, 1j * w) - transfer_at(rom, 1j * w), 2)
             for w in np.logspace(-2, 3, 200)
         )
         assert worst <= bound
@@ -274,8 +270,7 @@ def test_descriptor_balance_modes_builds_each_side_once(monkeypatch):
 
 
 def test_dense_balance_modes_solves_each_pencil_once(monkeypatch):
-    # the dense M^{-1} A is solved once for the system and once for its dual,
-    # and the stability verdict of the tlbt route reads the first
+    # the dense M^{-1} A is solved once for the system and once for its dual
     window = TimeWindow(t_e=0.05)
     fresh = [balance(make_synthetic("heat_like", 60, 2, 2, seed=1), mode, window, method="dense")
              for mode in MODES]
