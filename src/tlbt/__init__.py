@@ -1,7 +1,7 @@
 """Balanced truncation over finite time horizons for LTI systems.
 
 The pipeline is rational Krylov Gramian factors
-(:func:`~tlbt.gramians.mode_gramians`), one SVD per mode
+(:func:`~tlbt.gramians.mode_gramian`), one SVD per mode
 (:func:`~tlbt.reduction.balance`) and a projection per order
 (``Balancing.truncate``). Library layout:
 
@@ -9,16 +9,15 @@ The pipeline is rational Krylov Gramian factors
   Gram-Schmidt).
 - :mod:`tlbt.systems`: standard/generalized/descriptor representations
   behind one interface (order, mass and its cached solve, action of A,
-  Krylov start block, first-order form, cached dual), the shifted solves
-  (a cached Schur form for dense standard systems, LU otherwise),
-  descriptor elimination, spectral abscissa.
+  Krylov start block, first-order form, cached dual and Krylov shifts),
+  the shifted solves (a cached Schur form for dense standard systems, LU
+  otherwise), descriptor elimination, spectral abscissa.
 - :mod:`tlbt.gramians`: dense and low-rank (rational Krylov) Gramian
   solvers, infinite / time-limited / stability-preserving modified, and
-  ``mode_gramians``, which picks each side's poles once across modes.
+  ``mode_gramian``, which maps a mode and a side to its solver.
 - :mod:`tlbt.reduction`: square-root balancing (``balance`` once per
-  mode, ``balance_modes`` over several modes, ``truncate`` per order;
-  ``Balancing.hsv`` holds the Hankel values), transfer function
-  evaluation.
+  mode, ``truncate`` per order; ``Balancing.hsv`` holds the Hankel
+  values), transfer function evaluation.
 - :mod:`tlbt.simulate`: implicit midpoint integration and the output
   error metric.
 - :mod:`tlbt.synthetic`: deterministic desk-scale test systems.
@@ -41,8 +40,6 @@ from .reduction import (
     Balancing,
     ReducedModel,
     balance,
-    balance_modes,
-    numerical_rank,
     reduce,
     square_root_reduce,
 )
@@ -78,8 +75,6 @@ __all__ = [
     "Balancing",
     "ReducedModel",
     "balance",
-    "balance_modes",
-    "numerical_rank",
     "reduce",
     "square_root_reduce",
     "Trajectory",

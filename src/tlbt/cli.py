@@ -19,7 +19,7 @@ import numpy as np
 
 from . import mmio, reduction, simulate, synthetic
 from .errors import TlbtError
-from .gramians import SIDES, SolverConfig, TimeWindow, mode_gramians
+from .gramians import SIDES, SolverConfig, TimeWindow, mode_gramian
 
 __all__ = ["main"]
 
@@ -151,15 +151,15 @@ def cmd_gramian(args):
         raise ValueError(
             "tlbt gramian computes Krylov factors only; --method dense is not supported"
         )
-    out = _out_dir(args)
     sys_obj, name = _load_system(args)
     window = _window(args)
     cfg = _config(args)
+    out = _out_dir(args)
     sides = {"reach": ["reachability"], "obs": ["observability"]}.get(args.side, SIDES)
-    gramians = mode_gramians(sys_obj, args.mode, window, cfg, sides=sides)
-    for mode, by_side in zip(args.mode, gramians):
+    for mode in args.mode:
         summary = {"mode": mode, "t_s": args.ts, "t_e": args.te}
-        for side, g in by_side.items():
+        for side in sides:
+            g = mode_gramian(sys_obj, mode, window, cfg, side)
             tag = "ZP" if side == "reachability" else "ZQ"
             mmio.write_matrix(out / f"{name}_{tag}_{mode}.mtx", g.z)
             if args.trace:
@@ -176,13 +176,12 @@ def cmd_gramian(args):
 
 
 def cmd_hsv(args):
-    out = _out_dir(args)
     sys_obj, name = _load_system(args)
     window = _window(args)
     cfg = _config(args)
-    balances = reduction.balance_modes(sys_obj, args.mode, window, cfg, args.method)
-    for mode, bal in zip(args.mode, balances):
-        hsv = bal.hsv
+    out = _out_dir(args)
+    for mode in args.mode:
+        hsv = reduction.balance(sys_obj, mode, window, cfg, args.method).hsv
         _write_csv(
             out / f"{name}_hsv_{mode}.csv",
             ["index", "sigma"],
@@ -215,12 +214,12 @@ def _export_reduced(out, name, mode, r, rom, e_max=None, timings=False):
 
 
 def cmd_reduce(args):
-    out = _out_dir(args)
     sys_obj, name = _load_system(args)
     window = _window(args)
     cfg = _config(args)
-    balances = reduction.balance_modes(sys_obj, args.mode, window, cfg, args.method)
-    for mode, bal in zip(args.mode, balances):
+    out = _out_dir(args)
+    for mode in args.mode:
+        bal = reduction.balance(sys_obj, mode, window, cfg, args.method)
         for r in args.order:
             rom = bal.truncate(r)
             _export_reduced(out, name, mode, r, rom, timings=args.timings)
@@ -255,12 +254,12 @@ def cmd_simulate(args):
 
 
 def cmd_compare(args):
-    out = _out_dir(args)
     sys_obj, name = _load_system(args)
     if args.te is None:
         raise ValueError("compare requires --te")
     window = TimeWindow(t_e=args.te, t_s=args.ts)
     cfg = _config(args)
+    out = _out_dir(args)
     tf = args.tf if args.tf is not None else args.te
     u = _input_signal(args, sys_obj.m)
     ref = simulate.implicit_midpoint(sys_obj, u, None, args.dt, tf)
@@ -268,8 +267,8 @@ def cmd_compare(args):
     orders = sorted(args.order)
     table = []
     e_by_mode = {}
-    balances = reduction.balance_modes(sys_obj, args.mode, window, cfg, args.method)
-    for mode, bal in zip(args.mode, balances):
+    for mode in args.mode:
+        bal = reduction.balance(sys_obj, mode, window, cfg, args.method)
         for r in orders:
             rom = bal.truncate(r)
             red = simulate.implicit_midpoint(rom, u, None, args.dt, tf)

@@ -43,7 +43,6 @@ __all__ = [
     "dense_threshold",
     "gramian_infinite_dense",
     "gramian_timelimited_dense",
-    "expm_action_approx",
     "solve_infinite_lowrank",
     "solve_timelimited_lowrank",
     "solve_modified_lowrank",
@@ -51,7 +50,6 @@ __all__ = [
     "MODES",
     "SIDES",
     "mode_gramian",
-    "mode_gramians",
 ]
 
 #: balanced-truncation modes: bt balances the infinite Gramians, tlbt the
@@ -99,6 +97,8 @@ class SolverConfig:
             raise ValueError("tolerances must lie in (0, 1)")
         if self.cadence < 1:
             raise ValueError("cadence must be >= 1")
+        if self.max_dim is not None and self.max_dim < 1:
+            raise ValueError("max_dim must be >= 1")
 
 
 @dataclass
@@ -409,7 +409,7 @@ def _select_shift(ritz, shifts, m, symmetric=False):
 # projected quantities
 
 
-def expm_action_approx(ws, t):
+def _expm_action(ws, t):
     """Galerkin approximation of e^{A t} B from the workspace.
 
     Returns (coefficients e^{H t} q^T B, lifted n x m approximation).
@@ -458,21 +458,26 @@ def _require_stable(sys):
         )
 
 
-def _solve_lowrank(sys, window, cfg, mode, side, poles=None):
+def _solve_lowrank(sys, window, cfg, mode, side):
     """Shared driver behind the three low-rank Gramian solvers.
 
-    ``poles`` replays the ``workspace.shifts`` (``inf`` first) of an
-    earlier solve of the same system and side: each growth step takes
-    ``poles[len(shifts)]`` while the list has an entry there and picks
-    adaptively after that; a complex pole still adds its conjugate, which
-    is the next entry. The shifts depend on the pencil and the start block,
-    never on the mode, so the result is bit-identical to a fresh solve.
+    The adaptive shifts depend on the pencil, the start block and the check
+    schedule (``cfg.cadence``: the Ritz values come from the Schur form of
+    H at a check, solved or not, and from ``gen_eig`` between checks), never
+    on the mode, the window or the tolerances. So the reach form (the system
+    or its cached dual) keeps one shift list (``inf`` first) per cadence:
+    each growth step takes the cached pole at ``len(workspace.shifts)``
+    while one exists and picks adaptively after that, appending what it
+    picks; a complex pole still adds its conjugate, the next entry. Every
+    solve therefore equals a solve of a fresh copy of the system, bit for
+    bit, and picks no shift that an earlier solve of its side and cadence
+    picked.
     """
     cfg = cfg or SolverConfig()
-    poles = poles or ()
     _require_stable(sys)
     t0 = time.perf_counter()
     form = _reach_form(sys, side)
+    poles = form._poles.setdefault(cfg.cadence, [np.inf])
     n, m = form.order, form.m
     b = np.atleast_2d(form.mass_solve(form.start_block()).astype(float))
     ws = _Basis(form, b)
@@ -492,7 +497,7 @@ def _solve_lowrank(sys, window, cfg, mode, side, poles=None):
         f_changes, coeffs = [0.0], {}
         for key, t in times:
             try:
-                coeffs[key], lifted = expm_action_approx(ws, t)
+                coeffs[key], lifted = _expm_action(ws, t)
             except OverflowRangeError:
                 return False, None, np.inf, np.inf, None
             cur = np.linalg.norm(lifted)
@@ -530,8 +535,6 @@ def _solve_lowrank(sys, window, cfg, mode, side, poles=None):
             s = poles[len(ws.shifts)]
         else:
             if ritz is None:
-                # after a check the Ritz values come from the Schur form of H, solved
-                # or not: then the shifts never depend on the mode (see poles=)
                 ritz = (linalg._real_schur(ws.h)[2] if checked
                         else linalg.gen_eig(ws.h, vectors=False).values)
             h = ws.h
@@ -552,6 +555,7 @@ def _solve_lowrank(sys, window, cfg, mode, side, poles=None):
         else:
             new, g = [float(np.real(s))], g.real
         ws.shifts += new
+        poles += ws.shifts[len(poles):]
         since_check += len(new)
         if ws.extend(g):
             stagnant = 0
@@ -572,31 +576,28 @@ def _solve_lowrank(sys, window, cfg, mode, side, poles=None):
     )
 
 
-def solve_infinite_lowrank(sys, cfg=None, side="reachability", poles=None):
+def solve_infinite_lowrank(sys, cfg=None, side="reachability"):
     """Low-rank factor of the infinite Gramian by the rational Krylov method."""
-    return _solve_lowrank(sys, None, cfg, "bt", side, poles)
+    return _solve_lowrank(sys, None, cfg, "bt", side)
 
 
-def solve_timelimited_lowrank(sys, window, cfg=None, side="reachability", poles=None):
+def solve_timelimited_lowrank(sys, window, cfg=None, side="reachability"):
     """Low-rank factor of the time-limited Gramian over [t_s, t_e]."""
-    return _solve_lowrank(sys, window, cfg, "tlbt", side, poles)
+    return _solve_lowrank(sys, window, cfg, "tlbt", side)
 
 
-def solve_modified_lowrank(sys, window, cfg=None, side="reachability", poles=None):
+def solve_modified_lowrank(sys, window, cfg=None, side="reachability"):
     """Low-rank factor of the stability-preserving modified Gramian."""
-    return _solve_lowrank(sys, window, cfg, "mtlbt", side, poles)
+    return _solve_lowrank(sys, window, cfg, "mtlbt", side)
 
 
-def mode_gramian(
-    sys, mode, window=None, cfg=None, side="reachability", method="krylov", poles=None
-):
+def mode_gramian(sys, mode, window=None, cfg=None, side="reachability", method="krylov"):
     """One side's Gramian of a balanced-truncation mode (see :data:`MODES`).
 
-    ``method="krylov"`` returns a :class:`LowRankGramian` (``poles``
-    replays the shifts of an earlier solve of this side, see
-    :func:`_solve_lowrank`), ``"dense"`` the dense Gramian. The solvers
-    are looked up at call time from the module attributes, so a rebound
-    ``solve_*_lowrank`` (a tracer, a test spy) sees every call.
+    ``method="krylov"`` returns a :class:`LowRankGramian`, ``"dense"`` the
+    dense Gramian. The solvers are looked up at call time from the module
+    attributes, so a rebound ``solve_*_lowrank`` (a tracer, a test spy)
+    sees every call.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -607,25 +608,7 @@ def mode_gramian(
     if method != "krylov":
         raise ValueError(f"method must be dense|krylov, got {method!r}")
     if mode == "bt":
-        return solve_infinite_lowrank(sys, cfg=cfg, side=side, poles=poles)
+        return solve_infinite_lowrank(sys, cfg=cfg, side=side)
     lowrank = solve_timelimited_lowrank if mode == "tlbt" else solve_modified_lowrank
-    return lowrank(sys, window, cfg=cfg, side=side, poles=poles)
+    return lowrank(sys, window, cfg=cfg, side=side)
 
-
-def mode_gramians(sys, modes, window=None, cfg=None, method="krylov", sides=SIDES):
-    """Yield ``{side: mode_gramian(sys, mode, ...)}`` for each of ``modes``.
-
-    Krylov solves verify ``sys`` from the spectral abscissa it caches. The
-    adaptive shifts depend on the system and the side, never on the mode,
-    so every mode replays the longest shift list of each side so far
-    (``poles=``) and picks new shifts only where it needs a larger basis:
-    the results equal separate :func:`mode_gramian` calls.
-    """
-    poles = {}
-    for mode in modes:
-        out = {side: mode_gramian(sys, mode, window, cfg, side, method, poles.get(side))
-               for side in sides}
-        if method == "krylov":
-            for side, g in out.items():
-                poles[side] = max(poles.get(side, []), g.workspace.shifts, key=len)
-        yield out

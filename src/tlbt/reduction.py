@@ -15,18 +15,16 @@ import numpy as np
 
 from . import linalg
 from .errors import RankDeficientError, SingularShiftError
-from .gramians import MODES, LowRankGramian, TimeWindow, factor_psd, mode_gramians
+from .gramians import MODES, SIDES, TimeWindow, factor_psd, mode_gramian
 from .systems import DescriptorIndex1, StandardSystem, _dense, _factor
 
 __all__ = [
     "ReducedModel",
     "Balancing",
     "balance",
-    "balance_modes",
     "square_root_reduce",
     "reduce",
     "transfer_at",
-    "numerical_rank",
     "MODES",
 ]
 
@@ -137,42 +135,27 @@ def balance(sys, mode, window=None, cfg=None, method="krylov"):
     ``"dense"`` exact dense Gramians (desk-scale systems, unstable
     admissible). Descriptor factors come from the implicit descriptor
     path; the projection runs on the first-order form, for a descriptor
-    its cached dense eliminated form (desk scale).
+    its cached dense eliminated form (desk scale). What the Gramians
+    derive from ``sys`` is cached on it (see :mod:`tlbt.systems`), so
+    balancing several modes of one system builds each of those once.
     """
-    return next(balance_modes(sys, [mode], window, cfg, method))
-
-
-def balance_modes(sys, modes, window=None, cfg=None, method="krylov"):
-    """Yield ``balance(sys, mode, ...)`` for each mode, picking each side's poles once.
-
-    The Gramians come from :func:`~tlbt.gramians.mode_gramians`, which
-    replays each side's Krylov shifts into the later modes; the stability
-    verdict is computed once and cached on ``sys``. The results equal
-    separate :func:`balance` calls.
-    """
-    modes = [mode.lower() for mode in modes]
-    gramians = mode_gramians(sys, modes, window, cfg, method)
-    work = sys.first_order()
-    for mode in modes:
-        t0 = time.perf_counter()
-        sides = next(gramians)
-        gp, gq = sides["reachability"], sides["observability"]
-        info = {}
-        if method == "dense":
-            z_p, z_q = factor_psd(gp), factor_psd(gq)
-        else:
-            z_p, z_q = gp.z, gq.z
-            info.update(
-                mu_p=gp.residual, mu_q=gq.residual,
-                dim_p=gp.subspace_dim, dim_q=gq.subspace_dim,
-                rank_p=gp.rank, rank_q=gq.rank,
-            )
-        info["t_gramians"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        u, hsv, v = linalg.svd(z_q.T @ work.mass_apply(z_p))
-        yield Balancing(
-            work, z_p, z_q, u, hsv, v, mode, window, info, time.perf_counter() - t0
+    mode, work = mode.lower(), sys.first_order()
+    t0 = time.perf_counter()
+    gp, gq = (mode_gramian(sys, mode, window, cfg, side, method) for side in SIDES)
+    info = {}
+    if method == "dense":
+        z_p, z_q = factor_psd(gp), factor_psd(gq)
+    else:
+        z_p, z_q = gp.z, gq.z
+        info.update(
+            mu_p=gp.residual, mu_q=gq.residual,
+            dim_p=gp.subspace_dim, dim_q=gq.subspace_dim,
+            rank_p=gp.rank, rank_q=gq.rank,
         )
+    info["t_gramians"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    u, hsv, v = linalg.svd(z_q.T @ work.mass_apply(z_p))
+    return Balancing(work, z_p, z_q, u, hsv, v, mode, window, info, time.perf_counter() - t0)
 
 
 def reduce(sys, mode, window=None, r=None, cfg=None, method="krylov", tol=None):
@@ -188,6 +171,8 @@ def reduce(sys, mode, window=None, r=None, cfg=None, method="krylov", tol=None):
     """
     if r is None and tol is None:
         raise ValueError("either r or tol must be given")
+    if tol is not None and not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     bal = balance(sys, mode, window, cfg, method)
     if tol is not None:
         sig = bal.hsv
@@ -212,15 +197,3 @@ def transfer_at(obj, s):
     sol = _factor(lhs.astype(complex), err=SingularShiftError)(_dense(obj.B).astype(complex))
     return _dense(obj.C) @ sol + obj.D
 
-
-def numerical_rank(obj, eps):
-    """Count of eigenvalues above eps times the largest one."""
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
-    if isinstance(obj, LowRankGramian):
-        lam = np.linalg.svd(obj.z, compute_uv=False) ** 2
-    else:
-        lam = linalg.sym_eig(np.asarray(obj)).values
-    if lam.size == 0 or lam[0] <= 0:
-        return 0
-    return int(np.count_nonzero(lam > eps * lam[0]))

@@ -17,10 +17,11 @@ the balancing projection and the integrator); ``transposed()`` is the
 dual. Systems are not mutated after construction, so what they derive is
 built on first use and cached on them: the LU of M, the dual, the
 spectral abscissa, ``dense_state_input()`` (M^{-1} A and M^{-1} B when
-M is not I), a descriptor's A4 LU, block pencil and eliminated
-form, and the complex Schur form that a dense standard system shares
-with its dual for every shifted solve and for the spectrum. No cached
-object refers back to the system that holds it. Every other shifted
+M is not I), the Krylov shifts of the system's own reachability solves
+(never shared with the dual), a descriptor's A4 LU, block pencil and
+eliminated form, and the complex Schur form that a dense standard system
+shares with its dual for every shifted solve and for the spectrum. No
+cached object refers back to the system that holds it. Every other shifted
 solve factors its shifted matrix by LU (``_factor``).
 """
 
@@ -80,6 +81,8 @@ class _System:
     _mass_lu: object = field(default=None, init=False, repr=False, compare=False)
     _abscissa: float = field(default=None, init=False, repr=False, compare=False)
     _state_input: tuple = field(default=None, init=False, repr=False, compare=False)
+    # {cadence: shifts of the reachability solves so far}, see gramians._solve_lowrank
+    _poles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self):

@@ -14,6 +14,8 @@
   library's single Lyapunov equation does not use.
 - ``similarity_transform``: a change of state coordinates, under which
   transfer functions and Hankel singular values are invariant.
+- ``numerical_rank``: the count of a Gramian's eigenvalues above a
+  fraction of the largest, from a dense Gramian or a low-rank factor.
 - ``hull_boundary_linspace`` and ``select_shift_broadcast``: the adaptive
   shift rule with one ``np.linspace`` per hull edge and the objective as a
   complex broadcast, ``log|(s - p)(s - conj(p))|``, ranked by a stable
@@ -30,6 +32,7 @@ import scipy.sparse as sp
 from scipy.spatial import ConvexHull, QhullError
 
 from tlbt.errors import SpectrumConflictError, TlbtError
+from tlbt.gramians import LowRankGramian
 from tlbt.systems import StandardSystem
 
 
@@ -127,6 +130,20 @@ def similarity_transform(sys, t):
     a = np.linalg.solve(t, _dense(sys.A) @ t)
     b = np.linalg.solve(t, _dense(sys.B))
     return StandardSystem(a, b, _dense(sys.C) @ t, sys.D)
+
+
+def numerical_rank(obj, eps):
+    """Count of eigenvalues above eps times the largest one."""
+    if not (0.0 < eps < 1.0):
+        raise ValueError("eps must lie in (0, 1)")
+    if isinstance(obj, LowRankGramian):
+        lam = np.linalg.svd(obj.z, compute_uv=False) ** 2
+    else:
+        p = np.asarray(obj, dtype=float)
+        lam = np.linalg.eigh(0.5 * (p + p.T))[0][::-1]
+    if lam.size == 0 or lam[0] <= 0:
+        return 0
+    return int(np.count_nonzero(lam > eps * lam[0]))
 
 
 def _pencil_images(sys, q):

@@ -19,6 +19,7 @@ from oracles import (
     diagonalize,
     gramian_timelimited_cauchy,
     gramian_timelimited_difference,
+    numerical_rank,
     similarity_transform,
 )
 from tlbt import linalg
@@ -26,14 +27,14 @@ from tlbt.cli import main
 from tlbt.gramians import (
     SolverConfig,
     TimeWindow,
-    expm_action_approx,
+    _expm_action,
     factor_psd,
     gramian_infinite_dense,
     gramian_timelimited_dense,
     solve_modified_lowrank,
     solve_timelimited_lowrank,
 )
-from tlbt.reduction import balance, numerical_rank, reduce, square_root_reduce, transfer_at
+from tlbt.reduction import balance, reduce, square_root_reduce, transfer_at
 from tlbt.simulate import half_decay_time, impulse_response, implicit_midpoint, relative_error_series
 from tlbt.synthetic import make_synthetic
 from tlbt.systems import StandardSystem, eliminate_descriptor, shifted_solve
@@ -92,7 +93,7 @@ def test_a3_lowrank_vs_dense_published_tolerances():
         p = gramian_timelimited_dense(s, w)
         rel = np.linalg.norm(g.z @ g.z.T - p, 2) / np.linalg.norm(p, 2)
         # independent dense residual recomputation
-        ge = g.workspace.q @ expm_action_approx(g.workspace, w.t_e)[0]
+        ge = g.workspace.q @ _expm_action(g.workspace, w.t_e)[0]
         x = g.z @ g.z.T
         num = np.linalg.norm(s.A @ x + x @ s.A.T + s.B @ s.B.T - ge @ ge.T, 2)
         den = np.linalg.norm(s.B @ s.B.T - ge @ ge.T, 2)

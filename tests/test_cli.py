@@ -87,6 +87,18 @@ def test_gramian_missing_file_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("max_dim", ["0", "-3"])
+def test_gramian_rejects_max_dim_below_one(tmp_path, capsys, max_dim):
+    # 0 used to mean the default cap of 600, and -3 to fail as a solver error
+    rc = main(
+        ["gramian", "--synth", "heat_like", "--n", "200", "--m", "2", "--p", "2",
+         "--mode", "bt", "--max-dim", max_dim, "--out", str(tmp_path / "out")]
+    )
+    assert rc == 2
+    assert "max_dim must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_reduce_bt_stable_flag(tmp_path):
     out = tmp_path / "out"
     rc = main(
@@ -492,7 +504,7 @@ def test_stability_verified_once_per_balance(tmp_path, monkeypatch):
 
 def test_gramian_command_verifies_once_and_replays_poles(tmp_path, monkeypatch):
     # one spectrum computed for all modes and sides; the replayed poles give
-    # the factors of fresh per-mode solves, bit for bit
+    # the factors of per-mode solves of fresh systems, bit for bit
     forms = _count_schur_forms(monkeypatch)
     rc = main(
         ["gramian", "--synth", "weakly_damped", "--n", "40", "--m", "2", "--p", "2",
@@ -501,10 +513,10 @@ def test_gramian_command_verifies_once_and_replays_poles(tmp_path, monkeypatch):
     )
     assert rc == 0
     assert forms == [(40, 40)]
-    s = make_synthetic("weakly_damped", 40, 2, 2, seed=1)
     window, cfg = TimeWindow(t_e=5.0), SolverConfig()
     for mode in ("bt", "tlbt", "mtlbt"):
         for side, tag in (("reachability", "ZP"), ("observability", "ZQ")):
+            s = make_synthetic("weakly_damped", 40, 2, 2, seed=1)
             fresh = mode_gramian(s, mode, window, cfg, side)
             written = mmio.read_matrix(tmp_path / f"weakly_damped_n40_s1_{tag}_{mode}.mtx")
             assert np.array_equal(written, fresh.z), (mode, side)

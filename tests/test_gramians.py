@@ -16,20 +16,21 @@ from oracles import (
     gramian_timelimited_cauchy,
     gramian_timelimited_difference,
     hull_boundary_linspace,
+    numerical_rank,
     residual_norm,
     select_shift_broadcast,
 )
 from tlbt import linalg
 from tlbt.errors import MaxDimExceededError, UnstableSystemError
-from tlbt.reduction import balance_modes, reduce
+from tlbt.reduction import balance, reduce
 from tlbt.gramians import (
     KrylovWorkspace,
     SolverConfig,
     TimeWindow,
     _hull_boundary,
     _reach_form,
+    _expm_action,
     _select_shift,
-    expm_action_approx,
     factor_psd,
     gramian_infinite_dense,
     gramian_timelimited_dense,
@@ -61,6 +62,12 @@ def test_config_defaults_match_protocol():
     cfg = SolverConfig()
     assert cfg.tol_f == 1e-8 and cfg.tol_p == 1e-8
     assert cfg.cadence == 5
+
+
+@pytest.mark.parametrize("max_dim", [0, -3])
+def test_config_rejects_max_dim_below_one(max_dim):
+    with pytest.raises(ValueError, match="max_dim"):
+        SolverConfig(max_dim=max_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +421,8 @@ def test_spd_mass_gramian_independent_of_dense_threshold(monkeypatch):
     monkeypatch.setenv("TLBT_DENSE_THRESHOLD", "1000")
     big = solve_infinite_lowrank(s, cfg)
     monkeypatch.setenv("TLBT_DENSE_THRESHOLD", "100")
-    with pytest.warns(UserWarning, match="unverified"):
-        small = solve_infinite_lowrank(s, cfg)
+    with pytest.warns(UserWarning, match="unverified"):  # a fresh system picks its own shifts
+        small = solve_infinite_lowrank(make_synthetic("heat_like", 300, 2, 2, seed=1), cfg)
     assert big.workspace.shifts == small.workspace.shifts
     assert big.subspace_dim == small.subspace_dim
     assert np.array_equal(big.z, small.z)
@@ -433,28 +440,95 @@ def _assert_same_solve(fresh, replayed):
     assert np.array_equal(replayed.z, fresh.z)
 
 
+def _heat(n=300):
+    return make_synthetic("heat_like", n, 2, 2, seed=1)
+
+
+def _picks(monkeypatch):
+    """Argument tuples of the adaptive shift selections from now on."""
+    picks, real = [], tlbt.gramians._select_shift
+
+    def spy(*args, **kwargs):
+        picks.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tlbt.gramians, "_select_shift", spy)
+    return picks
+
+
 def test_replayed_poles_equal_fresh_solve_heat():
-    # bt's shifts run out at d = 52; the time-limited solve goes on adaptively
-    s = make_synthetic("heat_like", 300, 2, 2, seed=1)
+    # a reused system replays the shifts its side has cached: bt's run out at
+    # d = 52 and the time-limited solve goes on adaptively
     cfg = SolverConfig(tol_f=1e-8, tol_p=1e-8)
     window = TimeWindow(t_e=0.05)
+    s = _heat()
     bt = solve_infinite_lowrank(s, cfg)
-    fresh = solve_timelimited_lowrank(s, window, cfg)
+    fresh = solve_timelimited_lowrank(_heat(), window, cfg)
     assert bt.subspace_dim < fresh.subspace_dim
-    _assert_same_solve(fresh, solve_timelimited_lowrank(s, window, cfg, poles=bt.workspace.shifts))
-    # a list longer than needed: the solve stops where a fresh one stops
-    _assert_same_solve(bt, solve_infinite_lowrank(s, cfg, poles=fresh.workspace.shifts))
+    _assert_same_solve(fresh, solve_timelimited_lowrank(s, window, cfg))
+    # a cached list longer than needed: the solve stops where a fresh one stops
+    _assert_same_solve(solve_infinite_lowrank(_heat(), cfg), solve_infinite_lowrank(s, cfg))
 
 
 @pytest.mark.parametrize("side", ["reachability", "observability"])
 def test_replayed_complex_poles_equal_fresh_solve(side):
-    s = make_synthetic("weakly_damped", 60, 2, 2, seed=1)
     cfg = SolverConfig(tol_f=1e-8, tol_p=1e-8)
     window = TimeWindow(t_e=5.0)
+    s = make_synthetic("weakly_damped", 60, 2, 2, seed=1)
     bt = solve_infinite_lowrank(s, cfg, side)
     assert any(isinstance(sh, complex) for sh in bt.workspace.shifts)
-    fresh = solve_modified_lowrank(s, window, cfg, side)
-    _assert_same_solve(fresh, solve_modified_lowrank(s, window, cfg, side, bt.workspace.shifts))
+    fresh = solve_modified_lowrank(make_synthetic("weakly_damped", 60, 2, 2, seed=1), window,
+                                   cfg, side)
+    _assert_same_solve(fresh, solve_modified_lowrank(s, window, cfg, side))
+
+
+def test_second_reduce_picks_no_shift(monkeypatch):
+    s = _heat(200)
+    first = reduce(s, "bt", r=20)
+    picks = _picks(monkeypatch)
+    second = reduce(s, "bt", r=20)
+    assert picks == []
+    for key in ("A", "B", "C", "D", "T", "S", "hsv"):
+        assert getattr(second, key).tobytes() == getattr(first, key).tobytes(), key
+    reduce(_heat(200), "bt", r=20)
+    assert picks  # a fresh system picks its shifts
+
+
+def test_cached_poles_are_kept_per_cadence():
+    # the check schedule changes the Ritz values the shifts come from
+    s = make_synthetic("weakly_damped", 60, 2, 2, seed=1)
+    five = solve_infinite_lowrank(s, SolverConfig(cadence=5))
+    two = solve_infinite_lowrank(s, SolverConfig(cadence=2))
+    assert two.workspace.shifts != five.workspace.shifts
+    fresh = make_synthetic("weakly_damped", 60, 2, 2, seed=1)
+    _assert_same_solve(solve_infinite_lowrank(fresh, SolverConfig(cadence=2)), two)
+
+
+def test_solve_after_cap_equals_fresh_solve(monkeypatch):
+    cfg = SolverConfig(tol_f=1e-8, tol_p=1e-8)
+    s = _heat(200)
+    picks = _picks(monkeypatch)
+    with pytest.raises(MaxDimExceededError):
+        solve_infinite_lowrank(s, SolverConfig(tol_f=1e-8, tol_p=1e-8, max_dim=20))
+    capped = len(picks)
+    resumed = solve_infinite_lowrank(s, cfg)
+    resumed_picks = len(picks) - capped
+    picks.clear()
+    _assert_same_solve(solve_infinite_lowrank(_heat(200), cfg), resumed)
+    # the capped solve's shifts are replayed, not picked again
+    assert capped > 0 and capped + resumed_picks == len(picks)
+
+
+def test_sides_cache_their_own_poles():
+    # a dense standard system shares its Schur form with the dual, not its shifts
+    cfg = SolverConfig(tol_f=1e-8, tol_p=1e-8)
+    s = make_synthetic("weakly_damped", 60, 2, 2, seed=1)
+    reach = solve_infinite_lowrank(s, cfg)
+    obs = solve_infinite_lowrank(s, cfg, "observability")
+    assert obs.workspace.shifts != reach.workspace.shifts
+    fresh = make_synthetic("weakly_damped", 60, 2, 2, seed=1)
+    _assert_same_solve(solve_infinite_lowrank(fresh, cfg, "observability"), obs)
+    assert s.transposed()._poles is not s._poles
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +543,7 @@ def _workspace_for(sys, t_e=1.0):
 def test_expm_action_t0_returns_b():
     s = make_synthetic("random_stable", 15, 2, 1, seed=1)
     _, ws = _workspace_for(s)
-    _, lifted = expm_action_approx(ws, 0.0)
+    _, lifted = _expm_action(ws, 0.0)
     assert np.linalg.norm(lifted - s.B) <= 1e-12 * np.linalg.norm(s.B)
 
 
@@ -478,7 +552,7 @@ def test_expm_action_full_subspace_exact(rng):
     b = rng.standard_normal((8, 1))
     q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
     ws = KrylovWorkspace(q=q, h=q.T @ a @ q, b_proj=q.T @ b, shifts=[np.inf])
-    _, lifted = expm_action_approx(ws, 0.7)
+    _, lifted = _expm_action(ws, 0.7)
     dense = linalg.expm(a * 0.7) @ b
     assert np.linalg.norm(lifted - dense) <= 1e-10 * np.linalg.norm(dense)
 
@@ -486,7 +560,7 @@ def test_expm_action_full_subspace_exact(rng):
 def test_expm_action_scalar_analytic():
     s = StandardSystem(np.array([[-2.0]]), np.array([[1.0]]), np.array([[1.0]]))
     g = solve_infinite_lowrank(s)
-    _, lifted = expm_action_approx(g.workspace, 0.5)
+    _, lifted = _expm_action(g.workspace, 0.5)
     assert abs(lifted[0, 0] - 0.36787944117144233) < 1e-12
 
 
@@ -504,7 +578,7 @@ def test_modified_rhs_long_horizon_recovers_infinite():
     s = make_synthetic("random_stable", 20, 2, 1, seed=6)
     g = solve_timelimited_lowrank(s, TimeWindow(t_e=60.0))
     ws = g.workspace
-    b_e = expm_action_approx(ws, 60.0)[0]
+    b_e = _expm_action(ws, 60.0)[0]
     f = factor_psd(ws.b_proj @ ws.b_proj.T - b_e @ b_e.T, absolute=True)
     bb = ws.b_proj @ ws.b_proj.T
     assert np.linalg.norm(f @ f.T - bb, 2) <= 1e-10 * np.linalg.norm(bb, 2)
@@ -540,7 +614,7 @@ def test_residual_norm_zero_solution_is_one(rng):
     g = solve_timelimited_lowrank(s, TimeWindow(t_e=1.0))
     ws = g.workspace
     b_proj = ws.b_proj
-    b_e = expm_action_approx(ws, 1.0)[0]
+    b_e = _expm_action(ws, 1.0)[0]
     mu = residual_norm(s, ws, np.zeros((ws.dim, ws.dim)), [(b_proj, +1), (b_e, -1)])
     assert abs(mu - 1.0) <= 1e-12
 
@@ -551,7 +625,7 @@ def test_residual_norm_matches_dense(rng):
     g = solve_timelimited_lowrank(s, w)
     ws = g.workspace
     b_proj = ws.b_proj
-    b_e = expm_action_approx(ws, w.t_e)[0]
+    b_e = _expm_action(ws, w.t_e)[0]
     y = linalg.lyap_dense(ws.h, b_proj @ b_proj.T - b_e @ b_e.T)
     mu = residual_norm(s, ws, y, [(b_proj, +1), (b_e, -1)])
     x = ws.q @ y @ ws.q.T
@@ -632,7 +706,7 @@ def test_lowrank_reported_mu_verified_dense(rng):
     w = TimeWindow(t_e=2.0)
     g = solve_timelimited_lowrank(s, w)
     ws = g.workspace
-    ge = ws.q @ expm_action_approx(ws, w.t_e)[0]
+    ge = ws.q @ _expm_action(ws, w.t_e)[0]
     x = g.z @ g.z.T
     num = np.linalg.norm(s.A @ x + x @ s.A.T + s.B @ s.B.T - ge @ ge.T, 2)
     den = np.linalg.norm(s.B @ s.B.T - ge @ ge.T, 2)
@@ -696,8 +770,6 @@ def test_modified_lowrank_matches_dense(rng):
 
 
 def test_modified_rank_tracks_infinite(rng):
-    from tlbt.reduction import numerical_rank
-
     s = make_synthetic("weakly_damped", 80, 1, 1, seed=4)
     w = TimeWindow(t_e=3.0)
     p_inf = gramian_infinite_dense(s)
@@ -818,12 +890,13 @@ def test_second_reduce_computes_no_spectrum(monkeypatch):
     assert (n, n) not in sizes
 
 
-def test_unstable_system_refused_by_reduce_and_balance_modes():
+def test_unstable_system_refused_by_reduce_and_balance():
     s = StandardSystem(np.diag([0.1, -1.0]), np.ones((2, 1)), np.ones((1, 2)))
     with pytest.raises(UnstableSystemError, match="spectral abscissa"):
         reduce(s, "bt", r=1)
-    with pytest.raises(UnstableSystemError, match="spectral abscissa"):
-        next(balance_modes(s, ["tlbt", "bt"], TimeWindow(t_e=1.0)))
+    for mode in ("tlbt", "bt"):
+        with pytest.raises(UnstableSystemError, match="spectral abscissa"):
+            balance(s, mode, TimeWindow(t_e=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -836,8 +909,8 @@ def _stop_check_oracle(sys, g, mode, window, side):
     if mode == "bt":
         rhs = [(ws.b_proj, +1)]
     else:
-        b_s = expm_action_approx(ws, window.t_s)[0] if window.t_s > 0 else ws.b_proj
-        rhs = [(b_s, +1), (expm_action_approx(ws, window.t_e)[0], -1)]
+        b_s = _expm_action(ws, window.t_s)[0] if window.t_s > 0 else ws.b_proj
+        rhs = [(b_s, +1), (_expm_action(ws, window.t_e)[0], -1)]
     y = linalg.lyap_dense(ws.h, sum(sign * (f @ f.T) for f, sign in rhs))
     return residual_norm(_reach_form(sys, side), ws, y, rhs)
 

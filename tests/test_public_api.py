@@ -2,7 +2,8 @@
 
 Guards against ``__all__`` entries left behind when a helper is deleted or
 moved, against package re-exports that bypass a module's ``__all__``, and
-against losing the solver functions the benchmark's tracer wraps.
+against losing the solver functions the benchmark's tracer wraps or the
+consistency checks it runs on them.
 """
 
 import importlib
@@ -45,16 +46,45 @@ def test_package_reexports_are_in_their_module_all():
     assert not stray, f"re-exported but not in the module's __all__: {stray}"
 
 
-def test_tracer_solvers_are_public_gramian_functions():
-    # perfbench/tracing.py wraps the public functions of each module and checks
-    # each Krylov solve's shifted solves inside the span of one of its SOLVERS
+def _tracing():
+    """The benchmark's tracer module, perfbench/tracing.py."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_solvers_are_public_gramian_functions():
+    # perfbench/tracing.py wraps the public functions of each module and checks
+    # each Krylov solve's shifted solves inside the span of one of its SOLVERS
+    tracing = _tracing()
     gramians = importlib.import_module("tlbt.gramians")
     for name in tracing.SOLVERS:
         module, attr = name.split(".")
         assert module == "gramians" and attr in gramians.__all__, name
         fn = getattr(gramians, attr)
         assert isinstance(fn, types.FunctionType) and fn.__module__ == "tlbt.gramians", name
+
+
+def test_tracer_cross_checks_a_repeated_reduce():
+    # the second reduce of one system replays its cached shifts: its shifted
+    # solves still run inside the solver spans, and it reports the same solves
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    tracer.install(tlbt)
+    try:
+        s = tlbt.make_synthetic("heat_like", 200, 2, 2, seed=1)
+        cfg = tlbt.SolverConfig(tol_f=1e-8, tol_p=1e-8)
+        for run in (0, 1):
+            tracer.run = run
+            tlbt.reduce(s, "bt", r=20, cfg=cfg)
+    finally:
+        tracer.uninstall()
+    metrics = []
+    for run in (0, 1):
+        tracing.cross_check(tracer.spans, run)
+        metrics.append(tracing.layer_metrics(tracer.spans, run))
+    assert metrics[0]["gramians.iters"] > 0
+    for key in ("gramians.iters", "gramians.d"):
+        assert metrics[1][key] == metrics[0][key], key

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import random_descriptor, random_stable_matrix
-from oracles import similarity_transform
+from oracles import numerical_rank, similarity_transform
 from tlbt import gramians, linalg, reduction, simulate, systems
 from tlbt.errors import RankDeficientError
 from tlbt.gramians import (
@@ -14,8 +14,6 @@ from tlbt.gramians import (
 )
 from tlbt.reduction import (
     balance,
-    balance_modes,
-    numerical_rank,
     reduce,
     square_root_reduce,
     transfer_at,
@@ -112,6 +110,14 @@ def test_reduce_tolerance_based_order():
     assert 2 * sig[rom.order:].sum() <= 1e-6
     if rom.order > 1:
         assert 2 * sig[rom.order - 1 :].sum() > 1e-6
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan])
+def test_reduce_rejects_tolerance_that_is_not_positive(tol):
+    # such a tol used to select order 1 without a word
+    s = make_synthetic("heat_like", 60, 2, 2, seed=1)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        reduce(s, "bt", tol=tol)
 
 
 def test_reduce_dense_method_matches_krylov():
@@ -253,41 +259,38 @@ def _assert_bit_identical(balancings, fresh):
             assert np.array_equal(getattr(bal, key), getattr(ref, key)), (bal.mode, key)
 
 
-def test_descriptor_balance_modes_builds_each_side_once(monkeypatch):
+def test_descriptor_balance_builds_each_side_once(monkeypatch):
     # the dual is cached, so its block pencil and its A4 and M1 LUs are built
     # once, not once per mode; the results are those of fresh systems
     window = TimeWindow(t_e=1.0)
     fresh = [balance(random_descriptor(40, 10, 2, 2, seed=3), mode, window) for mode in MODES]
     factored = _calls(monkeypatch, systems, "_factor")
     assemblies = _calls(monkeypatch, sp, "bmat")
-    _assert_bit_identical(
-        balance_modes(random_descriptor(40, 10, 2, 2, seed=3), MODES, window), fresh
-    )
+    s = random_descriptor(40, 10, 2, 2, seed=3)
+    _assert_bit_identical([balance(s, mode, window) for mode in MODES], fresh)
     shapes = [np.shape(args[0]) for args in factored]
     assert len(assemblies) == 2 * 2  # M and A of the primal's and the dual's pencil
     assert shapes.count((10, 10)) == 2  # A4 and A4^T
     assert shapes.count((40, 40)) == 2  # M1 and M1^T
 
 
-def test_dense_balance_modes_solves_each_pencil_once(monkeypatch):
+def test_dense_balance_solves_each_pencil_once(monkeypatch):
     # the dense M^{-1} A is solved once for the system and once for its dual
     window = TimeWindow(t_e=0.05)
     fresh = [balance(make_synthetic("heat_like", 60, 2, 2, seed=1), mode, window, method="dense")
              for mode in MODES]
     solves = _calls(monkeypatch, np.linalg, "solve")
-    _assert_bit_identical(
-        balance_modes(make_synthetic("heat_like", 60, 2, 2, seed=1), MODES, window, method="dense"),
-        fresh,
-    )
+    s = make_synthetic("heat_like", 60, 2, 2, seed=1)
+    _assert_bit_identical([balance(s, mode, window, method="dense") for mode in MODES], fresh)
     assert [np.shape(b) for _, b in solves].count((60, 60)) == 2
 
 
-def test_generalized_balance_modes_factors_mass_once_per_side(monkeypatch):
+def test_generalized_balance_factors_mass_once_per_side(monkeypatch):
     window = TimeWindow(t_e=0.05)
     s = make_synthetic("heat_like", 60, 2, 2, seed=1)
     fresh = [balance(make_synthetic("heat_like", 60, 2, 2, seed=1), mode, window)
              for mode in MODES]
     factored = _calls(monkeypatch, systems, "_factor")
-    _assert_bit_identical(balance_modes(s, MODES, window), fresh)
+    _assert_bit_identical([balance(s, mode, window) for mode in MODES], fresh)
     masses = [a for a, *_ in factored if a.shape == s.M.shape and abs(a - s.M).max() == 0]
     assert len(masses) == 2  # M and M^T (equal: heat_like's M is symmetric)
