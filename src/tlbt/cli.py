@@ -46,7 +46,6 @@ def _add_solver_args(p):
     g.add_argument("--te", type=float, default=None, help="window end time")
     g.add_argument("--tol-f", type=float, default=1e-8, dest="tol_f")
     g.add_argument("--tol-p", type=float, default=1e-8, dest="tol_p")
-    g.add_argument("--cadence", type=int, default=5)
     g.add_argument("--max-dim", type=int, default=None, dest="max_dim")
     g.add_argument("--method", choices=("krylov", "dense"), default="krylov")
 
@@ -73,15 +72,23 @@ def _load_system(args):
 
 
 def _window(args):
-    if args.te is None:
-        return None
-    return TimeWindow(t_e=args.te, t_s=args.ts)
+    if args.te is not None:
+        return TimeWindow(t_e=args.te, t_s=args.ts)
+    timed = [mode for mode in args.mode if mode != "bt"]
+    if timed:
+        raise ValueError(f"mode {timed[0]!r} needs a time window (--te)")
+    return None
 
 
 def _config(args):
-    return SolverConfig(
-        tol_f=args.tol_f, tol_p=args.tol_p, cadence=args.cadence, max_dim=args.max_dim
-    )
+    return SolverConfig(tol_f=args.tol_f, tol_p=args.tol_p, max_dim=args.max_dim)
+
+
+def _orders(args):
+    """The requested reduced orders; an order below 1 is a configuration error."""
+    if min(args.order) < 1:
+        raise ValueError(f"--order must be >= 1, got {min(args.order)}")
+    return args.order
 
 
 def _input_signal(args, m):
@@ -137,11 +144,10 @@ def _write_trace(path, trace):
 
 
 def cmd_synth(args):
-    out = _out_dir(args)
     sys_obj = synthetic.make_synthetic(
         args.kind, args.n, args.m, args.p, seed=args.seed, damping=args.damping
     )
-    sidecar = mmio.save_system(out, args.name, sys_obj)
+    sidecar = mmio.save_system(_out_dir(args), args.name, sys_obj)
     print(f"wrote {sidecar}")
     return 0
 
@@ -217,10 +223,11 @@ def cmd_reduce(args):
     sys_obj, name = _load_system(args)
     window = _window(args)
     cfg = _config(args)
+    orders = _orders(args)
     out = _out_dir(args)
     for mode in args.mode:
         bal = reduction.balance(sys_obj, mode, window, cfg, args.method)
-        for r in args.order:
+        for r in orders:
             rom = bal.truncate(r)
             _export_reduced(out, name, mode, r, rom, timings=args.timings)
             print(
@@ -231,10 +238,10 @@ def cmd_reduce(args):
 
 
 def cmd_simulate(args):
-    out = _out_dir(args)
     sys_obj, name = _load_system(args)
     u = _input_signal(args, sys_obj.m)
     traj = simulate.implicit_midpoint(sys_obj, u, None, args.dt, args.tf)
+    out = _out_dir(args)
     cols = [f"y{j + 1}" for j in range(traj.outputs.shape[1])]
     norms = traj.output_norms()
     _write_csv(
@@ -259,12 +266,12 @@ def cmd_compare(args):
         raise ValueError("compare requires --te")
     window = TimeWindow(t_e=args.te, t_s=args.ts)
     cfg = _config(args)
-    out = _out_dir(args)
+    orders = sorted(_orders(args))
     tf = args.tf if args.tf is not None else args.te
     u = _input_signal(args, sys_obj.m)
     ref = simulate.implicit_midpoint(sys_obj, u, None, args.dt, tf)
+    out = _out_dir(args)
 
-    orders = sorted(args.order)
     table = []
     e_by_mode = {}
     for mode in args.mode:

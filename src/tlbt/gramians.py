@@ -16,7 +16,6 @@ only pole at infinity. Its checks solve the projected equation with the
 same ``_rhs``.
 """
 
-import os
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -38,9 +37,7 @@ from .systems import _dense_standard, shifted_solve, spectral_abscissa
 __all__ = [
     "TimeWindow",
     "SolverConfig",
-    "KrylovWorkspace",
     "LowRankGramian",
-    "dense_threshold",
     "gramian_infinite_dense",
     "gramian_timelimited_dense",
     "solve_infinite_lowrank",
@@ -59,11 +56,9 @@ MODES = ("bt", "tlbt", "mtlbt")
 SIDES = ("reachability", "observability")
 _TRUNC_TOL = 1e-12  # relative eigenvalue cutoff of the Gramian factors (factor_psd)
 _NPTS = 2000  # shift candidates sampled from the mirrored Ritz values (_select_shift)
-
-
-def dense_threshold():
-    """Dimension cutoff for dense Gramian paths (TLBT_DENSE_THRESHOLD overrides)."""
-    return int(os.environ.get("TLBT_DENSE_THRESHOLD", "1000"))
+_CADENCE = 5  # shifts added between the projected checks of a low-rank solve
+# largest order of the dense Gramian routes and of dense stability verification
+_DENSE_MAX = 1000
 
 
 @dataclass
@@ -84,19 +79,16 @@ class SolverConfig:
 
     tol_f gates the matrix-exponential action (relative change between
     checks, Frobenius), tol_p the scaled Lyapunov residual (spectral).
-    Projected quantities are only evaluated every ``cadence`` iterations.
+    Projected quantities are only evaluated every ``_CADENCE`` shifts.
     """
 
     tol_f: float = 1e-8
     tol_p: float = 1e-8
-    cadence: int = 5
     max_dim: int | None = None
 
     def __post_init__(self):
         if not (0 < self.tol_f < 1 and 0 < self.tol_p < 1):
             raise ValueError("tolerances must lie in (0, 1)")
-        if self.cadence < 1:
-            raise ValueError("cadence must be >= 1")
         if self.max_dim is not None and self.max_dim < 1:
             raise ValueError("max_dim must be >= 1")
 
@@ -151,9 +143,8 @@ def _reach_form(sys, side):
 
 def _dense_state_input(sys):
     """Dense (M^{-1} A, M^{-1} B) of the first-order form (cached); refused above the threshold."""
-    n, lim = sys.order, dense_threshold()
-    if n > lim:
-        raise ValueError(f"dense Gramian path refused for n={n} > threshold {lim}")
+    if sys.order > _DENSE_MAX:
+        raise ValueError(f"dense Gramian path refused for n={sys.order} > threshold {_DENSE_MAX}")
     return sys.dense_state_input()
 
 
@@ -446,7 +437,7 @@ def _require_stable(sys):
     A dense standard system is verified at any size from the Schur form its
     shifted solves need anyway; other systems only up to the dense threshold.
     """
-    if sys.order > dense_threshold() and not _dense_standard(sys):
+    if sys.order > _DENSE_MAX and not _dense_standard(sys):
         warnings.warn("system too large for dense stability verification; "
                       "proceeding unverified", stacklevel=3)
         return
@@ -461,23 +452,23 @@ def _require_stable(sys):
 def _solve_lowrank(sys, window, cfg, mode, side):
     """Shared driver behind the three low-rank Gramian solvers.
 
-    The adaptive shifts depend on the pencil, the start block and the check
-    schedule (``cfg.cadence``: the Ritz values come from the Schur form of
-    H at a check, solved or not, and from ``gen_eig`` between checks), never
-    on the mode, the window or the tolerances. So the reach form (the system
-    or its cached dual) keeps one shift list (``inf`` first) per cadence:
-    each growth step takes the cached pole at ``len(workspace.shifts)``
-    while one exists and picks adaptively after that, appending what it
-    picks; a complex pole still adds its conjugate, the next entry. Every
-    solve therefore equals a solve of a fresh copy of the system, bit for
-    bit, and picks no shift that an earlier solve of its side and cadence
-    picked.
+    The adaptive shifts depend only on the pencil and the start block: the
+    Ritz values come from the Schur form of H at a check (every
+    ``_CADENCE`` shifts, solved or not) and from ``gen_eig`` between
+    checks, never from the mode, the window or the tolerances. So the
+    reach form (the system or its cached dual) keeps one shift list
+    (``inf`` first): each growth step takes the cached pole at
+    ``len(workspace.shifts)`` while one exists and picks adaptively after
+    that, appending what it picks; a complex pole still adds its
+    conjugate, the next entry. Every solve therefore equals a solve of a
+    fresh copy of the system, bit for bit, and picks no shift that an
+    earlier solve of its side picked.
     """
     cfg = cfg or SolverConfig()
     _require_stable(sys)
     t0 = time.perf_counter()
     form = _reach_form(sys, side)
-    poles = form._poles.setdefault(cfg.cadence, [np.inf])
+    poles = form._poles
     n, m = form.order, form.m
     b = np.atleast_2d(form.mass_solve(form.start_block()).astype(float))
     ws = _Basis(form, b)
@@ -518,7 +509,7 @@ def _solve_lowrank(sys, window, cfg, mode, side):
 
     while True:
         d, ritz = ws.dim, None
-        checked = since_check >= cfg.cadence or force_check or d >= max_dim
+        checked = since_check >= _CADENCE or force_check or d >= max_dim
         if checked:
             converged, y, f_change, mu, ritz = run_check(d >= n)
             since_check, force_check = 0, False
@@ -536,7 +527,7 @@ def _solve_lowrank(sys, window, cfg, mode, side):
         else:
             if ritz is None:
                 ritz = (linalg._real_schur(ws.h)[2] if checked
-                        else linalg.gen_eig(ws.h, vectors=False).values)
+                        else linalg.gen_eig(ws.h).values)
             h = ws.h
             sym = np.linalg.norm(h - h.T, "fro") <= 1e-12 * max(np.linalg.norm(h, "fro"), 1e-300)
             s = _select_shift(ritz, ws.shifts, m, sym)

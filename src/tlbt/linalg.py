@@ -52,12 +52,12 @@ def check_finite(a, name="matrix"):
     return a
 
 
-def orthonormal_extend(buf, d, v, tol=DEFLATION_TOL):
+def orthonormal_extend(buf, d, v):
     """Orthonormalize the columns of ``v`` against ``buf[:, :d]``, in place into ``buf[:, d:]``.
 
     Block CGS2: two BLAS-3 passes against the basis, then two passes column
     by column within the block. A column whose remaining norm is at most
-    ``tol`` times its original norm is dropped. Returns the number kept.
+    ``DEFLATION_TOL`` times its original norm is dropped. Returns the number kept.
     """
     q, w = buf[:, :d], buf[:, d : d + v.shape[1]]
     w[...] = v
@@ -70,7 +70,7 @@ def orthonormal_extend(buf, d, v, tol=DEFLATION_TOL):
         for _ in range(2 if kept else 0):
             col -= new @ (new.T @ col)
         nrm = np.linalg.norm(col)
-        if nrm > tol * nrm0[j]:
+        if nrm > DEFLATION_TOL * nrm0[j]:
             buf[:, d + kept] = col / nrm
             kept += 1
     return kept
@@ -109,8 +109,8 @@ def sym_eig(s):
     return EigDecomposition(values=w[order], vectors=x[:, order])
 
 
-def gen_eig(a, vectors=True):
-    """Eigendecomposition of a general square matrix.
+def gen_eig(a):
+    """Eigenvalues of a general square matrix (``vectors`` is None).
 
     Eigenvalues are sorted by non-increasing real part (ties by imaginary
     part) so that ``values[0].real`` is the spectral abscissa.
@@ -119,15 +119,10 @@ def gen_eig(a, vectors=True):
     if a.shape[0] != a.shape[1]:
         raise ValueError("A must be square")
     try:
-        if vectors:
-            w, x = np.linalg.eig(a)
-        else:
-            w = np.linalg.eigvals(a)
-            x = None
+        w = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eig did not converge: {exc}") from exc
-    order = np.lexsort((-w.imag, -w.real))
-    return EigDecomposition(values=w[order], vectors=None if x is None else x[:, order])
+    return EigDecomposition(values=w[np.lexsort((-w.imag, -w.real))])
 
 
 def expm(a):

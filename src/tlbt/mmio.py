@@ -36,26 +36,18 @@ _PRECISION = 17
 _DESCRIPTOR_BLOCKS = ("M1", "A1", "A2", "A3", "A4", "B1", "B2", "C1", "C2")
 
 
-def write_matrix(path, a, comment=""):
+def write_matrix(path, a):
     """Write a dense or sparse matrix in Matrix Market format (17 digits)."""
     a = np.atleast_2d(a) if not sp.issparse(a) else a
-    sio.mmwrite(str(path), a, comment=comment, precision=_PRECISION)
+    sio.mmwrite(str(path), a, precision=_PRECISION)
 
 
-def read_matrix(path, dense=None):
-    """Read a Matrix Market file; coordinate data comes back as CSC.
-
-    ``dense=True`` forces densification, ``dense=False`` forces sparse.
-    """
+def read_matrix(path, dense=False):
+    """Read a Matrix Market file; coordinate data comes back as CSC unless ``dense``."""
     a = sio.mmread(str(path))
     if sp.issparse(a):
-        if dense:
-            return a.toarray()
-        return a.tocsc()
-    a = np.asarray(a)
-    if dense is False:
-        return sp.csc_matrix(a)
-    return a
+        return a.toarray() if dense else a.tocsc()
+    return np.asarray(a)
 
 
 def _write_json(path, payload):
@@ -64,7 +56,7 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def save_system(out_dir, name, sys, alpha=0.0, extras=None):
+def save_system(out_dir, name, sys, alpha=0.0):
     """Write a system's matrices plus sidecar; returns the sidecar path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -98,8 +90,6 @@ def save_system(out_dir, name, sys, alpha=0.0, extras=None):
         raise TypeError(f"unsupported system type {type(sys)!r}")
     if alpha:
         meta["alpha_shift"] = alpha
-    if extras:
-        meta.update(extras)
     sidecar = out_dir / f"{name}.json"
     _write_json(sidecar, meta)
     return sidecar
@@ -113,7 +103,7 @@ def load_system(sidecar_path):
     base = sidecar_path.parent
     files = meta["files"]
 
-    def get(key, dense=None):
+    def get(key, dense=False):
         return read_matrix(base / files[key], dense=dense)
 
     kind = meta.get("kind", "standard")

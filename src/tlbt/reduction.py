@@ -120,7 +120,7 @@ def square_root_reduce(sys, z_p, z_q, r, svd=None):
     b_r = s.T @ _dense(sys.B)
     c_r = _dense(sys.C) @ t
     d_r = np.array(sys.D, copy=True)
-    ab = float(np.max(linalg.gen_eig(a_r, vectors=False).values.real))
+    ab = float(np.max(linalg.gen_eig(a_r).values.real))
     stable = ab < -1e-12 * max(np.linalg.norm(a_r, 2), 1e-300)
     return ReducedModel(
         A=a_r, B=b_r, C=c_r, D=d_r, T=t, S=s,

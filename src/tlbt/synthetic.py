@@ -18,15 +18,13 @@ __all__ = ["make_synthetic", "KINDS"]
 KINDS = ("weakly_damped", "heat_like", "random_stable")
 
 
-def _weakly_damped(n, m, p, rng, damping, freq_range, damping_spread, weight_decay):
-    if n < 2:
-        raise ValueError("weakly damped systems need n >= 2")
+def _weakly_damped(n, m, p, rng, damping):
     npairs = n // 2
-    betas = np.geomspace(freq_range[0], freq_range[1], npairs)
+    betas = np.geomspace(1.0, 10.0, npairs)
     # dampings spread upward from the nominal value so the spectral
     # abscissa is exactly -damping while mode lifetimes differ
-    alphas = np.geomspace(damping, damping * damping_spread, npairs)
-    weights = weight_decay ** np.arange(npairs)
+    alphas = np.geomspace(damping, damping * 10.0, npairs)
+    weights = 0.93 ** np.arange(npairs)
     a = np.zeros((n, n))
     b = rng.standard_normal((n, m))
     c = rng.standard_normal((p, n))
@@ -66,24 +64,14 @@ def _random_stable(n, m, p, rng):
     return StandardSystem(a, b, c)
 
 
-def make_synthetic(
-    kind,
-    n,
-    m=1,
-    p=1,
-    seed=0,
-    damping=0.05,
-    freq_range=(1.0, 10.0),
-    damping_spread=10.0,
-    weight_decay=0.93,
-):
+def make_synthetic(kind, n, m=1, p=1, seed=0, damping=0.05):
     """Build a deterministic synthetic system of the requested family.
 
     ``weakly_damped`` places underdamped eigenvalue pairs
-    -alpha_j +/- i*beta_j with beta_j log-spaced over ``freq_range`` and
-    alpha_j log-spaced over [damping, damping*damping_spread] (spectral
-    abscissa = -damping); input/output couplings decay geometrically with
-    ``weight_decay`` so the Hankel values fall off. ``heat_like`` returns
+    -alpha_j +/- i*beta_j with beta_j log-spaced over [1, 10] and alpha_j
+    log-spaced over [damping, 10*damping] (spectral abscissa = -damping);
+    input/output couplings decay geometrically by 0.93 per pair so the
+    Hankel values fall off. ``heat_like`` returns
     a generalized system with A < 0 and M > 0; ``random_stable`` a
     shifted random dense system.
     """
@@ -91,7 +79,7 @@ def make_synthetic(
         raise ValueError("n must be >= 2")
     rng = np.random.default_rng(seed)
     if kind == "weakly_damped":
-        return _weakly_damped(n, m, p, rng, damping, freq_range, damping_spread, weight_decay)
+        return _weakly_damped(n, m, p, rng, damping)
     if kind == "heat_like":
         return _heat_like(n, m, p, rng)
     if kind == "random_stable":

@@ -81,8 +81,8 @@ class _System:
     _mass_lu: object = field(default=None, init=False, repr=False, compare=False)
     _abscissa: float = field(default=None, init=False, repr=False, compare=False)
     _state_input: tuple = field(default=None, init=False, repr=False, compare=False)
-    # {cadence: shifts of the reachability solves so far}, see gramians._solve_lowrank
-    _poles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # shifts of the reachability solves so far, inf first; see gramians._solve_lowrank
+    _poles: list = field(default_factory=lambda: [np.inf], init=False, repr=False, compare=False)
 
     @property
     def n(self):
@@ -439,7 +439,7 @@ def spectral_abscissa(sys):
         if _dense_standard(obj) and obj.n:  # an empty A has no Schur norms
             eigs = obj._schur_form()[0].diagonal()
         else:
-            eigs = linalg.gen_eig(obj.dense_state_input()[0], vectors=False).values
+            eigs = linalg.gen_eig(obj.dense_state_input()[0]).values
         sys._abscissa = float(np.max(eigs.real, initial=-np.inf))
     return sys._abscissa
 

@@ -179,6 +179,51 @@ def test_reduce_order_beyond_rank_exit_3(tmp_path, capsys):
     assert "solver error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gramian", "hsv", "reduce", "compare"])
+def test_solver_commands_reject_cadence(tmp_path, command):
+    # the check cadence is fixed: the flag is unknown to every subcommand
+    argv = [command, "--synth", "random_stable", "--n", "8", "--mode", "bt", "--te", "1.0",
+            "--cadence", "3", "--out", str(tmp_path / "out")]
+    if command in ("reduce", "compare"):
+        argv += ["--order", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+SYNTH = ["--synth", "random_stable", "--n", "8"]
+REDUCE = ["reduce", *SYNTH, "--mode", "bt"]
+COMPARE = ["compare", *SYNTH, "--mode", "bt", "--te", "1.0"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--system", "missing.json"], "missing.json"),
+        (["simulate", *SYNTH, "--input", "file"], "--input-file"),
+        (["simulate", *SYNTH, "--dt", "-1"], "dt and t_f must be positive"),
+        (["synth", "--kind", "random_stable", "--n", "1"], "n must be >= 2"),
+        ([*COMPARE, "--order", "2", "--dt", "0"], "dt and t_f must be positive"),
+        ([*REDUCE, "--order", "0"], "--order must be >= 1, got 0"),
+        ([*REDUCE, "--order", "2", "--order", "-1"], "--order must be >= 1, got -1"),
+        ([*COMPARE, "--order", "0"], "--order must be >= 1, got 0"),
+        (["gramian", *SYNTH, "--mode", "bt", "--mode", "tlbt"], "'tlbt' needs a time window"),
+        (["hsv", *SYNTH, "--mode", "mtlbt"], "'mtlbt' needs a time window"),
+        (["reduce", *SYNTH, "--mode", "tlbt", "--order", "2"], "'tlbt' needs a time window"),
+    ],
+    ids=["simulate-missing-system", "simulate-no-input-file", "simulate-negative-dt",
+         "synth-n1", "compare-dt0", "reduce-order0", "reduce-negative-order", "compare-order0",
+         "gramian-no-window", "hsv-no-window", "reduce-no-window"],
+)
+def test_config_errors_exit_2_before_out(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_requires_mode(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--synth", "random_stable", "--n", "10",
@@ -284,16 +329,6 @@ def test_summaries_validate_against_schemas(tmp_path):
     ) == 0
     meta = json.loads((out / "random_stable_n12_s0_tlbt_r2.json").read_text())
     jsonschema.validate(meta, schemas.REDUCE_METADATA)
-
-
-def test_dense_threshold_env_override(tmp_path, monkeypatch):
-    from tlbt.gramians import gramian_infinite_dense
-    from tlbt.synthetic import make_synthetic
-
-    monkeypatch.setenv("TLBT_DENSE_THRESHOLD", "10")
-    s = make_synthetic("random_stable", 20, 1, 1, seed=0)
-    with pytest.raises(ValueError, match="threshold"):
-        gramian_infinite_dense(s)
 
 
 def test_input_file_signal(tmp_path):

@@ -61,7 +61,7 @@ def test_window_validation():
 def test_config_defaults_match_protocol():
     cfg = SolverConfig()
     assert cfg.tol_f == 1e-8 and cfg.tol_p == 1e-8
-    assert cfg.cadence == 5
+    assert tlbt.gramians._CADENCE == 5
 
 
 @pytest.mark.parametrize("max_dim", [0, -3])
@@ -190,7 +190,7 @@ def test_every_dense_route_refused_above_threshold_before_densifying(monkeypatch
     def densified(sys):
         raise AssertionError("densified before the size check")
 
-    monkeypatch.setenv("TLBT_DENSE_THRESHOLD", "10")
+    monkeypatch.setattr(tlbt.gramians, "_DENSE_MAX", 10)
     monkeypatch.setattr(tlbt.systems._System, "dense_state_input", densified)
     for side in ("reachability", "observability"):
         with pytest.raises(ValueError, match="dense Gramian path refused for n=20"):
@@ -357,10 +357,11 @@ def test_symmetric_system_real_shifts():
     assert finite and all(np.imag(sh) == 0 for sh in finite)
 
 
-def test_no_duplicate_shifts_over_runs():
+def test_no_duplicate_shifts_over_runs(monkeypatch):
+    monkeypatch.setattr(tlbt.gramians, "_CADENCE", 2)  # more picks between checks
     for seed in range(50):
         s = make_synthetic("random_stable", 16, 1, 1, seed=seed)
-        g = solve_infinite_lowrank(s, SolverConfig(cadence=2))
+        g = solve_infinite_lowrank(s)
         finite = np.array([sh for sh in g.workspace.shifts if np.isfinite(sh)], dtype=complex)
         for i in range(len(finite)):
             for j in range(i + 1, len(finite)):
@@ -418,16 +419,15 @@ def test_spd_mass_gramian_independent_of_dense_threshold(monkeypatch):
     # gates only the dense routes and the dense stability check
     s = make_synthetic("heat_like", 300, 2, 2, seed=1)
     cfg = SolverConfig(tol_f=1e-8, tol_p=1e-8)
-    monkeypatch.setenv("TLBT_DENSE_THRESHOLD", "1000")
     big = solve_infinite_lowrank(s, cfg)
-    monkeypatch.setenv("TLBT_DENSE_THRESHOLD", "100")
-    with pytest.warns(UserWarning, match="unverified"):  # a fresh system picks its own shifts
-        small = solve_infinite_lowrank(make_synthetic("heat_like", 300, 2, 2, seed=1), cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(tlbt.gramians, "_DENSE_MAX", 100)
+        with pytest.warns(UserWarning, match="unverified"):  # a fresh system picks its own shifts
+            small = solve_infinite_lowrank(make_synthetic("heat_like", 300, 2, 2, seed=1), cfg)
     assert big.workspace.shifts == small.workspace.shifts
     assert big.subspace_dim == small.subspace_dim
     assert np.array_equal(big.z, small.z)
     assert all(np.imag(sh) == 0 for sh in big.workspace.shifts)
-    monkeypatch.setenv("TLBT_DENSE_THRESHOLD", "1000")
     p = gramian_infinite_dense(s)
     assert np.linalg.norm(big.z @ big.z.T - p, 2) <= 1e-6 * np.linalg.norm(p, 2)
 
@@ -492,16 +492,6 @@ def test_second_reduce_picks_no_shift(monkeypatch):
         assert getattr(second, key).tobytes() == getattr(first, key).tobytes(), key
     reduce(_heat(200), "bt", r=20)
     assert picks  # a fresh system picks its shifts
-
-
-def test_cached_poles_are_kept_per_cadence():
-    # the check schedule changes the Ritz values the shifts come from
-    s = make_synthetic("weakly_damped", 60, 2, 2, seed=1)
-    five = solve_infinite_lowrank(s, SolverConfig(cadence=5))
-    two = solve_infinite_lowrank(s, SolverConfig(cadence=2))
-    assert two.workspace.shifts != five.workspace.shifts
-    fresh = make_synthetic("weakly_damped", 60, 2, 2, seed=1)
-    _assert_same_solve(solve_infinite_lowrank(fresh, SolverConfig(cadence=2)), two)
 
 
 def test_solve_after_cap_equals_fresh_solve(monkeypatch):
@@ -861,7 +851,7 @@ def test_unstable_system_refused_by_every_solver(solve):
 def test_dense_standard_stability_verified_above_dense_threshold(monkeypatch):
     # the Schur form that serves the shifted solves also gives the verdict,
     # so a dense standard system is verified at any size
-    monkeypatch.setenv("TLBT_DENSE_THRESHOLD", "10")
+    monkeypatch.setattr(tlbt.gramians, "_DENSE_MAX", 10)
     s = make_synthetic("random_stable", 40, 2, 2, seed=1)
     unstable = alpha_shift(s, spectral_abscissa(s) - 0.5)
     with pytest.raises(UnstableSystemError, match="spectral abscissa"):

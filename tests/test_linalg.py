@@ -160,10 +160,13 @@ def test_gen_eig_companion_root_oracle():
 
 
 def test_gen_eig_residual(rng):
+    # every value makes A - lambda I singular, and they come sorted by real part
     a = rng.standard_normal((9, 9))
-    eig = linalg.gen_eig(a)
-    res = a @ eig.vectors - eig.vectors @ np.diag(eig.values)
-    assert np.linalg.norm(res) <= 1e-11 * np.linalg.norm(a)
+    vals = linalg.gen_eig(a).values
+    for lam in vals:
+        smallest = np.linalg.svd(a - lam * np.eye(9), compute_uv=False)[-1]
+        assert smallest <= 1e-11 * np.linalg.norm(a)
+    assert np.all(np.diff(vals.real) <= 0)
 
 
 def test_expm_zero():

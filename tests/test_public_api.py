@@ -1,11 +1,13 @@
 """The public surface: every exported name resolves and is owned by a module.
 
 Guards against ``__all__`` entries left behind when a helper is deleted or
-moved, against package re-exports that bypass a module's ``__all__``, and
+moved, against package re-exports that bypass a module's ``__all__``,
 against losing the solver functions the benchmark's tracer wraps or the
-consistency checks it runs on them.
+consistency checks it runs on them, and against settings read from the
+environment.
 """
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -44,6 +46,22 @@ def test_package_reexports_are_in_their_module_all():
         if attr not in importlib.import_module(owner).__all__:
             stray.append(f"{owner}.{attr}")
     assert not stray, f"re-exported but not in the module's __all__: {stray}"
+
+
+def test_no_module_reads_the_environment():
+    # every setting is an argument or a module constant, never an environment variable
+    banned = {"environ", "environb", "getenv", "getenvb"}
+    for path in sorted(Path(tlbt.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+        assert not names & banned, f"tlbt/{path.name} reads the environment"
 
 
 def _tracing():
