@@ -5,7 +5,8 @@ from a Matrix Market set with JSON sidecar (--system plant.json) or from
 the builtin generators (--synth weakly_damped --n 200 ...). All numeric
 output is printed with 17 significant digits; result files avoid
 timestamps and timings (opt in with --timings) so identical runs produce
-byte-identical outputs.
+byte-identical outputs. Every command computes all it writes before it
+creates --out, so a failed run leaves no --out behind.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure.
 """
@@ -160,12 +161,13 @@ def cmd_gramian(args):
     sys_obj, name = _load_system(args)
     window = _window(args)
     cfg = _config(args)
-    out = _out_dir(args)
     sides = {"reach": ["reachability"], "obs": ["observability"]}.get(args.side, SIDES)
-    for mode in args.mode:
+    solves = [[(side, mode_gramian(sys_obj, mode, window, cfg, side)) for side in sides]
+              for mode in args.mode]
+    out = _out_dir(args)
+    for mode, pairs in zip(args.mode, solves):
         summary = {"mode": mode, "t_s": args.ts, "t_e": args.te}
-        for side in sides:
-            g = mode_gramian(sys_obj, mode, window, cfg, side)
+        for side, g in pairs:
             tag = "ZP" if side == "reachability" else "ZQ"
             mmio.write_matrix(out / f"{name}_{tag}_{mode}.mtx", g.z)
             if args.trace:
@@ -185,9 +187,9 @@ def cmd_hsv(args):
     sys_obj, name = _load_system(args)
     window = _window(args)
     cfg = _config(args)
+    hsvs = [reduction.balance(sys_obj, mode, window, cfg, args.method).hsv for mode in args.mode]
     out = _out_dir(args)
-    for mode in args.mode:
-        hsv = reduction.balance(sys_obj, mode, window, cfg, args.method).hsv
+    for mode, hsv in zip(args.mode, hsvs):
         _write_csv(
             out / f"{name}_hsv_{mode}.csv",
             ["index", "sigma"],
@@ -224,16 +226,17 @@ def cmd_reduce(args):
     window = _window(args)
     cfg = _config(args)
     orders = _orders(args)
-    out = _out_dir(args)
+    roms = []
     for mode in args.mode:
         bal = reduction.balance(sys_obj, mode, window, cfg, args.method)
-        for r in orders:
-            rom = bal.truncate(r)
-            _export_reduced(out, name, mode, r, rom, timings=args.timings)
-            print(
-                f"{name} {mode} r={r}: stable={int(rom.stable)} "
-                f"t_mor={_fmt(rom.info.get('t_mor', 0.0))}"
-            )
+        roms += [(mode, r, bal.truncate(r)) for r in orders]
+    out = _out_dir(args)
+    for mode, r, rom in roms:
+        _export_reduced(out, name, mode, r, rom, timings=args.timings)
+        print(
+            f"{name} {mode} r={r}: stable={int(rom.stable)} "
+            f"t_mor={_fmt(rom.info.get('t_mor', 0.0))}"
+        )
     return 0
 
 
@@ -270,27 +273,30 @@ def cmd_compare(args):
     tf = args.tf if args.tf is not None else args.te
     u = _input_signal(args, sys_obj.m)
     ref = simulate.implicit_midpoint(sys_obj, u, None, args.dt, tf)
-    out = _out_dir(args)
 
-    table = []
-    e_by_mode = {}
+    results = []
     for mode in args.mode:
         bal = reduction.balance(sys_obj, mode, window, cfg, args.method)
         for r in orders:
             rom = bal.truncate(r)
             red = simulate.implicit_midpoint(rom, u, None, args.dt, tf)
-            err, e_max = simulate.relative_error_series(ref, red, window)
-            _write_csv(
-                out / f"{name}_error_t_{mode}_r{r}.csv",
-                ["t", "E"],
-                list(zip(ref.times, err)),
-            )
-            entry = {"mode": mode, "r": r, "E_T": e_max, "stable": int(rom.stable)}
-            if args.timings:
-                entry["t_mor"] = rom.info["t_mor"]
-            table.append(entry)
-            e_by_mode.setdefault(mode, {})[r] = e_max
-            print(f"{name} {mode} r={r}: E_T={_fmt(e_max)} stable={int(rom.stable)}")
+            results.append((mode, r, rom, *simulate.relative_error_series(ref, red, window)))
+    out = _out_dir(args)
+
+    table = []
+    e_by_mode = {}
+    for mode, r, rom, err, e_max in results:
+        _write_csv(
+            out / f"{name}_error_t_{mode}_r{r}.csv",
+            ["t", "E"],
+            list(zip(ref.times, err)),
+        )
+        entry = {"mode": mode, "r": r, "E_T": e_max, "stable": int(rom.stable)}
+        if args.timings:
+            entry["t_mor"] = rom.info["t_mor"]
+        table.append(entry)
+        e_by_mode.setdefault(mode, {})[r] = e_max
+        print(f"{name} {mode} r={r}: E_T={_fmt(e_max)} stable={int(rom.stable)}")
 
     _write_csv(
         out / f"{name}_errors_vs_order.csv",

@@ -1,19 +1,19 @@
 """Infinite and time-limited Gramians: the dense route and the low-rank solver.
 
 Every mode's Gramian solves one Lyapunov equation A P + P A^T + W = 0. One
-map (``_rhs``) builds W from B and from e^{A t} B at the window ends
-(Gawronski & Juang): bt takes B B^T, tlbt B_s B_s^T - B_e B_e^T, and mtlbt
-the absolute-eigenvalue surrogate of the possibly indefinite tlbt W. The
-dense route (``_dense_gramian``) solves that equation for M^{-1} A. The
-large-scale route is a rational Krylov subspace method with
-adaptive shift selection: the basis is grown by shifted solves until the
-subspace approximation of exp(A t) B stops changing, then the projected
-(time-limited) Lyapunov equation is solved and a factored residual norm
-decides termination. The basis, its image and the projected matrix grow in
+map (``_rhs``) gives W = F J F^T, F of at most 2m columns, from B and from
+e^{A t} B at the window ends (Gawronski & Juang): bt takes B B^T, tlbt
+B_s B_s^T - B_e B_e^T, and mtlbt the absolute-eigenvalue surrogate of the
+possibly indefinite tlbt W. The dense route (``_dense_gramian``) solves
+that equation for M^{-1} A. The large-scale route is a rational Krylov
+subspace method with adaptive shift selection: the basis is grown by
+shifted solves until the subspace approximation of exp(A t) B stops
+changing, then the projected (time-limited) Lyapunov equation is solved
+and a factored residual norm decides termination. The basis, its image and the projected matrix grow in
 place (block CGS2, bordering); the residual comes from the rational Arnoldi
 relation, whose rank-m premise holds only while the start block is the
-only pole at infinity. Its checks solve the projected equation with the
-same ``_rhs``.
+only pole at infinity, and is read off n x 2m factors for every pencil.
+Its checks solve the projected equation with the same ``_rhs``.
 """
 
 import time
@@ -159,7 +159,8 @@ def _dense_gramian(sys, mode, window, side):
     ends = (None, None)
     if mode != "bt":
         ends = [linalg.expm(a * t) @ b if t > 0 else b for t in (window.t_s, window.t_e)]
-    return linalg.lyap_dense(a, _rhs(mode, b, *ends))
+    f, j = _rhs(mode, b, *ends)
+    return linalg.lyap_dense(a, f @ j @ f.T)
 
 
 def gramian_infinite_dense(sys, side="reachability"):
@@ -172,16 +173,25 @@ def gramian_timelimited_dense(sys, window, side="reachability"):
     return _dense_gramian(sys, "tlbt", window, side)
 
 
-def factor_psd(p, absolute=False):
+def factor_psd(p):
     """Cholesky-like factor Z of a symmetric PSD matrix: Z Z^T ~= P.
 
-    With ``absolute`` P may be indefinite and Z Z^T ~= sum |lambda_i| v_i v_i^T.
     Eigenvalues at most 1e-12 of the largest are dropped.
     """
-    eig = linalg.sym_eig(p)
-    lam = np.abs(eig.values) if absolute else eig.values
+    lam, vec = linalg.sym_eig(p)
     keep = lam > _TRUNC_TOL * lam.max(initial=0.0)
-    return eig.vectors[:, keep] * np.sqrt(lam[keep])
+    return vec[:, keep] * np.sqrt(lam[keep])
+
+
+def _sym_lowrank(f, j):
+    """``(U, lam)`` with ``F J F^T = U diag(lam) U^T`` and U orthonormal.
+
+    From a thin QR ``F = Q R`` and an eigendecomposition of the core
+    ``R J R^T``, whose order is at most the column count of F (2m here).
+    """
+    q, r = np.linalg.qr(f)
+    lam, v = np.linalg.eigh(r @ j @ r.T)
+    return q @ v, lam
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +213,14 @@ class _Basis:
     use; ``q``, ``h`` and ``b_proj`` are views of the leading blocks. New
     columns are orthogonalized by block CGS2, H is bordered with their rows
     and columns, and b_proj with zero rows (B lies in the start block).
-    With a mass matrix the QR factors Q_M R_M of M Q are bordered with the
-    columns added since the previous residual evaluation. ``sys`` supplies
-    the pencil (A, M) through the system interface (``apply_a``, ``mass``).
+    ``sys`` supplies the pencil (A, M) through the system interface
+    (``apply_a``, ``mass_apply``, ``mass_solve``).
     """
 
     def __init__(self, sys, b):
-        self.sys, self.m, self.shifts, self._qr_dim = sys, sys.m, [np.inf], 0
-        self.q = self._q = self._aq = self._qm = np.zeros((sys.order, 0))
-        self.h = self._h = self._rm = np.zeros((0, 0))
+        self.sys, self.m, self.shifts = sys, sys.m, [np.inf]
+        self.q = self._q = self._aq = np.zeros((sys.order, 0))
+        self.h = self._h = np.zeros((0, 0))
         self.b_proj = self._bp = np.zeros((0, self.m))
         self.extend(b)
         if self.dim == 0:
@@ -230,8 +239,6 @@ class _Basis:
             cap = max(d + v.shape[1], min(2 * self._q.shape[1], n))
             self._q, self._aq = _widen(self._q, n, cap), _widen(self._aq, n, cap)
             self._h, self._bp = _widen(self._h, cap, cap), _widen(self._bp, cap, self.m)
-            if self.sys.mass is not None:
-                self._qm, self._rm = _widen(self._qm, n, cap), _widen(self._rm, cap, cap)
         e = d + linalg.orthonormal_extend(self._q, d, v)
         if e == d:
             return 0
@@ -242,41 +249,26 @@ class _Basis:
         self.q, self.h, self.b_proj = self._q[:, :e], self._h[:e, :e], self._bp[:e]
         return e - d
 
-    def _mass_qr_columns(self, v, d):
-        """Columns of Q_M and R_M that append M v to the QR factors of M Q[:, :d] (CGS2)."""
-        qm, w, c = self._qm[:, :d], np.asarray(self.sys.mass_apply(v)), 0.0
-        for _ in range(2):
-            step = qm.T @ w
-            w, c = w - qm @ step, c + step
-        q_new, t = np.linalg.qr(w)
-        return q_new, np.vstack([c, t])
-
-    def residual(self, y, w):
+    def residual(self, y, f, j):
         """Scaled residual of the Lyapunov equation for X = Q Y Q^T, spectral norm.
 
-        ``mu = ||A X M^T + M X A^T + M Q W Q^T M^T|| / ||M Q W Q^T M^T||``.
-        Every pole after the start block is finite, so ``M^{-1} A`` maps the
-        space into itself plus ``range(M^{-1} A Q_start)``: the rational
-        Arnoldi relation reads ``M^{-1} A Q = Q H + U_F C`` with ``U_F``
-        (n x m) spanning ``(I - Q Q^T) M^{-1} A Q_start`` and
-        ``C = U_F^T (M^{-1} A Q - Q H)``. With ``H Y + Y H^T + W = 0`` the
-        residual is ``M U_F (C Y) (M Q)^T`` plus its transpose: of norm
-        ``||C Y||`` when ``M = I``, else read off the R factor of
-        ``[M Q, M U_F]``, which borders the stored R_M.
+        ``mu = ||A X M^T + M X A^T + G|| / ||G||`` with ``G = (M Q F) J (M Q F)^T``
+        for the ``W = F J F^T`` of :func:`_rhs`. Every pole after the start
+        block is finite, so ``M^{-1} A`` maps the space into itself plus
+        ``range(M^{-1} A Q_start)``: the rational Arnoldi relation reads
+        ``M^{-1} A Q = Q H + U_F C`` with ``U_F`` (n x m) spanning
+        ``(I - Q Q^T) M^{-1} A Q_start`` and ``C = U_F^T (M^{-1} A Q - Q H)``.
+        With ``H Y + Y H^T + W = 0`` the residual is ``V [[0, I], [I, 0]] V^T``
+        with ``V = [M U_F, M Q (C Y)^T]``. Both norms are thus read off
+        n x 2m factors (:func:`_sym_lowrank`), with or without a mass matrix.
         """
-        q, h, d, aq = self.q, self.h, self.dim, self._aq[:, : self.dim]
-        f = aq[:, : self.m0] - q @ h[:, : self.m0]
-        u = np.linalg.qr(f - q @ (q.T @ f))[0]
+        q, h, aq = self.q, self.h, self._aq[:, : self.dim]
+        g = aq[:, : self.m0] - q @ h[:, : self.m0]
+        u = np.linalg.qr(g - q @ (q.T @ g))[0]
         cy = (u.T @ aq - (u.T @ q) @ h) @ y
-        if self.sys.mass is None:
-            num, den = np.linalg.norm(cy, 2), np.linalg.norm(w, 2)
-        else:
-            k, self._qr_dim = self._qr_dim, d
-            self._qm[:, k:d], self._rm[:d, k:d] = self._mass_qr_columns(q[:, k:], k)
-            rm, p = self._rm[:d, :d], np.zeros((d + u.shape[1],) * 2)
-            p[:, :d] = self._mass_qr_columns(u, d)[1] @ cy @ rm.T
-            num = np.max(np.abs(np.linalg.eigvalsh(p + p.T)))
-            den = np.max(np.abs(np.linalg.eigvalsh(rm @ w @ rm.T)))
+        swap = np.roll(np.eye(2 * self.m0), self.m0, axis=1)
+        num = np.abs(_sym_lowrank(self.sys.mass_apply(np.hstack([u, q @ cy.T])), swap)[1]).max()
+        den = np.abs(_sym_lowrank(self.sys.mass_apply(q @ f), j)[1]).max(initial=0.0)
         return float(num) if den == 0.0 else float(num / den)
 
 
@@ -412,19 +404,23 @@ def _expm_action(ws, t):
 
 
 def _rhs(mode, b, b_s, b_e):
-    """W of a mode's Lyapunov equation H P + P H^T + W = 0.
+    """``(F, J)`` with ``W = F J F^T`` of a mode's equation H P + P H^T + W = 0.
 
     From the input block ``b`` and e^{H t} b at the window ends (``b_s``,
-    ``b_e``; unused by bt): bt takes b b^T, tlbt b_s b_s^T - b_e b_e^T
-    (Gawronski & Juang 1990), mtlbt its absolute-eigenvalue surrogate.
+    ``b_e``; unused by bt): bt takes (b, I), tlbt ([b_s, b_e], diag(I, -I))
+    for b_s b_s^T - b_e b_e^T (Gawronski & Juang 1990), and mtlbt that W's
+    absolute-eigenvalue surrogate (U |lambda|^{1/2}, I), dropping the
+    eigenvalues at most 1e-12 of the largest in modulus. F has at most 2m columns.
     """
     if mode == "bt":
-        return b @ b.T
-    w = b_s @ b_s.T - b_e @ b_e.T
+        return b, np.eye(b.shape[1])
+    f, j = np.hstack([b_s, b_e]), np.diag(np.repeat([1.0, -1.0], b.shape[1]))
     if mode == "tlbt":
-        return w
-    f = factor_psd(w, absolute=True)
-    return f @ f.T
+        return f, j
+    u, lam = _sym_lowrank(f, j)
+    lam = np.abs(lam)
+    keep = lam > _TRUNC_TOL * lam.max(initial=0.0)
+    return u[:, keep] * np.sqrt(lam[keep]), np.eye(np.count_nonzero(keep))
 
 
 # ---------------------------------------------------------------------------
@@ -499,12 +495,12 @@ def _solve_lowrank(sys, window, cfg, mode, side):
         fch = max(f_changes)
         if not exact and fch >= cfg.tol_f:
             return False, None, fch, np.inf, None
-        w_proj = _rhs(mode, ws.b_proj, coeffs.get("s", ws.b_proj), coeffs.get("e"))
+        f, j = _rhs(mode, ws.b_proj, coeffs.get("s", ws.b_proj), coeffs.get("e"))
         try:
-            y, ritz = linalg.lyap_dense(ws.h, w_proj, eigenvalues=True)
+            y, ritz = linalg.lyap_dense(ws.h, f @ j @ f.T, eigenvalues=True)
         except SpectrumConflictError:
             return False, None, fch, np.inf, None
-        mu_k = ws.residual(y, w_proj)
+        mu_k = ws.residual(y, f, j)
         return mu_k < cfg.tol_p, y, fch, mu_k, ritz
 
     while True:
@@ -527,7 +523,7 @@ def _solve_lowrank(sys, window, cfg, mode, side):
         else:
             if ritz is None:
                 ritz = (linalg._real_schur(ws.h)[2] if checked
-                        else linalg.gen_eig(ws.h).values)
+                        else linalg.gen_eig(ws.h))
             h = ws.h
             sym = np.linalg.norm(h - h.T, "fro") <= 1e-12 * max(np.linalg.norm(h, "fro"), 1e-300)
             s = _select_shift(ritz, ws.shifts, m, sym)

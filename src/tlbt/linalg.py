@@ -10,7 +10,6 @@ data (see :func:`check_finite`).
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -22,7 +21,6 @@ from .errors import (
 )
 
 __all__ = [
-    "EigDecomposition",
     "check_finite",
     "orthonormal_extend",
     "svd",
@@ -34,14 +32,6 @@ __all__ = [
 
 #: deflation threshold for dependent directions in Gram-Schmidt
 DEFLATION_TOL = 1e-12
-
-
-@dataclass
-class EigDecomposition:
-    """Eigenvalues and (optionally) eigenvectors, ``A X = X diag(values)``."""
-
-    values: np.ndarray
-    vectors: np.ndarray | None = None
 
 
 def check_finite(a, name="matrix"):
@@ -91,7 +81,7 @@ def svd(a):
 
 
 def sym_eig(s):
-    """Eigendecomposition of a symmetric matrix, values non-increasing.
+    """Eigendecomposition ``(values, vectors)`` of a symmetric matrix, values non-increasing.
 
     The input is symmetrized; gross asymmetry (> 1e-8 relative) is
     rejected.
@@ -106,14 +96,14 @@ def sym_eig(s):
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"symmetric eig did not converge: {exc}") from exc
     order = np.argsort(w)[::-1]
-    return EigDecomposition(values=w[order], vectors=x[:, order])
+    return w[order], x[:, order]
 
 
 def gen_eig(a):
-    """Eigenvalues of a general square matrix (``vectors`` is None).
+    """Eigenvalues of a general square matrix.
 
     Eigenvalues are sorted by non-increasing real part (ties by imaginary
-    part) so that ``values[0].real`` is the spectral abscissa.
+    part) so that ``gen_eig(a)[0].real`` is the spectral abscissa.
     """
     a = np.asarray(a)
     if a.shape[0] != a.shape[1]:
@@ -122,7 +112,7 @@ def gen_eig(a):
         w = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eig did not converge: {exc}") from exc
-    return EigDecomposition(values=w[np.lexsort((-w.imag, -w.real))])
+    return w[np.lexsort((-w.imag, -w.real))]
 
 
 def expm(a):

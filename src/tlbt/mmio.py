@@ -10,7 +10,6 @@ files (relative to its own directory) and carries structure metadata:
       "files": {"A": "plant_A.mtx", "B": ..., "C": ..., "D"?, "M"?,
                 "M1"?, "A1"?..."A4"?, "B1"?, "B2"?, "C1"?, "C2"?},
       "n_f": 606,          # descriptor only
-      "spd": true,         # generalized only: M symmetric positive definite
       "alpha_shift": 0.08  # optional, applied on load (A <- A - alpha*M)
     }
 """
@@ -75,7 +74,6 @@ def save_system(out_dir, name, sys, alpha=0.0):
             put(key, getattr(sys, key))
     elif isinstance(sys, GeneralizedSystem):
         meta["kind"] = "generalized"
-        meta["spd"] = bool(sys.spd)
         for key in ("M", "A", "B", "C"):
             put(key, getattr(sys, key))
         if np.any(sys.D):
@@ -115,10 +113,7 @@ def load_system(sidecar_path):
         sys = DescriptorIndex1(**blocks)
     elif kind == "generalized":
         d = get("D", dense=True) if "D" in files else None
-        sys = GeneralizedSystem(
-            get("M"), get("A"), get("B", dense=True), get("C", dense=True),
-            D=d, spd=bool(meta.get("spd", False)),
-        )
+        sys = GeneralizedSystem(get("M"), get("A"), get("B", dense=True), get("C", dense=True), D=d)
     elif kind == "standard":
         d = get("D", dense=True) if "D" in files else None
         sys = StandardSystem(get("A"), get("B", dense=True), get("C", dense=True), D=d)

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import RankDeficientError, SingularShiftError
+from .errors import RankDeficientError
 from .gramians import MODES, SIDES, TimeWindow, factor_psd, mode_gramian
-from .systems import DescriptorIndex1, StandardSystem, _dense, _factor
+from .systems import DescriptorIndex1, StandardSystem, _dense
 
 __all__ = [
     "ReducedModel",
@@ -24,7 +24,6 @@ __all__ = [
     "balance",
     "square_root_reduce",
     "reduce",
-    "transfer_at",
     "MODES",
 ]
 
@@ -120,7 +119,7 @@ def square_root_reduce(sys, z_p, z_q, r, svd=None):
     b_r = s.T @ _dense(sys.B)
     c_r = _dense(sys.C) @ t
     d_r = np.array(sys.D, copy=True)
-    ab = float(np.max(linalg.gen_eig(a_r).values.real))
+    ab = float(np.max(linalg.gen_eig(a_r).real))
     stable = ab < -1e-12 * max(np.linalg.norm(a_r, 2), 1e-300)
     return ReducedModel(
         A=a_r, B=b_r, C=c_r, D=d_r, T=t, S=s,
@@ -180,20 +179,3 @@ def reduce(sys, mode, window=None, r=None, cfg=None, method="krylov", tol=None):
         r_tol = max(int(np.argmax(bounds <= tol)), 1)
         r = min(r, r_tol) if r is not None else r_tol
     return bal.truncate(r)
-
-
-def transfer_at(obj, s):
-    """Transfer function C (s M - A)^{-1} B + D at a complex point s."""
-    if isinstance(obj, ReducedModel):
-        obj = obj.to_system()
-    if isinstance(obj, DescriptorIndex1):
-        m_full, a_full, b_full, c_full = obj.assemble()
-        sol = _factor((s * m_full - a_full).tocsc())(b_full.astype(complex))
-        return c_full @ sol
-    if obj.n == 0:
-        return obj.D.astype(complex)
-    mass = np.eye(obj.n) if obj.mass is None else _dense(obj.mass)
-    lhs = s * mass - _dense(obj.A)
-    sol = _factor(lhs.astype(complex), err=SingularShiftError)(_dense(obj.B).astype(complex))
-    return _dense(obj.C) @ sol + obj.D
-

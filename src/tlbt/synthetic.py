@@ -52,7 +52,7 @@ def _heat_like(n, m, p, rng):
     )
     b = rng.standard_normal((n, m))
     c = rng.standard_normal((p, n))
-    return GeneralizedSystem(mass, a, b, c, spd=True)
+    return GeneralizedSystem(mass, a, b, c)
 
 
 def _random_stable(n, m, p, rng):

@@ -176,19 +176,13 @@ class StandardSystem(_System):
 
 @dataclass
 class GeneralizedSystem(_System):
-    """Generalized state-space system ``M x' = A x + B u``, ``y = C x + D u``.
-
-    ``spd`` flags M as symmetric positive definite. It is kept as given
-    (the JSON sidecar stores it) and not verified: every route works
-    through the pencil (A, M) whether or not M is SPD.
-    """
+    """Generalized state-space system ``M x' = A x + B u``, ``y = C x + D u``."""
 
     M: object
     A: object
     B: object
     C: object
     D: object = None
-    spd: bool = False
 
     def __post_init__(self):
         n, n2 = self.M.shape
@@ -201,9 +195,7 @@ class GeneralizedSystem(_System):
         return self.M
 
     def _dual(self):
-        return GeneralizedSystem(
-            self.M.T, self.A.T, _dense(self.C).T, _dense(self.B).T, self.D.T, spd=self.spd
-        )
+        return GeneralizedSystem(self.M.T, self.A.T, _dense(self.C).T, _dense(self.B).T, self.D.T)
 
 
 @dataclass
@@ -439,7 +431,7 @@ def spectral_abscissa(sys):
         if _dense_standard(obj) and obj.n:  # an empty A has no Schur norms
             eigs = obj._schur_form()[0].diagonal()
         else:
-            eigs = linalg.gen_eig(obj.dense_state_input()[0]).values
+            eigs = linalg.gen_eig(obj.dense_state_input()[0])
         sys._abscissa = float(np.max(eigs.real, initial=-np.inf))
     return sys._abscissa
 
@@ -449,7 +441,7 @@ def alpha_shift(sys, alpha):
     if alpha == 0.0:
         return sys
     if isinstance(sys, GeneralizedSystem):
-        return GeneralizedSystem(sys.M, sys.A - alpha * sys.M, sys.B, sys.C, sys.D, spd=sys.spd)
+        return GeneralizedSystem(sys.M, sys.A - alpha * sys.M, sys.B, sys.C, sys.D)
     if isinstance(sys, StandardSystem):
         eye = sp.identity(sys.n, format="csc") if sp.issparse(sys.A) else np.eye(sys.n)
         return StandardSystem(sys.A - alpha * eye, sys.B, sys.C, sys.D)

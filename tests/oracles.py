@@ -16,6 +16,8 @@
   transfer functions and Hankel singular values are invariant.
 - ``numerical_rank``: the count of a Gramian's eigenvalues above a
   fraction of the largest, from a dense Gramian or a low-rank factor.
+- ``transfer_at``: the transfer function at one complex point, by a dense
+  solve, or for a descriptor by ``splu`` of its assembled block pencil.
 - ``hull_boundary_linspace`` and ``select_shift_broadcast``: the adaptive
   shift rule with one ``np.linspace`` per hull edge and the objective as a
   complex broadcast, ``log|(s - p)(s - conj(p))|``, ranked by a stable
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.spatial import ConvexHull, QhullError
 
 from tlbt.errors import SpectrumConflictError, TlbtError
@@ -144,6 +147,23 @@ def numerical_rank(obj, eps):
     if lam.size == 0 or lam[0] <= 0:
         return 0
     return int(np.count_nonzero(lam > eps * lam[0]))
+
+
+def transfer_at(obj, s):
+    """Transfer function ``C (s M - A)^{-1} B + D`` at a complex point s.
+
+    A reduced model answers through its standard system. A descriptor takes
+    ``splu`` of its assembled block pencil (the algebraic part carries its
+    feedthrough); any other system a dense solve.
+    """
+    if hasattr(obj, "to_system"):
+        obj = obj.to_system()
+    if hasattr(obj, "assemble"):
+        m_full, a_full, b_full, c_full = obj.assemble()
+        return c_full @ spla.splu(sp.csc_matrix(s * m_full - a_full)).solve(b_full.astype(complex))
+    mass = np.eye(obj.n) if obj.mass is None else _dense(obj.mass)
+    sol = np.linalg.solve(s * mass - _dense(obj.A), _dense(obj.B).astype(complex))
+    return _dense(obj.C) @ sol + obj.D
 
 
 def _pencil_images(sys, q):

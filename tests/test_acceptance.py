@@ -21,6 +21,7 @@ from oracles import (
     gramian_timelimited_difference,
     numerical_rank,
     similarity_transform,
+    transfer_at,
 )
 from tlbt import linalg
 from tlbt.cli import main
@@ -34,7 +35,7 @@ from tlbt.gramians import (
     solve_modified_lowrank,
     solve_timelimited_lowrank,
 )
-from tlbt.reduction import balance, reduce, square_root_reduce, transfer_at
+from tlbt.reduction import balance, reduce, square_root_reduce
 from tlbt.simulate import half_decay_time, impulse_response, implicit_midpoint, relative_error_series
 from tlbt.synthetic import make_synthetic
 from tlbt.systems import StandardSystem, eliminate_descriptor, shifted_solve

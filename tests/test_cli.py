@@ -211,16 +211,38 @@ COMPARE = ["compare", *SYNTH, "--mode", "bt", "--te", "1.0"]
         (["gramian", *SYNTH, "--mode", "bt", "--mode", "tlbt"], "'tlbt' needs a time window"),
         (["hsv", *SYNTH, "--mode", "mtlbt"], "'mtlbt' needs a time window"),
         (["reduce", *SYNTH, "--mode", "tlbt", "--order", "2"], "'tlbt' needs a time window"),
+        (["reduce", "--synth", "heat_like", "--n", "1200", "--mode", "bt", "--order", "2",
+          "--method", "dense"], "dense Gramian path refused for n=1200"),
     ],
     ids=["simulate-missing-system", "simulate-no-input-file", "simulate-negative-dt",
          "synth-n1", "compare-dt0", "reduce-order0", "reduce-negative-order", "compare-order0",
-         "gramian-no-window", "hsv-no-window", "reduce-no-window"],
+         "gramian-no-window", "hsv-no-window", "reduce-no-window", "reduce-dense-too-large"],
 )
 def test_config_errors_exit_2_before_out(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "--out", "out"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([*COMPARE, "--order", "2", "--order", "100"], "order 100 out of range"),
+        ([*REDUCE, "--order", "2", "--order", "100"], "order 100 out of range"),
+        (["hsv", *SYNTH, "--mode", "bt", "--max-dim", "2"], "subspace cap 2 reached"),
+        (["gramian", *SYNTH, "--mode", "bt", "--max-dim", "2"], "subspace cap 2 reached"),
+    ],
+    ids=["compare-order-beyond-rank", "reduce-order-beyond-rank", "hsv-cap", "gramian-cap"],
+)
+def test_solver_errors_exit_3_before_out(tmp_path, capsys, monkeypatch, argv, message):
+    # every balance and truncate of the run succeeds before --out is created,
+    # so an order that succeeds before the failing one leaves no file either
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "out"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error") and message in err
     assert not (tmp_path / "out").exists()
 
 

@@ -42,10 +42,23 @@ def test_generalized_system_roundtrip_with_alpha(tmp_path):
     sidecar = mmio.save_system(tmp_path, "gen", g, alpha=0.08)
     loaded, meta = mmio.load_system(sidecar)
     assert isinstance(loaded, GeneralizedSystem)
-    assert meta["spd"] is True
     assert meta["alpha_shift"] == 0.08
     # alpha shift applied on load: A_loaded = A - 0.08 M
     assert np.allclose(loaded.A.toarray(), (g.A - 0.08 * g.M).toarray())
+
+
+def test_generalized_sidecar_with_spd_key_loads(tmp_path):
+    # older sidecars flag M as SPD; the key is no longer written and is ignored on load
+    g = make_synthetic("heat_like", 12, 1, 1, seed=2)
+    sidecar = mmio.save_system(tmp_path, "gen", g)
+    meta = json.loads(sidecar.read_text())
+    assert "spd" not in meta
+    sidecar.write_text(json.dumps({**meta, "spd": True}, indent=2, sort_keys=True) + "\n")
+    loaded, meta = mmio.load_system(sidecar)
+    assert isinstance(loaded, GeneralizedSystem) and meta["spd"] is True
+    assert np.array_equal(loaded.M.toarray(), g.M.toarray())
+    assert np.array_equal(loaded.A.toarray(), g.A.toarray())
+    assert np.array_equal(loaded.B, g.B)
 
 
 def test_descriptor_roundtrip(tmp_path):

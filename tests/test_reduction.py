@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import random_descriptor, random_stable_matrix
-from oracles import numerical_rank, similarity_transform
+from oracles import numerical_rank, similarity_transform, transfer_at
 from tlbt import gramians, linalg, reduction, simulate, systems
 from tlbt.errors import RankDeficientError
 from tlbt.gramians import (
@@ -12,12 +12,7 @@ from tlbt.gramians import (
     gramian_infinite_dense,
     gramian_timelimited_dense,
 )
-from tlbt.reduction import (
-    balance,
-    reduce,
-    square_root_reduce,
-    transfer_at,
-)
+from tlbt.reduction import balance, reduce, square_root_reduce
 from tlbt.synthetic import make_synthetic
 from tlbt.systems import StandardSystem
 

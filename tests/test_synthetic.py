@@ -20,7 +20,7 @@ def test_weakly_damped_underdamped_pairs():
 
 def test_heat_like_definiteness():
     g = make_synthetic("heat_like", 50, 1, 1, seed=0)
-    assert isinstance(g, GeneralizedSystem) and g.spd
+    assert isinstance(g, GeneralizedSystem)
     a = g.A.toarray()
     m = g.M.toarray()
     assert np.allclose(a, a.T) and np.allclose(m, m.T)

@@ -8,9 +8,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from conftest import random_descriptor
-from oracles import SingularTransformError, diagonalize, similarity_transform
+from oracles import SingularTransformError, diagonalize, similarity_transform, transfer_at
 from tlbt.errors import SingularShiftError
-from tlbt.reduction import transfer_at
 from tlbt.synthetic import make_synthetic
 from tlbt.systems import (
     DescriptorIndex1,
