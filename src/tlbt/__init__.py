@@ -12,9 +12,9 @@ The pipeline is rational Krylov Gramian factors
   Krylov start block, first-order form, cached dual and Krylov shifts),
   the shifted solves (a cached Schur form for dense standard systems, LU
   otherwise), descriptor elimination, spectral abscissa.
-- :mod:`tlbt.gramians`: dense and low-rank (rational Krylov) Gramian
-  solvers, infinite / time-limited / stability-preserving modified, and
-  ``mode_gramian``, which maps a mode and a side to its solver.
+- :mod:`tlbt.gramians`: low-rank (rational Krylov) Gramian solvers,
+  infinite / time-limited / stability-preserving modified, and
+  ``mode_gramian``, which maps a mode and a side to one (or the dense Gramian).
 - :mod:`tlbt.reduction`: square-root balancing (``balance`` once per
   mode, ``truncate`` per order; ``Balancing.hsv`` holds the Hankel
   values), transfer function evaluation.
@@ -30,8 +30,6 @@ from .gramians import (
     LowRankGramian,
     SolverConfig,
     TimeWindow,
-    gramian_infinite_dense,
-    gramian_timelimited_dense,
     solve_infinite_lowrank,
     solve_modified_lowrank,
     solve_timelimited_lowrank,
@@ -67,8 +65,6 @@ __all__ = [
     "LowRankGramian",
     "SolverConfig",
     "TimeWindow",
-    "gramian_infinite_dense",
-    "gramian_timelimited_dense",
     "solve_infinite_lowrank",
     "solve_modified_lowrank",
     "solve_timelimited_lowrank",

@@ -8,12 +8,14 @@ possibly indefinite tlbt W. The dense route (``_dense_gramian``) solves
 that equation for M^{-1} A. The large-scale route is a rational Krylov
 subspace method with adaptive shift selection: the basis is grown by
 shifted solves until the subspace approximation of exp(A t) B stops
-changing, then the projected (time-limited) Lyapunov equation is solved
-and a factored residual norm decides termination. The basis, its image and the projected matrix grow in
-place (block CGS2, bordering); the residual comes from the rational Arnoldi
+changing (compared in coefficient space), then the projected
+(time-limited) Lyapunov equation is solved and a residual bound decides
+termination. The basis, its image and the projected matrix grow in place
+(block CGS2, bordering); the residual bound comes from the rational Arnoldi
 relation, whose rank-m premise holds only while the start block is the
 only pole at infinity, and is read off n x 2m factors for every pencil.
-Its checks solve the projected equation with the same ``_rhs``.
+Its checks solve the projected equation with the same ``_rhs``. The basis
+itself, trimmed to its used size, is the result's ``workspace``.
 """
 
 import time
@@ -38,8 +40,6 @@ __all__ = [
     "TimeWindow",
     "SolverConfig",
     "LowRankGramian",
-    "gramian_infinite_dense",
-    "gramian_timelimited_dense",
     "solve_infinite_lowrank",
     "solve_timelimited_lowrank",
     "solve_modified_lowrank",
@@ -78,8 +78,10 @@ class SolverConfig:
     """Tolerances and limits for the low-rank Gramian solver.
 
     tol_f gates the matrix-exponential action (relative change between
-    checks, Frobenius), tol_p the scaled Lyapunov residual (spectral).
-    Projected quantities are only evaluated every ``_CADENCE`` shifts.
+    checks, Frobenius), tol_p an upper bound on the scaled Lyapunov residual
+    (spectral) of the equation with the projected right-hand side, so tol_f
+    alone controls the error in B_s and B_e. Projected quantities are only
+    evaluated every ``_CADENCE`` shifts.
     """
 
     tol_f: float = 1e-8
@@ -91,24 +93,6 @@ class SolverConfig:
             raise ValueError("tolerances must lie in (0, 1)")
         if self.max_dim is not None and self.max_dim < 1:
             raise ValueError("max_dim must be >= 1")
-
-
-@dataclass
-class KrylovWorkspace:
-    """Snapshot of the rational Arnoldi state.
-
-    q: orthonormal basis (n x d); h: projection q^T A q; b_proj: q^T B
-    with leading block beta; shifts: used shifts starting with inf.
-    """
-
-    q: np.ndarray
-    h: np.ndarray
-    b_proj: np.ndarray
-    shifts: list
-
-    @property
-    def dim(self):
-        return self.q.shape[1]
 
 
 @dataclass
@@ -125,7 +109,7 @@ class LowRankGramian:
     wall_time: float
     stop: str
     trace: list = field(default=None, repr=False)
-    workspace: KrylovWorkspace = field(default=None, repr=False)
+    workspace: "_Basis" = field(default=None, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -141,36 +125,21 @@ def _reach_form(sys, side):
     raise ValueError(f"side must be reachability|observability, got {side!r}")
 
 
-def _dense_state_input(sys):
-    """Dense (M^{-1} A, M^{-1} B) of the first-order form (cached); refused above the threshold."""
-    if sys.order > _DENSE_MAX:
-        raise ValueError(f"dense Gramian path refused for n={sys.order} > threshold {_DENSE_MAX}")
-    return sys.dense_state_input()
-
-
 def _dense_gramian(sys, mode, window, side):
     """Dense Gramian of a mode: M^{-1} A P + P (M^{-1} A)^T + W = 0, W from :func:`_rhs`.
 
     B_t = e^{M^{-1} A t} M^{-1} B at the window ends (bt ignores ``window``);
     the equation holds for an unstable A whose spectrum is disjoint from
-    its mirror as well.
+    its mirror as well. Refused above ``_DENSE_MAX``.
     """
-    a, b = _dense_state_input(_reach_form(sys, side))
+    if sys.order > _DENSE_MAX:
+        raise ValueError(f"dense Gramian path refused for n={sys.order} > threshold {_DENSE_MAX}")
+    a, b = _reach_form(sys, side).dense_state_input()
     ends = (None, None)
     if mode != "bt":
         ends = [linalg.expm(a * t) @ b if t > 0 else b for t in (window.t_s, window.t_e)]
     f, j = _rhs(mode, b, *ends)
     return linalg.lyap_dense(a, f @ j @ f.T)
-
-
-def gramian_infinite_dense(sys, side="reachability"):
-    """Solve A P + P A^T = -B B^T densely (observability via duality)."""
-    return _dense_gramian(sys, "bt", None, side)
-
-
-def gramian_timelimited_dense(sys, window, side="reachability"):
-    """Solve A P + P A^T = -B_s B_s^T + B_e B_e^T densely, B_t = e^{A t} B over [t_s, t_e]."""
-    return _dense_gramian(sys, "tlbt", window, side)
 
 
 def factor_psd(p):
@@ -206,7 +175,7 @@ def _widen(a, rows, cols):
 
 
 class _Basis:
-    """The rational Arnoldi state of a solve, grown in place.
+    """The rational Arnoldi state of a solve, grown in place; a result's ``workspace``.
 
     Q, M^{-1} A Q, H = Q^T M^{-1} A Q and b_proj live in buffers that
     double when full, so they never hold more than twice the columns in
@@ -214,7 +183,8 @@ class _Basis:
     columns are orthogonalized by block CGS2, H is bordered with their rows
     and columns, and b_proj with zero rows (B lies in the start block).
     ``sys`` supplies the pencil (A, M) through the system interface
-    (``apply_a``, ``mass_apply``, ``mass_solve``).
+    (``apply_a``, ``mass_apply``, ``mass_solve``). ``shifts`` lists the
+    poles used, ``inf`` first. ``trim`` ends the solve.
     """
 
     def __init__(self, sys, b):
@@ -227,6 +197,8 @@ class _Basis:
             raise ValueError("input factor B is numerically zero")
         self.m0 = self.dim
         self._bp[: self.m0] = self.q.T @ b
+        mass = np.ones((1, 1)) if sys.mass is None else abs(sys.mass)
+        self._mass_sq = float(mass.sum(0).max() * mass.sum(1).max())  # >= ||M||_2^2
 
     @property
     def dim(self):
@@ -249,18 +221,29 @@ class _Basis:
         self.q, self.h, self.b_proj = self._q[:, :e], self._h[:e, :e], self._bp[:e]
         return e - d
 
-    def residual(self, y, f, j):
-        """Scaled residual of the Lyapunov equation for X = Q Y Q^T, spectral norm.
+    def trim(self):
+        """Keep owned copies of ``q``, ``h`` and ``b_proj`` at their used size only.
 
-        ``mu = ||A X M^T + M X A^T + G|| / ||G||`` with ``G = (M Q F) J (M Q F)^T``
+        Drops the doubling buffers, the image M^{-1} A Q and the system, so
+        a returned workspace holds the basis once; it can no longer grow.
+        """
+        self.q, self.h, self.b_proj = self.q.copy(), self.h.copy(), self.b_proj.copy()
+        del self.sys, self._q, self._aq, self._h, self._bp
+
+    def residual(self, y, f, j):
+        """Upper bound on the scaled residual for X = Q Y Q^T, spectral norm.
+
+        ``mu >= ||A X M^T + M X A^T + G|| / ||G||`` with ``G = (M Q F) J (M Q F)^T``
         for the ``W = F J F^T`` of :func:`_rhs`. Every pole after the start
         block is finite, so ``M^{-1} A`` maps the space into itself plus
         ``range(M^{-1} A Q_start)``: the rational Arnoldi relation reads
         ``M^{-1} A Q = Q H + U_F C`` with ``U_F`` (n x m) spanning
         ``(I - Q Q^T) M^{-1} A Q_start`` and ``C = U_F^T (M^{-1} A Q - Q H)``.
-        With ``H Y + Y H^T + W = 0`` the residual is ``V [[0, I], [I, 0]] V^T``
-        with ``V = [M U_F, M Q (C Y)^T]``. Both norms are thus read off
-        n x 2m factors (:func:`_sym_lowrank`), with or without a mass matrix.
+        The residual is then ``V [[0, I], [I, 0]] V^T + M Q R_p Q^T M^T``
+        with ``V = [M U_F, M Q (C Y)^T]`` and ``R_p = H Y + Y H^T + W``, the
+        projected equation's own residual. The first term's norm and
+        ``||G||`` are read off n x 2m factors (:func:`_sym_lowrank`), with or
+        without a mass matrix; the second is bounded by ``||M||_2^2 ||R_p||_2``.
         """
         q, h, aq = self.q, self.h, self._aq[:, : self.dim]
         g = aq[:, : self.m0] - q @ h[:, : self.m0]
@@ -268,6 +251,7 @@ class _Basis:
         cy = (u.T @ aq - (u.T @ q) @ h) @ y
         swap = np.roll(np.eye(2 * self.m0), self.m0, axis=1)
         num = np.abs(_sym_lowrank(self.sys.mass_apply(np.hstack([u, q @ cy.T])), swap)[1]).max()
+        num += self._mass_sq * np.linalg.norm(h @ y + y @ h.T + f @ j @ f.T, 2)
         den = np.abs(_sym_lowrank(self.sys.mass_apply(q @ f), j)[1]).max(initial=0.0)
         return float(num) if den == 0.0 else float(num / den)
 
@@ -393,14 +377,8 @@ def _select_shift(ritz, shifts, m, symmetric=False):
 
 
 def _expm_action(ws, t):
-    """Galerkin approximation of e^{A t} B from the workspace.
-
-    Returns (coefficients e^{H t} q^T B, lifted n x m approximation).
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    coeff = linalg.expm(ws.h * t) @ ws.b_proj if t > 0 else ws.b_proj.copy()
-    return coeff, ws.q @ coeff
+    """Coefficients ``c = e^{H t} b_proj`` of the Galerkin approximation ``Q c`` of e^{A t} B."""
+    return linalg.expm(ws.h * t) @ ws.b_proj
 
 
 def _rhs(mode, b, b_s, b_e):
@@ -471,7 +449,7 @@ def _solve_lowrank(sys, window, cfg, mode, side):
     max_dim = min(n, cfg.max_dim or 600)
     times = [("e", window.t_e)] + [("s", window.t_s)] * (window.t_s > 0) if window else []
     bnorm = np.linalg.norm(b)
-    trace, prev_lift = [], {}
+    trace, prev = [], {}
     since_check = stagnant = 0
     force_check = False
     mu = np.inf
@@ -479,17 +457,18 @@ def _solve_lowrank(sys, window, cfg, mode, side):
     def run_check(exact):
         """(converged, y, f_change, mu, Ritz values of the solve or None).
 
-        ``exact`` (d = n) skips the tol_f gate.
+        ``exact`` (d = n) skips the tol_f gate. Q is orthonormal and nested, so
+        the lifted approximations change as their zero-padded coefficients do.
         """
         f_changes, coeffs = [0.0], {}
         for key, t in times:
             try:
-                coeffs[key], lifted = _expm_action(ws, t)
+                c = coeffs[key] = _expm_action(ws, t)
             except OverflowRangeError:
                 return False, None, np.inf, np.inf, None
-            cur = np.linalg.norm(lifted)
-            diff = np.linalg.norm(lifted - prev_lift[key]) if key in prev_lift else np.inf
-            prev_lift[key] = lifted
+            cur = np.linalg.norm(c)
+            diff = np.linalg.norm(c - _widen(prev[key], *c.shape)) if key in prev else np.inf
+            prev[key] = c
             small = cur <= 1e-14 * bnorm and (diff <= 1e-14 * bnorm or not np.isfinite(diff))
             f_changes.append(0.0 if small else diff / max(cur, 1e-300))
         fch = max(f_changes)
@@ -522,8 +501,7 @@ def _solve_lowrank(sys, window, cfg, mode, side):
             s = poles[len(ws.shifts)]
         else:
             if ritz is None:
-                ritz = (linalg._real_schur(ws.h)[2] if checked
-                        else linalg.gen_eig(ws.h))
+                ritz = linalg._real_schur(ws.h)[2] if checked else linalg.gen_eig(ws.h)
             h = ws.h
             sym = np.linalg.norm(h - h.T, "fro") <= 1e-12 * max(np.linalg.norm(h, "fro"), 1e-300)
             s = _select_shift(ritz, ws.shifts, m, sym)
@@ -555,11 +533,11 @@ def _solve_lowrank(sys, window, cfg, mode, side):
                 )
 
     z = ws.q @ factor_psd(y)
+    ws.trim()
     return LowRankGramian(
         z=z, residual=float(mu), subspace_dim=int(d), rank=int(z.shape[1]),
         wall_time=time.perf_counter() - t0, stop="exact_space" if d >= n else "converged",
-        trace=trace,
-        workspace=KrylovWorkspace(ws.q.copy(), ws.h.copy(), ws.b_proj.copy(), ws.shifts),
+        trace=trace, workspace=ws,
     )
 
 

@@ -184,7 +184,7 @@ def residual_norm(sys, ws, y, rhs_factors):
     ``mu = ||A X M^T + M X A^T + G|| / ||G||`` for ``X = Q Y Q^T``, in the
     spectral norm, from the R factor of ``[A Q, M Q]`` (never n x n).
     """
-    q, d = ws.q, ws.dim
+    q, d = ws.q, ws.q.shape[1]
     w_proj = sum(sign * (f @ f.T) for f, sign in rhs_factors)
     aq, mq = _pencil_images(sys, q)
     ru = np.linalg.qr(np.hstack([np.asarray(aq), np.asarray(mq)]), mode="r")

@@ -30,8 +30,7 @@ from tlbt.gramians import (
     TimeWindow,
     _expm_action,
     factor_psd,
-    gramian_infinite_dense,
-    gramian_timelimited_dense,
+    mode_gramian,
     solve_modified_lowrank,
     solve_timelimited_lowrank,
 )
@@ -57,7 +56,7 @@ def test_a1_gramian_identity_two_routes():
         t_s = float(rng.uniform(0.0, 0.3 * t_e))
         w = TimeWindow(t_e=t_e, t_s=t_s)
         pa = gramian_timelimited_difference(s, w)
-        pb = gramian_timelimited_dense(s, w)
+        pb = mode_gramian(s, "tlbt", w, method="dense")
         worst = max(worst, np.linalg.norm(pa - pb, 2) / np.linalg.norm(pa, 2))
     elapsed = time.perf_counter() - t0
     _verdict(
@@ -76,7 +75,7 @@ def test_a2_cauchy_oracle():
     ]:
         s = make_synthetic(kind, n, 1, 1, seed=seed)
         p_c = gramian_timelimited_cauchy(diagonalize(s), t_e)
-        p_d = gramian_timelimited_dense(s, TimeWindow(t_e=t_e))
+        p_d = mode_gramian(s, "tlbt", TimeWindow(t_e=t_e), method="dense")
         worst = max(worst, np.linalg.norm(p_c - p_d, 2) / np.linalg.norm(p_d, 2))
     _verdict("A2 Cauchy-factorization oracle", worst <= 1e-8, f"worst rel diff {worst:.2e}")
 
@@ -91,10 +90,10 @@ def test_a3_lowrank_vs_dense_published_tolerances():
         t0 = time.perf_counter()
         g = solve_timelimited_lowrank(s, w, cfg)
         elapsed = time.perf_counter() - t0
-        p = gramian_timelimited_dense(s, w)
+        p = mode_gramian(s, "tlbt", w, method="dense")
         rel = np.linalg.norm(g.z @ g.z.T - p, 2) / np.linalg.norm(p, 2)
         # independent dense residual recomputation
-        ge = g.workspace.q @ _expm_action(g.workspace, w.t_e)[0]
+        ge = g.workspace.q @ _expm_action(g.workspace, w.t_e)
         x = g.z @ g.z.T
         num = np.linalg.norm(s.A @ x + x @ s.A.T + s.B @ s.B.T - ge @ ge.T, 2)
         den = np.linalg.norm(s.B @ s.B.T - ge @ ge.T, 2)
@@ -110,18 +109,18 @@ def test_a3_lowrank_vs_dense_published_tolerances():
 
 def test_a4_ordering_and_decay():
     s = make_synthetic("weakly_damped", 100, 1, 1, seed=7)
-    p_inf = gramian_infinite_dense(s)
+    p_inf = mode_gramian(s, "bt", method="dense")
     lam1 = np.linalg.eigvalsh(p_inf).max()
     t_half = half_decay_time(s)
     gaps = []
     ordering_ok = True
     for factor in (0.5, 1.0, 2.0, 4.0, 8.0):
         w = TimeWindow(t_e=factor * t_half)
-        p_t = gramian_timelimited_dense(s, w)
+        p_t = mode_gramian(s, "tlbt", w, method="dense")
         ordering_ok &= np.linalg.eigvalsh(p_inf - p_t).min() >= -1e-10 * lam1
         gaps.append(np.linalg.norm(p_inf - p_t, 2))
     decreasing = all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
-    p_small = gramian_timelimited_dense(s, TimeWindow(t_e=0.5 * t_half))
+    p_small = mode_gramian(s, "tlbt", TimeWindow(t_e=0.5 * t_half), method="dense")
     rank_drop = numerical_rank(p_small, 1e-12) < numerical_rank(p_inf, 1e-12)
     _verdict(
         "A4 ordering and decay of windowed Gramians",
@@ -192,8 +191,8 @@ def test_a6_stability_preservation():
 def test_a7_hinf_bound_sampled():
     n = 40
     s = make_synthetic("random_stable", n, 2, 2, seed=17)
-    p = gramian_infinite_dense(s)
-    q = gramian_infinite_dense(s, "observability")
+    p = mode_gramian(s, "bt", method="dense")
+    q = mode_gramian(s, "bt", side="observability", method="dense")
     z_p, z_q = factor_psd(p), factor_psd(q)
     sig = balance(s, "bt", method="dense").hsv
     freqs = np.logspace(-2, 3, 200)

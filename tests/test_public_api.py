@@ -106,3 +106,24 @@ def test_tracer_cross_checks_a_repeated_reduce():
     assert metrics[0]["gramians.iters"] > 0
     for key in ("gramians.iters", "gramians.d"):
         assert metrics[1][key] == metrics[0][key], key
+
+
+def test_tracer_cross_checks_every_mode():
+    # a traced balance of each mode keeps the tracer's contract: every solve
+    # span holds exactly the shifted solves its workspace.shifts imply, and
+    # the solver metrics the benchmark reports are positive
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    tracer.install(tlbt)
+    try:
+        tracer.run = 0
+        s = tlbt.make_synthetic("weakly_damped", 40, 2, 2, seed=1)
+        for mode in ("bt", "tlbt", "mtlbt"):
+            tlbt.balance(s, mode, tlbt.TimeWindow(t_e=1.0))
+    finally:
+        tracer.uninstall()
+    tracing.cross_check(tracer.spans, 0)
+    metrics = tracing.layer_metrics(tracer.spans, 0)
+    assert metrics["gramians.solves"] == 6
+    for key in ("gramians.iters", "gramians.d", "gramians.rank"):
+        assert metrics[key] > 0, key

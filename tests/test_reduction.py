@@ -6,12 +6,7 @@ from conftest import random_descriptor, random_stable_matrix
 from oracles import numerical_rank, similarity_transform, transfer_at
 from tlbt import gramians, linalg, reduction, simulate, systems
 from tlbt.errors import RankDeficientError
-from tlbt.gramians import (
-    TimeWindow,
-    factor_psd,
-    gramian_infinite_dense,
-    gramian_timelimited_dense,
-)
+from tlbt.gramians import TimeWindow, factor_psd, mode_gramian
 from tlbt.reduction import balance, reduce, square_root_reduce
 from tlbt.synthetic import make_synthetic
 from tlbt.systems import StandardSystem
@@ -21,11 +16,11 @@ SCALAR = StandardSystem(np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]])
 
 def exact_factors(sys, window=None):
     if window is None:
-        p = gramian_infinite_dense(sys)
-        q = gramian_infinite_dense(sys, "observability")
+        p = mode_gramian(sys, "bt", method="dense")
+        q = mode_gramian(sys, "bt", side="observability", method="dense")
     else:
-        p = gramian_timelimited_dense(sys, window)
-        q = gramian_timelimited_dense(sys, window, "observability")
+        p = mode_gramian(sys, "tlbt", window, method="dense")
+        q = mode_gramian(sys, "tlbt", window, side="observability", method="dense")
     return factor_psd(p), factor_psd(q)
 
 
@@ -153,8 +148,8 @@ def test_hankel_zero_factor():
 def test_hankel_matches_product_eigenvalues(rng):
     s = make_synthetic("random_stable", 15, 2, 2, seed=6)
     w = TimeWindow(t_e=2.0)
-    p = gramian_timelimited_dense(s, w)
-    q = gramian_timelimited_dense(s, w, "observability")
+    p = mode_gramian(s, "tlbt", w, method="dense")
+    q = mode_gramian(s, "tlbt", w, side="observability", method="dense")
     sig = balance(s, "tlbt", w, method="dense").hsv
     lam = np.sort(np.linalg.eigvals(p @ q).real)[::-1]
     lam = np.sqrt(np.clip(lam, 0.0, None))
@@ -214,8 +209,8 @@ def test_numerical_rank_tiny_tail():
 
 def test_numerical_rank_timelimited_smaller(rng):
     s = make_synthetic("weakly_damped", 60, 1, 1, seed=9)
-    p_inf = gramian_infinite_dense(s)
-    p_t = gramian_timelimited_dense(s, TimeWindow(t_e=2.0))
+    p_inf = mode_gramian(s, "bt", method="dense")
+    p_t = mode_gramian(s, "tlbt", TimeWindow(t_e=2.0), method="dense")
     assert numerical_rank(p_t, 1e-12) < numerical_rank(p_inf, 1e-12)
 
 
