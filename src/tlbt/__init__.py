@@ -9,9 +9,9 @@ The pipeline is rational Krylov Gramian factors
   Gram-Schmidt).
 - :mod:`tlbt.systems`: standard/generalized/descriptor representations
   behind one interface (order, mass and its cached solve, action of A,
-  Krylov start block, first-order form, cached dual and Krylov shifts),
-  the shifted solves (a cached Schur form for dense standard systems, LU
-  otherwise), descriptor elimination, spectral abscissa.
+  B, C and D, Krylov start block, midpoint step, cached dual and Krylov
+  shifts), the shifted solves (a cached Schur form for dense standard
+  systems, LU otherwise), spectral abscissa.
 - :mod:`tlbt.gramians`: low-rank (rational Krylov) Gramian solvers,
   infinite / time-limited / stability-preserving modified, and
   ``mode_gramian``, which maps a mode and a side to one (or the dense Gramian).
@@ -53,7 +53,6 @@ from .systems import (
     DescriptorIndex1,
     GeneralizedSystem,
     StandardSystem,
-    eliminate_descriptor,
     shifted_solve,
     spectral_abscissa,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "DescriptorIndex1",
     "GeneralizedSystem",
     "StandardSystem",
-    "eliminate_descriptor",
     "shifted_solve",
     "spectral_abscissa",
 ]

@@ -41,14 +41,15 @@ def _add_system_args(p):
     src.add_argument("--damping", type=float, default=0.05, help="weakly_damped damping")
 
 
-def _add_solver_args(p):
+def _add_solver_args(p, method=True):
     g = p.add_argument_group("solver")
     g.add_argument("--ts", type=float, default=0.0, help="window start time")
     g.add_argument("--te", type=float, default=None, help="window end time")
     g.add_argument("--tol-f", type=float, default=1e-8, dest="tol_f")
     g.add_argument("--tol-p", type=float, default=1e-8, dest="tol_p")
     g.add_argument("--max-dim", type=int, default=None, dest="max_dim")
-    g.add_argument("--method", choices=("krylov", "dense"), default="krylov")
+    if method:
+        g.add_argument("--method", choices=("krylov", "dense"), default="krylov")
 
 
 def _add_sim_args(p):
@@ -154,10 +155,6 @@ def cmd_synth(args):
 
 
 def cmd_gramian(args):
-    if args.method != "krylov":
-        raise ValueError(
-            "tlbt gramian computes Krylov factors only; --method dense is not supported"
-        )
     sys_obj, name = _load_system(args)
     window = _window(args)
     cfg = _config(args)
@@ -200,7 +197,7 @@ def cmd_hsv(args):
     return 0
 
 
-def _export_reduced(out, name, mode, r, rom, e_max=None, timings=False):
+def _export_reduced(out, name, mode, r, rom, timings=False):
     tag = f"{name}_{mode}_r{r}"
     sidecar = mmio.save_system(out, tag, rom.to_system())
     meta = {
@@ -210,7 +207,7 @@ def _export_reduced(out, name, mode, r, rom, e_max=None, timings=False):
         "t_e": rom.window.t_e if rom.window else None,
         "sigma": [float(v) for v in rom.hsv],
         "stable": int(rom.stable),
-        "E_T": e_max,
+        "E_T": None,
         "mu_p": rom.info.get("mu_p"),
         "mu_q": rom.info.get("mu_q"),
         "feedthrough_retained": bool(np.any(rom.D)),
@@ -340,7 +337,7 @@ def _build_parser():
 
     p = sub.add_parser("gramian", help="compute low-rank Gramian factors")
     _add_system_args(p)
-    _add_solver_args(p)
+    _add_solver_args(p, method=False)
     p.add_argument("--mode", action="append", choices=reduction.MODES, required=True)
     p.add_argument("--side", choices=("reach", "obs", "both"), default="both")
     p.add_argument("--trace", action="store_true", help="write per-iteration trace CSV")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from . import linalg
+from . import linalg, systems
 from .errors import (
     MaxDimExceededError,
     NoConvergenceError,
@@ -34,7 +34,7 @@ from .errors import (
     SpectrumConflictError,
     UnstableSystemError,
 )
-from .systems import _dense_standard, shifted_solve, spectral_abscissa
+from .systems import _verifiable, shifted_solve, spectral_abscissa
 
 __all__ = [
     "TimeWindow",
@@ -57,8 +57,6 @@ SIDES = ("reachability", "observability")
 _TRUNC_TOL = 1e-12  # relative eigenvalue cutoff of the Gramian factors (factor_psd)
 _NPTS = 2000  # shift candidates sampled from the mirrored Ritz values (_select_shift)
 _CADENCE = 5  # shifts added between the projected checks of a low-rank solve
-# largest order of the dense Gramian routes and of dense stability verification
-_DENSE_MAX = 1000
 
 
 @dataclass
@@ -130,10 +128,12 @@ def _dense_gramian(sys, mode, window, side):
 
     B_t = e^{M^{-1} A t} M^{-1} B at the window ends (bt ignores ``window``);
     the equation holds for an unstable A whose spectrum is disjoint from
-    its mirror as well. Refused above ``_DENSE_MAX``.
+    its mirror as well. Refused above ``systems._DENSE_MAX``.
     """
-    if sys.order > _DENSE_MAX:
-        raise ValueError(f"dense Gramian path refused for n={sys.order} > threshold {_DENSE_MAX}")
+    if sys.order > systems._DENSE_MAX:
+        raise ValueError(
+            f"dense Gramian path refused for n={sys.order} > threshold {systems._DENSE_MAX}"
+        )
     a, b = _reach_form(sys, side).dense_state_input()
     ends = (None, None)
     if mode != "bt":
@@ -409,9 +409,10 @@ def _require_stable(sys):
     """Raise UnstableSystemError unless the abscissa cached on ``sys`` proves it stable.
 
     A dense standard system is verified at any size from the Schur form its
-    shifted solves need anyway; other systems only up to the dense threshold.
+    shifted solves need anyway; other systems only up to the dense threshold
+    (``systems._verifiable``), above which the solve proceeds with a warning.
     """
-    if sys.order > _DENSE_MAX and not _dense_standard(sys):
+    if not _verifiable(sys):
         warnings.warn("system too large for dense stability verification; "
                       "proceeding unverified", stacklevel=3)
         return

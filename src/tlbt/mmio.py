@@ -55,7 +55,7 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def save_system(out_dir, name, sys, alpha=0.0):
+def save_system(out_dir, name, sys):
     """Write a system's matrices plus sidecar; returns the sidecar path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -86,8 +86,6 @@ def save_system(out_dir, name, sys, alpha=0.0):
             put("D", sys.D)
     else:
         raise TypeError(f"unsupported system type {type(sys)!r}")
-    if alpha:
-        meta["alpha_shift"] = alpha
     sidecar = out_dir / f"{name}.json"
     _write_json(sidecar, meta)
     return sidecar

@@ -16,7 +16,7 @@ import numpy as np
 from . import linalg
 from .errors import RankDeficientError
 from .gramians import MODES, SIDES, TimeWindow, factor_psd, mode_gramian
-from .systems import DescriptorIndex1, StandardSystem, _dense
+from .systems import StandardSystem, _dense
 
 __all__ = [
     "ReducedModel",
@@ -57,8 +57,8 @@ class Balancing:
     """Gramian factors of one mode and the SVD of Z_Q^T M Z_P, truncated on demand.
 
     ``Z_Q^T M Z_P = u diag(hsv) v^T``; ``hsv`` holds every (time-limited)
-    Hankel singular value. ``system`` is the system the projection runs
-    on (a descriptor comes eliminated); ``t_svd`` the seconds the SVD took.
+    Hankel singular value. ``system`` is the balanced system, on which the
+    projection runs; ``t_svd`` the seconds the SVD took.
     """
 
     system: object
@@ -91,13 +91,12 @@ def square_root_reduce(sys, z_p, z_q, r, svd=None):
     """Balance-and-truncate to order r from Gramian factors.
 
     Builds T = Z_P Y_1 S_1^{-1/2}, S = Z_Q X_1 S_1^{-1/2} from the thin
-    SVD of Z_Q^T M Z_P and projects; ``svd`` passes that SVD in when it
-    is already known (:func:`balance` computes it once for every order).
-    Raises RankDeficientError when the r-th singular value is below
-    1e-14 of the largest.
+    SVD of Z_Q^T M Z_P and projects with ``apply_a``, B, C and D (no
+    n x n matrix); ``svd`` passes that SVD in when it is already known
+    (:func:`balance` computes it once for every order). Raises
+    RankDeficientError when the r-th singular value is below 1e-14 of
+    the largest.
     """
-    if isinstance(sys, DescriptorIndex1):
-        raise TypeError("reduce descriptor systems through their eliminated form")
     z_p = np.atleast_2d(z_p)
     z_q = np.atleast_2d(z_q)
     u, sig, v = svd if svd is not None else linalg.svd(z_q.T @ sys.mass_apply(z_p))
@@ -115,7 +114,7 @@ def square_root_reduce(sys, z_p, z_q, r, svd=None):
     scale = 1.0 / np.sqrt(sig[:r])
     t = z_p @ (v[:, :r] * scale[None, :])
     s = z_q @ (u[:, :r] * scale[None, :])
-    a_r = s.T @ (sys.A @ t)
+    a_r = s.T @ sys.apply_a(t)
     b_r = s.T @ _dense(sys.B)
     c_r = _dense(sys.C) @ t
     d_r = np.array(sys.D, copy=True)
@@ -132,13 +131,12 @@ def balance(sys, mode, window=None, cfg=None, method="krylov"):
 
     ``method="krylov"`` uses the low-rank rational Krylov solver,
     ``"dense"`` exact dense Gramians (desk-scale systems, unstable
-    admissible). Descriptor factors come from the implicit descriptor
-    path; the projection runs on the first-order form, for a descriptor
-    its cached dense eliminated form (desk scale). What the Gramians
-    derive from ``sys`` is cached on it (see :mod:`tlbt.systems`), so
-    balancing several modes of one system builds each of those once.
+    admissible). Every system, a descriptor included, is balanced through
+    its pencil interface. What the Gramians derive from ``sys`` is cached
+    on it (see :mod:`tlbt.systems`), so balancing several modes of one
+    system builds each of those once.
     """
-    mode, work = mode.lower(), sys.first_order()
+    mode = mode.lower()
     t0 = time.perf_counter()
     gp, gq = (mode_gramian(sys, mode, window, cfg, side, method) for side in SIDES)
     info = {}
@@ -153,8 +151,8 @@ def balance(sys, mode, window=None, cfg=None, method="krylov"):
         )
     info["t_gramians"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    u, hsv, v = linalg.svd(z_q.T @ work.mass_apply(z_p))
-    return Balancing(work, z_p, z_q, u, hsv, v, mode, window, info, time.perf_counter() - t0)
+    u, hsv, v = linalg.svd(z_q.T @ sys.mass_apply(z_p))
+    return Balancing(sys, z_p, z_q, u, hsv, v, mode, window, info, time.perf_counter() - t0)
 
 
 def reduce(sys, mode, window=None, r=None, cfg=None, method="krylov", tol=None):

@@ -1,20 +1,20 @@
 """Time-domain validation: implicit midpoint integration and error metrics.
 
 The integrator is the A-stable implicit midpoint rule with a fixed step.
-It steps the system's first-order form (a descriptor's eliminated form is
-built once and cached on the system), factorizes the step matrix once,
-and each step is one matrix-vector product (CSR when sparse) and one
-LAPACK ``getrs`` or SuperLU solve, with one finiteness check after the
-loop. An impulse input u = delta(t) v is realized as the initial state
-x0 + M^{-1} B v of the uncontrolled system, never by sampling a delta on
-the grid; since the input is zero after t = 0, no input is sampled or
-multiplied through B and D in the loop.
+It steps the pair the system hands it (``midpoint_step``): the step
+matrix is factorized once, and each step is one application of
+M + dt/2 A (a CSR product when sparse; for a descriptor M1 x plus the
+action of its Schur complement) and one LAPACK ``getrs`` or SuperLU
+solve (a descriptor's on its block pencil), with one finiteness check
+after the loop. An impulse input u = delta(t) v is realized as the
+initial state x0 + M^{-1} B v of the uncontrolled system, never by
+sampling a delta on the grid; since the input is zero after t = 0, no
+input is sampled or multiplied through B and D in the loop.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import GridMismatchError, SingularMatrixError, SingularStepError
 from .systems import _dense, _factor, spectral_abscissa
@@ -99,11 +99,11 @@ def impulse_response(sys, v=None, dt=1e-3, t_f=1.0, store_states=False):
 
 
 def _integrate(sys, u, x0, dt, t_f, store_states):
-    """Midpoint loop on the first-order form of ``sys`` (a reduced model as its system)."""
+    """Midpoint loop on ``sys`` (a reduced model as its system)."""
     if dt <= 0 or t_f <= 0:
         raise ValueError("dt and t_f must be positive")
-    form = (sys.to_system() if hasattr(sys, "to_system") else sys).first_order()
-    a, b, c, d = form.A, _dense(form.B), _dense(form.C), form.D
+    form = sys.to_system() if hasattr(sys, "to_system") else sys
+    b, c, d = _dense(form.B), _dense(form.C), form.D
     n, m = b.shape
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
     if u is not None and u.kind == "impulse":
@@ -112,14 +112,7 @@ def _integrate(sys, u, x0, dt, t_f, store_states):
         if form.mass is not None:  # one solve per response: no LU kept on the system
             kick = _factor(form.mass, err=SingularMatrixError)(kick)
         x = kick if x0 is None else x + kick
-    m_mat = form.mass
-    if m_mat is None:
-        m_mat = sp.identity(n, format="csc") if sp.issparse(a) else np.eye(n)
-    minus = m_mat - (dt / 2.0) * a
-    plus = m_mat + (dt / 2.0) * a
-    if sp.issparse(plus):
-        plus = plus.tocsr()
-    step_solve = _factor(minus, err=SingularStepError, checked=False)
+    step_apply, step_solve = form.midpoint_step(dt)
     nsteps = int(np.ceil(t_f / dt - 1e-9))
     times = dt * np.arange(nsteps + 1)
     forced = u is not None and u.kind != "impulse"
@@ -130,7 +123,7 @@ def _integrate(sys, u, x0, dt, t_f, store_states):
         if store_states:
             states[k] = x
         if k < nsteps:
-            rhs = plus @ x
+            rhs = step_apply(x)
             if forced:
                 rhs = rhs + dt * (b @ u.sample(times[k] + dt / 2.0, m))
             x = step_solve(rhs)

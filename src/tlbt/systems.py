@@ -9,20 +9,23 @@ The three types answer the solvers' questions alike, so no solver asks
 which type it holds: ``order`` is the dimension the solvers work in (n,
 or n_f for a descriptor); ``mass`` is M of the pencil (A, M) (None for
 M = I, M1 for a descriptor), with ``mass_apply`` and ``mass_solve``;
-``apply_a`` is the action of A (for a descriptor the Schur complement
-A1 - A2 A4^{-1} A3); ``start_block()`` is the Krylov start block (B, or
-B1 - A2 A4^{-1} B2); ``first_order()`` is the system as a standard or
-generalized one (a descriptor eliminated densely, for the dense routes,
-the balancing projection and the integrator); ``transposed()`` is the
-dual. Systems are not mutated after construction, so what they derive is
-built on first use and cached on them: the LU of M, the dual, the
-spectral abscissa, ``dense_state_input()`` (M^{-1} A and M^{-1} B when
-M is not I), the Krylov shifts of the system's own reachability solves
-(never shared with the dual), a descriptor's A4 LU, block pencil and
-eliminated form, and the complex Schur form that a dense standard system
-shares with its dual for every shifted solve and for the spectrum. No
-cached object refers back to the system that holds it. Every other shifted
-solve factors its shifted matrix by LU (``_factor``).
+``apply_a`` is the action of A and ``B``, ``C``, ``D`` the input, output
+and feedthrough matrices, for a descriptor those of its elimination
+(A1 - A2 A4^{-1} A3, B1 - A2 A4^{-1} B2, C1 - C2 A4^{-1} A3 and
+-C2 A4^{-1} B2) through solves with A4, never an n_f x n_f array;
+``start_block()`` is the Krylov start block B; ``midpoint_step(dt)`` is
+the integrator's pair (apply M + dt/2 A, solve with M - dt/2 A; a
+descriptor's on its block pencil); ``transposed()`` is the dual. Systems
+are not mutated after construction, so what they derive is built on
+first use and cached on them: the LU of M, the dual, the spectral
+abscissa, ``dense_state_input()`` (M^{-1} A and M^{-1} B when M is not
+I, for the dense routes, up to ``_DENSE_MAX``), the Krylov shifts of the
+system's own reachability solves (never shared with the dual), a
+descriptor's A4 LU and block pencil, and the complex Schur form that a
+dense standard system shares with its dual for every shifted solve and
+for the spectrum. No cached object refers back to the system that holds
+it. Every other shifted solve factors its shifted matrix by LU
+(``_factor``).
 """
 
 import warnings
@@ -34,17 +37,20 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import linalg
-from .errors import SingularBlockError, SingularMatrixError, SingularShiftError
+from .errors import SingularBlockError, SingularMatrixError, SingularShiftError, SingularStepError
 
 __all__ = [
     "StandardSystem",
     "GeneralizedSystem",
     "DescriptorIndex1",
-    "eliminate_descriptor",
     "shifted_solve",
     "spectral_abscissa",
     "alpha_shift",
 ]
+
+# largest order that is densified: by the dense Gramian routes, and for the
+# spectral abscissa of any system but a dense standard one (its Schur form)
+_DENSE_MAX = 1000
 
 
 def _dense(a):
@@ -105,12 +111,8 @@ class _System:
         return self.A @ v
 
     def start_block(self):
-        """Krylov start block: the input matrix of the first-order form, before M^{-1}."""
+        """Krylov start block: the input matrix B, before M^{-1}."""
         return _dense(self.B)
-
-    def first_order(self):
-        """The system as ``M x' = A x + B u`` (``M`` may be I)."""
-        return self
 
     def mass_apply(self, v):
         """``M v``; ``v`` itself when M = I."""
@@ -125,12 +127,25 @@ class _System:
         return self._mass_lu(np.asarray(rhs))
 
     def dense_state_input(self):
-        """Dense ``(M^{-1} A, M^{-1} B)`` of the first-order form, cached only when M is not I."""
-        obj = self.first_order()
-        if obj._state_input is None and obj.mass is not None:
-            m = _dense(obj.mass)
-            obj._state_input = np.linalg.solve(m, _dense(obj.A)), np.linalg.solve(m, _dense(obj.B))
-        return obj._state_input or (_dense(obj.A), _dense(obj.B))
+        """Dense ``(M^{-1} A, M^{-1} B)``, cached only when M is not I."""
+        if self.mass is None:
+            return _dense(self.A), _dense(self.B)
+        if self._state_input is None:
+            m = _dense(self.mass)
+            a = self.apply_a(np.eye(self.order))
+            self._state_input = np.linalg.solve(m, a), np.linalg.solve(m, _dense(self.B))
+        return self._state_input
+
+    def midpoint_step(self, dt):
+        """``(apply, solve)``: x -> (M + dt/2 A) x (CSR when sparse), unchecked LU of M - dt/2 A."""
+        mass = self.mass
+        if mass is None:
+            mass = sp.identity(self.n, format="csc") if sp.issparse(self.A) else np.eye(self.n)
+        minus = mass - (dt / 2.0) * self.A
+        plus = mass + (dt / 2.0) * self.A
+        if sp.issparse(plus):
+            plus = plus.tocsr()
+        return plus.__matmul__, _factor(minus, err=SingularStepError, checked=False)
 
     def transposed(self):
         """The dual system, built once; it swaps the Gramians."""
@@ -219,7 +234,6 @@ class DescriptorIndex1(_System):
     C2: object
     _a4_lu: object = field(default=None, init=False, repr=False, compare=False)
     _assembled: tuple = field(default=None, init=False, repr=False, compare=False)
-    _eliminated: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("M1", "A1", "A2", "A3", "A4", "B1", "B2", "C1", "C2"):
@@ -242,14 +256,6 @@ class DescriptorIndex1(_System):
     @property
     def n(self):
         return self.n_f + self.A4.shape[0]
-
-    @property
-    def m(self):
-        return self.B1.shape[1]
-
-    @property
-    def p(self):
-        return self.C1.shape[0]
 
     @property
     def order(self):
@@ -276,18 +282,23 @@ class DescriptorIndex1(_System):
         v = np.asarray(v)
         return self.A1 @ v - self.A2 @ self.a4_solve(self.A3 @ v)
 
-    def start_block(self):
+    @property
+    def B(self):
         """The eliminated input matrix  B1 - A2 A4^{-1} B2."""
         return _dense(self.B1) - self.A2 @ self.a4_solve(_dense(self.B2))
 
-    def first_order(self):
-        """The eliminated :class:`GeneralizedSystem` (dense), built once."""
-        if self._eliminated is None:
-            self._eliminated = eliminate_descriptor(self)[0]
-        return self._eliminated
+    @property
+    def C(self):
+        """The eliminated output matrix  C1 - C2 A4^{-1} A3, the transposed B of the dual."""
+        return self.transposed().B.T
+
+    @property
+    def D(self):
+        """The feedthrough of the algebraic part  -C2 A4^{-1} B2."""
+        return -_dense(self.C2) @ self.a4_solve(_dense(self.B2))
 
     def assemble(self):
-        """Full (M, A, B, C) matrices of the blocked pencil (sparse), built once."""
+        """The block pencil (M, A) as sparse matrices, built once."""
         if self._assembled is None:
             na = self.n - self.n_f
             m_full = sp.bmat(
@@ -300,32 +311,24 @@ class DescriptorIndex1(_System):
                 ],
                 format="csc",
             )
-            b_full = np.vstack([_dense(self.B1), _dense(self.B2)])
-            c_full = np.hstack([_dense(self.C1), _dense(self.C2)])
-            self._assembled = m_full, a_full, b_full, c_full
+            self._assembled = m_full, a_full
         return self._assembled
 
+    def _block_solve(self, solve):
+        """A block pencil ``solve`` for n_f rows: rhs padded with zero rows, solution cut to n_f."""
+        n_f, n = self.n_f, self.n
 
-def eliminate_descriptor(d):
-    """Eliminate algebraic states: returns (GeneralizedSystem, D).
+        def block(rhs):
+            full = np.zeros((n,) + rhs.shape[1:], dtype=rhs.dtype)
+            full[:n_f] = rhs
+            return solve(full)[:n_f]
+        return block
 
-    Dense construction; intended for systems at desk scale (the eliminated
-    state matrix is dense in general). Large systems should go through
-    :func:`shifted_solve` / :meth:`DescriptorIndex1.apply_a` instead;
-    :meth:`DescriptorIndex1.first_order` caches the eliminated system.
-    """
-    a2 = _dense(d.A2)
-    b2 = _dense(d.B2)
-    a3 = _dense(d.A3)
-    c2 = _dense(d.C2)
-    a4_inv_a3 = np.asarray(d.a4_solve(a3))
-    a4_inv_b2 = np.asarray(d.a4_solve(b2))
-    a_hat = _dense(d.A1) - a2 @ a4_inv_a3
-    b_hat = _dense(d.B1) - a2 @ a4_inv_b2
-    c_hat = _dense(d.C1) - c2 @ a4_inv_a3
-    d_term = -c2 @ a4_inv_b2
-    gen = GeneralizedSystem(_dense(d.M1), a_hat, b_hat, c_hat, D=d_term)
-    return gen, d_term
+    def midpoint_step(self, dt):
+        """``(apply, solve)``: x -> M1 x + dt/2 apply_a(x), and the block pencil's solve."""
+        m_full, a_full = self.assemble()
+        lu = _factor(m_full - (dt / 2.0) * a_full, err=SingularStepError, checked=False)
+        return (lambda x: self.M1 @ x + (dt / 2.0) * self.apply_a(x)), self._block_solve(lu)
 
 
 def _factor(mat, err=SingularShiftError, checked=True):
@@ -371,6 +374,11 @@ def _dense_standard(sys):
     return isinstance(sys, StandardSystem) and not sp.issparse(sys.A)
 
 
+def _verifiable(sys):
+    """True when :func:`spectral_abscissa` accepts ``sys``: dense standard, or up to _DENSE_MAX."""
+    return _dense_standard(sys) or sys.order <= _DENSE_MAX
+
+
 def _schur_solve(sys, s, rhs):
     """``Z (T - s I)^{-1} Z^H rhs``, or ``conj(Z) (T - s I)^{-T} Z^T rhs`` for a dual."""
     t, z, norm = sys._schur_form()
@@ -398,7 +406,7 @@ def shifted_solve(sys, s, w):
     Standard: ``(A - s I) V = W``, in O(n^2) through the cached Schur form
     when A is dense; generalized: ``(A - s M) V = W``; descriptor: the sparse
     augmented system ``(A - s M)[V; Psi] = [W; 0]`` returning the leading
-    ``n_f`` rows (equal to the dense eliminated solve ``(A_hat - s M1)^{-1} W``).
+    ``n_f`` rows (equal to the eliminated solve ``(A_hat - s M1)^{-1} W``).
     The others factor the shifted matrix by LU on every call. A real ``s``
     with a real ``W`` gives a real ``V``; a shift on an eigenvalue raises
     :class:`SingularShiftError`.
@@ -407,11 +415,10 @@ def shifted_solve(sys, s, w):
     rhs = w if w.ndim == 2 else w[:, None]
     complex_shift = bool(np.iscomplexobj(np.asarray(s))) and abs(np.imag(s)) > 0
     if isinstance(sys, DescriptorIndex1):
-        m_full, a_full, _, _ = sys.assemble()
+        m_full, a_full = sys.assemble()
         shifted = a_full - s * m_full if complex_shift else a_full - np.real(s) * m_full
-        rhs_full = np.vstack([rhs, np.zeros((sys.n - sys.n_f, rhs.shape[1]), dtype=rhs.dtype)])
-        sol = _factor(sp.csc_matrix(shifted, dtype=complex if complex_shift else float))(rhs_full)
-        out = sol[: sys.n_f]
+        lu = _factor(sp.csc_matrix(shifted, dtype=complex if complex_shift else float))
+        out = sys._block_solve(lu)(rhs)
     elif _dense_standard(sys):
         out = _schur_solve(sys, s, rhs)
     else:
@@ -423,15 +430,17 @@ def shifted_solve(sys, s, w):
 def spectral_abscissa(sys):
     """Largest real part of the spectrum of a system's pencil, computed once and cached.
 
-    A system answers through its first-order form; a dense standard system
-    reads it off the diagonal of its Schur form, any other off its cached dense M^{-1} A.
+    A dense standard system reads it off the diagonal of its Schur form, at
+    any order; any other system off its cached dense M^{-1} A, and raises
+    ValueError when its order is above ``_DENSE_MAX``.
     """
     if sys._abscissa is None:
-        obj = sys.first_order()
-        if _dense_standard(obj) and obj.n:  # an empty A has no Schur norms
-            eigs = obj._schur_form()[0].diagonal()
+        if not _verifiable(sys):
+            raise ValueError(f"spectral abscissa refused for n={sys.order} > {_DENSE_MAX}")
+        if _dense_standard(sys) and sys.n:  # an empty A has no Schur norms
+            eigs = sys._schur_form()[0].diagonal()
         else:
-            eigs = linalg.gen_eig(obj.dense_state_input()[0])
+            eigs = linalg.gen_eig(sys.dense_state_input()[0])
         sys._abscissa = float(np.max(eigs.real, initial=-np.inf))
     return sys._abscissa
 

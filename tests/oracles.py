@@ -18,6 +18,9 @@
   fraction of the largest, from a dense Gramian or a low-rank factor.
 - ``transfer_at``: the transfer function at one complex point, by a dense
   solve, or for a descriptor by ``splu`` of its assembled block pencil.
+- ``eliminate_descriptor``: a descriptor's algebraic states eliminated
+  densely, as a generalized system ``(M1, A1 - A2 A4^{-1} A3, ...)`` and
+  its feedthrough ``-C2 A4^{-1} B2``.
 - ``hull_boundary_linspace`` and ``select_shift_broadcast``: the adaptive
   shift rule with one ``np.linspace`` per hull edge and the objective as a
   complex broadcast, ``log|(s - p)(s - conj(p))|``, ranked by a stable
@@ -36,7 +39,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from tlbt.errors import SpectrumConflictError, TlbtError
 from tlbt.gramians import LowRankGramian
-from tlbt.systems import StandardSystem
+from tlbt.systems import GeneralizedSystem, StandardSystem
 
 
 def _dense(a):
@@ -159,11 +162,26 @@ def transfer_at(obj, s):
     if hasattr(obj, "to_system"):
         obj = obj.to_system()
     if hasattr(obj, "assemble"):
-        m_full, a_full, b_full, c_full = obj.assemble()
+        m_full, a_full = obj.assemble()
+        b_full = np.vstack([_dense(obj.B1), _dense(obj.B2)])
+        c_full = np.hstack([_dense(obj.C1), _dense(obj.C2)])
         return c_full @ spla.splu(sp.csc_matrix(s * m_full - a_full)).solve(b_full.astype(complex))
     mass = np.eye(obj.n) if obj.mass is None else _dense(obj.mass)
     sol = np.linalg.solve(s * mass - _dense(obj.A), _dense(obj.B).astype(complex))
     return _dense(obj.C) @ sol + obj.D
+
+
+def eliminate_descriptor(d):
+    """Eliminate a descriptor's algebraic states densely: returns (GeneralizedSystem, D)."""
+    a2, c2, a4 = _dense(d.A2), _dense(d.C2), _dense(d.A4)
+    a4_inv_a3 = np.linalg.solve(a4, _dense(d.A3))
+    a4_inv_b2 = np.linalg.solve(a4, _dense(d.B2))
+    feed = -c2 @ a4_inv_b2
+    gen = GeneralizedSystem(
+        _dense(d.M1), _dense(d.A1) - a2 @ a4_inv_a3, _dense(d.B1) - a2 @ a4_inv_b2,
+        _dense(d.C1) - c2 @ a4_inv_a3, D=feed,
+    )
+    return gen, feed
 
 
 def _pencil_images(sys, q):

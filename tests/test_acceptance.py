@@ -17,6 +17,7 @@ import numpy as np
 from conftest import random_descriptor
 from oracles import (
     diagonalize,
+    eliminate_descriptor,
     gramian_timelimited_cauchy,
     gramian_timelimited_difference,
     numerical_rank,
@@ -37,7 +38,7 @@ from tlbt.gramians import (
 from tlbt.reduction import balance, reduce, square_root_reduce
 from tlbt.simulate import half_decay_time, impulse_response, implicit_midpoint, relative_error_series
 from tlbt.synthetic import make_synthetic
-from tlbt.systems import StandardSystem, eliminate_descriptor, shifted_solve
+from tlbt.systems import StandardSystem, shifted_solve
 
 
 def _verdict(name, ok, detail=""):

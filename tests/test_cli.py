@@ -10,7 +10,7 @@ import scipy.linalg
 import tlbt.gramians
 import tlbt.linalg
 from conftest import random_descriptor
-from tlbt import mmio, reduction, schemas
+from tlbt import cli, mmio, reduction, schemas
 from tlbt.cli import main
 from tlbt.gramians import SolverConfig, TimeWindow, mode_gramian
 from tlbt.reduction import balance, reduce
@@ -149,13 +149,39 @@ def test_gramian_timings_flag(tmp_path):
 
 
 def test_gramian_refuses_dense_method(tmp_path, capsys):
-    rc = main(
-        ["gramian", "--synth", "random_stable", "--n", "12", "--mode", "bt",
-         "--method", "dense", "--out", str(tmp_path / "out")]
-    )
-    assert rc == 2
+    # tlbt gramian computes Krylov factors only: it has no --method flag
+    with pytest.raises(SystemExit) as exc:
+        main(["gramian", "--synth", "random_stable", "--n", "12", "--mode", "bt",
+              "--method", "dense", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
     assert "--method dense" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_gramian_trace_csv_round_trips_shifts(tmp_path, monkeypatch):
+    # the --trace CSV writes each check's latest pole (inf, real, or complex
+    # as a+bj / a-bj) at 17 digits, so it parses back to the solver's value
+    real, solves = cli.mode_gramian, {}
+
+    def spy(sys, mode, window, cfg, side):
+        solves[side] = real(sys, mode, window, cfg, side)
+        return solves[side]
+
+    monkeypatch.setattr(cli, "mode_gramian", spy)
+    out = tmp_path / "out"
+    assert main(["gramian", "--synth", "weakly_damped", "--n", "40", "--m", "2", "--p", "2",
+                 "--mode", "tlbt", "--te", "4", "--trace", "--out", str(out)]) == 0
+    for side, tag in (("reachability", "ZP"), ("observability", "ZQ")):
+        lines = (out / f"weakly_damped_n40_s0_trace_{tag}_tlbt.csv").read_text().splitlines()
+        assert lines[0] == "k,shift,dim,f_change,mu"
+        rows = [line.split(",") for line in lines[1:]]
+        shifts = [complex(row[1]) for row in rows]
+        assert shifts == [complex(entry["shift"]) for entry in solves[side].trace]
+        assert any(sh.imag != 0 for sh in shifts)
+        k, dims = [int(row[0]) for row in rows], [int(row[2]) for row in rows]
+        assert all(a < b for a, b in zip(k, k[1:]))
+        assert all(a <= b for a, b in zip(dims, dims[1:]))
+        assert float(rows[-1][4]) < 1e-8  # the default tol_p
 
 
 def test_reduce_mtlbt_stable_on_suite(tmp_path):

@@ -23,12 +23,18 @@ from oracles import (
     select_shift_broadcast,
 )
 from tlbt import linalg
-from tlbt.errors import MaxDimExceededError, UnstableSystemError
+from tlbt.errors import (
+    MaxDimExceededError,
+    NoConvergenceError,
+    SingularShiftError,
+    UnstableSystemError,
+)
 from tlbt.reduction import balance, reduce
 from tlbt.gramians import (
     SolverConfig,
     TimeWindow,
     _hull_boundary,
+    _perturbed,
     _reach_form,
     _expm_action,
     _rhs,
@@ -189,7 +195,7 @@ def test_every_dense_route_refused_above_threshold_before_densifying(monkeypatch
     def densified(sys):
         raise AssertionError("densified before the size check")
 
-    monkeypatch.setattr(tlbt.gramians, "_DENSE_MAX", 10)
+    monkeypatch.setattr(tlbt.systems, "_DENSE_MAX", 10)
     monkeypatch.setattr(tlbt.systems._System, "dense_state_input", densified)
     for side in ("reachability", "observability"):
         with pytest.raises(ValueError, match="dense Gramian path refused for n=20"):
@@ -420,7 +426,7 @@ def test_spd_mass_gramian_independent_of_dense_threshold(monkeypatch):
     cfg = SolverConfig(tol_f=1e-8, tol_p=1e-8)
     big = solve_infinite_lowrank(s, cfg)
     with monkeypatch.context() as patch:
-        patch.setattr(tlbt.gramians, "_DENSE_MAX", 100)
+        patch.setattr(tlbt.systems, "_DENSE_MAX", 100)
         with pytest.warns(UserWarning, match="unverified"):  # a fresh system picks its own shifts
             small = solve_infinite_lowrank(make_synthetic("heat_like", 300, 2, 2, seed=1), cfg)
     assert big.workspace.shifts == small.workspace.shifts
@@ -884,6 +890,34 @@ def test_decay_invariant_gap_shrinks_with_bound():
     assert all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
 
 
+def test_singular_shift_retried_at_perturbed_pole(monkeypatch):
+    # a shift on an eigenvalue is retried once at a perturbed pole, which the
+    # workspace records in its place; the solve still converges
+    real, calls = tlbt.gramians.shifted_solve, []
+
+    def spy(sys, s, w):
+        calls.append(s)
+        if len(calls) == 1:
+            raise SingularShiftError("shift is numerically an eigenvalue")
+        return real(sys, s, w)
+
+    monkeypatch.setattr(tlbt.gramians, "shifted_solve", spy)
+    g = solve_infinite_lowrank(make_synthetic("heat_like", 300, 2, 2, seed=1))
+    first = complex(calls[0])
+    perturbed = _perturbed(first, max(abs(first), 1.0))
+    assert calls[1] == perturbed
+    assert complex(g.workspace.shifts[1]) == perturbed
+    assert g.stop == "converged" and g.residual <= 1e-8
+
+
+def test_stagnant_basis_raises_no_convergence(monkeypatch):
+    # shifted solves that return a block already in the basis end the solve
+    # after three attempts, naming the dimension it stagnated at
+    monkeypatch.setattr(tlbt.gramians, "shifted_solve", lambda sys, s, w: np.array(w))
+    with pytest.raises(NoConvergenceError, match="stagnated at dim 2 "):
+        solve_infinite_lowrank(make_synthetic("weakly_damped", 40, 2, 2, seed=1))
+
+
 @pytest.mark.parametrize(
     "solve", [solve_infinite_lowrank, solve_timelimited_lowrank, solve_modified_lowrank]
 )
@@ -897,7 +931,7 @@ def test_unstable_system_refused_by_every_solver(solve):
 def test_dense_standard_stability_verified_above_dense_threshold(monkeypatch):
     # the Schur form that serves the shifted solves also gives the verdict,
     # so a dense standard system is verified at any size
-    monkeypatch.setattr(tlbt.gramians, "_DENSE_MAX", 10)
+    monkeypatch.setattr(tlbt.systems, "_DENSE_MAX", 10)
     s = make_synthetic("random_stable", 40, 2, 2, seed=1)
     unstable = alpha_shift(s, spectral_abscissa(s) - 0.5)
     with pytest.raises(UnstableSystemError, match="spectral abscissa"):

@@ -38,8 +38,12 @@ def test_standard_system_roundtrip(tmp_path):
 
 
 def test_generalized_system_roundtrip_with_alpha(tmp_path):
+    # a sidecar may carry an alpha shift, which load_system applies
     g = make_synthetic("heat_like", 12, 1, 1, seed=2)
-    sidecar = mmio.save_system(tmp_path, "gen", g, alpha=0.08)
+    sidecar = mmio.save_system(tmp_path, "gen", g)
+    meta = json.loads(sidecar.read_text())
+    assert "alpha_shift" not in meta
+    sidecar.write_text(json.dumps({**meta, "alpha_shift": 0.08}, indent=2, sort_keys=True) + "\n")
     loaded, meta = mmio.load_system(sidecar)
     assert isinstance(loaded, GeneralizedSystem)
     assert meta["alpha_shift"] == 0.08

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import random_descriptor, random_stable_matrix
+from conftest import banded_descriptor, random_descriptor, random_stable_matrix
 from oracles import numerical_rank, similarity_transform, transfer_at
 from tlbt import gramians, linalg, reduction, simulate, systems
 from tlbt.errors import RankDeficientError
@@ -262,6 +264,28 @@ def test_descriptor_balance_builds_each_side_once(monkeypatch):
     assert len(assemblies) == 2 * 2  # M and A of the primal's and the dual's pencil
     assert shapes.count((10, 10)) == 2  # A4 and A4^T
     assert shapes.count((40, 40)) == 2  # M1 and M1^T
+
+
+def test_large_descriptor_balanced_and_simulated_on_its_pencil():
+    # n_f = 4000: balancing, truncation and simulation act on the block pencil
+    # (a dense n_f x n_f float64 array would be 128 MB); the projection's
+    # transfer function is checked against the block pencil's within the bt bound
+    nf, r = 4000, 10
+    d = banded_descriptor(nf, 400, 2, 2, seed=1)
+    tracemalloc.start()
+    try:
+        with pytest.warns(UserWarning, match="unverified"):
+            bal = balance(d, "bt")
+        rom = bal.truncate(r)
+        traj = simulate.impulse_response(d, dt=2.5e-4, t_f=0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * nf * nf / 4
+    assert rom.stable and np.all(np.isfinite(traj.outputs))
+    bound = 2.0 * bal.hsv[r:].sum()
+    for s in 1j * np.geomspace(1e-2, 1e6, 9):
+        assert np.linalg.norm(transfer_at(d, s) - transfer_at(rom, s), 2) <= bound
 
 
 def test_dense_balance_solves_each_pencil_once(monkeypatch):

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import random_descriptor
-from tlbt import gramians, linalg, reduction, simulate, systems
+from conftest import banded_descriptor, random_descriptor
+from oracles import eliminate_descriptor
+from tlbt import linalg
 from tlbt.errors import GridMismatchError, SingularStepError
 from tlbt.gramians import TimeWindow
 from tlbt.reduction import reduce
@@ -146,6 +149,20 @@ def test_half_decay_time_scalar():
     assert abs(half_decay_time(SCALAR) - np.log(2.0)) < 1e-12
 
 
+def test_half_decay_time_refuses_large_sparse_system_before_densifying():
+    # the abscissa of a sparse pencil needs the dense M^{-1} A (3.2 GB at
+    # n = 20000): it is refused, naming n and the bound, before any allocation
+    s = make_synthetic("heat_like", 20000, 2, 2, seed=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="n=20000 > 1000"):
+            half_decay_time(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5
+
+
 def _as_dense(a):
     return a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
 
@@ -244,32 +261,49 @@ def test_exploding_run_raises(sparse):
     assert np.all(np.isfinite(finite.outputs))
 
 
-def test_descriptor_eliminated_once_per_system(monkeypatch):
+@pytest.mark.parametrize("u", [None, step_input(1.0)], ids=["impulse", "step"])
+def test_descriptor_steps_on_block_pencil_like_its_elimination(u):
+    # the block-pencil midpoint step and the eliminated B, C, D reproduce the
+    # response of the densely eliminated generalized system
+    d = random_descriptor(12, 4, 2, 2, seed=3)
+    gen, _ = eliminate_descriptor(d)
+    if u is None:
+        out, ref = (impulse_response(s, dt=1e-2, t_f=1.0).outputs for s in (d, gen))
+    else:
+        out, ref = (implicit_midpoint(s, u, None, 1e-2, 1.0).outputs for s in (d, gen))
+    assert np.allclose(out, ref, rtol=0, atol=1e-11 * np.max(np.abs(ref)))
+
+
+def test_descriptor_reduced_and_simulated_without_dense_state_matrix():
     # reduce, the impulse responses of the system and of its reduced model and
-    # a forced response share the one eliminated form cached on the system
-    window, dt = TimeWindow(t_e=0.5), 1e-2
+    # a forced response run on the block pencil: none allocates an n_f x n_f
+    # array, and one system serving all of them gives what fresh ones give
+    window, dt, t_f, nf = TimeWindow(t_e=0.05), 1e-4, 0.02, 1200
 
     def desc():
-        return random_descriptor(12, 4, 2, 2, seed=3)
+        return banded_descriptor(nf, 120, 2, 2, seed=3)
 
-    fresh_rom = reduce(desc(), "mtlbt", window, r=4)
+    with pytest.warns(UserWarning, match="unverified"):
+        fresh_rom = reduce(desc(), "mtlbt", window, r=6)
     fresh = [
-        impulse_response(desc(), dt=dt, t_f=0.5),
-        impulse_response(fresh_rom, dt=dt, t_f=0.5),
-        implicit_midpoint(desc(), step_input(1.0), None, dt, 0.5),
+        impulse_response(desc(), dt=dt, t_f=t_f),
+        impulse_response(fresh_rom, dt=dt, t_f=t_f),
+        implicit_midpoint(desc(), step_input(1.0), None, dt, t_f),
     ]
-    calls, real = [], systems.eliminate_descriptor
-    for mod in (systems, gramians, reduction, simulate):  # every module binding
-        if vars(mod).get("eliminate_descriptor") is real:
-            monkeypatch.setattr(mod, "eliminate_descriptor", lambda d: calls.append(d) or real(d))
     d = desc()
-    rom = reduce(d, "mtlbt", window, r=4)
-    trajectories = [
-        impulse_response(d, dt=dt, t_f=0.5),
-        impulse_response(rom, dt=dt, t_f=0.5),
-        implicit_midpoint(d, step_input(1.0), None, dt, 0.5),
-    ]
-    assert len(calls) == 1
+    tracemalloc.start()
+    try:
+        with pytest.warns(UserWarning, match="unverified"):
+            rom = reduce(d, "mtlbt", window, r=6)
+        trajectories = [
+            impulse_response(d, dt=dt, t_f=t_f),
+            impulse_response(rom, dt=dt, t_f=t_f),
+            implicit_midpoint(d, step_input(1.0), None, dt, t_f),
+        ]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * nf * nf
     for key in ("A", "B", "C", "D"):
         assert np.array_equal(getattr(rom, key), getattr(fresh_rom, key))
     for traj, ref in zip(trajectories, fresh, strict=True):

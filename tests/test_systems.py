@@ -8,7 +8,13 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from conftest import random_descriptor
-from oracles import SingularTransformError, diagonalize, similarity_transform, transfer_at
+from oracles import (
+    SingularTransformError,
+    diagonalize,
+    eliminate_descriptor,
+    similarity_transform,
+    transfer_at,
+)
 from tlbt.errors import SingularShiftError
 from tlbt.synthetic import make_synthetic
 from tlbt.systems import (
@@ -17,7 +23,6 @@ from tlbt.systems import (
     StandardSystem,
     _factor,
     alpha_shift,
-    eliminate_descriptor,
     shifted_solve,
     spectral_abscissa,
 )
@@ -79,6 +84,9 @@ def test_descriptor_transfer_preserved(rng):
     # blocked pencil and eliminated system share the transfer function
     d = random_descriptor(8, 5, 2, 2, seed=4)
     gen, feed = eliminate_descriptor(d)
+    for key in ("B", "C", "D"):  # built from solves with A4, not by elimination
+        assert np.allclose(getattr(d, key), getattr(gen, key), rtol=1e-12, atol=1e-12), key
+    assert np.allclose(d.apply_a(np.eye(8)), gen.A, rtol=1e-12, atol=1e-12)
     for s in 1j * np.geomspace(0.1, 100, 10):
         h_full = transfer_at(d, s)
         h_elim = transfer_at(gen, s)
@@ -382,7 +390,7 @@ def test_cached_derived_data_refers_back_to_no_system(kind):
     for sys in (s, dual):
         shifted_solve(sys, 0.5, np.ones(sys.order))
         sys.mass_solve(sys.start_block())
-        sys.first_order().mass_solve(np.ones(sys.order))
+        sys.dense_state_input()
         spectral_abscissa(sys)
     ref = weakref.ref(s)
     gc.disable()
