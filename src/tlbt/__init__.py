@@ -9,15 +9,15 @@ The pipeline is rational Krylov Gramian factors
   Gram-Schmidt).
 - :mod:`tlbt.systems`: standard/generalized/descriptor representations
   behind one interface (order, mass and its cached solve, action of A,
-  B, C and D, Krylov start block, midpoint step, cached dual and Krylov
-  shifts), the shifted solves (a cached Schur form for dense standard
-  systems, LU otherwise), spectral abscissa.
+  B, C and D, the pencil its LU routes factor, midpoint step, cached
+  dual and Krylov shifts), the shifted solves (a cached Schur form for
+  dense standard systems, LU of the pencil otherwise), spectral abscissa.
 - :mod:`tlbt.gramians`: low-rank (rational Krylov) Gramian solvers,
   infinite / time-limited / stability-preserving modified, and
   ``mode_gramian``, which maps a mode and a side to one (or the dense Gramian).
 - :mod:`tlbt.reduction`: square-root balancing (``balance`` once per
   mode, ``truncate`` per order; ``Balancing.hsv`` holds the Hankel
-  values), transfer function evaluation.
+  values).
 - :mod:`tlbt.simulate`: implicit midpoint integration and the output
   error metric.
 - :mod:`tlbt.synthetic`: deterministic desk-scale test systems.

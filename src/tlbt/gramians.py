@@ -34,7 +34,7 @@ from .errors import (
     SpectrumConflictError,
     UnstableSystemError,
 )
-from .systems import _verifiable, shifted_solve, spectral_abscissa
+from .systems import _dense, _verifiable, shifted_solve, spectral_abscissa
 
 __all__ = [
     "TimeWindow",
@@ -445,7 +445,7 @@ def _solve_lowrank(sys, window, cfg, mode, side):
     form = _reach_form(sys, side)
     poles = form._poles
     n, m = form.order, form.m
-    b = np.atleast_2d(form.mass_solve(form.start_block()).astype(float))
+    b = np.atleast_2d(form.mass_solve(_dense(form.B)).astype(float))
     ws = _Basis(form, b)
     max_dim = min(n, cfg.max_dim or 600)
     times = [("e", window.t_e)] + [("s", window.t_s)] * (window.t_s > 0) if window else []

@@ -12,8 +12,12 @@ files (relative to its own directory) and carries structure metadata:
       "n_f": 606,          # descriptor only
       "alpha_shift": 0.08  # optional, applied on load (A <- A - alpha*M)
     }
+
+The files are the system class's constructor fields (D only when
+nonzero); B, C and D blocks load dense, the others as written.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -21,18 +25,19 @@ import numpy as np
 import scipy.io as sio
 import scipy.sparse as sp
 
-from .systems import (
-    DescriptorIndex1,
-    GeneralizedSystem,
-    StandardSystem,
-    alpha_shift,
-)
+from .systems import DescriptorIndex1, GeneralizedSystem, StandardSystem, alpha_shift
 
 __all__ = ["write_matrix", "read_matrix", "save_system", "load_system"]
 
 _PRECISION = 17
 
-_DESCRIPTOR_BLOCKS = ("M1", "A1", "A2", "A3", "A4", "B1", "B2", "C1", "C2")
+_KINDS = {"standard": StandardSystem, "generalized": GeneralizedSystem,
+          "descriptor": DescriptorIndex1}
+
+
+def _fields(cls):
+    """The matrices a system class is built from, in constructor order."""
+    return [f.name for f in dataclasses.fields(cls) if f.init]
 
 
 def write_matrix(path, a):
@@ -57,35 +62,20 @@ def _write_json(path, payload):
 
 def save_system(out_dir, name, sys):
     """Write a system's matrices plus sidecar; returns the sidecar path."""
+    kind = next((k for k, cls in _KINDS.items() if type(sys) is cls), None)
+    if kind is None:
+        raise TypeError(f"unsupported system type {type(sys)!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = {}
-
-    def put(key, mat):
-        fname = f"{name}_{key}.mtx"
-        write_matrix(out_dir / fname, mat)
-        files[key] = fname
-
-    meta = {"name": name, "files": files}
-    if isinstance(sys, DescriptorIndex1):
-        meta["kind"] = "descriptor"
+    for key in _fields(type(sys)):
+        mat = getattr(sys, key)
+        if key != "D" or np.any(mat):
+            files[key] = f"{name}_{key}.mtx"
+            write_matrix(out_dir / files[key], mat)
+    meta = {"name": name, "kind": kind, "files": files}
+    if kind == "descriptor":
         meta["n_f"] = sys.n_f
-        for key in _DESCRIPTOR_BLOCKS:
-            put(key, getattr(sys, key))
-    elif isinstance(sys, GeneralizedSystem):
-        meta["kind"] = "generalized"
-        for key in ("M", "A", "B", "C"):
-            put(key, getattr(sys, key))
-        if np.any(sys.D):
-            put("D", sys.D)
-    elif isinstance(sys, StandardSystem):
-        meta["kind"] = "standard"
-        for key in ("A", "B", "C"):
-            put(key, getattr(sys, key))
-        if np.any(sys.D):
-            put("D", sys.D)
-    else:
-        raise TypeError(f"unsupported system type {type(sys)!r}")
     sidecar = out_dir / f"{name}.json"
     _write_json(sidecar, meta)
     return sidecar
@@ -96,25 +86,13 @@ def load_system(sidecar_path):
     sidecar_path = Path(sidecar_path)
     with open(sidecar_path) as fh:
         meta = json.load(fh)
-    base = sidecar_path.parent
-    files = meta["files"]
-
-    def get(key, dense=False):
-        return read_matrix(base / files[key], dense=dense)
-
     kind = meta.get("kind", "standard")
-    if kind == "descriptor":
-        blocks = {key: get(key) for key in _DESCRIPTOR_BLOCKS}
-        for key in ("B1", "B2", "C1", "C2"):
-            if sp.issparse(blocks[key]):
-                blocks[key] = blocks[key].toarray()
-        sys = DescriptorIndex1(**blocks)
-    elif kind == "generalized":
-        d = get("D", dense=True) if "D" in files else None
-        sys = GeneralizedSystem(get("M"), get("A"), get("B", dense=True), get("C", dense=True), D=d)
-    elif kind == "standard":
-        d = get("D", dense=True) if "D" in files else None
-        sys = StandardSystem(get("A"), get("B", dense=True), get("C", dense=True), D=d)
-    else:
+    if kind not in _KINDS:
         raise ValueError(f"unknown system kind {kind!r}")
+    files = meta["files"]
+    blocks = {
+        key: read_matrix(sidecar_path.parent / files[key], dense=key[0] in "BCD")
+        for key in _fields(_KINDS[kind]) if key in files
+    }
+    sys = _KINDS[kind](**blocks)
     return alpha_shift(sys, float(meta.get("alpha_shift", 0.0))), meta

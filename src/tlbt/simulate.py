@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, SingularMatrixError, SingularStepError
-from .systems import _dense, _factor, spectral_abscissa
+from .errors import GridMismatchError, SingularStepError
+from .systems import _dense, spectral_abscissa
 
 __all__ = [
     "Trajectory",
@@ -108,9 +108,7 @@ def _integrate(sys, u, x0, dt, t_f, store_states):
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
     if u is not None and u.kind == "impulse":
         v = np.ones(m) if u.vector is None else u.vector.reshape(m)
-        kick = b @ v
-        if form.mass is not None:  # one solve per response: no LU kept on the system
-            kick = _factor(form.mass, err=SingularMatrixError)(kick)
+        kick = form.mass_solve(b @ v)
         x = kick if x0 is None else x + kick
     step_apply, step_solve = form.midpoint_step(dt)
     nsteps = int(np.ceil(t_f / dt - 1e-9))

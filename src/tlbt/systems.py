@@ -13,9 +13,12 @@ M = I, M1 for a descriptor), with ``mass_apply`` and ``mass_solve``;
 and feedthrough matrices, for a descriptor those of its elimination
 (A1 - A2 A4^{-1} A3, B1 - A2 A4^{-1} B2, C1 - C2 A4^{-1} A3 and
 -C2 A4^{-1} B2) through solves with A4, never an n_f x n_f array;
-``start_block()`` is the Krylov start block B; ``midpoint_step(dt)`` is
-the integrator's pair (apply M + dt/2 A, solve with M - dt/2 A; a
-descriptor's on its block pencil); ``transposed()`` is the dual. Systems
+``pencil()`` is the pair (M, A) that every LU route factors ((I, A) for
+a standard system, I in A's format; a descriptor's block pencil), and
+``_rows(solve)`` maps a solve on it to ``order`` rows (a descriptor pads
+the right-hand side with zero rows and keeps the first n_f);
+``midpoint_step(dt)`` is the integrator's pair (apply M + dt/2 A, solve
+with M - dt/2 A on the pencil); ``transposed()`` is the dual. Systems
 are not mutated after construction, so what they derive is built on
 first use and cached on them: the LU of M, the dual, the spectral
 abscissa, ``dense_state_input()`` (M^{-1} A and M^{-1} B when M is not
@@ -24,12 +27,12 @@ system's own reachability solves (never shared with the dual), a
 descriptor's A4 LU and block pencil, and the complex Schur form that a
 dense standard system shares with its dual for every shifted solve and
 for the spectrum. No cached object refers back to the system that holds
-it. Every other shifted solve factors its shifted matrix by LU
+it. Every other shifted solve factors its shifted pencil by LU
 (``_factor``).
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -82,6 +85,8 @@ def _normalize(sys, *square):
 class _System:
     """The questions the solvers ask of a system (see the module docstring)."""
 
+    _STATE = "A"  # the state matrix that alpha_shift replaces
+
     # derived data, built on first use
     _transposed: object = field(default=None, init=False, repr=False, compare=False)
     _mass_lu: object = field(default=None, init=False, repr=False, compare=False)
@@ -110,9 +115,9 @@ class _System:
     def apply_a(self, v):
         return self.A @ v
 
-    def start_block(self):
-        """Krylov start block: the input matrix B, before M^{-1}."""
-        return _dense(self.B)
+    def _rows(self, solve):
+        """A solve on the pencil as a solve in ``order`` rows."""
+        return solve
 
     def mass_apply(self, v):
         """``M v``; ``v`` itself when M = I."""
@@ -137,15 +142,16 @@ class _System:
         return self._state_input
 
     def midpoint_step(self, dt):
-        """``(apply, solve)``: x -> (M + dt/2 A) x (CSR when sparse), unchecked LU of M - dt/2 A."""
-        mass = self.mass
-        if mass is None:
-            mass = sp.identity(self.n, format="csc") if sp.issparse(self.A) else np.eye(self.n)
-        minus = mass - (dt / 2.0) * self.A
-        plus = mass + (dt / 2.0) * self.A
-        if sp.issparse(plus):
-            plus = plus.tocsr()
-        return plus.__matmul__, _factor(minus, err=SingularStepError, checked=False)
+        """``(apply, solve)``: x -> (M + dt/2 A) x, unchecked LU of the pencil's M - dt/2 A."""
+        m, a = self.pencil()
+        solve = _factor(m - (dt / 2.0) * a, err=SingularStepError, checked=False)
+        return self._step_apply(dt), self._rows(solve)
+
+    def _step_apply(self, dt):
+        """x -> (M + dt/2 A) x, a CSR product when sparse."""
+        m, a = self.pencil()
+        plus = m + (dt / 2.0) * a
+        return (plus.tocsr() if sp.issparse(plus) else plus).__matmul__
 
     def transposed(self):
         """The dual system, built once; it swaps the Gramians."""
@@ -172,6 +178,11 @@ class StandardSystem(_System):
         if n != n2:
             raise ValueError("A must be square")
         _normalize(self, "A")
+
+    def pencil(self):
+        """``(I, A)``, I sparse (CSC) when A is."""
+        eye = sp.identity(self.n, format="csc") if sp.issparse(self.A) else np.eye(self.n)
+        return eye, self.A
 
     def _dual(self):
         """(A^T, C^T, B^T), sharing the Schur form."""
@@ -209,6 +220,10 @@ class GeneralizedSystem(_System):
     def mass(self):
         return self.M
 
+    def pencil(self):
+        """``(M, A)``, the pencil that the LU routes factor."""
+        return self.M, self.A
+
     def _dual(self):
         return GeneralizedSystem(self.M.T, self.A.T, _dense(self.C).T, _dense(self.B).T, self.D.T)
 
@@ -233,7 +248,8 @@ class DescriptorIndex1(_System):
     C1: object
     C2: object
     _a4_lu: object = field(default=None, init=False, repr=False, compare=False)
-    _assembled: tuple = field(default=None, init=False, repr=False, compare=False)
+    _pencil: tuple = field(default=None, init=False, repr=False, compare=False)
+    _STATE = "A1"  # see _System
 
     def __post_init__(self):
         for name in ("M1", "A1", "A2", "A3", "A4", "B1", "B2", "C1", "C2"):
@@ -260,6 +276,14 @@ class DescriptorIndex1(_System):
     @property
     def order(self):
         return self.n_f
+
+    @property
+    def m(self):
+        return self.B1.shape[1]
+
+    @property
+    def p(self):
+        return self.C1.shape[0]
 
     @property
     def mass(self):
@@ -297,38 +321,27 @@ class DescriptorIndex1(_System):
         """The feedthrough of the algebraic part  -C2 A4^{-1} B2."""
         return -_dense(self.C2) @ self.a4_solve(_dense(self.B2))
 
-    def assemble(self):
+    def pencil(self):
         """The block pencil (M, A) as sparse matrices, built once."""
-        if self._assembled is None:
-            na = self.n - self.n_f
-            m_full = sp.bmat(
-                [[sp.csc_matrix(self.M1), None], [None, sp.csc_matrix((na, na))]], format="csc"
-            )
-            a_full = sp.bmat(
-                [
-                    [sp.csc_matrix(self.A1), sp.csc_matrix(self.A2)],
-                    [sp.csc_matrix(self.A3), sp.csc_matrix(self.A4)],
-                ],
-                format="csc",
-            )
-            self._assembled = m_full, a_full
-        return self._assembled
+        if self._pencil is None:
+            c, na = sp.csc_matrix, self.n - self.n_f
+            m_full = sp.bmat([[c(self.M1), None], [None, c((na, na))]], format="csc")
+            a_full = sp.bmat([[c(self.A1), c(self.A2)], [c(self.A3), c(self.A4)]], format="csc")
+            self._pencil = m_full, a_full
+        return self._pencil
 
-    def _block_solve(self, solve):
+    def _rows(self, solve):
         """A block pencil ``solve`` for n_f rows: rhs padded with zero rows, solution cut to n_f."""
         n_f, n = self.n_f, self.n
-
         def block(rhs):
             full = np.zeros((n,) + rhs.shape[1:], dtype=rhs.dtype)
             full[:n_f] = rhs
             return solve(full)[:n_f]
         return block
 
-    def midpoint_step(self, dt):
-        """``(apply, solve)``: x -> M1 x + dt/2 apply_a(x), and the block pencil's solve."""
-        m_full, a_full = self.assemble()
-        lu = _factor(m_full - (dt / 2.0) * a_full, err=SingularStepError, checked=False)
-        return (lambda x: self.M1 @ x + (dt / 2.0) * self.apply_a(x)), self._block_solve(lu)
+    def _step_apply(self, dt):
+        """x -> M1 x + dt/2 apply_a(x)."""
+        return lambda x: self.M1 @ x + (dt / 2.0) * self.apply_a(x)
 
 
 def _factor(mat, err=SingularShiftError, checked=True):
@@ -403,27 +416,23 @@ def _schur_solve(sys, s, rhs):
 def shifted_solve(sys, s, w):
     """Solve the shifted system for the rational Krylov engine.
 
-    Standard: ``(A - s I) V = W``, in O(n^2) through the cached Schur form
-    when A is dense; generalized: ``(A - s M) V = W``; descriptor: the sparse
-    augmented system ``(A - s M)[V; Psi] = [W; 0]`` returning the leading
-    ``n_f`` rows (equal to the eliminated solve ``(A_hat - s M1)^{-1} W``).
-    The others factor the shifted matrix by LU on every call. A real ``s``
-    with a real ``W`` gives a real ``V``; a shift on an eigenvalue raises
+    ``(A - s M) V = W`` on the system's pencil, in O(n^2) through the
+    cached Schur form when a standard system's A is dense, else by LU on
+    every call (a shift with zero imaginary part taken as real). For a
+    descriptor the leading ``n_f`` rows of ``(A - s M)[V; Psi] = [W; 0]``,
+    the eliminated solve ``(A_hat - s M1)^{-1} W``. A real ``s`` with a real
+    ``W`` gives a real ``V``; a shift on an eigenvalue raises
     :class:`SingularShiftError`.
     """
     w = np.asarray(w)
     rhs = w if w.ndim == 2 else w[:, None]
-    complex_shift = bool(np.iscomplexobj(np.asarray(s))) and abs(np.imag(s)) > 0
-    if isinstance(sys, DescriptorIndex1):
-        m_full, a_full = sys.assemble()
-        shifted = a_full - s * m_full if complex_shift else a_full - np.real(s) * m_full
-        lu = _factor(sp.csc_matrix(shifted, dtype=complex if complex_shift else float))
-        out = sys._block_solve(lu)(rhs)
-    elif _dense_standard(sys):
+    if _dense_standard(sys):
         out = _schur_solve(sys, s, rhs)
     else:
-        mass = sp.identity(sys.n, format="csc") if sys.mass is None else sys.mass
-        out = _factor(sys.A - s * mass)(rhs)
+        if np.imag(s) == 0:
+            s = np.real(s)
+        m, a = sys.pencil()
+        out = sys._rows(_factor(a - s * m))(rhs)
     return out if w.ndim == 2 else out[:, 0]
 
 
@@ -446,17 +455,8 @@ def spectral_abscissa(sys):
 
 
 def alpha_shift(sys, alpha):
-    """Replace A by A - alpha*M (A - alpha*I for standard systems)."""
+    """A new system with the state matrix A (A1 for a descriptor) replaced by A - alpha*M."""
     if alpha == 0.0:
         return sys
-    if isinstance(sys, GeneralizedSystem):
-        return GeneralizedSystem(sys.M, sys.A - alpha * sys.M, sys.B, sys.C, sys.D)
-    if isinstance(sys, StandardSystem):
-        eye = sp.identity(sys.n, format="csc") if sp.issparse(sys.A) else np.eye(sys.n)
-        return StandardSystem(sys.A - alpha * eye, sys.B, sys.C, sys.D)
-    if isinstance(sys, DescriptorIndex1):
-        return DescriptorIndex1(
-            sys.M1, sys.A1 - alpha * sys.M1, sys.A2, sys.A3, sys.A4,
-            sys.B1, sys.B2, sys.C1, sys.C2,
-        )
-    raise TypeError(f"unsupported system type {type(sys)!r}")
+    mass = sys.pencil()[0] if sys.mass is None else sys.mass
+    return replace(sys, **{sys._STATE: getattr(sys, sys._STATE) - alpha * mass})

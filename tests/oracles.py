@@ -17,7 +17,7 @@
 - ``numerical_rank``: the count of a Gramian's eigenvalues above a
   fraction of the largest, from a dense Gramian or a low-rank factor.
 - ``transfer_at``: the transfer function at one complex point, by a dense
-  solve, or for a descriptor by ``splu`` of its assembled block pencil.
+  solve, or for a descriptor by ``splu`` of its block pencil.
 - ``eliminate_descriptor``: a descriptor's algebraic states eliminated
   densely, as a generalized system ``(M1, A1 - A2 A4^{-1} A3, ...)`` and
   its feedthrough ``-C2 A4^{-1} B2``.
@@ -156,13 +156,13 @@ def transfer_at(obj, s):
     """Transfer function ``C (s M - A)^{-1} B + D`` at a complex point s.
 
     A reduced model answers through its standard system. A descriptor takes
-    ``splu`` of its assembled block pencil (the algebraic part carries its
+    ``splu`` of its block pencil (the algebraic part carries its
     feedthrough); any other system a dense solve.
     """
     if hasattr(obj, "to_system"):
         obj = obj.to_system()
-    if hasattr(obj, "assemble"):
-        m_full, a_full = obj.assemble()
+    if hasattr(obj, "A4"):
+        m_full, a_full = obj.pencil()
         b_full = np.vstack([_dense(obj.B1), _dense(obj.B2)])
         c_full = np.hstack([_dense(obj.C1), _dense(obj.C2)])
         return c_full @ spla.splu(sp.csc_matrix(s * m_full - a_full)).solve(b_full.astype(complex))

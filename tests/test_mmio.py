@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from conftest import random_descriptor
@@ -72,6 +73,27 @@ def test_descriptor_roundtrip(tmp_path):
     assert isinstance(loaded, DescriptorIndex1)
     assert meta["n_f"] == 6
     assert np.array_equal(np.asarray(loaded.A4.toarray() if sp.issparse(loaded.A4) else loaded.A4), d.A4)
+
+
+def test_descriptor_sidecar_with_alpha_roundtrip(tmp_path):
+    # load_system shifts a descriptor's A1 by alpha M1 and keeps the other blocks
+    d = random_descriptor(6, 4, 1, 2, seed=5)
+    sidecar = mmio.save_system(tmp_path, "dae", d)
+    meta = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps({**meta, "alpha_shift": 0.25}, indent=2, sort_keys=True) + "\n")
+    loaded, meta = mmio.load_system(sidecar)
+    assert isinstance(loaded, DescriptorIndex1) and meta["n_f"] == 6
+    assert np.array_equal(loaded.A1, d.A1 - 0.25 * d.M1)
+    for name in ("M1", "A2", "A3", "A4", "B1", "B2", "C1", "C2"):
+        assert np.array_equal(getattr(loaded, name), getattr(d, name)), name
+    assert np.array_equal(loaded.D, d.D)
+
+
+def test_save_rejects_a_non_system(tmp_path):
+    s = make_synthetic("random_stable", 4, 1, 1, seed=0)
+    with pytest.raises(TypeError, match="unsupported system type"):
+        mmio.save_system(tmp_path, "plant", (s.A, s.B, s.C))
+    assert not list(tmp_path.iterdir())
 
 
 def test_feedthrough_persisted(tmp_path):

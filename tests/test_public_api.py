@@ -64,6 +64,30 @@ def test_no_module_reads_the_environment():
         assert not names & banned, f"tlbt/{path.name} reads the environment"
 
 
+SYSTEM_CLASSES = {"StandardSystem", "GeneralizedSystem", "DescriptorIndex1"}
+ALLOWED = "systems._dense_standard"
+
+
+def test_no_isinstance_on_system_classes():
+    # a system answers for its own kind (pencil, rows, step, state matrix);
+    # only the dense-standard Schur route asks which class it holds
+    found = []
+    for path in sorted(Path(tlbt.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {
+            id(node) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and f"{path.stem}.{fn.name}" == ALLOWED
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and id(node) not in allowed):
+                named = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
+                if named & SYSTEM_CLASSES:
+                    found.append(f"tlbt/{path.name}:{node.lineno}")
+    assert not found, f"isinstance on a system class: {found}"
+
+
 def _tracing():
     """The benchmark's tracer module, perfbench/tracing.py."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"

@@ -21,6 +21,7 @@ from tlbt.systems import (
     DescriptorIndex1,
     GeneralizedSystem,
     StandardSystem,
+    _dense,
     _factor,
     alpha_shift,
     shifted_solve,
@@ -196,6 +197,8 @@ def test_descriptor_assembled_once_across_solves(monkeypatch, rng):
     # a fresh system per solve assembles its pencil afresh, as every solve used to
     fresh = [shifted_solve(random_descriptor(20, 12, 2, 2, seed=9), s, w) for s in shifts]
     fresh_h = transfer_at(random_descriptor(20, 12, 2, 2, seed=9), 1.5j)
+    apply, solve = random_descriptor(20, 12, 2, 2, seed=9).midpoint_step(0.01)
+    fresh_step = solve(apply(w))
     built, real = [], sp.bmat
 
     def spy(*args, **kwargs):
@@ -207,6 +210,8 @@ def test_descriptor_assembled_once_across_solves(monkeypatch, rng):
     for s, ref in zip(shifts, fresh):
         assert np.array_equal(shifted_solve(d, s, w), ref)
     assert np.array_equal(transfer_at(d, 1.5j), fresh_h)
+    apply, solve = d.midpoint_step(0.01)
+    assert np.array_equal(solve(apply(w)), fresh_step)
     assert len(built) == 2  # M and A, once
 
 
@@ -305,6 +310,29 @@ def test_alpha_shift_generalized_bips_setting():
     assert np.allclose((g.A - out.A).toarray(), (0.08 * g.M).toarray())
 
 
+def test_alpha_shift_sparse_standard():
+    s = make_synthetic("random_stable", 8, 2, 1, seed=3)
+    sparse = StandardSystem(sp.csc_matrix(s.A), s.B, s.C)
+    out = alpha_shift(sparse, 0.3)
+    assert isinstance(out, StandardSystem) and sp.issparse(out.A)
+    assert np.array_equal(out.A.toarray(), (sparse.A - 0.3 * sp.identity(8)).toarray())
+    assert np.array_equal(out.B, s.B) and np.array_equal(out.C, s.C)
+    assert abs(spectral_abscissa(out) - (spectral_abscissa(s) - 0.3)) <= 1e-12
+
+
+def test_alpha_shift_descriptor():
+    # A1 <- A1 - alpha M1; every other block is the system's own
+    d = random_descriptor(12, 5, 2, 2, seed=4)
+    d = dataclasses.replace(d, M1=np.diag(1.0 + np.arange(12) / 12))
+    out = alpha_shift(d, 0.4)
+    assert isinstance(out, DescriptorIndex1)
+    assert np.array_equal(out.A1, d.A1 - 0.4 * d.M1)
+    for name in ("M1", "A2", "A3", "A4", "B1", "B2", "C1", "C2"):
+        assert getattr(out, name) is getattr(d, name), name
+    ref = spectral_abscissa(d) - 0.4
+    assert abs(spectral_abscissa(out) - ref) <= 1e-10 * max(abs(ref), 1.0)
+
+
 def test_diagonalize_requires_siso():
     s = make_synthetic("random_stable", 4, 2, 1, seed=0)
     with pytest.raises(ValueError):
@@ -389,7 +417,7 @@ def test_cached_derived_data_refers_back_to_no_system(kind):
     assert s.transposed() is dual
     for sys in (s, dual):
         shifted_solve(sys, 0.5, np.ones(sys.order))
-        sys.mass_solve(sys.start_block())
+        sys.mass_solve(_dense(sys.B))
         sys.dense_state_input()
         spectral_abscissa(sys)
     ref = weakref.ref(s)
