@@ -15,7 +15,10 @@ termination. The basis, its image and the projected matrix grow in place
 relation, whose rank-m premise holds only while the start block is the
 only pole at infinity, and is read off n x 2m factors for every pencil.
 Its checks solve the projected equation with the same ``_rhs``. The basis
-itself, trimmed to its used size, is the result's ``workspace``.
+itself, trimmed to its used size, is the result's ``workspace``. Each
+adaptive shift is sampled from the convex hull of the mirrored Ritz values,
+computed here by a monotone chain on numpy (no qhull): a vertex within
+roundoff of the chord through its neighbours is merged, as qhull merges it.
 """
 
 import time
@@ -23,7 +26,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from . import linalg, systems
 from .errors import (
@@ -56,6 +58,7 @@ MODES = ("bt", "tlbt", "mtlbt")
 SIDES = ("reachability", "observability")
 _TRUNC_TOL = 1e-12  # relative eigenvalue cutoff of the Gramian factors (factor_psd)
 _NPTS = 2000  # shift candidates sampled from the mirrored Ritz values (_select_shift)
+_HULL_TOL = 2e-15  # hull vertices this near a chord, times the largest coordinate, merge
 _CADENCE = 5  # shifts added between the projected checks of a low-rank solve
 
 
@@ -266,19 +269,64 @@ def _perturbed(point, scale):
     return complex(max(s.real, 0.0), abs(s.imag))
 
 
+def _chain(sweep, xs, ys, tol2):
+    """Vertices of the convex chain through the points ``sweep`` indexes, in sweep order.
+
+    Andrew's monotone chain: a point stays while it lies more than
+    ``sqrt(tol2)`` outside the chord from its predecessor to the next point
+    (a strict left turn; compared squared). The last point is left off, as
+    it starts the next chain.
+    """
+    n = len(sweep)
+    kx, ky, keep = [0.0] * n, [0.0] * n, [0] * n
+    k = 0
+    for i in sweep:
+        x, y = xs[i], ys[i]
+        while k >= 2:
+            ax, ay = kx[k - 2], ky[k - 2]
+            wx, wy = x - ax, y - ay
+            c = (kx[k - 1] - ax) * wy - (ky[k - 1] - ay) * wx  # |chord| * distance
+            if c > 0.0 and c * c > tol2 * (wx * wx + wy * wy):
+                break
+            k -= 1
+        kx[k], ky[k], keep[k] = x, y, i
+        k += 1
+    return keep[: k - 1]
+
+
 def _hull_boundary(points, npts):
-    """npts points on the convex hull boundary of complex points, spaced by linspace per edge."""
-    try:
-        hull = ConvexHull(np.column_stack([points.real, points.imag]))
-    except QhullError:
-        # collinear: sample the segment between the two most distant points
+    """npts points on the convex hull boundary of complex points, spaced by linspace per edge.
+
+    The vertices run counterclockwise from the lexicographically smallest
+    point (real, then imaginary part): Andrew's monotone chain (1979) on the
+    sorted points, the lower chain over the points on or below the line from
+    the first to the last point and the upper chain over those on or above
+    it (points within the tolerance of that line take part in both). A
+    vertex within ``_HULL_TOL`` times the largest coordinate of the chord
+    through its neighbours is merged into that edge, as qhull merges it:
+    the Ritz values of weakly damped modes lie on rays, and keeping such
+    vertices would change the candidates and the picked shift. With fewer
+    than three vertices (collinear points) the segment between the two most
+    distant points is sampled.
+    """
+    p = points[np.lexsort((points.imag, points.real))]
+    x, y = p.real, p.imag
+    xs, ys = x.tolist(), y.tolist()
+    tol = _HULL_TOL * float(np.abs(p.view(x.dtype)).max())
+    span = p[-1] - p[0]
+    side = span.real * (y - ys[0]) - span.imag * (x - xs[0])
+    near = tol * abs(span)
+    lower = np.flatnonzero(side <= near).tolist()
+    upper = np.flatnonzero(side >= -near)[::-1].tolist()
+    v = _chain(lower, xs, ys, tol * tol) + _chain(upper, xs, ys, tol * tol)
+    if len(v) < 3:
         d0 = np.argmax(np.abs(points - points[0]))
         d1 = np.argmax(np.abs(points - points[d0]))
         return np.linspace(points[d0], points[d1], npts)
-    verts = points[hull.vertices]
-    step = np.roll(verts, -1) - verts
+    verts = p[v]
+    step = p[v[1:] + v[:1]] - verts
     edges = np.abs(step)
-    cnt = np.maximum(np.round(npts * edges / edges.sum()).astype(int), 2)
+    cnt = np.maximum(np.rint(npts * edges / edges.sum()).astype(int), 2)
     k = np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)
     return k.astype(complex) * np.repeat(step / cnt, cnt) + np.repeat(verts, cnt)
 
@@ -290,7 +338,10 @@ def _select_shift(ritz, shifts, m, symmetric=False):
     large-scale dynamical systems"): maximizes
     prod|s - s_j|^m / prod|s - z_j|, with s_j the previous finite shifts
     and z_j the Ritz values, over a discretized boundary of the convex
-    hull of the mirrored Ritz values {-conj(z)}. The next pole thus goes
+    hull of the mirrored Ritz values {-conj(z)} (``_hull_boundary``: a
+    monotone chain that merges vertices within ``_HULL_TOL`` of a chord, so
+    Ritz values on the rays of weakly damped modes give the hull qhull
+    gives). The next pole thus goes
     where the rational function with the Ritz values as zeros and the
     shifts as poles is smallest, i.e. where the current space resolves
     the spectrum worst. Real spectra spanning a positive interval are

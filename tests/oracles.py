@@ -22,9 +22,13 @@
   densely, as a generalized system ``(M1, A1 - A2 A4^{-1} A3, ...)`` and
   its feedthrough ``-C2 A4^{-1} B2``.
 - ``hull_boundary_linspace`` and ``select_shift_broadcast``: the adaptive
-  shift rule with one ``np.linspace`` per hull edge and the objective as a
-  complex broadcast, ``log|(s - p)(s - conj(p))|``, ranked by a stable
-  sort; the solver's real-arithmetic pass must pick the same shift.
+  shift rule on qhull's convex hull (``scipy.spatial``, which the library
+  does not import), its vertices rotated to start at the lexicographically
+  smallest as the solver's monotone chain does, with one ``np.linspace``
+  per hull edge and the objective as a complex broadcast,
+  ``log|(s - p)(s - conj(p))|``, ranked by a stable sort; the solver's
+  hull must give the same bytes and its real-arithmetic pass the same
+  shift.
 
 They use numpy and scipy directly, not the kernels they check.
 """
@@ -220,7 +224,11 @@ def residual_norm(sys, ws, y, rhs_factors):
 
 
 def hull_boundary_linspace(points, npts):
-    """``npts`` points on the convex hull boundary of complex points, one linspace per edge."""
+    """``npts`` points on the convex hull boundary of complex points, one linspace per edge.
+
+    The hull is qhull's, its counterclockwise vertices rotated to start at
+    the lexicographically smallest one (real, then imaginary part).
+    """
     try:
         hull = ConvexHull(np.column_stack([points.real, points.imag]))
     except QhullError:
@@ -228,6 +236,7 @@ def hull_boundary_linspace(points, npts):
         d1 = np.argmax(np.abs(points - points[d0]))
         return np.linspace(points[d0], points[d1], npts)
     verts = points[hull.vertices]
+    verts = np.roll(verts, -np.lexsort((verts.imag, verts.real))[0])
     edges = np.abs(np.roll(verts, -1) - verts)
     perim = edges.sum()
     out = []

@@ -331,13 +331,36 @@ def test_select_shift_equals_broadcast_reference(ritz, shifts, symmetric):
         _assert_broadcast_pick(ritz, shifts, m, symmetric)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_hull_boundary_equals_linspace_reference(seed):
-    rng = np.random.default_rng(seed)
-    k = int(rng.integers(3, 60))
-    pts = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * 10.0 ** rng.uniform(-3, 5)
-    if seed == 0:
-        pts = (1.0 + 2.0j) * rng.standard_normal(k)  # collinear: one segment
+def _hull_case(case):
+    """Points for the hull test: random ones by seed, else a named degenerate set."""
+    if isinstance(case, int):
+        rng = np.random.default_rng(case)
+        k = int(rng.integers(3, 60))
+        pts = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * 10.0 ** rng.uniform(-3, 5)
+        if case == 0:
+            pts = (1.0 + 2.0j) * rng.standard_normal(k)  # collinear: one segment
+        return pts
+    rng = np.random.default_rng(7)
+    if case == "rays":  # mirrored weakly damped pairs -zeta w +/- i w, and a real one
+        w = np.geomspace(1.0, 10.0, 40) * 30.0
+        return np.concatenate([0.01 * w + 1j * w, 0.01 * w - 1j * w, [15.0]])
+    if case == "collinear":  # exactly, on a 3:1 slope
+        return (3.0 + 1.0j) * rng.permutation(25)
+    if case == "conjugate-duplicates":
+        upper = rng.uniform(0.01, 1.0, 20) + 1j * rng.uniform(0.0, 1.0, 20)
+        return np.tile(np.concatenate([upper, np.conj(upper)]), 2) * 1e3
+    if case == "near-flat":  # imaginary parts about 1e-11 of the scale
+        return (rng.uniform(0.0, 1.0, 50) + 1e-11j * rng.standard_normal(50)) * 1e4
+    return np.array([1.0 + 2.0j, -3.0 + 0.5j])  # two points
+
+
+@pytest.mark.parametrize(
+    "case", [*range(6), "rays", "collinear", "conjugate-duplicates", "near-flat", "two-points"]
+)
+def test_hull_boundary_equals_linspace_reference(case):
+    # byte-equal to the samples of qhull's hull: the same vertices, merged where
+    # qhull merges near-collinear ones, from the same start
+    pts = _hull_case(case)
     got, ref = _hull_boundary(pts, 2000), hull_boundary_linspace(pts, 2000)
     assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
@@ -450,15 +473,33 @@ def _heat(n=300):
 
 
 def _picks(monkeypatch):
-    """Argument tuples of the adaptive shift selections from now on."""
+    """``(arguments, shift)`` of the adaptive shift selections from now on."""
     picks, real = [], tlbt.gramians._select_shift
 
-    def spy(*args, **kwargs):
-        picks.append(args)
-        return real(*args, **kwargs)
+    def spy(ritz, shifts, *rest):
+        s = real(ritz, shifts, *rest)
+        picks.append(((ritz, list(shifts), *rest), s))  # the solver extends its shift list
+        return s
 
     monkeypatch.setattr(tlbt.gramians, "_select_shift", spy)
     return picks
+
+
+def _assert_picks_equal_broadcast(picks):
+    assert picks
+    for args, s in picks:
+        ref = select_shift_broadcast(*args)
+        assert type(s) is type(ref) and s == ref
+
+
+def test_weakly_damped_picks_equal_broadcast_reference(monkeypatch):
+    # Ritz values near the two rays -zeta w +/- i w: every pick of a solve is
+    # the reference's, whose hull is qhull's
+    picks = _picks(monkeypatch)
+    g = solve_timelimited_lowrank(make_synthetic("weakly_damped", 60, 2, 2, seed=1),
+                                  TimeWindow(t_e=5.0))
+    assert any(isinstance(sh, complex) for sh in g.workspace.shifts)
+    _assert_picks_equal_broadcast(picks)
 
 
 def test_replayed_poles_equal_fresh_solve_heat():
@@ -776,11 +817,13 @@ def _convection_diffusion(k, conv=(10.0, 100.0), seed=1):
 
 @pytest.mark.parametrize("side", ["reachability", "observability"])
 @pytest.mark.parametrize("mode", ["bt", "tlbt"])
-def test_sparse_standard_complex_shifts_match_dense(mode, side):
+def test_sparse_standard_complex_shifts_match_dense(mode, side, monkeypatch):
     s = _convection_diffusion(20)
     window = TimeWindow(t_e=0.01)
+    picks = _picks(monkeypatch)
     g = mode_gramian(s, mode, window, side=side)
     assert any(isinstance(sh, complex) for sh in g.workspace.shifts)
+    _assert_picks_equal_broadcast(picks)
     p = mode_gramian(s, mode, window, side=side, method="dense")
     assert np.linalg.norm(g.z @ g.z.T - p, 2) <= 1e-6 * np.linalg.norm(p, 2)
 

@@ -3,14 +3,16 @@
 Guards against ``__all__`` entries left behind when a helper is deleted or
 moved, against package re-exports that bypass a module's ``__all__``,
 against losing the solver functions the benchmark's tracer wraps or the
-consistency checks it runs on them, and against settings read from the
-environment.
+consistency checks it runs on them, against settings read from the
+environment, and against importing scipy.spatial.
 """
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -62,6 +64,17 @@ def test_no_module_reads_the_environment():
             elif isinstance(node, ast.ImportFrom):
                 names.update(alias.name for alias in node.names)
         assert not names & banned, f"tlbt/{path.name} reads the environment"
+
+
+def test_import_leaves_out_scipy_spatial():
+    # the shift rule's hull is computed in numpy; importing scipy.spatial (qhull)
+    # would cost every process its memory and import time, so only tests use it
+    src = str(Path(tlbt.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import tlbt, tlbt.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy.spatial')])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]", out.stdout
 
 
 SYSTEM_CLASSES = {"StandardSystem", "GeneralizedSystem", "DescriptorIndex1"}
