@@ -252,7 +252,7 @@ def cmd_simulate(args):
         "dt": args.dt,
         "t_f": args.tf,
         "input": args.input,
-        "max_output_norm": float(np.max(traj.output_norms())),
+        "max_output_norm": float(np.max(norms)),
     }
     mmio._write_json(out / f"{name}_response.json", summary)
     print(f"{name}: simulated {traj.times.size} steps, wrote {name}_response.csv")

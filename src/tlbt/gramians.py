@@ -36,7 +36,7 @@ from .errors import (
     SpectrumConflictError,
     UnstableSystemError,
 )
-from .systems import _dense, _verifiable, shifted_solve, spectral_abscissa
+from .systems import _verifiable, shifted_solve, spectral_abscissa
 
 __all__ = [
     "TimeWindow",
@@ -56,7 +56,7 @@ __all__ = [
 MODES = ("bt", "tlbt", "mtlbt")
 #: the two Gramians of a mode, in the order every balancing route takes them
 SIDES = ("reachability", "observability")
-_TRUNC_TOL = 1e-12  # relative eigenvalue cutoff of the Gramian factors (factor_psd)
+_TRUNC_TOL = 1e-12  # relative eigenvalue cutoff of the PSD factors (_scaled_columns)
 _NPTS = 2000  # shift candidates sampled from the mirrored Ritz values (_select_shift)
 _HULL_TOL = 2e-15  # hull vertices this near a chord, times the largest coordinate, merge
 _CADENCE = 5  # shifts added between the projected checks of a low-rank solve
@@ -146,11 +146,12 @@ def _dense_gramian(sys, mode, window, side):
 
 
 def factor_psd(p):
-    """Cholesky-like factor Z of a symmetric PSD matrix: Z Z^T ~= P.
+    """Cholesky-like factor Z of a symmetric PSD matrix: Z Z^T ~= P (see _scaled_columns)."""
+    return _scaled_columns(*linalg.sym_eig(p))
 
-    Eigenvalues at most 1e-12 of the largest are dropped.
-    """
-    lam, vec = linalg.sym_eig(p)
+
+def _scaled_columns(lam, vec):
+    """``vec[:, k] sqrt(lam[k])`` over the ``lam`` above 1e-12 of the largest, in their order."""
     keep = lam > _TRUNC_TOL * lam.max(initial=0.0)
     return vec[:, keep] * np.sqrt(lam[keep])
 
@@ -447,9 +448,8 @@ def _rhs(mode, b, b_s, b_e):
     if mode == "tlbt":
         return f, j
     u, lam = _sym_lowrank(f, j)
-    lam = np.abs(lam)
-    keep = lam > _TRUNC_TOL * lam.max(initial=0.0)
-    return u[:, keep] * np.sqrt(lam[keep]), np.eye(np.count_nonzero(keep))
+    f = _scaled_columns(np.abs(lam), u)
+    return f, np.eye(f.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +496,7 @@ def _solve_lowrank(sys, window, cfg, mode, side):
     form = _reach_form(sys, side)
     poles = form._poles
     n, m = form.order, form.m
-    b = np.atleast_2d(form.mass_solve(_dense(form.B)).astype(float))
+    b = np.atleast_2d(form.mass_solve(form.B).astype(float))
     ws = _Basis(form, b)
     max_dim = min(n, cfg.max_dim or 600)
     times = [("e", window.t_e)] + [("s", window.t_s)] * (window.t_s > 0) if window else []

@@ -14,7 +14,7 @@ files (relative to its own directory) and carries structure metadata:
     }
 
 The files are the system class's constructor fields (D only when
-nonzero); B, C and D blocks load dense, the others as written.
+nonzero), loaded as written; the constructors make B, C and D dense.
 """
 
 import dataclasses
@@ -91,7 +91,7 @@ def load_system(sidecar_path):
         raise ValueError(f"unknown system kind {kind!r}")
     files = meta["files"]
     blocks = {
-        key: read_matrix(sidecar_path.parent / files[key], dense=key[0] in "BCD")
+        key: read_matrix(sidecar_path.parent / files[key])
         for key in _fields(_KINDS[kind]) if key in files
     }
     sys = _KINDS[kind](**blocks)

@@ -1,15 +1,16 @@
 """Time-domain validation: implicit midpoint integration and error metrics.
 
-The integrator is the A-stable implicit midpoint rule with a fixed step.
-It steps the pair the system hands it (``midpoint_step``): the step
-matrix is factorized once, and each step is one application of
-M + dt/2 A (a CSR product when sparse; for a descriptor M1 x plus the
-action of its Schur complement) and one LAPACK ``getrs`` or SuperLU
-solve (a descriptor's on its block pencil), with one finiteness check
-after the loop. An impulse input u = delta(t) v is realized as the
-initial state x0 + M^{-1} B v of the uncontrolled system, never by
-sampling a delta on the grid; since the input is zero after t = 0, no
-input is sampled or multiplied through B and D in the loop.
+The integrator is the A-stable implicit midpoint rule with a fixed step,
+taken as a half step: x_{k+1} = 2 w - x_k, with the midpoint state w from
+(M - dt/2 A) w = M x_k + dt/2 B u. The system hands it that solve,
+factorized once (``midpoint_step``, which returns 2 w); each step is one
+``mass_apply`` (no work when M = I) and one LAPACK ``getrs`` or SuperLU
+solve (a descriptor's on its block pencil, no separate A4 solve), with
+one finiteness check after the loop. An impulse input u = delta(t) v is
+realized as the initial state x0 + M^{-1} B v of the uncontrolled
+system, never by sampling a delta on the grid; since the input is zero
+after t = 0, no input is sampled or multiplied through B and D in the
+loop.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, SingularStepError
-from .systems import _dense, spectral_abscissa
+from .systems import spectral_abscissa
 
 __all__ = [
     "Trajectory",
@@ -82,7 +83,9 @@ def custom_input(fn):
 def implicit_midpoint(sys, u, x0, dt, t_f, store_states=False):
     """Integrate M x' = A x + B u from x(0) = x0 with the midpoint rule.
 
-    One step solves (M - dt/2 A) x_{k+1} = (M + dt/2 A) x_k + dt B u(t_k + dt/2);
+    One step solves (M - dt/2 A) w = M x_k + dt/2 B u(t_k + dt/2) for the
+    midpoint state w and sets x_{k+1} = 2 w - x_k, which is
+    (M - dt/2 A) x_{k+1} = (M + dt/2 A) x_k + dt B u(t_k + dt/2);
     outputs are y_k = C x_k + D u(t_k). Second-order accurate,
     unconditionally stable on stable linear systems. An impulse input
     u = delta(t) v starts the uncontrolled system from x0 + M^{-1} B v;
@@ -103,14 +106,14 @@ def _integrate(sys, u, x0, dt, t_f, store_states):
     if dt <= 0 or t_f <= 0:
         raise ValueError("dt and t_f must be positive")
     form = sys.to_system() if hasattr(sys, "to_system") else sys
-    b, c, d = _dense(form.B), _dense(form.C), form.D
+    b, c, d = form.B, form.C, form.D
     n, m = b.shape
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
     if u is not None and u.kind == "impulse":
         v = np.ones(m) if u.vector is None else u.vector.reshape(m)
         kick = form.mass_solve(b @ v)
         x = kick if x0 is None else x + kick
-    step_apply, step_solve = form.midpoint_step(dt)
+    step = form.midpoint_step(dt)
     nsteps = int(np.ceil(t_f / dt - 1e-9))
     times = dt * np.arange(nsteps + 1)
     forced = u is not None and u.kind != "impulse"
@@ -121,10 +124,10 @@ def _integrate(sys, u, x0, dt, t_f, store_states):
         if store_states:
             states[k] = x
         if k < nsteps:
-            rhs = step_apply(x)
+            rhs = form.mass_apply(x)
             if forced:
-                rhs = rhs + dt * (b @ u.sample(times[k] + dt / 2.0, m))
-            x = step_solve(rhs)
+                rhs = rhs + dt / 2.0 * (b @ u.sample(times[k] + dt / 2.0, m))
+            x = step(rhs) - x
     if not (np.all(np.isfinite(outputs)) and np.all(np.isfinite(x))):
         raise SingularStepError("integration produced non-finite values")
     return Trajectory(times=times, outputs=outputs, states=states)

@@ -2,8 +2,11 @@
 
 Standard (A, B, C[, D]) systems, generalized (M, A, B, C[, D]) systems
 with nonsingular M, and semi-explicit index-one descriptor systems in
-block form. Matrices can be dense ndarrays or scipy.sparse matrices;
-dense ones must be finite.
+block form. State matrices (M, A, a descriptor's M1 and A1-A4) can be
+dense ndarrays or scipy.sparse matrices; B, C and D (a descriptor's B1,
+B2, C1 and C2) are made dense 2-D float arrays at construction, before
+their shapes are checked, so no other module converts them. Every dense
+matrix must be finite.
 
 The three types answer the solvers' questions alike, so no solver asks
 which type it holds: ``order`` is the dimension the solvers work in (n,
@@ -17,17 +20,18 @@ and feedthrough matrices, for a descriptor those of its elimination
 a standard system, I in A's format; a descriptor's block pencil), and
 ``_rows(solve)`` maps a solve on it to ``order`` rows (a descriptor pads
 the right-hand side with zero rows and keeps the first n_f);
-``midpoint_step(dt)`` is the integrator's pair (apply M + dt/2 A, solve
-with M - dt/2 A on the pencil); ``transposed()`` is the dual. Systems
-are not mutated after construction, so what they derive is built on
-first use and cached on them: the LU of M, the dual, the spectral
-abscissa, ``dense_state_input()`` (M^{-1} A and M^{-1} B when M is not
-I, for the dense routes, up to ``_DENSE_MAX``), the Krylov shifts of the
-system's own reachability solves (never shared with the dual), a
-descriptor's A4 LU and block pencil, and the complex Schur form that a
-dense standard system shares with its dual for every shifted solve and
-for the spectrum. No cached object refers back to the system that holds
-it. Every other shifted solve factors its shifted pencil by LU
+``midpoint_step(dt)`` is the integrator's half-step solve with
+(M - dt/2 A)/2 on the pencil, which returns twice the midpoint state;
+``transposed()`` is the dual. Systems are not mutated after
+construction, so what they derive is built on first use and cached on
+them: the LU of M, the dual, the spectral abscissa,
+``dense_state_input()`` (M^{-1} A and M^{-1} B when M is not I, for the
+dense routes, up to ``_DENSE_MAX``), the Krylov shifts of the system's
+own reachability solves (never shared with the dual), a descriptor's A4
+LU and block pencil, and the complex Schur form that a dense standard
+system shares with its dual for every shifted solve and for the
+spectrum. No cached object refers back to the system that holds it.
+Every other shifted solve factors its shifted pencil by LU
 (``_factor``).
 """
 
@@ -60,23 +64,26 @@ def _dense(a):
     return a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
 
 
-def _finite(a, name):
-    """Dense ``a`` as a finite float array of at least two dimensions; sparse as given."""
-    if sp.issparse(a):
+def _finite(a, name, sparse=True):
+    """``a`` as a finite float array of at least two dimensions; sparse as given if ``sparse``."""
+    if sparse and sp.issparse(a):
         return a
-    return linalg.check_finite(np.atleast_2d(np.asarray(a, dtype=float)), name)
+    return linalg.check_finite(np.atleast_2d(_dense(a)), name)
 
 
 def _normalize(sys, *square):
-    """Check B and C against A and make the dense matrices finite float arrays.
+    """Make the matrices finite float arrays, B, C and D dense, then check their shapes.
 
-    ``square`` names the state matrices; D defaults to zeros and must be p x m.
+    ``square`` names the state matrices, which stay sparse when given so;
+    D defaults to zeros and must be p x m.
     """
+    for name in square:
+        setattr(sys, name, _finite(getattr(sys, name), name))
+    for name in ("B", "C"):
+        setattr(sys, name, _finite(getattr(sys, name), name, sparse=False))
+    sys.D = np.zeros((sys.p, sys.m)) if sys.D is None else _finite(sys.D, "D", sparse=False)
     if sys.B.shape[0] != sys.n or sys.C.shape[1] != sys.n:
         raise ValueError("B/C dimensions inconsistent with A")
-    for name in square + ("B", "C"):
-        setattr(sys, name, _finite(getattr(sys, name), name))
-    sys.D = np.zeros((sys.p, sys.m)) if sys.D is None else _finite(sys.D, "D")
     if sys.D.shape != (sys.p, sys.m):
         raise ValueError("D must be p x m")
 
@@ -134,24 +141,21 @@ class _System:
     def dense_state_input(self):
         """Dense ``(M^{-1} A, M^{-1} B)``, cached only when M is not I."""
         if self.mass is None:
-            return _dense(self.A), _dense(self.B)
+            return _dense(self.A), self.B
         if self._state_input is None:
             m = _dense(self.mass)
             a = self.apply_a(np.eye(self.order))
-            self._state_input = np.linalg.solve(m, a), np.linalg.solve(m, _dense(self.B))
+            self._state_input = np.linalg.solve(m, a), np.linalg.solve(m, self.B)
         return self._state_input
 
     def midpoint_step(self, dt):
-        """``(apply, solve)``: x -> (M + dt/2 A) x, unchecked LU of the pencil's M - dt/2 A."""
-        m, a = self.pencil()
-        solve = _factor(m - (dt / 2.0) * a, err=SingularStepError, checked=False)
-        return self._step_apply(dt), self._rows(solve)
+        """Unchecked LU solve with ``(M - dt/2 A) / 2`` on the pencil, in ``order`` rows.
 
-    def _step_apply(self, dt):
-        """x -> (M + dt/2 A) x, a CSR product when sparse."""
+        For ``rhs = M x + dt/2 B u`` it returns ``2 w``, twice the midpoint
+        state (halving the matrix is exact), so the next state is ``2 w - x``.
+        """
         m, a = self.pencil()
-        plus = m + (dt / 2.0) * a
-        return (plus.tocsr() if sp.issparse(plus) else plus).__matmul__
+        return self._rows(_factor(0.5 * m - (dt / 4.0) * a, err=SingularStepError, checked=False))
 
     def transposed(self):
         """The dual system, built once; it swaps the Gramians."""
@@ -186,7 +190,7 @@ class StandardSystem(_System):
 
     def _dual(self):
         """(A^T, C^T, B^T), sharing the Schur form."""
-        dual = StandardSystem(self.A.T, _dense(self.C).T, _dense(self.B).T, self.D.T)
+        dual = StandardSystem(self.A.T, self.C.T, self.B.T, self.D.T)
         dual._schur, dual._is_dual = self._schur, not self._is_dual
         return dual
 
@@ -225,7 +229,7 @@ class GeneralizedSystem(_System):
         return self.M, self.A
 
     def _dual(self):
-        return GeneralizedSystem(self.M.T, self.A.T, _dense(self.C).T, _dense(self.B).T, self.D.T)
+        return GeneralizedSystem(self.M.T, self.A.T, self.C.T, self.B.T, self.D.T)
 
 
 @dataclass
@@ -253,7 +257,7 @@ class DescriptorIndex1(_System):
 
     def __post_init__(self):
         for name in ("M1", "A1", "A2", "A3", "A4", "B1", "B2", "C1", "C2"):
-            setattr(self, name, _finite(getattr(self, name), name))
+            setattr(self, name, _finite(getattr(self, name), name, sparse=name[0] not in "BC"))
         nf = self.A1.shape[0]
         na = self.A4.shape[0]
         if self.M1.shape != (nf, nf) or self.A1.shape != (nf, nf):
@@ -292,7 +296,7 @@ class DescriptorIndex1(_System):
     def _dual(self):
         return DescriptorIndex1(
             self.M1.T, self.A1.T, self.A3.T, self.A2.T, self.A4.T,
-            _dense(self.C1).T, _dense(self.C2).T, _dense(self.B1).T, _dense(self.B2).T,
+            self.C1.T, self.C2.T, self.B1.T, self.B2.T,
         )
 
     def a4_solve(self, rhs):
@@ -309,7 +313,7 @@ class DescriptorIndex1(_System):
     @property
     def B(self):
         """The eliminated input matrix  B1 - A2 A4^{-1} B2."""
-        return _dense(self.B1) - self.A2 @ self.a4_solve(_dense(self.B2))
+        return self.B1 - self.A2 @ self.a4_solve(self.B2)
 
     @property
     def C(self):
@@ -319,7 +323,7 @@ class DescriptorIndex1(_System):
     @property
     def D(self):
         """The feedthrough of the algebraic part  -C2 A4^{-1} B2."""
-        return -_dense(self.C2) @ self.a4_solve(_dense(self.B2))
+        return -self.C2 @ self.a4_solve(self.B2)
 
     def pencil(self):
         """The block pencil (M, A) as sparse matrices, built once."""
@@ -338,10 +342,6 @@ class DescriptorIndex1(_System):
             full[:n_f] = rhs
             return solve(full)[:n_f]
         return block
-
-    def _step_apply(self, dt):
-        """x -> M1 x + dt/2 apply_a(x)."""
-        return lambda x: self.M1 @ x + (dt / 2.0) * self.apply_a(x)
 
 
 def _factor(mat, err=SingularShiftError, checked=True):

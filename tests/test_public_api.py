@@ -101,6 +101,22 @@ def test_no_isinstance_on_system_classes():
     assert not found, f"isinstance on a system class: {found}"
 
 
+def test_only_systems_names_dense():
+    # B, C and D are dense from construction: how a system holds them is the
+    # decision of tlbt.systems alone, so no other module converts them
+    found = []
+    for path in sorted(Path(tlbt.__file__).parent.glob("*.py")):
+        if path.name == "systems.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            if "_dense" in names:
+                found.append(f"tlbt/{path.name}:{node.lineno}")
+    assert not found, f"_dense outside tlbt/systems.py: {found}"
+
+
 def _tracing():
     """The benchmark's tracer module, perfbench/tracing.py."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"

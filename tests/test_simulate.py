@@ -23,7 +23,7 @@ from tlbt.simulate import (
     step_input,
 )
 from tlbt.synthetic import make_synthetic
-from tlbt.systems import StandardSystem
+from tlbt.systems import DescriptorIndex1, StandardSystem
 
 SCALAR = StandardSystem(np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]]))
 
@@ -167,8 +167,12 @@ def _as_dense(a):
     return a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
 
 
-def _reference_midpoint(sys, u, x0, dt, t_f):
-    """Plain midpoint loop: scipy ``lu_solve`` or ``splu`` per step, input sampled every step."""
+def _reference_midpoint(sys, u, x0, dt, t_f, half_step=True):
+    """Plain midpoint loop: scipy ``lu_solve`` or ``splu`` per step, input sampled every step.
+
+    The half step solves (M - dt/2 A) w = M x + dt/2 B u and sets x = 2 w - x;
+    ``half_step=False`` takes the same rule as (M - dt/2 A) x' = (M + dt/2 A) x + dt B u.
+    """
     if hasattr(sys, "to_system"):
         sys = sys.to_system()
     a, b, c, d = sys.A, _as_dense(sys.B), _as_dense(sys.C), sys.D
@@ -190,17 +194,21 @@ def _reference_midpoint(sys, u, x0, dt, t_f):
     for k in range(nsteps + 1):
         outputs[k] = c @ x + d @ u.sample(times[k], m)
         if k < nsteps:
-            x = solve(plus @ x + dt * (b @ u.sample(times[k] + dt / 2.0, m)))
+            u_mid = u.sample(times[k] + dt / 2.0, m)
+            if half_step:
+                x = 2.0 * solve(m_mat @ x + dt / 2.0 * (b @ u_mid)) - x
+            else:
+                x = solve(plus @ x + dt * (b @ u_mid))
     return outputs
 
 
-def _reference_impulse(sys, dt, t_f):
+def _reference_impulse(sys, dt, t_f, half_step=True):
     form = sys.to_system() if hasattr(sys, "to_system") else sys
     v = np.ones(form.m)
     x0 = _as_dense(form.B) @ v
     if getattr(form, "M", None) is not None:
         x0 = spla.splu(sp.csc_matrix(form.M)).solve(x0)
-    return _reference_midpoint(form, impulse_input(v), x0, dt, t_f)
+    return _reference_midpoint(form, impulse_input(v), x0, dt, t_f, half_step)
 
 
 _SYSTEMS = {
@@ -326,3 +334,47 @@ def test_midpoint_impulse_input_starts_from_mass_solved_kick(kind):
     ref = implicit_midpoint(s, None, x0 + kick, dt, t_f).outputs
     out = implicit_midpoint(s, impulse_input(v), x0, dt, t_f).outputs
     assert np.allclose(out, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+def _textbook_case(kind):
+    """``(system, system of the reference loop, dt, t_f)``; a descriptor's loop runs on its elimination."""
+    if kind == "descriptor":
+        d = random_descriptor(12, 4, 2, 2, seed=3)
+        return d, eliminate_descriptor(d)[0], 1e-2, 1.0
+    make, dt, t_f = _SYSTEMS[kind]
+    sys = make()
+    return sys, sys, dt, t_f
+
+
+@pytest.mark.parametrize("kind", [*sorted(_SYSTEMS), "descriptor"])
+@pytest.mark.parametrize("signal", ["impulse", *sorted(_INPUTS)])
+def test_half_step_matches_textbook_midpoint_loop(kind, signal):
+    # the half step is the textbook step (M - dt/2 A) x' = (M + dt/2 A) x + dt B u
+    # up to roundoff
+    sys, ref_sys, dt, t_f = _textbook_case(kind)
+    if signal == "impulse":
+        out = impulse_response(sys, dt=dt, t_f=t_f).outputs
+        ref = _reference_impulse(ref_sys, dt, t_f, half_step=False)
+    else:
+        u = _INPUTS[signal]()
+        out = implicit_midpoint(sys, u, None, dt, t_f).outputs
+        ref = _reference_midpoint(ref_sys, u, None, dt, t_f, half_step=False)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_descriptor_impulse_solves_with_a4_independent_of_steps(monkeypatch):
+    # the step never applies the Schur complement: A4 is solved for the
+    # eliminated B, C and D only, not once per step
+    calls, real = [], DescriptorIndex1.a4_solve
+
+    def spy(self, rhs):
+        calls.append(1)
+        return real(self, rhs)
+
+    monkeypatch.setattr(DescriptorIndex1, "a4_solve", spy)
+    counts = []
+    for t_f in (1.0, 10.0):
+        calls.clear()
+        impulse_response(random_descriptor(12, 4, 2, 2, seed=3), dt=1e-2, t_f=t_f)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

@@ -16,6 +16,9 @@ from oracles import (
     transfer_at,
 )
 from tlbt.errors import SingularShiftError
+from tlbt.mmio import load_system, save_system
+from tlbt.reduction import reduce
+from tlbt.simulate import impulse_response, implicit_midpoint, step_input
 from tlbt.synthetic import make_synthetic
 from tlbt.systems import (
     DescriptorIndex1,
@@ -197,8 +200,7 @@ def test_descriptor_assembled_once_across_solves(monkeypatch, rng):
     # a fresh system per solve assembles its pencil afresh, as every solve used to
     fresh = [shifted_solve(random_descriptor(20, 12, 2, 2, seed=9), s, w) for s in shifts]
     fresh_h = transfer_at(random_descriptor(20, 12, 2, 2, seed=9), 1.5j)
-    apply, solve = random_descriptor(20, 12, 2, 2, seed=9).midpoint_step(0.01)
-    fresh_step = solve(apply(w))
+    fresh_step = random_descriptor(20, 12, 2, 2, seed=9).midpoint_step(0.01)(w)
     built, real = [], sp.bmat
 
     def spy(*args, **kwargs):
@@ -210,8 +212,7 @@ def test_descriptor_assembled_once_across_solves(monkeypatch, rng):
     for s, ref in zip(shifts, fresh):
         assert np.array_equal(shifted_solve(d, s, w), ref)
     assert np.array_equal(transfer_at(d, 1.5j), fresh_h)
-    apply, solve = d.midpoint_step(0.01)
-    assert np.array_equal(solve(apply(w)), fresh_step)
+    assert np.array_equal(d.midpoint_step(0.01)(w), fresh_step)
     assert len(built) == 2  # M and A, once
 
 
@@ -272,6 +273,51 @@ def test_descriptor_refuses_non_finite_dense_blocks(name):
 def test_generalized_system_checks_feedthrough_shape():
     with pytest.raises(ValueError, match="D must be p x m"):
         GeneralizedSystem(np.eye(2), -np.eye(2), np.ones((2, 1)), np.ones((1, 2)), D=np.ones((2, 2)))
+
+
+_FEEDTHROUGH = np.array([[0.5, 0.0], [0.0, -0.25]])
+_KINDS = {"standard": "random_stable", "generalized": "heat_like"}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_sparse_feedthrough_reduces_simulates_and_round_trips(kind, tmp_path):
+    # a sparse D is dense from construction: the system reduces, its reduced
+    # model simulates and saves, bit-equal to the same system with a dense D
+    base = make_synthetic(_KINDS[kind], 8, 2, 2, seed=4)
+    dense, sparse = (dataclasses.replace(base, D=d)
+                     for d in (_FEEDTHROUGH, sp.csr_matrix(_FEEDTHROUGH)))
+    rom_d, rom_s = (reduce(s, "bt", r=3).to_system() for s in (dense, sparse))
+    for key in ("A", "B", "C", "D"):
+        assert np.array_equal(getattr(rom_s, key), getattr(rom_d, key))
+    u = step_input(1.0)
+    assert np.array_equal(implicit_midpoint(rom_s, u, None, 1e-2, 1.0).outputs,
+                          implicit_midpoint(rom_d, u, None, 1e-2, 1.0).outputs)
+    for name, sys, ref in (("system", sparse, dense), ("rom", rom_s, rom_d)):
+        loaded, _ = load_system(save_system(tmp_path, name, sys))
+        for f in dataclasses.fields(ref):
+            if f.init:
+                assert np.array_equal(_dense(getattr(loaded, f.name)), _dense(getattr(ref, f.name)))
+
+
+def _one_d_io(kind, b, c):
+    base = make_synthetic(_KINDS[kind], 6, 1, 1, seed=2)
+    return dataclasses.replace(base, B=b(base.B), C=c(base.C))
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_one_dimensional_input_matrix_refused_at_construction(kind):
+    with pytest.raises(ValueError, match="B/C dimensions inconsistent"):
+        _one_d_io(kind, lambda b: b[:, 0], lambda c: c)
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_one_dimensional_output_matrix_is_one_output_row(kind):
+    two_d = _one_d_io(kind, lambda b: b, lambda c: c)
+    one_d = _one_d_io(kind, lambda b: b, lambda c: c[0])
+    assert one_d.C.shape == (1, 6) and one_d.p == 1
+    assert np.array_equal(one_d.C, two_d.C)
+    assert np.array_equal(impulse_response(one_d, dt=1e-2, t_f=0.5).outputs,
+                          impulse_response(two_d, dt=1e-2, t_f=0.5).outputs)
 
 
 def test_spectral_abscissa_diagonal():
