@@ -101,6 +101,8 @@ def _input_signal(args, m):
     if not args.input_file:
         raise ValueError("--input file requires --input-file")
     data = np.loadtxt(args.input_file, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] < m + 1:
+        raise ValueError(f"--input-file has {data.shape[1] - 1} input columns, fewer than m={m}")
     tgrid, vals = data[:, 0], data[:, 1 : m + 1]
 
     def fn(t):

@@ -1,24 +1,25 @@
 """Infinite and time-limited Gramians: the dense route and the low-rank solver.
 
 Every mode's Gramian solves one Lyapunov equation A P + P A^T + W = 0. One
-map (``_rhs``) gives W = F J F^T, F of at most 2m columns, from B and from
-e^{A t} B at the window ends (Gawronski & Juang): bt takes B B^T, tlbt
+map (``_rhs``) forms e^{A t} B at the window ends and gives W = F J F^T,
+F of at most 2m columns (Gawronski & Juang): bt takes B B^T, tlbt
 B_s B_s^T - B_e B_e^T, and mtlbt the absolute-eigenvalue surrogate of the
-possibly indefinite tlbt W. The dense route (``_dense_gramian``) solves
-that equation for M^{-1} A. The large-scale route is a rational Krylov
-subspace method with adaptive shift selection: the basis is grown by
-shifted solves until the subspace approximation of exp(A t) B stops
-changing (compared in coefficient space), then the projected
-(time-limited) Lyapunov equation is solved and a residual bound decides
+possibly indefinite tlbt W. The dense route (``_dense_gramian``) is that
+map and a Bartels-Stewart solve on (M^{-1} A, M^{-1} B). The large-scale
+route is a rational Krylov subspace method with adaptive shift
+selection: the basis is grown by shifted solves until the window ends
+that ``_rhs`` forms on the projected (H, b_proj) stop changing (compared
+in coefficient space), then the projected (time-limited) Lyapunov
+equation is solved with that map's W and a residual bound decides
 termination. The basis, its image and the projected matrix grow in place
 (block CGS2, bordering); the residual bound comes from the rational Arnoldi
 relation, whose rank-m premise holds only while the start block is the
 only pole at infinity, and is read off n x 2m factors for every pencil.
-Its checks solve the projected equation with the same ``_rhs``. The basis
-itself, trimmed to its used size, is the result's ``workspace``. Each
-adaptive shift is sampled from the convex hull of the mirrored Ritz values,
-computed here by a monotone chain on numpy (no qhull): a vertex within
-roundoff of the chord through its neighbours is merged, as qhull merges it.
+The basis itself, trimmed to its used size, is the result's
+``workspace``. Each adaptive shift is sampled from the convex hull of the
+mirrored Ritz values, computed here by a monotone chain on numpy (no
+qhull): a vertex within roundoff of the chord through its neighbours is
+merged, as qhull merges it.
 """
 
 import time
@@ -127,21 +128,18 @@ def _reach_form(sys, side):
 
 
 def _dense_gramian(sys, mode, window, side):
-    """Dense Gramian of a mode: M^{-1} A P + P (M^{-1} A)^T + W = 0, W from :func:`_rhs`.
+    """Dense Gramian of a mode: :func:`_rhs` on ``(M^{-1} A, M^{-1} B)``, then Bartels-Stewart.
 
-    B_t = e^{M^{-1} A t} M^{-1} B at the window ends (bt ignores ``window``);
-    the equation holds for an unstable A whose spectrum is disjoint from
-    its mirror as well. Refused above ``systems._DENSE_MAX``.
+    The equation M^{-1} A P + P (M^{-1} A)^T + W = 0 holds for an unstable
+    A whose spectrum is disjoint from its mirror as well. Refused above
+    ``systems._DENSE_MAX``.
     """
     if sys.order > systems._DENSE_MAX:
         raise ValueError(
             f"dense Gramian path refused for n={sys.order} > threshold {systems._DENSE_MAX}"
         )
     a, b = _reach_form(sys, side).dense_state_input()
-    ends = (None, None)
-    if mode != "bt":
-        ends = [linalg.expm(a * t) @ b if t > 0 else b for t in (window.t_s, window.t_e)]
-    f, j = _rhs(mode, b, *ends)
+    f, j, _ = _rhs(mode, window, a, b)
     return linalg.lyap_dense(a, f @ j @ f.T)
 
 
@@ -332,7 +330,7 @@ def _hull_boundary(points, npts):
     return k.astype(complex) * np.repeat(step / cnt, cnt) + np.repeat(verts, cnt)
 
 
-def _select_shift(ritz, shifts, m, symmetric=False):
+def _select_shift(ritz, shifts, m):
     """Next pole for the rational Krylov basis.
 
     Druskin & Simoncini (2011, "Adaptive rational Krylov subspaces for
@@ -342,14 +340,15 @@ def _select_shift(ritz, shifts, m, symmetric=False):
     hull of the mirrored Ritz values {-conj(z)} (``_hull_boundary``: a
     monotone chain that merges vertices within ``_HULL_TOL`` of a chord, so
     Ritz values on the rays of weakly damped modes give the hull qhull
-    gives). The next pole thus goes
-    where the rational function with the Ritz values as zeros and the
-    shifts as poles is smallest, i.e. where the current space resolves
-    the spectrum worst. Real spectra spanning a positive interval are
-    sampled on a geometric grid, so stiff spectra get candidates in
-    every decade. Both point sets are closed under conjugation, so the
-    objective is too: only candidates ``x + iy`` in the upper half-plane are
-    evaluated, a pair ``a +/- ib`` as one real factor ``|(s - p)(s - conj(p))|^2
+    gives). The next pole thus goes where the rational function with the
+    Ritz values as zeros and the shifts as poles is smallest, i.e. where
+    the current space resolves the spectrum worst. Ritz values that are
+    real within 1e-12 of the largest modulus are sampled on their
+    interval instead, on a geometric grid when it is positive, so stiff
+    spectra get candidates in every decade. Both point sets are closed
+    under conjugation, so the objective is too: only candidates ``x + iy``
+    in the upper half-plane are evaluated, a pair ``a +/- ib`` as one real
+    factor ``|(s - p)(s - conj(p))|^2
     = ((x - a)^2 + b^2 - y^2)^2 + (2y(x - a))^2`` (its root on real candidates)
     of the points divided by the largest Ritz modulus (4th powers stay in range).
     Points too close to previous shifts (1e-8 relative) or to mirrored
@@ -364,7 +363,7 @@ def _select_shift(ritz, shifts, m, symmetric=False):
     rounded = np.round(mirrored / scale, 14)
     if np.all(rounded == rounded[0]):
         return _perturbed(mirrored[0], scale)
-    if symmetric or np.all(np.abs(mirrored.imag) <= 1e-12 * scale):
+    if np.all(np.abs(mirrored.imag) <= 1e-12 * scale):
         lo, hi = mirrored.real.min(), mirrored.real.max()
         grid = np.geomspace if lo > 0 else np.linspace
         cand = np.maximum(grid(lo, hi, _NPTS), 0.0)
@@ -428,28 +427,29 @@ def _select_shift(ritz, shifts, m, symmetric=False):
 # projected quantities
 
 
-def _expm_action(ws, t):
-    """Coefficients ``c = e^{H t} b_proj`` of the Galerkin approximation ``Q c`` of e^{A t} B."""
-    return linalg.expm(ws.h * t) @ ws.b_proj
+def _rhs(mode, window, h, b):
+    """``(F, J, ends)`` with ``W = F J F^T`` of a mode's equation H P + P H^T + W = 0.
 
-
-def _rhs(mode, b, b_s, b_e):
-    """``(F, J)`` with ``W = F J F^T`` of a mode's equation H P + P H^T + W = 0.
-
-    From the input block ``b`` and e^{H t} b at the window ends (``b_s``,
-    ``b_e``; unused by bt): bt takes (b, I), tlbt ([b_s, b_e], diag(I, -I))
-    for b_s b_s^T - b_e b_e^T (Gawronski & Juang 1990), and mtlbt that W's
-    absolute-eigenvalue surrogate (U |lambda|^{1/2}, I), dropping the
-    eigenvalues at most 1e-12 of the largest in modulus. F has at most 2m columns.
+    ``ends`` lists ``e^{H t} b`` at the window ends t > 0 (``linalg.expm``,
+    which raises OverflowRangeError out of range); b_s is b itself when
+    t_s = 0, and bt ignores ``window``. bt takes (b, I), tlbt ([b_s, b_e],
+    diag(I, -I)) for b_s b_s^T - b_e b_e^T (Gawronski & Juang 1990), and
+    mtlbt that W's absolute-eigenvalue surrogate (U |lambda|^{1/2}, I),
+    dropping the eigenvalues at most 1e-12 of the largest in modulus. F
+    has at most 2m columns. The dense route passes (M^{-1} A, M^{-1} B);
+    the Krylov check passes (H, b_proj), and Q times each of its ends is
+    the Galerkin approximation of e^{M^{-1} A t} M^{-1} B.
     """
     if mode == "bt":
-        return b, np.eye(b.shape[1])
-    f, j = np.hstack([b_s, b_e]), np.diag(np.repeat([1.0, -1.0], b.shape[1]))
+        return b, np.eye(b.shape[1]), []
+    ends = [linalg.expm(h * t) @ b for t in (window.t_s, window.t_e) if t > 0]
+    f = np.hstack(ends if window.t_s > 0 else [b, *ends])
+    j = np.diag(np.repeat([1.0, -1.0], b.shape[1]))
     if mode == "tlbt":
-        return f, j
+        return f, j, ends
     u, lam = _sym_lowrank(f, j)
     f = _scaled_columns(np.abs(lam), u)
-    return f, np.eye(f.shape[1])
+    return f, np.eye(f.shape[1]), ends
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +496,11 @@ def _solve_lowrank(sys, window, cfg, mode, side):
     form = _reach_form(sys, side)
     poles = form._poles
     n, m = form.order, form.m
-    b = np.atleast_2d(form.mass_solve(form.B).astype(float))
+    b = form.mass_solve(form.B)
     ws = _Basis(form, b)
     max_dim = min(n, cfg.max_dim or 600)
-    times = [("e", window.t_e)] + [("s", window.t_s)] * (window.t_s > 0) if window else []
     bnorm = np.linalg.norm(b)
-    trace, prev = [], {}
+    trace, prev = [], []
     since_check = stagnant = 0
     force_check = False
     mu = np.inf
@@ -509,24 +508,24 @@ def _solve_lowrank(sys, window, cfg, mode, side):
     def run_check(exact):
         """(converged, y, f_change, mu, Ritz values of the solve or None).
 
-        ``exact`` (d = n) skips the tol_f gate. Q is orthonormal and nested, so
-        the lifted approximations change as their zero-padded coefficients do.
+        ``exact`` (d = n) skips the tol_f gate on the window ends of :func:`_rhs`.
+        Q is orthonormal and nested, so the lifted approximations change as
+        their zero-padded coefficients do.
         """
-        f_changes, coeffs = [0.0], {}
-        for key, t in times:
-            try:
-                c = coeffs[key] = _expm_action(ws, t)
-            except OverflowRangeError:
-                return False, None, np.inf, np.inf, None
+        try:
+            f, j, ends = _rhs(mode, window, ws.h, ws.b_proj)
+        except OverflowRangeError:
+            return False, None, np.inf, np.inf, None
+        f_changes = [0.0]
+        for i, c in enumerate(ends):
             cur = np.linalg.norm(c)
-            diff = np.linalg.norm(c - _widen(prev[key], *c.shape)) if key in prev else np.inf
-            prev[key] = c
+            diff = np.linalg.norm(c - _widen(prev[i], *c.shape)) if prev else np.inf
             small = cur <= 1e-14 * bnorm and (diff <= 1e-14 * bnorm or not np.isfinite(diff))
             f_changes.append(0.0 if small else diff / max(cur, 1e-300))
+        prev[:] = ends
         fch = max(f_changes)
         if not exact and fch >= cfg.tol_f:
             return False, None, fch, np.inf, None
-        f, j = _rhs(mode, ws.b_proj, coeffs.get("s", ws.b_proj), coeffs.get("e"))
         try:
             y, ritz = linalg.lyap_dense(ws.h, f @ j @ f.T, eigenvalues=True)
         except SpectrumConflictError:
@@ -554,9 +553,7 @@ def _solve_lowrank(sys, window, cfg, mode, side):
         else:
             if ritz is None:
                 ritz = linalg._real_schur(ws.h)[2] if checked else linalg.gen_eig(ws.h)
-            h = ws.h
-            sym = np.linalg.norm(h - h.T, "fro") <= 1e-12 * max(np.linalg.norm(h, "fro"), 1e-300)
-            s = _select_shift(ritz, ws.shifts, m, sym)
+            s = _select_shift(ritz, ws.shifts, m)
         # grow the basis by (M^{-1} A - s I)^{-1} v = (A - s M)^{-1} M v, so the
         # basis, and with it the Gramian factor, lives in the original coordinates
         mv = form.mass_apply(ws.q[:, -m:])
@@ -565,7 +562,6 @@ def _solve_lowrank(sys, window, cfg, mode, side):
         except SingularShiftError:
             s = _perturbed(complex(s), max(abs(complex(s)), 1.0))
             g = shifted_solve(form, s, mv)  # second failure propagates
-        g = np.asarray(g)
         if np.iscomplexobj(g) and abs(np.imag(complex(s))) > 0:
             new = [complex(s), np.conj(complex(s))]
             g = np.hstack([g.real, g.imag])

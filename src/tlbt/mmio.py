@@ -41,17 +41,14 @@ def _fields(cls):
 
 
 def write_matrix(path, a):
-    """Write a dense or sparse matrix in Matrix Market format (17 digits)."""
-    a = np.atleast_2d(a) if not sp.issparse(a) else a
+    """Write a dense 2-D or sparse matrix in Matrix Market format (17 digits)."""
     sio.mmwrite(str(path), a, precision=_PRECISION)
 
 
-def read_matrix(path, dense=False):
-    """Read a Matrix Market file; coordinate data comes back as CSC unless ``dense``."""
+def read_matrix(path):
+    """Read a Matrix Market file: array data as an ndarray, coordinate data as CSC."""
     a = sio.mmread(str(path))
-    if sp.issparse(a):
-        return a.toarray() if dense else a.tocsc()
-    return np.asarray(a)
+    return a.tocsc() if sp.issparse(a) else a
 
 
 def _write_json(path, payload):

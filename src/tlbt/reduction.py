@@ -94,8 +94,6 @@ def square_root_reduce(sys, z_p, z_q, r, svd=None):
     RankDeficientError when the r-th singular value is below 1e-14 of
     the largest.
     """
-    z_p = np.atleast_2d(z_p)
-    z_q = np.atleast_2d(z_q)
     u, sig, v = svd if svd is not None else linalg.svd(z_q.T @ sys.mass_apply(z_p))
     if r < 1 or r > sig.size:
         raise RankDeficientError(f"order {r} out of range for factor rank {sig.size}")
@@ -133,7 +131,6 @@ def balance(sys, mode, window=None, cfg=None, method="krylov"):
     on it (see :mod:`tlbt.systems`), so balancing several modes of one
     system builds each of those once.
     """
-    mode = mode.lower()
     t0 = time.perf_counter()
     gp, gq = (mode_gramian(sys, mode, window, cfg, side, method) for side in SIDES)
     info = {}

@@ -35,11 +35,10 @@ __all__ = [
 
 @dataclass
 class Trajectory:
-    """Sampled output y(t_k) on a uniform grid (optionally with states)."""
+    """Sampled output y(t_k) on a uniform grid."""
 
     times: np.ndarray
     outputs: np.ndarray
-    states: np.ndarray = None
 
     @property
     def dt(self):
@@ -80,7 +79,7 @@ def custom_input(fn):
     return InputSignal(kind="custom", fn=fn)
 
 
-def implicit_midpoint(sys, u, x0, dt, t_f, store_states=False):
+def implicit_midpoint(sys, u, x0, dt, t_f):
     """Integrate M x' = A x + B u from x(0) = x0 with the midpoint rule.
 
     One step solves (M - dt/2 A) w = M x_k + dt/2 B u(t_k + dt/2) for the
@@ -92,16 +91,16 @@ def implicit_midpoint(sys, u, x0, dt, t_f, store_states=False):
     from x0 = None it is :func:`impulse_response`.
     """
     if u is not None and u.kind == "impulse" and x0 is None:
-        return impulse_response(sys, u.vector, dt, t_f, store_states)
-    return _integrate(sys, u, x0, dt, t_f, store_states)
+        return impulse_response(sys, u.vector, dt, t_f)
+    return _integrate(sys, u, x0, dt, t_f)
 
 
-def impulse_response(sys, v=None, dt=1e-3, t_f=1.0, store_states=False):
+def impulse_response(sys, v=None, dt=1e-3, t_f=1.0):
     """Response to u(t) = delta(t) v (default v = ones): y(t) = C e^{At} B v."""
-    return _integrate(sys, impulse_input(v), None, dt, t_f, store_states)
+    return _integrate(sys, impulse_input(v), None, dt, t_f)
 
 
-def _integrate(sys, u, x0, dt, t_f, store_states):
+def _integrate(sys, u, x0, dt, t_f):
     """Midpoint loop on ``sys`` (a reduced model as its system)."""
     if dt <= 0 or t_f <= 0:
         raise ValueError("dt and t_f must be positive")
@@ -118,11 +117,8 @@ def _integrate(sys, u, x0, dt, t_f, store_states):
     times = dt * np.arange(nsteps + 1)
     forced = u is not None and u.kind != "impulse"
     outputs = np.empty((nsteps + 1, c.shape[0]))
-    states = np.empty((nsteps + 1, n)) if store_states else None
     for k in range(nsteps + 1):
         outputs[k] = c @ x + d @ u.sample(times[k], m) if forced else c @ x
-        if store_states:
-            states[k] = x
         if k < nsteps:
             rhs = form.mass_apply(x)
             if forced:
@@ -130,7 +126,7 @@ def _integrate(sys, u, x0, dt, t_f, store_states):
             x = step(rhs) - x
     if not (np.all(np.isfinite(outputs)) and np.all(np.isfinite(x))):
         raise SingularStepError("integration produced non-finite values")
-    return Trajectory(times=times, outputs=outputs, states=states)
+    return Trajectory(times=times, outputs=outputs)
 
 
 def relative_error_series(y, y_red, window=None):

@@ -416,24 +416,20 @@ def _schur_solve(sys, s, rhs):
 def shifted_solve(sys, s, w):
     """Solve the shifted system for the rational Krylov engine.
 
-    ``(A - s M) V = W`` on the system's pencil, in O(n^2) through the
-    cached Schur form when a standard system's A is dense, else by LU on
-    every call (a shift with zero imaginary part taken as real). For a
-    descriptor the leading ``n_f`` rows of ``(A - s M)[V; Psi] = [W; 0]``,
-    the eliminated solve ``(A_hat - s M1)^{-1} W``. A real ``s`` with a real
-    ``W`` gives a real ``V``; a shift on an eigenvalue raises
-    :class:`SingularShiftError`.
+    ``(A - s M) V = W`` on the system's pencil for an ``order x k`` array
+    W, in O(n^2) through the cached Schur form when a standard system's A
+    is dense, else by LU on every call (a shift with zero imaginary part
+    taken as real). For a descriptor the leading ``n_f`` rows of
+    ``(A - s M)[V; Psi] = [W; 0]``, the eliminated solve
+    ``(A_hat - s M1)^{-1} W``. A real ``s`` with a real ``W`` gives a real
+    ``V``; a shift on an eigenvalue raises :class:`SingularShiftError`.
     """
-    w = np.asarray(w)
-    rhs = w if w.ndim == 2 else w[:, None]
     if _dense_standard(sys):
-        out = _schur_solve(sys, s, rhs)
-    else:
-        if np.imag(s) == 0:
-            s = np.real(s)
-        m, a = sys.pencil()
-        out = sys._rows(_factor(a - s * m))(rhs)
-    return out if w.ndim == 2 else out[:, 0]
+        return _schur_solve(sys, s, w)
+    if np.imag(s) == 0:
+        s = np.real(s)
+    m, a = sys.pencil()
+    return sys._rows(_factor(a - s * m))(w)
 
 
 def spectral_abscissa(sys):

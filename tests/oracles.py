@@ -247,7 +247,7 @@ def hull_boundary_linspace(points, npts):
     return np.concatenate(out)
 
 
-def select_shift_broadcast(ritz, shifts, m, symmetric=False, npts=2000):
+def select_shift_broadcast(ritz, shifts, m, npts=2000):
     """The Druskin-Simoncini shift over the same candidates as the solver.
 
     For Ritz values that are not all equal; returns None when every
@@ -256,7 +256,7 @@ def select_shift_broadcast(ritz, shifts, m, symmetric=False, npts=2000):
     ritz = np.asarray(ritz, dtype=complex)
     scale = float(np.max(np.abs(ritz))) or 1.0
     mirrored = -np.conj(ritz)
-    if symmetric or np.all(np.abs(mirrored.imag) <= 1e-12 * scale):
+    if np.all(np.abs(mirrored.imag) <= 1e-12 * scale):
         lo, hi = mirrored.real.min(), mirrored.real.max()
         cand = np.maximum((np.geomspace if lo > 0 else np.linspace)(lo, hi, npts), 0.0)
     else:

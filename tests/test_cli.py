@@ -59,7 +59,7 @@ def test_gramian_scalar_infinite_summary(tmp_path):
     summary = json.loads((out / "scalar1_gramian_bt.json").read_text())
     assert summary["reachability"]["rank"] == 1
     assert summary["reachability"]["mu"] <= 1e-8
-    z = mmio.read_matrix(out / "scalar1_ZP_bt.mtx", dense=True)
+    z = mmio.read_matrix(out / "scalar1_ZP_bt.mtx")
     assert abs(abs(z[0, 0]) - np.sqrt(0.5)) < 1e-6
 
 
@@ -71,7 +71,7 @@ def test_gramian_scalar_timelimited_factor_value(tmp_path):
          "--side", "reach", "--trace", "--out", str(out)]
     )
     assert rc == 0
-    z = mmio.read_matrix(out / "scalar1_ZP_tlbt.mtx", dense=True)
+    z = mmio.read_matrix(out / "scalar1_ZP_tlbt.mtx")
     assert abs(abs(z[0, 0]) - np.sqrt(P_TL_01)) < 1e-6
     trace = (out / "scalar1_trace_ZP_tlbt.csv").read_text().splitlines()
     assert trace[0] == "k,shift,dim,f_change,mu"
@@ -160,7 +160,8 @@ def test_gramian_refuses_dense_method(tmp_path, capsys):
 
 def test_gramian_trace_csv_round_trips_shifts(tmp_path, monkeypatch):
     # the --trace CSV writes each check's latest pole (inf, real, or complex
-    # as a+bj / a-bj) at 17 digits, so it parses back to the solver's value
+    # as a+bj / a-bj) at 17 digits, so it parses back to the solver's value:
+    # complex on weakly_damped, real on heat_like (a real spectrum)
     real, solves = cli.mode_gramian, {}
 
     def spy(sys, mode, window, cfg, side):
@@ -168,20 +169,22 @@ def test_gramian_trace_csv_round_trips_shifts(tmp_path, monkeypatch):
         return solves[side]
 
     monkeypatch.setattr(cli, "mode_gramian", spy)
-    out = tmp_path / "out"
-    assert main(["gramian", "--synth", "weakly_damped", "--n", "40", "--m", "2", "--p", "2",
-                 "--mode", "tlbt", "--te", "4", "--trace", "--out", str(out)]) == 0
-    for side, tag in (("reachability", "ZP"), ("observability", "ZQ")):
-        lines = (out / f"weakly_damped_n40_s0_trace_{tag}_tlbt.csv").read_text().splitlines()
-        assert lines[0] == "k,shift,dim,f_change,mu"
-        rows = [line.split(",") for line in lines[1:]]
-        shifts = [complex(row[1]) for row in rows]
-        assert shifts == [complex(entry["shift"]) for entry in solves[side].trace]
-        assert any(sh.imag != 0 for sh in shifts)
-        k, dims = [int(row[0]) for row in rows], [int(row[2]) for row in rows]
-        assert all(a < b for a, b in zip(k, k[1:]))
-        assert all(a <= b for a, b in zip(dims, dims[1:]))
-        assert float(rows[-1][4]) < 1e-8  # the default tol_p
+    for kind, te, is_complex in (("weakly_damped", "4", True), ("heat_like", "0.05", False)):
+        out = tmp_path / kind
+        assert main(["gramian", "--synth", kind, "--n", "40", "--m", "2", "--p", "2",
+                     "--mode", "tlbt", "--te", te, "--trace", "--out", str(out)]) == 0
+        for side, tag in (("reachability", "ZP"), ("observability", "ZQ")):
+            lines = (out / f"{kind}_n40_s0_trace_{tag}_tlbt.csv").read_text().splitlines()
+            assert lines[0] == "k,shift,dim,f_change,mu"
+            rows = [line.split(",") for line in lines[1:]]
+            shifts = [complex(row[1]) for row in rows]
+            assert shifts == [complex(entry["shift"]) for entry in solves[side].trace]
+            finite = [row[1] for row in rows if row[1] != "inf"]
+            assert finite and any("j" in sh for sh in finite) == is_complex
+            k, dims = [int(row[0]) for row in rows], [int(row[2]) for row in rows]
+            assert all(a < b for a, b in zip(k, k[1:]))
+            assert all(a <= b for a, b in zip(dims, dims[1:]))
+            assert float(rows[-1][4]) < 1e-8  # the default tol_p
 
 
 def test_reduce_mtlbt_stable_on_suite(tmp_path):
@@ -239,10 +242,12 @@ COMPARE = ["compare", *SYNTH, "--mode", "bt", "--te", "1.0"]
         (["reduce", *SYNTH, "--mode", "tlbt", "--order", "2"], "'tlbt' needs a time window"),
         (["reduce", "--synth", "heat_like", "--n", "1200", "--mode", "bt", "--order", "2",
           "--method", "dense"], "dense Gramian path refused for n=1200"),
+        (["compare", *SYNTH, "--mode", "bt", "--order", "2"], "compare requires --te"),
     ],
     ids=["simulate-missing-system", "simulate-no-input-file", "simulate-negative-dt",
          "synth-n1", "compare-dt0", "reduce-order0", "reduce-negative-order", "compare-order0",
-         "gramian-no-window", "hsv-no-window", "reduce-no-window", "reduce-dense-too-large"],
+         "gramian-no-window", "hsv-no-window", "reduce-no-window", "reduce-dense-too-large",
+         "compare-no-te"],
 )
 def test_config_errors_exit_2_before_out(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -395,6 +400,30 @@ def test_input_file_signal(tmp_path):
     # forced response of x' = -x + u with u = sin interpolant stays small
     final = float(lines[-1].split(",")[1])
     assert 0.0 < final < 1.0
+
+
+@pytest.mark.parametrize("command", [["simulate"], COMPARE + ["--order", "2"]],
+                         ids=["simulate", "compare"])
+def test_input_file_with_too_few_columns_exit_2(tmp_path, capsys, monkeypatch, command):
+    # one input column for a two-input system: a config error before --out
+    monkeypatch.chdir(tmp_path)
+    np.savetxt("u.csv", np.column_stack([np.linspace(0, 1, 11), np.ones(11)]), delimiter=",",
+               header="t,u1")
+    argv = [*command, *SYNTH, "--m", "2", "--input", "file", "--input-file", "u.csv"]
+    assert main([*argv, "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "1 input columns, fewer than m=2" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_step_input(tmp_path):
+    # x' = -x + 2: the step response of the scalar system settles at its DC gain times 2
+    out = tmp_path / "out"
+    assert main(["simulate", "--system", str(scalar_sidecar(tmp_path)), "--dt", "0.01",
+                 "--tf", "20", "--input", "step", "--step-scale", "2", "--out", str(out)]) == 0
+    assert json.loads((out / "scalar1_response.json").read_text())["input"] == "step"
+    final = float((out / "scalar1_response.csv").read_text().splitlines()[-1].split(",")[1])
+    assert abs(final - 2.0) < 2e-3
 
 
 def test_compare_rerun_byte_identical(tmp_path):

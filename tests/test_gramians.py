@@ -26,7 +26,9 @@ from tlbt import linalg
 from tlbt.errors import (
     MaxDimExceededError,
     NoConvergenceError,
+    OverflowRangeError,
     SingularShiftError,
+    SpectrumConflictError,
     UnstableSystemError,
 )
 from tlbt.reduction import balance, reduce
@@ -36,7 +38,6 @@ from tlbt.gramians import (
     _hull_boundary,
     _perturbed,
     _reach_form,
-    _expm_action,
     _rhs,
     _select_shift,
     mode_gramian,
@@ -231,7 +232,7 @@ def test_select_shift_avoids_poles_and_mirrors():
         assert abs(s - z) > 1e-12 * max(abs(s), abs(z))
 
 
-def _select_shift_loop(ritz, shifts, m, symmetric=False, npts=2000):
+def _select_shift_loop(ritz, shifts, m, npts=2000):
     """The shift rule with one pass per shift and per Ritz value (the reference).
 
     Same candidates as :func:`_select_shift` (the upper half of the hull
@@ -240,7 +241,7 @@ def _select_shift_loop(ritz, shifts, m, symmetric=False, npts=2000):
     ritz = np.asarray(ritz, dtype=complex)
     scale = float(np.max(np.abs(ritz)))
     mirrored = -np.conj(ritz)
-    if symmetric or np.all(np.abs(mirrored.imag) <= 1e-12 * scale):
+    if np.all(np.abs(mirrored.imag) <= 1e-12 * scale):
         lo, hi = mirrored.real.min(), mirrored.real.max()
         cand = (np.geomspace if lo > 0 else np.linspace)(lo, hi, npts).astype(complex)
     else:
@@ -260,10 +261,10 @@ def _select_shift_loop(ritz, shifts, m, symmetric=False, npts=2000):
     return cand, obj
 
 
-def _assert_broadcast_pick(ritz, shifts, m, symmetric=False):
+def _assert_broadcast_pick(ritz, shifts, m):
     """The solver's pick, asserted identical to the complex-broadcast reference's."""
-    got = _select_shift(ritz, shifts, m, symmetric)
-    ref = select_shift_broadcast(ritz, shifts, m, symmetric)
+    got = _select_shift(ritz, shifts, m)
+    ref = select_shift_broadcast(ritz, shifts, m)
     assert type(got) is type(ref) and got == ref
     return got
 
@@ -279,7 +280,6 @@ def test_select_shift_matches_loop_reference(seed):
     if seed % 2:
         ritz = -np.geomspace(1.0, 10.0 ** rng.uniform(1, 5), d)
         shifts = [np.inf, *rng.choice(-ritz, size=d // 3, replace=False) * 1.37]
-        symmetric = True
     else:
         im = rng.uniform(0.1, 30.0, d // 2)
         re = -rng.uniform(0.01, 0.1) * im - 0.01
@@ -287,9 +287,8 @@ def test_select_shift_matches_loop_reference(seed):
         shifts = [np.inf]
         for v in rng.uniform(0.1, 30.0, d // 4):
             shifts += [complex(0.05 * v, v), complex(0.05 * v, -v)]
-        symmetric = False
-    cand, obj = _select_shift_loop(ritz, shifts, 2, symmetric)
-    got = complex(_assert_broadcast_pick(ritz, shifts, 2, symmetric))
+    cand, obj = _select_shift_loop(ritz, shifts, 2)
+    got = complex(_assert_broadcast_pick(ritz, shifts, 2))
     best = cand[np.argmax(obj)]
     at_got = obj[np.argmin(np.abs(cand - got))]
     assert np.min(np.abs(cand - got)) <= 1e-12 * abs(got)
@@ -305,30 +304,30 @@ _MIXED_RITZ = np.concatenate(
 
 
 @pytest.mark.parametrize(
-    "ritz, shifts, symmetric",
+    "ritz, shifts",
     [
         # real poles only (grid candidates); real shifts against hull candidates;
         # a complex shift pair against grid candidates
-        (-np.geomspace(1.0, 1e4, 30), [np.inf, 2.0, 40.0, 900.0], False),
-        (_MIXED_RITZ[:14], [np.inf, 0.3, 2.0], False),
-        (-np.geomspace(1.0, 1e4, 30), [np.inf, complex(50.0, 3.0), complex(50.0, -3.0)], True),
+        (-np.geomspace(1.0, 1e4, 30), [np.inf, 2.0, 40.0, 900.0]),
+        (_MIXED_RITZ[:14], [np.inf, 0.3, 2.0]),
+        (-np.geomspace(1.0, 1e4, 30), [np.inf, complex(50.0, 3.0), complex(50.0, -3.0)]),
         # complex pairs and real points among both the Ritz values and the shifts
-        (_MIXED_RITZ, [np.inf, 0.4, complex(0.2, 2.5), complex(0.2, -2.5), 1.5], False),
+        (_MIXED_RITZ, [np.inf, 0.4, complex(0.2, 2.5), complex(0.2, -2.5), 1.5]),
         # a candidate on a previous shift: an objective entry of -inf
-        (np.array([-1.0, -3.0]), [np.inf, _ON_GRID], False),
+        (np.array([-1.0, -3.0]), [np.inf, _ON_GRID]),
         # a candidate on the mirrored Ritz value 0: the argmax is +inf and excluded
-        (np.array([0.0, -1.0, -3.0]), [np.inf], False),
+        (np.array([0.0, -1.0, -3.0]), [np.inf]),
         # ... and on a previous shift too: a NaN entry
-        (np.array([0.0, -1.0, -3.0]), [np.inf, 0.0, 2.0], False),
+        (np.array([0.0, -1.0, -3.0]), [np.inf, 0.0, 2.0]),
         # a finite argmax that is excluded: the mirrored Ritz value 1
-        (np.array([-1.0, -3.0]), [np.inf], False),
+        (np.array([-1.0, -3.0]), [np.inf]),
     ],
     ids=["real-grid", "real-shifts-hull", "complex-shift-grid", "mixed", "on-shift",
          "on-mirrored", "nan", "argmax-excluded"],
 )
-def test_select_shift_equals_broadcast_reference(ritz, shifts, symmetric):
+def test_select_shift_equals_broadcast_reference(ritz, shifts):
     for m in (1, 2):
-        _assert_broadcast_pick(ritz, shifts, m, symmetric)
+        _assert_broadcast_pick(ritz, shifts, m)
 
 
 def _hull_case(case):
@@ -576,10 +575,18 @@ def _workspace_for(sys, t_e=1.0):
     return g, g.workspace
 
 
+def _ends(ws, window):
+    """The window ends ``e^{H t} b_proj`` (t > 0) that :func:`_rhs` forms on a workspace."""
+    return _rhs("tlbt", window, ws.h, ws.b_proj)[2]
+
+
 def test_expm_action_t0_returns_b():
+    # t_s = 0: the window start is b_proj itself, no exponential, and Q b_proj = B
     s = make_synthetic("random_stable", 15, 2, 1, seed=1)
     _, ws = _workspace_for(s)
-    lifted = ws.q @ _expm_action(ws, 0.0)
+    f, _, ends = _rhs("tlbt", TimeWindow(t_e=1.0), ws.h, ws.b_proj)
+    assert len(ends) == 1 and np.array_equal(f[:, :2], ws.b_proj)
+    lifted = ws.q @ f[:, :2]
     assert np.linalg.norm(lifted - s.B) <= 1e-12 * np.linalg.norm(s.B)
 
 
@@ -587,16 +594,19 @@ def test_expm_action_full_subspace_exact(rng):
     a = random_stable_matrix(8, rng)
     b = rng.standard_normal((8, 1))
     q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
-    ws = SimpleNamespace(q=q, h=q.T @ a @ q, b_proj=q.T @ b, shifts=[np.inf])
-    lifted = q @ _expm_action(ws, 0.7)
-    dense = linalg.expm(a * 0.7) @ b
-    assert np.linalg.norm(lifted - dense) <= 1e-10 * np.linalg.norm(dense)
+    ws = SimpleNamespace(h=q.T @ a @ q, b_proj=q.T @ b)
+    w = TimeWindow(t_e=0.7, t_s=0.2)
+    for t, end in zip((w.t_s, w.t_e), _ends(ws, w)):
+        lifted = q @ end
+        dense = linalg.expm(a * t) @ b
+        assert np.linalg.norm(lifted - dense) <= 1e-10 * np.linalg.norm(dense)
 
 
 def test_expm_action_scalar_analytic():
     s = StandardSystem(np.array([[-2.0]]), np.array([[1.0]]), np.array([[1.0]]))
     g = solve_infinite_lowrank(s)
-    lifted = g.workspace.q @ _expm_action(g.workspace, 0.5)
+    (end,) = _ends(g.workspace, TimeWindow(t_e=0.5))
+    lifted = g.workspace.q @ end
     assert abs(lifted[0, 0] - 0.36787944117144233) < 1e-12
 
 
@@ -606,18 +616,23 @@ def _abs_sym(w):
     return (v * np.abs(lam)) @ v.T
 
 
-def _modified_factor(b_s, b_e):
-    """The mtlbt factor F of :func:`_rhs`, whose J must be the identity."""
-    f, j = _rhs("mtlbt", b_s, b_s, b_e)
+def _modified_factor(window, h, b):
+    """The mtlbt factor F of :func:`_rhs` and its ends; J must be the identity."""
+    f, j, ends = _rhs("mtlbt", window, h, b)
     assert np.array_equal(j, np.eye(f.shape[1]))
-    return f
+    return f, ends
 
 
 def test_abs_eig_factor_absolute_values():
+    # e^{H} turns b_s = sqrt(2) q_0 into b_e = sqrt(3) q_1: a quarter turn
+    # in the (q_0, q_1) plane, scaled by sqrt(3/2)
     rng = np.random.default_rng(3)
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-    b_s, b_e = np.sqrt(2.0) * q[:, [0]], np.sqrt(3.0) * q[:, [1]]
-    f = _modified_factor(b_s, b_e)
+    k = np.zeros((5, 5))
+    k[:2, :2] = [[np.log(1.5) / 2.0, -np.pi / 2.0], [np.pi / 2.0, np.log(1.5) / 2.0]]
+    b_s = np.sqrt(2.0) * q[:, [0]]
+    f, (b_e,) = _modified_factor(TimeWindow(t_e=1.0), q @ k @ q.T, b_s)
+    assert np.allclose(b_e, np.sqrt(3.0) * q[:, [1]], atol=1e-14)
     vals = np.sort(np.linalg.eigvalsh(f @ f.T))[::-1]
     assert np.allclose(vals[:2], [3.0, 2.0], atol=1e-12)
     assert f.shape[1] == 2
@@ -628,8 +643,7 @@ def test_modified_rhs_long_horizon_recovers_infinite():
     s = make_synthetic("random_stable", 20, 2, 1, seed=6)
     g = solve_timelimited_lowrank(s, TimeWindow(t_e=60.0))
     ws = g.workspace
-    b_e = _expm_action(ws, 60.0)
-    f = _modified_factor(ws.b_proj, b_e)
+    f, (b_e,) = _modified_factor(TimeWindow(t_e=60.0), ws.h, ws.b_proj)
     bb = ws.b_proj @ ws.b_proj.T
     assert np.linalg.norm(f @ f.T - bb, 2) <= 1e-10 * np.linalg.norm(bb, 2)
     ref = _abs_sym(bb - b_e @ b_e.T)
@@ -638,12 +652,15 @@ def test_modified_rhs_long_horizon_recovers_infinite():
 
 def test_modified_rhs_rank_bound_100_workspaces():
     rng = np.random.default_rng(9)
+    w = TimeWindow(t_e=1.0, t_s=0.3)
     for _ in range(100):
         d = int(rng.integers(3, 25))
         m = int(rng.integers(1, 4))
-        bs = rng.standard_normal((d, m))
-        be = rng.standard_normal((d, m))
-        f = _modified_factor(bs, be)
+        h = rng.standard_normal((d, d)) / np.sqrt(d) - np.eye(d)
+        b = rng.standard_normal((d, m))
+        f, (bs, be) = _modified_factor(w, h, b)
+        assert np.array_equal(bs, linalg.expm(h * w.t_s) @ b)
+        assert np.array_equal(be, linalg.expm(h * w.t_e) @ b)
         assert f.shape[1] <= 2 * m
         ref = _abs_sym(bs @ bs.T - be @ be.T)
         assert np.linalg.norm(f @ f.T - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
@@ -668,7 +685,7 @@ def test_residual_norm_zero_solution_is_one(rng):
     g = solve_timelimited_lowrank(s, TimeWindow(t_e=1.0))
     ws = g.workspace
     b_proj = ws.b_proj
-    b_e = _expm_action(ws, 1.0)
+    b_e = linalg.expm(ws.h * 1.0) @ b_proj
     mu = residual_norm(s, ws, np.zeros((ws.dim, ws.dim)), [(b_proj, +1), (b_e, -1)])
     assert abs(mu - 1.0) <= 1e-12
 
@@ -679,7 +696,7 @@ def test_residual_norm_matches_dense(rng):
     g = solve_timelimited_lowrank(s, w)
     ws = g.workspace
     b_proj = ws.b_proj
-    b_e = _expm_action(ws, w.t_e)
+    b_e = linalg.expm(ws.h * w.t_e) @ b_proj
     y = linalg.lyap_dense(ws.h, b_proj @ b_proj.T - b_e @ b_e.T)
     mu = residual_norm(s, ws, y, [(b_proj, +1), (b_e, -1)])
     x = ws.q @ y @ ws.q.T
@@ -760,7 +777,7 @@ def test_lowrank_reported_mu_verified_dense(rng):
     w = TimeWindow(t_e=2.0)
     g = solve_timelimited_lowrank(s, w)
     ws = g.workspace
-    ge = ws.q @ _expm_action(ws, w.t_e)
+    ge = ws.q @ (linalg.expm(ws.h * w.t_e) @ ws.b_proj)
     x = g.z @ g.z.T
     num = np.linalg.norm(s.A @ x + x @ s.A.T + s.B @ s.B.T - ge @ ge.T, 2)
     den = np.linalg.norm(s.B @ s.B.T - ge @ ge.T, 2)
@@ -953,6 +970,44 @@ def test_singular_shift_retried_at_perturbed_pole(monkeypatch):
     assert g.stop == "converged" and g.residual <= 1e-8
 
 
+def _fail_once(monkeypatch, name, exc, at):
+    """Make ``linalg.<name>`` raise ``exc`` on its ``at``-th call (counted from 1) only."""
+    real, calls = getattr(linalg, name), []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == at:
+            raise exc
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, name, spy)
+    return calls
+
+
+def test_check_with_overflowing_window_end_is_unconverged(monkeypatch):
+    # the second check's window end overflows: that check records f_change
+    # and mu as inf, and the next check, compared with the first, goes on
+    s = make_synthetic("random_stable", 60, 2, 2, seed=1)
+    calls = _fail_once(monkeypatch, "expm", OverflowRangeError("expm out of range"), at=2)
+    g = solve_timelimited_lowrank(s, TimeWindow(t_e=2.0))
+    assert len(calls) == len(g.trace) >= 3
+    assert g.trace[1]["f_change"] == g.trace[1]["mu"] == np.inf
+    assert np.isfinite(g.trace[2]["f_change"])
+    assert g.stop == "converged" and g.residual <= 1e-8
+
+
+def test_check_with_spectrum_conflict_is_unconverged(monkeypatch):
+    # the first check's projected equation is singular: that check records
+    # mu = inf (its bt gate has nothing to compare, f_change 0), and the
+    # solve converges at a later check
+    s = make_synthetic("random_stable", 60, 2, 2, seed=1)
+    _fail_once(monkeypatch, "lyap_dense", SpectrumConflictError("Lambda(H) meets Lambda(-H)"),
+               at=1)
+    g = solve_infinite_lowrank(s)
+    assert g.trace[0]["f_change"] == 0.0 and g.trace[0]["mu"] == np.inf
+    assert len(g.trace) >= 2 and g.stop == "converged" and g.residual <= 1e-8
+
+
 def test_stagnant_basis_raises_no_convergence(monkeypatch):
     # shifted solves that return a block already in the basis end the solve
     # after three attempts, naming the dimension it stagnated at
@@ -1022,8 +1077,8 @@ def _stop_check_oracle(sys, g, mode, window, side):
     if mode == "bt":
         rhs = [(ws.b_proj, +1)]
     else:
-        b_s = _expm_action(ws, window.t_s) if window.t_s > 0 else ws.b_proj
-        rhs = [(b_s, +1), (_expm_action(ws, window.t_e), -1)]
+        b_s, b_e = (linalg.expm(ws.h * t) @ ws.b_proj for t in (window.t_s, window.t_e))
+        rhs = [(b_s, +1), (b_e, -1)]
     w = sum(sign * (f @ f.T) for f, sign in rhs)
     if mode == "mtlbt":  # the surrogate, with the solver's 1e-12 eigenvalue cutoff
         lam, v = np.linalg.eigh(w)

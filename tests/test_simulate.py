@@ -23,16 +23,17 @@ from tlbt.simulate import (
     step_input,
 )
 from tlbt.synthetic import make_synthetic
-from tlbt.systems import DescriptorIndex1, StandardSystem
+from tlbt.systems import DescriptorIndex1, GeneralizedSystem, StandardSystem
 
 SCALAR = StandardSystem(np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]]))
 
 
 def test_midpoint_single_step_closed_form():
     # x' = -x, x0 = 1, dt = 0.1: one step gives (1 - dt/2)/(1 + dt/2)
-    traj = implicit_midpoint(SCALAR, None, np.array([1.0]), 0.1, 0.1, store_states=True)
-    assert abs(traj.states[1, 0] - 0.95 / 1.05) < 1e-15
-    assert abs(traj.states[1, 0] - 0.9047619047619048) < 1e-12
+    # (C = 1: the output is the state)
+    traj = implicit_midpoint(SCALAR, None, np.array([1.0]), 0.1, 0.1)
+    assert abs(traj.outputs[1, 0] - 0.95 / 1.05) < 1e-15
+    assert abs(traj.outputs[1, 0] - 0.9047619047619048) < 1e-12
 
 
 def test_midpoint_zero_everything():
@@ -52,11 +53,12 @@ def test_midpoint_second_order_convergence():
 
 
 def test_midpoint_a_stability_large_steps():
-    s = make_synthetic("heat_like", 20, 1, 1, seed=0)
+    heat = make_synthetic("heat_like", 20, 1, 1, seed=0)
+    s = GeneralizedSystem(heat.M, heat.A, heat.B, np.eye(20))  # outputs are the states
     x0 = np.ones(20)
     for dt in (0.1, 1.0, 10.0):
-        traj = implicit_midpoint(s, None, x0, dt, 50 * dt, store_states=True)
-        norms = np.linalg.norm(traj.states, axis=1)
+        traj = implicit_midpoint(s, None, x0, dt, 50 * dt)
+        norms = np.linalg.norm(traj.outputs, axis=1)
         assert np.all(norms <= norms[0] * (1 + 1e-12))
 
 
@@ -99,10 +101,11 @@ def test_impulse_matches_dense_expm(rng):
 
 
 def test_impulse_generalized_initial_condition():
-    g = make_synthetic("heat_like", 15, 1, 1, seed=2)
-    traj = impulse_response(g, dt=1e-4, t_f=0.01, store_states=True)
+    heat = make_synthetic("heat_like", 15, 1, 1, seed=2)
+    g = GeneralizedSystem(heat.M, heat.A, heat.B, np.eye(15))  # outputs are the states
+    traj = impulse_response(g, dt=1e-4, t_f=0.01)
     # M x0 = B * 1
-    assert np.allclose(g.M @ traj.states[0], np.asarray(g.B)[:, 0], atol=1e-12)
+    assert np.allclose(g.M @ traj.outputs[0], g.B[:, 0], atol=1e-12)
 
 
 def test_relative_error_identical():

@@ -8,6 +8,10 @@ from tlbt.systems import GeneralizedSystem, spectral_abscissa
 def test_weakly_damped_abscissa_matches_damping():
     s = make_synthetic("weakly_damped", 40, 1, 1, seed=0, damping=0.05)
     assert abs(spectral_abscissa(s) - (-0.05)) < 1e-12
+    # odd n: the last state is the real mode -damping, at the abscissa
+    s = make_synthetic("weakly_damped", 41, 1, 1, seed=0, damping=0.03)
+    assert s.A[-1, -1] == -0.03
+    assert abs(spectral_abscissa(s) - (-0.03)) < 1e-12
 
 
 def test_weakly_damped_underdamped_pairs():

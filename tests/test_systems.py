@@ -15,7 +15,7 @@ from oracles import (
     similarity_transform,
     transfer_at,
 )
-from tlbt.errors import SingularShiftError
+from tlbt.errors import SingularBlockError, SingularShiftError
 from tlbt.mmio import load_system, save_system
 from tlbt.reduction import reduce
 from tlbt.simulate import impulse_response, implicit_midpoint, step_input
@@ -45,6 +45,20 @@ def scalar_descriptor():
         C1=np.array([[1.0]]),
         C2=np.array([[0.0]]),
     )
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_singular_a4_raises_singular_block(sparse):
+    # A4 = 0: the algebraic block cannot be eliminated
+    a4 = sp.csc_matrix((2, 2)) if sparse else np.zeros((2, 2))
+    d = DescriptorIndex1(
+        M1=np.eye(3), A1=-np.eye(3), A2=np.ones((3, 2)), A3=np.ones((2, 3)), A4=a4,
+        B1=np.ones((3, 1)), B2=np.ones((2, 1)), C1=np.ones((1, 3)), C2=np.ones((1, 2)),
+    )
+    with pytest.raises(SingularBlockError):
+        d.B
+    with pytest.raises(SingularBlockError):
+        reduce(d, "bt", r=1)
 
 
 def test_system_dimension_validation():
@@ -99,7 +113,7 @@ def test_descriptor_transfer_preserved(rng):
 
 def test_shifted_solve_scalar_resolvent():
     s = StandardSystem(-np.eye(3), np.ones((3, 1)), np.ones((1, 3)))
-    b = np.array([1.0, 2.0, 3.0])
+    b = np.array([[1.0], [2.0], [3.0]])
     v = shifted_solve(s, 1.0, b)
     assert np.allclose(v, -b / 2.0)
 
@@ -142,7 +156,7 @@ def test_shifted_solve_singular_shift(a, shift, scale):
     s = StandardSystem(a, np.ones((n, 1)), np.ones((1, n)))
     for sys in (s, s.transposed()):
         with pytest.raises(SingularShiftError):
-            shifted_solve(sys, shift, scale * np.ones(n))
+            shifted_solve(sys, shift, scale * np.ones((n, 1)))
 
 
 def _schur_forms(monkeypatch):
@@ -169,9 +183,9 @@ def test_schur_shifted_solve_matches_dense_solve(monkeypatch, rng, kind, form_fi
     dual = s.transposed()
     systems = (s, dual) if form_first else (dual, s)
     cases = [
-        rng.standard_normal(n),
+        rng.standard_normal(n)[:, None],
         rng.standard_normal((n, 3)),
-        rng.standard_normal(n) + 1j * rng.standard_normal(n),
+        (rng.standard_normal(n) + 1j * rng.standard_normal(n))[:, None],
         rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)),
     ]
     for sys in systems:
@@ -462,7 +476,7 @@ def test_cached_derived_data_refers_back_to_no_system(kind):
     dual = s.transposed()
     assert s.transposed() is dual
     for sys in (s, dual):
-        shifted_solve(sys, 0.5, np.ones(sys.order))
+        shifted_solve(sys, 0.5, np.ones((sys.order, 1)))
         sys.mass_solve(_dense(sys.B))
         sys.dense_state_input()
         spectral_abscissa(sys)
