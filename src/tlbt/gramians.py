@@ -139,7 +139,8 @@ def _dense_gramian(sys, mode, window, side):
             f"dense Gramian path refused for n={sys.order} > threshold {systems._DENSE_MAX}"
         )
     a, b = _reach_form(sys, side).dense_state_input()
-    f, j, _ = _rhs(mode, window, a, b)
+    _, w = _rhs(mode, window, a, b)
+    f, j = w()
     return linalg.lyap_dense(a, f @ j @ f.T)
 
 
@@ -428,7 +429,7 @@ def _select_shift(ritz, shifts, m):
 
 
 def _rhs(mode, window, h, b):
-    """``(F, J, ends)`` with ``W = F J F^T`` of a mode's equation H P + P H^T + W = 0.
+    """``(ends, w)`` of a mode's equation H P + P H^T + W = 0, ``w() = (F, J)`` with W = F J F^T.
 
     ``ends`` lists ``e^{H t} b`` at the window ends t > 0 (``linalg.expm``,
     which raises OverflowRangeError out of range); b_s is b itself when
@@ -438,18 +439,24 @@ def _rhs(mode, window, h, b):
     dropping the eigenvalues at most 1e-12 of the largest in modulus. F
     has at most 2m columns. The dense route passes (M^{-1} A, M^{-1} B);
     the Krylov check passes (H, b_proj), and Q times each of its ends is
-    the Galerkin approximation of e^{M^{-1} A t} M^{-1} B.
+    the Galerkin approximation of e^{M^{-1} A t} M^{-1} B. ``w`` is called
+    only by a check whose ends pass the tol_f gate, so a failing check
+    forms no W.
     """
     if mode == "bt":
-        return b, np.eye(b.shape[1]), []
+        return [], lambda: (b, np.eye(b.shape[1]))
     ends = [linalg.expm(h * t) @ b for t in (window.t_s, window.t_e) if t > 0]
-    f = np.hstack(ends if window.t_s > 0 else [b, *ends])
-    j = np.diag(np.repeat([1.0, -1.0], b.shape[1]))
-    if mode == "tlbt":
-        return f, j, ends
-    u, lam = _sym_lowrank(f, j)
-    f = _scaled_columns(np.abs(lam), u)
-    return f, np.eye(f.shape[1]), ends
+
+    def w():
+        f = np.hstack(ends if window.t_s > 0 else [b, *ends])
+        j = np.diag(np.repeat([1.0, -1.0], b.shape[1]))
+        if mode == "tlbt":
+            return f, j
+        u, lam = _sym_lowrank(f, j)
+        f = _scaled_columns(np.abs(lam), u)
+        return f, np.eye(f.shape[1])
+
+    return ends, w
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +520,7 @@ def _solve_lowrank(sys, window, cfg, mode, side):
         their zero-padded coefficients do.
         """
         try:
-            f, j, ends = _rhs(mode, window, ws.h, ws.b_proj)
+            ends, w = _rhs(mode, window, ws.h, ws.b_proj)
         except OverflowRangeError:
             return False, None, np.inf, np.inf, None
         f_changes = [0.0]
@@ -526,6 +533,7 @@ def _solve_lowrank(sys, window, cfg, mode, side):
         fch = max(f_changes)
         if not exact and fch >= cfg.tol_f:
             return False, None, fch, np.inf, None
+        f, j = w()
         try:
             y, ritz = linalg.lyap_dense(ws.h, f @ j @ f.T, eigenvalues=True)
         except SpectrumConflictError:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from solve_fingerprint import random_descriptor  # noqa: F401  (one copy, shared with the tool)
 from tlbt.synthetic import make_synthetic
 from tlbt.systems import DescriptorIndex1
 
@@ -9,23 +10,6 @@ from tlbt.systems import DescriptorIndex1
 def random_stable_matrix(n, rng, margin=0.5):
     g = rng.standard_normal((n, n)) / np.sqrt(n)
     return g - (np.max(np.linalg.eigvals(g).real) + margin) * np.eye(n)
-
-
-def random_descriptor(nf, na, m, p, seed):
-    """Index-1 descriptor with a stable eliminated part."""
-    rng = np.random.default_rng(seed)
-    base = make_synthetic("random_stable", nf, m, p, seed=seed)
-    return DescriptorIndex1(
-        M1=np.eye(nf),
-        A1=base.A,
-        A2=0.2 * rng.standard_normal((nf, na)),
-        A3=0.2 * rng.standard_normal((na, nf)),
-        A4=2.0 * np.eye(na) + 0.1 * rng.standard_normal((na, na)),
-        B1=base.B,
-        B2=0.3 * rng.standard_normal((na, m)),
-        C1=base.C,
-        C2=0.3 * rng.standard_normal((p, na)),
-    )
 
 
 def banded_descriptor(nf, na, m, p, seed):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import tlbt.gramians
@@ -22,6 +21,7 @@ from oracles import (
     residual_norm,
     select_shift_broadcast,
 )
+from solve_fingerprint import convection_diffusion
 from tlbt import linalg
 from tlbt.errors import (
     MaxDimExceededError,
@@ -577,14 +577,15 @@ def _workspace_for(sys, t_e=1.0):
 
 def _ends(ws, window):
     """The window ends ``e^{H t} b_proj`` (t > 0) that :func:`_rhs` forms on a workspace."""
-    return _rhs("tlbt", window, ws.h, ws.b_proj)[2]
+    return _rhs("tlbt", window, ws.h, ws.b_proj)[0]
 
 
 def test_expm_action_t0_returns_b():
     # t_s = 0: the window start is b_proj itself, no exponential, and Q b_proj = B
     s = make_synthetic("random_stable", 15, 2, 1, seed=1)
     _, ws = _workspace_for(s)
-    f, _, ends = _rhs("tlbt", TimeWindow(t_e=1.0), ws.h, ws.b_proj)
+    ends, w = _rhs("tlbt", TimeWindow(t_e=1.0), ws.h, ws.b_proj)
+    f, _ = w()
     assert len(ends) == 1 and np.array_equal(f[:, :2], ws.b_proj)
     lifted = ws.q @ f[:, :2]
     assert np.linalg.norm(lifted - s.B) <= 1e-12 * np.linalg.norm(s.B)
@@ -618,7 +619,8 @@ def _abs_sym(w):
 
 def _modified_factor(window, h, b):
     """The mtlbt factor F of :func:`_rhs` and its ends; J must be the identity."""
-    f, j, ends = _rhs("mtlbt", window, h, b)
+    ends, w = _rhs("mtlbt", window, h, b)
+    f, j = w()
     assert np.array_equal(j, np.eye(f.shape[1]))
     return f, ends
 
@@ -813,29 +815,10 @@ def test_lowrank_generalized_residual_contract():
     assert num / den <= 100 * cfg.tol_p
 
 
-def _convection_diffusion(k, conv=(10.0, 100.0), seed=1):
-    """Sparse 2D convection-diffusion system on the unit square, n = k^2.
-
-    Central differences on a k x k interior grid give ``A = Laplacian -
-    conv . grad``; at cell Peclet numbers above one (``conv[1] h / 2`` here)
-    A is non-normal with complex eigenvalues.
-    """
-    h = 1.0 / (k + 1)
-    e = np.ones(k)
-    lap = sp.diags([e[1:], -2.0 * e, e[1:]], [-1, 0, 1]) / h**2
-    grad = sp.diags([-e[1:], e[1:]], [-1, 1]) / (2.0 * h)
-    eye = sp.identity(k)
-    a = (sp.kron(eye, lap) + sp.kron(lap, eye)
-         - conv[0] * sp.kron(eye, grad) - conv[1] * sp.kron(grad, eye))
-    rng = np.random.default_rng(seed)
-    return StandardSystem(a.tocsr(), rng.standard_normal((k * k, 2)),
-                          rng.standard_normal((2, k * k)))
-
-
 @pytest.mark.parametrize("side", ["reachability", "observability"])
 @pytest.mark.parametrize("mode", ["bt", "tlbt"])
 def test_sparse_standard_complex_shifts_match_dense(mode, side, monkeypatch):
-    s = _convection_diffusion(20)
+    s = convection_diffusion(20)
     window = TimeWindow(t_e=0.01)
     picks = _picks(monkeypatch)
     g = mode_gramian(s, mode, window, side=side)

@@ -11,13 +11,12 @@ Run it from the root of each checkout and compare:
     PYTHONPATH=src python3 tools/solve_fingerprint.py > after.txt
     diff before.txt after.txt
 
-``--only NAME`` keeps the corpus entries whose name starts with NAME. The
-hashes depend on the BLAS in use, so compare runs made on one machine.
-The corpus systems are built here rather than by the tests' helpers, so a
+The hashes depend on the BLAS in use, so compare runs made on one
+machine. The corpus builders live here, and the tests import
+``random_descriptor`` and ``convection_diffusion`` from this module, so a
 change to the tests never changes the corpus.
 """
 
-import argparse
 import hashlib
 import sys
 
@@ -36,21 +35,30 @@ def _digest(a):
     return h.hexdigest()[:16]
 
 
-def _descriptor(nf, na, seed=3):
-    """Index-1 descriptor around a random_stable part, with A4 near 2 I."""
+def random_descriptor(nf, na, m, p, seed):
+    """Index-1 descriptor with a stable eliminated part."""
     rng = np.random.default_rng(seed)
-    base = make_synthetic("random_stable", nf, 2, 2, seed=seed)
+    base = make_synthetic("random_stable", nf, m, p, seed=seed)
     return DescriptorIndex1(
-        M1=np.eye(nf), A1=base.A,
-        A2=0.2 * rng.standard_normal((nf, na)), A3=0.2 * rng.standard_normal((na, nf)),
+        M1=np.eye(nf),
+        A1=base.A,
+        A2=0.2 * rng.standard_normal((nf, na)),
+        A3=0.2 * rng.standard_normal((na, nf)),
         A4=2.0 * np.eye(na) + 0.1 * rng.standard_normal((na, na)),
-        B1=base.B, B2=0.3 * rng.standard_normal((na, 2)),
-        C1=base.C, C2=0.3 * rng.standard_normal((2, na)),
+        B1=base.B,
+        B2=0.3 * rng.standard_normal((na, m)),
+        C1=base.C,
+        C2=0.3 * rng.standard_normal((p, na)),
     )
 
 
-def _convection_diffusion(k, conv=(10.0, 100.0), seed=1):
-    """Sparse 2D convection-diffusion operator on a k x k grid (n = k^2), complex spectrum."""
+def convection_diffusion(k, conv=(10.0, 100.0), seed=1):
+    """Sparse 2D convection-diffusion system on the unit square, n = k^2.
+
+    Central differences on a k x k interior grid give ``A = Laplacian -
+    conv . grad``; at cell Peclet numbers above one (``conv[1] h / 2`` here)
+    A is non-normal with complex eigenvalues.
+    """
     h = 1.0 / (k + 1)
     e = np.ones(k)
     lap = sp.diags([e[1:], -2.0 * e, e[1:]], [-1, 0, 1]) / h**2
@@ -82,8 +90,8 @@ CORPUS = {
     "heat200": (_synth("heat_like", 200),
                 [TimeWindow(t_e=0.05), TimeWindow(t_e=0.05, t_s=0.01)]),
     "rs100": (_synth("random_stable", 100), [TimeWindow(t_e=2.0)]),
-    "desc40": (lambda: _descriptor(40, 10), [TimeWindow(t_e=1.0)]),
-    "cd400": (lambda: _convection_diffusion(20), [TimeWindow(t_e=0.01)]),
+    "desc40": (lambda: random_descriptor(40, 10, 2, 2, seed=3), [TimeWindow(t_e=1.0)]),
+    "cd400": (lambda: convection_diffusion(20), [TimeWindow(t_e=0.01)]),
     "sym40": (_symmetric, [TimeWindow(t_e=1.0)]),
 }
 
@@ -121,14 +129,8 @@ def _solve(system, mode, window, side):
     return f"{krylov} dense={dense}"
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", default="", help="corpus entries whose name starts with this")
-    args = parser.parse_args(argv)
-    corpus = {k: v for k, v in CORPUS.items() if k.startswith(args.only)}
-    if not corpus:
-        parser.error(f"no corpus entry starts with {args.only!r}; have {', '.join(CORPUS)}")
-    for line in fingerprints(corpus):
+def main():
+    for line in fingerprints(CORPUS):
         print(line, flush=True)
     return 0
 
