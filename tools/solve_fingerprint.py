@@ -8,11 +8,11 @@ checkouts that print the same lines solve the corpus bit for bit alike.
 A solve that raises prints the exception's class in place of its fields.
 Run it from the root of each checkout and compare:
 
-    PYTHONPATH=src python3 tools/solve_fingerprint.py > after.txt
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/solve_fingerprint.py > after.txt
     diff before.txt after.txt
 
-The hashes depend on the BLAS in use, so compare runs made on one
-machine. The corpus builders live here, and the tests import
+The hashes depend on the BLAS in use and on its thread count, so compare
+runs made on one machine with one thread setting. The corpus builders live here, and the tests import
 ``random_descriptor`` and ``convection_diffusion`` from this module, so a
 change to the tests never changes the corpus.
 """
