@@ -100,7 +100,12 @@ def _input_signal(args, m):
         return simulate.step_input(args.step_scale)
     if not args.input_file:
         raise ValueError("--input file requires --input-file")
-    data = np.loadtxt(args.input_file, delimiter=",", skiprows=1, ndmin=2)
+    # the data rows after the header, blank and comment lines left out, as loadtxt leaves them
+    rows = [line for line in Path(args.input_file).read_text().splitlines()[1:]
+            if line.split("#", 1)[0].strip()]
+    if not rows:
+        raise ValueError("--input-file has no data rows")
+    data = np.loadtxt(rows, delimiter=",", ndmin=2)
     if data.shape[1] < m + 1:
         raise ValueError(f"--input-file has {data.shape[1] - 1} input columns, fewer than m={m}")
     tgrid, vals = data[:, 0], data[:, 1 : m + 1]
@@ -386,6 +391,9 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for name in ("mode", "order"):  # a repeated value is run and written once
+        if getattr(args, name, None):
+            setattr(args, name, list(dict.fromkeys(getattr(args, name))))
     try:
         return args.func(args)
     except TlbtError as exc:

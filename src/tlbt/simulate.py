@@ -3,19 +3,30 @@
 The integrator is the A-stable implicit midpoint rule with a fixed step,
 taken as a half step: x_{k+1} = 2 w - x_k, with the midpoint state w from
 (M - dt/2 A) w = M x_k + dt/2 B u. The system hands it that solve,
-factorized once (``midpoint_step``, which returns 2 w); each step is one
-``mass_apply`` (no work when M = I) and one LAPACK ``getrs`` or SuperLU
-solve (a descriptor's on its block pencil, no separate A4 solve), with
-one finiteness check after the loop. An impulse input u = delta(t) v is
-realized as the initial state x0 + M^{-1} B v of the uncontrolled
-system, never by sampling a delta on the grid; since the input is zero
-after t = 0, no input is sampled or multiplied through B and D in the
-loop.
+factorized once (``midpoint_step``, which returns 2 w), and it steps one
+of two ways, with one finiteness check after the loop:
+
+- a dense pencil with no more states than steps forms the one-step
+  propagator Phi = step(M) - I once (one n-column solve; a forced input
+  also Gamma = dt/2 step(B)), and each step is one n x n product
+  x <- Phi x + Gamma u; the outputs are one product with C^T (and D^T)
+  per block of stored states. Every reduced model takes this route.
+- any other system (a sparse or descriptor pencil, or a dense one with
+  more states than steps, where forming Phi would cost more than the
+  steps) takes per step one ``mass_apply`` (no work when M = I) and one
+  LAPACK ``getrs`` or SuperLU solve (a descriptor's on its block pencil,
+  no separate A4 solve).
+
+An impulse input u = delta(t) v is realized as the initial state
+x0 + M^{-1} B v of the uncontrolled system, never by sampling a delta on
+the grid; since the input is zero after t = 0, no input is sampled or
+multiplied through B and D in the loop.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import GridMismatchError, SingularStepError
 from .systems import spectral_abscissa
@@ -31,6 +42,9 @@ __all__ = [
     "relative_error_series",
     "half_decay_time",
 ]
+
+# steps whose states the dense propagator keeps for one output product
+_BLOCK = 256
 
 
 @dataclass
@@ -101,9 +115,10 @@ def impulse_response(sys, v=None, dt=1e-3, t_f=1.0):
 
 
 def _integrate(sys, u, x0, dt, t_f):
-    """Midpoint loop on ``sys`` (a reduced model as its system)."""
-    if dt <= 0 or t_f <= 0:
-        raise ValueError("dt and t_f must be positive")
+    """Midpoint steps on ``sys`` (a reduced model as its system): propagator or per-step loop."""
+    if not (0 < dt < np.inf and 0 < t_f < np.inf and float(t_f) / float(dt) < np.inf):
+        raise ValueError(f"dt and t_f must be positive and finite, and so must t_f/dt; "
+                         f"got dt={dt!r}, t_f={t_f!r}")
     form = sys.to_system() if hasattr(sys, "to_system") else sys
     b, c, d = form.B, form.C, form.D
     n, m = b.shape
@@ -116,17 +131,50 @@ def _integrate(sys, u, x0, dt, t_f):
     nsteps = int(np.ceil(t_f / dt - 1e-9))
     times = dt * np.arange(nsteps + 1)
     forced = u is not None and u.kind != "impulse"
-    outputs = np.empty((nsteps + 1, c.shape[0]))
-    for k in range(nsteps + 1):
-        outputs[k] = c @ x + d @ u.sample(times[k], m) if forced else c @ x
-        if k < nsteps:
-            rhs = form.mass_apply(x)
-            if forced:
-                rhs = rhs + dt / 2.0 * (b @ u.sample(times[k] + dt / 2.0, m))
-            x = step(rhs) - x
+    mass, a = form.pencil()
+    if n <= nsteps and not (sp.issparse(mass) or sp.issparse(a)):
+        outputs, x = _propagate(form, step, mass, x, u if forced else None, dt, times)
+    else:
+        outputs = np.empty((nsteps + 1, c.shape[0]))
+        for k in range(nsteps + 1):
+            outputs[k] = c @ x + d @ u.sample(times[k], m) if forced else c @ x
+            if k < nsteps:
+                rhs = form.mass_apply(x)
+                if forced:
+                    rhs = rhs + dt / 2.0 * (b @ u.sample(times[k] + dt / 2.0, m))
+                x = step(rhs) - x
     if not (np.all(np.isfinite(outputs)) and np.all(np.isfinite(x))):
         raise SingularStepError("integration produced non-finite values")
     return Trajectory(times=times, outputs=outputs)
+
+
+def _propagate(form, step, mass, x, u, dt, times):
+    """Dense steps ``x <- Phi x + Gamma u``: ``Phi = step(M) - I``, ``Gamma = dt/2 step(B)``.
+
+    Forming Phi is one n-column solve; each step is then one n x n product.
+    The states of ``_BLOCK`` steps are kept, and each block's outputs are
+    one product with C^T (and one of its inputs with D^T). Returns the
+    outputs and the last state.
+    """
+    b, c, d = form.B, form.C, form.D
+    n, m = b.shape
+    nsteps = times.size - 1
+    phi = step(mass) - np.eye(n)
+    gamma = dt / 2.0 * step(b) if u is not None else None
+    outputs = np.empty((nsteps + 1, c.shape[0]))
+    states = np.empty((min(_BLOCK, nsteps + 1), n))
+    for start in range(0, nsteps + 1, _BLOCK):
+        block = range(start, min(start + _BLOCK, nsteps + 1))
+        for row, k in enumerate(block):
+            states[row] = x
+            if k < nsteps:
+                x = phi.dot(x)
+                if u is not None:
+                    x += gamma.dot(u.sample(times[k] + dt / 2.0, m))
+        outputs[start : block.stop] = states[: len(block)] @ c.T
+        if u is not None:
+            outputs[start : block.stop] += np.array([u.sample(times[k], m) for k in block]) @ d.T
+    return outputs, x
 
 
 def relative_error_series(y, y_red, window=None):

@@ -24,7 +24,10 @@ the right-hand side with zero rows and keeps the first n_f);
 (M - dt/2 A)/2 on the pencil, which returns twice the midpoint state;
 ``transposed()`` is the dual. Systems are not mutated after
 construction, so what they derive is built on first use and cached on
-them: the LU of M, the dual, the spectral abscissa,
+them: the LU of M, a sparse pencil's union pattern of (M, A) with both
+data arrays aligned to it (on which every shifted and step matrix is
+formed, as scipy's sparse arithmetic would form it), the dual, the
+spectral abscissa,
 ``dense_state_input()`` (M^{-1} A and M^{-1} B when M is not I, for the
 dense routes, up to ``_DENSE_MAX``), the Krylov shifts of the system's
 own reachability solves (never shared with the dual), a descriptor's A4
@@ -101,6 +104,8 @@ class _System:
     _state_input: tuple = field(default=None, init=False, repr=False, compare=False)
     # shifts of the reachability solves so far, inf first; see gramians._solve_lowrank
     _poles: list = field(default_factory=lambda: [np.inf], init=False, repr=False, compare=False)
+    # a sparse pencil's union pattern with M's and A's data aligned to it; see _combine
+    _pattern: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self):
@@ -154,8 +159,29 @@ class _System:
         For ``rhs = M x + dt/2 B u`` it returns ``2 w``, twice the midpoint
         state (halving the matrix is exact), so the next state is ``2 w - x``.
         """
-        m, a = self.pencil()
-        return self._rows(_factor(0.5 * m - (dt / 4.0) * a, err=SingularStepError, checked=False))
+        step = self._combine(lambda m, a: 0.5 * m - (dt / 4.0) * a)
+        return self._rows(_factor(step, err=SingularStepError, checked=False))
+
+    def _combine(self, form):
+        """``form(M, A)`` on the pencil; on a sparse one, on the data of its cached union pattern.
+
+        ``form`` is elementwise linear, so applied to the aligned data it
+        gives what scipy's sparse arithmetic gives, bit for bit: the same
+        entries in canonical CSC order, exact zeros dropped.
+        """
+        if self._pattern is None:
+            m, a = self.pencil()
+            if not (sp.issparse(m) and sp.issparse(a)):
+                return form(m, a)
+            self._pattern = _union_pattern(m, a)
+        m_data, a_data, pattern = self._pattern
+        data = form(m_data, a_data)
+        indices, indptr = pattern.indices, pattern.indptr
+        kept = data != 0
+        if not kept.all():
+            before = np.concatenate(([0], np.cumsum(kept)))
+            data, indices, indptr = data[kept], indices[kept], before[indptr]
+        return sp.csc_matrix((data, indices, indptr), shape=pattern.shape)
 
     def transposed(self):
         """The dual system, built once; it swaps the Gramians."""
@@ -382,6 +408,15 @@ def _factor(mat, err=SingularShiftError, checked=True):
     return solve
 
 
+def _union_pattern(m, a):
+    """``(M data, A data, pattern)``: both matrices' entries on the CSC union of their nonzeros."""
+    pattern = sp.csc_matrix(abs(m) + abs(a))
+    pattern.sum_duplicates()  # canonical, so that no solver sorts the shared indices in place
+    cols = np.repeat(np.arange(pattern.shape[1]), np.diff(pattern.indptr))
+    m_data, a_data = (np.asarray(sp.csc_matrix(x)[pattern.indices, cols]).ravel() for x in (m, a))
+    return m_data, a_data, pattern
+
+
 def _dense_standard(sys):
     """True for a standard system with dense A, whose solves use its Schur form."""
     return isinstance(sys, StandardSystem) and not sp.issparse(sys.A)
@@ -428,8 +463,7 @@ def shifted_solve(sys, s, w):
         return _schur_solve(sys, s, w)
     if np.imag(s) == 0:
         s = np.real(s)
-    m, a = sys.pencil()
-    return sys._rows(_factor(a - s * m))(w)
+    return sys._rows(_factor(sys._combine(lambda m, a: a - s * m)))(w)
 
 
 def spectral_abscissa(sys):

@@ -416,6 +416,61 @@ def test_input_file_with_too_few_columns_exit_2(tmp_path, capsys, monkeypatch, c
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("content", ["", "t,u1\n"], ids=["empty", "header-only"])
+@pytest.mark.parametrize("command", [["simulate"], COMPARE + ["--order", "2"]],
+                         ids=["simulate", "compare"])
+def test_input_file_without_data_rows_exit_2(tmp_path, capsys, monkeypatch, command, content):
+    # no data rows: a config error before --out, and no loadtxt warning
+    # (which the test settings turn into an error)
+    monkeypatch.chdir(tmp_path)
+    Path("u.csv").write_text(content)
+    argv = [*command, *SYNTH, "--input", "file", "--input-file", "u.csv"]
+    assert main([*argv, "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "--input-file has no data rows" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags", [["--tf", "inf"], ["--dt", "nan"], ["--dt", "inf"],
+                                   ["--dt", "1e-320"]],
+                         ids=["tf-inf", "dt-nan", "dt-inf", "steps-inf"])
+@pytest.mark.parametrize("command", [["simulate"], COMPARE + ["--order", "2"]],
+                         ids=["simulate", "compare"])
+def test_non_finite_step_or_horizon_exit_2(tmp_path, capsys, monkeypatch, command, flags):
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, *SYNTH, *flags, "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "dt and t_f must be positive and finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, orders",
+    [(["gramian", *SYNTH, "--te", "1.0"], []), (["hsv", *SYNTH, "--te", "1.0"], []),
+     (["reduce", *SYNTH, "--te", "1.0"], ["3", "2"]),
+     (["compare", *SYNTH, "--te", "1.0", "--dt", "0.01"], ["3"])],
+    ids=["gramian", "hsv", "reduce", "compare"],
+)
+def test_repeated_mode_and_order_run_once(tmp_path, capsys, argv, orders):
+    # a repeated --mode or --order runs, prints and writes what its first
+    # occurrence alone does
+    def flags(repeat):
+        return [item for _ in range(repeat) for value in ("bt", "tlbt")
+                for item in ("--mode", value)] + \
+               [item for _ in range(repeat) for r in orders for item in ("--order", r)]
+
+    assert main([*argv, *flags(1), "--out", str(tmp_path / "once")]) == 0
+    printed = len(capsys.readouterr().out.splitlines())
+    assert main([*argv, *flags(2), "--out", str(tmp_path / "twice")]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == printed
+    assert read_files(tmp_path / "once") == read_files(tmp_path / "twice")
+    if argv[0] == "compare":
+        table = json.loads((tmp_path / "twice" / "random_stable_n8_s0_compare.json").read_text())
+        assert [(e["mode"], e["r"]) for e in table["results"]] == [("bt", 3), ("tlbt", 3)]
+        csv = (tmp_path / "twice" / "random_stable_n8_s0_errors_vs_order.csv").read_text()
+        assert csv.splitlines()[0] == "r,bt,tlbt" and len(csv.splitlines()) == 2
+
+
 def test_simulate_step_input(tmp_path):
     # x' = -x + 2: the step response of the scalar system settles at its DC gain times 2
     out = tmp_path / "out"

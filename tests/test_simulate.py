@@ -36,6 +36,15 @@ def test_midpoint_single_step_closed_form():
     assert abs(traj.outputs[1, 0] - 0.9047619047619048) < 1e-12
 
 
+@pytest.mark.parametrize("dt, t_f", [(0.01, np.inf), (np.nan, 1.0), (np.inf, 1.0),
+                                     (0.01, np.nan), (0.0, 1.0), (0.01, -1.0), (1e-320, 1.0)])
+def test_midpoint_refuses_non_finite_or_non_positive_grid(dt, t_f):
+    with pytest.raises(ValueError, match="dt and t_f must be positive and finite"):
+        implicit_midpoint(SCALAR, None, np.array([1.0]), dt, t_f)
+    with pytest.raises(ValueError, match="dt and t_f must be positive and finite"):
+        impulse_response(SCALAR, dt=dt, t_f=t_f)
+
+
 def test_midpoint_zero_everything():
     traj = implicit_midpoint(SCALAR, None, None, 0.05, 1.0)
     assert np.allclose(traj.outputs, 0.0)
@@ -214,8 +223,38 @@ def _reference_impulse(sys, dt, t_f, half_step=True):
     return _reference_midpoint(form, impulse_input(v), x0, dt, t_f, half_step)
 
 
+def _reference_propagator(sys, u, x0, dt, t_f):
+    """Dense propagator loop ``x = Phi x + Gamma u``; Phi, Gamma from n-column ``lu_solve`` calls.
+
+    ``Phi = 2 (M - dt/2 A)^{-1} M - I`` and ``Gamma = dt (M - dt/2 A)^{-1} B``,
+    each from the LU of ``(M - dt/2 A)/2``; ``u = None`` steps without an input.
+    The outputs are one product of all states with C^T (and of all inputs with D^T).
+    """
+    a, b, c, d = sys.A, sys.B, sys.C, sys.D
+    n, m = b.shape
+    m_mat = getattr(sys, "M", None)
+    m_mat = np.eye(n) if m_mat is None else m_mat
+    lu_piv = sla.lu_factor(0.5 * m_mat - (dt / 4.0) * a, check_finite=False)
+    phi = sla.lu_solve(lu_piv, m_mat, check_finite=False) - np.eye(n)
+    gamma = dt / 2.0 * sla.lu_solve(lu_piv, b, check_finite=False)
+    nsteps = int(np.ceil(t_f / dt - 1e-9))
+    times = dt * np.arange(nsteps + 1)
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
+    states = []
+    for k in range(nsteps + 1):
+        states.append(x)
+        if k < nsteps:
+            x = phi @ x if u is None else phi @ x + gamma @ u.sample(times[k] + dt / 2.0, m)
+    outputs = np.array(states) @ c.T
+    if u is not None:
+        outputs += np.array([u.sample(t, m) for t in times]) @ d.T
+    return outputs
+
+
 _SYSTEMS = {
     "dense": (lambda: make_synthetic("random_stable", 20, 2, 2, seed=1), 1e-2, 2.0),
+    # more states than steps: no propagator, one solve per step
+    "dense_long": (lambda: make_synthetic("random_stable", 250, 2, 2, seed=1), 1e-2, 2.0),
     "sparse_generalized": (lambda: make_synthetic("heat_like", 50, 2, 2, seed=1), 1e-4, 0.02),
     "rom": (
         lambda: reduce(make_synthetic("random_stable", 20, 2, 2, seed=1), "bt", r=6),
@@ -223,6 +262,8 @@ _SYSTEMS = {
         2.0,
     ),
 }
+# dense pencils with no more states than steps, which step with one propagator matrix
+_PROPAGATED = {"dense", "rom"}
 _INPUTS = {
     "step": lambda: step_input(0.7),
     "custom": lambda: custom_input(lambda t: np.array([np.sin(40.0 * t), np.cos(30.0 * t)])),
@@ -235,18 +276,35 @@ def test_impulse_bit_identical_to_reference_loop(kind):
     sys = make()
     traj = impulse_response(sys, dt=dt, t_f=t_f)
     assert traj.times.size == 201
-    assert np.array_equal(traj.outputs, _reference_impulse(sys, dt, t_f))
+    if kind in _PROPAGATED:
+        form = sys.to_system() if hasattr(sys, "to_system") else sys
+        ref = _reference_propagator(form, None, form.B @ np.ones(form.m), dt, t_f)
+    else:
+        ref = _reference_impulse(sys, dt, t_f)
+    assert np.array_equal(traj.outputs, ref)
 
 
-@pytest.mark.parametrize("kind", ["dense", "sparse_generalized"])
+@pytest.mark.parametrize("kind", ["dense", "dense_long", "sparse_generalized"])
 @pytest.mark.parametrize("signal", sorted(_INPUTS))
 def test_forced_response_bit_identical_to_reference_loop(kind, signal):
     make, dt, t_f = _SYSTEMS[kind]
     sys = make()
     u = _INPUTS[signal]()
     traj = implicit_midpoint(sys, u, None, dt, t_f)
-    assert np.array_equal(traj.outputs, _reference_midpoint(sys, u, None, dt, t_f))
+    reference = _reference_propagator if kind in _PROPAGATED else _reference_midpoint
+    assert np.array_equal(traj.outputs, reference(sys, u, None, dt, t_f))
     assert np.any(traj.outputs != 0.0)
+
+
+def test_propagator_keeps_its_blocks_apart():
+    # more steps than one block of stored states: every block's outputs land
+    # in their own rows, equal to one product over all states up to roundoff
+    sys = make_synthetic("random_stable", 20, 2, 2, seed=1)
+    u, dt, t_f = _INPUTS["custom"](), 1e-3, 0.6
+    out = implicit_midpoint(sys, u, None, dt, t_f).outputs
+    ref = _reference_propagator(sys, u, None, dt, t_f)
+    assert out.shape == (601, 2)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("sparse", [False, True])

@@ -8,6 +8,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from conftest import random_descriptor
+from solve_fingerprint import convection_diffusion
 from oracles import (
     SingularTransformError,
     diagonalize,
@@ -421,6 +422,47 @@ def test_sparse_standard_shifted_solve(rng):
     s = StandardSystem(a, rng.standard_normal((30, 1)), rng.standard_normal((1, 30)))
     v = shifted_solve(s, 1.0, s.B)
     assert np.allclose(v, s.B / -3.0)
+
+
+def _pattern_case(kind):
+    """A sparse pencil and an entry ``(i, j)`` where A = 2 M exactly, which ``A - 2 M`` cancels."""
+    if kind == "standard":
+        a = convection_diffusion(4).A.tolil()  # kron stores explicit zeros, which are kept
+        a[0, 0] = 2.0
+        return StandardSystem(a.tocsr(), np.ones((16, 1)), np.ones((1, 16))), (0, 0)
+    if kind == "generalized":
+        heat = make_synthetic("heat_like", 30, 2, 2, seed=1)
+        a = heat.A.tolil()
+        a[0, 1] = 2.0 * heat.M[0, 1]
+        return GeneralizedSystem(heat.M, a.tocsc(), heat.B, heat.C), (0, 1)
+    d = random_descriptor(12, 4, 2, 2, seed=3)
+    d.A1[0, 0] = 2.0 * d.M1[0, 0]
+    return d, (0, 0)
+
+
+@pytest.mark.parametrize("kind", ["standard", "generalized", "descriptor"])
+@pytest.mark.parametrize("s", [0.5, 2.0 - 1.5j, 2.0], ids=["real", "complex", "cancel"])
+def test_pattern_built_pencil_equals_sparse_arithmetic(rng, kind, s):
+    # the shifted and the step matrix formed on the cached union pattern are
+    # scipy's a - s*m and 0.5*m - dt/4*a bit for bit, exact zeros dropped,
+    # and the solves on them are the solves on scipy's matrices
+    sys, (i, j) = _pattern_case(kind)
+    m, a = sys.pencil()
+    shifted = sys._combine(lambda m, a: a - s * m)
+    step = sys._combine(lambda m, a: 0.5 * m - (0.01 / 4.0) * a)
+    for out, ref in ((shifted, a - s * m), (step, 0.5 * m - (0.01 / 4.0) * a)):
+        ref = sp.csc_matrix(ref)
+        assert sp.isspmatrix_csc(out) and out.dtype == ref.dtype
+        for key in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(out, key), getattr(ref, key)), key
+    # the entry is in the pattern, and only the cancelling shift drops it
+    def stored(mat):
+        return i in mat.indices[mat.indptr[j] : mat.indptr[j + 1]]
+
+    assert stored(sys._pattern[2])
+    assert stored(shifted) == (s != 2.0)
+    w = rng.standard_normal((sys.order, 2))
+    assert np.array_equal(shifted_solve(sys, s, w), sys._rows(_factor(a - s * m))(w))
 
 
 def test_dense_factor_solve_matches_lu_solve(rng):

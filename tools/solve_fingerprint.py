@@ -3,9 +3,12 @@
 Prints one line per (system, window, mode, side) of the corpus: a hash of
 the Krylov shifts, the subspace dimension d, the rank, the stop reason,
 mu, a hash of the check trace (shift, d, f_change and mu at every check),
-a hash of the low-rank factor Z and a hash of the dense Gramian. Two
-checkouts that print the same lines solve the corpus bit for bit alike.
-A solve that raises prints the exception's class in place of its fields.
+a hash of the low-rank factor Z and a hash of the dense Gramian. After
+a system's solves, one ``sim`` line hashes the impulse response of the
+system and of its bt model of order 4, over its first window's [0, t_e]
+at dt = t_e/1000. Two checkouts that print the same lines solve and
+simulate the corpus bit for bit alike. A solve or simulation that raises
+prints the exception's class in place of its fields.
 Run it from the root of each checkout and compare:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/solve_fingerprint.py > after.txt
@@ -23,7 +26,8 @@ import sys
 import numpy as np
 import scipy.sparse as sp
 
-from tlbt import DescriptorIndex1, StandardSystem, TimeWindow, make_synthetic
+from tlbt import (DescriptorIndex1, StandardSystem, TimeWindow, impulse_response, make_synthetic,
+                  reduce)
 from tlbt.gramians import MODES, SIDES, mode_gramian
 
 
@@ -97,7 +101,7 @@ CORPUS = {
 
 
 def fingerprints(corpus):
-    """One text line per (system, window, mode, side) of ``corpus``, in its order.
+    """One text line per (system, window, mode, side) of ``corpus``, then a ``sim`` line per system.
 
     Each system is built once, so its later solves replay the shifts of
     its earlier ones, as a multi-mode command's do.
@@ -109,6 +113,7 @@ def fingerprints(corpus):
             for mode in MODES:
                 for side in SIDES:
                     yield f"{tag} {mode} {side[:5]} {_solve(system, mode, window, side)}"
+        yield f"{name} sim {_simulate(system, windows[0].t_e)}"
 
 
 def _solve(system, mode, window, side):
@@ -127,6 +132,18 @@ def _solve(system, mode, window, side):
     except Exception as exc:
         dense = type(exc).__name__
     return f"{krylov} dense={dense}"
+
+
+def _simulate(system, t_e):
+    """Hashes of the impulse responses of ``system`` and of its bt model of order 4."""
+    fields = []
+    for key, build in (("full", lambda: system), ("rom", lambda: reduce(system, "bt", r=4))):
+        try:
+            value = _digest(impulse_response(build(), dt=t_e / 1000, t_f=t_e).outputs)
+        except Exception as exc:
+            value = type(exc).__name__
+        fields.append(f"{key}={value}")
+    return " ".join(fields)
 
 
 def main():
