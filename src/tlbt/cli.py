@@ -262,7 +262,7 @@ def cmd_simulate(args):
         "max_output_norm": float(np.max(norms)),
     }
     mmio._write_json(out / f"{name}_response.json", summary)
-    print(f"{name}: simulated {traj.times.size} steps, wrote {name}_response.csv")
+    print(f"{name}: simulated {traj.times.size - 1} steps, wrote {name}_response.csv")
     return 0
 
 

@@ -6,16 +6,18 @@ taken as a half step: x_{k+1} = 2 w - x_k, with the midpoint state w from
 factorized once (``midpoint_step``, which returns 2 w), and it steps one
 of two ways, with one finiteness check after the loop:
 
-- a dense pencil with no more states than steps forms the one-step
-  propagator Phi = step(M) - I once (one n-column solve; a forced input
-  also Gamma = dt/2 step(B)), and each step is one n x n product
-  x <- Phi x + Gamma u; the outputs are one product with C^T (and D^T)
-  per block of stored states. Every reduced model takes this route.
-- any other system (a sparse or descriptor pencil, or a dense one with
-  more states than steps, where forming Phi would cost more than the
-  steps) takes per step one ``mass_apply`` (no work when M = I) and one
-  LAPACK ``getrs`` or SuperLU solve (a descriptor's on its block pencil,
-  no separate A4 solve).
+- a system with no more states than steps whose pencil is dense, or
+  sparse with at most 256 states, forms the one-step propagator
+  Phi = step(M) - I once (one n-column solve on ``mass_apply(I)``: M, I,
+  or a descriptor's M1; a forced input also Gamma = dt/2 step(B)), and
+  each step is one n x n product x <- Phi x + Gamma u; the outputs are
+  one product with C^T (and D^T) per block of stored states. Every
+  reduced model takes this route.
+- any other system (a sparse or descriptor pencil of more than 256
+  states, or any system with more states than steps, where forming Phi
+  would cost more than the steps) takes per step one ``mass_apply`` (no
+  work when M = I) and one LAPACK ``getrs`` or SuperLU solve (a
+  descriptor's on its block pencil, no separate A4 solve).
 
 An impulse input u = delta(t) v is realized as the initial state
 x0 + M^{-1} B v of the uncontrolled system, never by sampling a delta on
@@ -45,6 +47,10 @@ __all__ = [
 
 # steps whose states the dense propagator keeps for one output product
 _BLOCK = 256
+# largest sparse pencil that steps with the dense propagator: at n = 256
+# Phi is 512 KiB; above that, a sparse step's two calls (M x and the
+# SuperLU solve) beat the n x n product
+_SPARSE_PROPAGATED = 256
 
 
 @dataclass
@@ -127,15 +133,19 @@ def _integrate(sys, u, x0, dt, t_f):
         v = np.ones(m) if u.vector is None else u.vector.reshape(m)
         kick = form.mass_solve(b @ v)
         x = kick if x0 is None else x + kick
-    step = form.midpoint_step(dt)
     nsteps = int(np.ceil(t_f / dt - 1e-9))
-    times = dt * np.arange(nsteps + 1)
+    try:
+        times = dt * np.arange(nsteps + 1)
+        outputs = np.empty((nsteps + 1, c.shape[0]))
+    except (MemoryError, ValueError) as exc:  # no room, or more elements than an array holds
+        raise ValueError(f"t_f/dt asks for {nsteps:.3g} steps, more than fit in memory") from exc
+    step = form.midpoint_step(dt)
     forced = u is not None and u.kind != "impulse"
     mass, a = form.pencil()
-    if n <= nsteps and not (sp.issparse(mass) or sp.issparse(a)):
-        outputs, x = _propagate(form, step, mass, x, u if forced else None, dt, times)
+    dense = not (sp.issparse(mass) or sp.issparse(a))
+    if n <= nsteps and (dense or n <= _SPARSE_PROPAGATED):
+        x = _propagate(form, step, x, u if forced else None, dt, times, outputs)
     else:
-        outputs = np.empty((nsteps + 1, c.shape[0]))
         for k in range(nsteps + 1):
             outputs[k] = c @ x + d @ u.sample(times[k], m) if forced else c @ x
             if k < nsteps:
@@ -148,20 +158,20 @@ def _integrate(sys, u, x0, dt, t_f):
     return Trajectory(times=times, outputs=outputs)
 
 
-def _propagate(form, step, mass, x, u, dt, times):
+def _propagate(form, step, x, u, dt, times, outputs):
     """Dense steps ``x <- Phi x + Gamma u``: ``Phi = step(M) - I``, ``Gamma = dt/2 step(B)``.
 
-    Forming Phi is one n-column solve; each step is then one n x n product.
-    The states of ``_BLOCK`` steps are kept, and each block's outputs are
-    one product with C^T (and one of its inputs with D^T). Returns the
-    outputs and the last state.
+    M is the mass as ``mass_apply`` applies it (I, M, or a descriptor's
+    M1). Forming Phi is one n-column solve; each step is then one n x n
+    product. The states of ``_BLOCK`` steps are kept, and each block's
+    outputs, written into ``outputs``, are one product with C^T (and one of
+    its inputs with D^T). Returns the last state.
     """
     b, c, d = form.B, form.C, form.D
     n, m = b.shape
     nsteps = times.size - 1
-    phi = step(mass) - np.eye(n)
+    phi = step(form.mass_apply(np.eye(n))) - np.eye(n)
     gamma = dt / 2.0 * step(b) if u is not None else None
-    outputs = np.empty((nsteps + 1, c.shape[0]))
     states = np.empty((min(_BLOCK, nsteps + 1), n))
     for start in range(0, nsteps + 1, _BLOCK):
         block = range(start, min(start + _BLOCK, nsteps + 1))
@@ -174,7 +184,7 @@ def _propagate(form, step, mass, x, u, dt, times):
         outputs[start : block.stop] = states[: len(block)] @ c.T
         if u is not None:
             outputs[start : block.stop] += np.array([u.sample(times[k], m) for k in block]) @ d.T
-    return outputs, x
+    return x
 
 
 def relative_error_series(y, y_red, window=None):

@@ -296,6 +296,12 @@ def test_simulate_writes_response(tmp_path):
     assert len(lines) == 102
 
 
+def test_simulate_reports_steps_not_grid_points(tmp_path, capsys):
+    # 100 steps of 0.01 reach t = 1; the grid has 101 points
+    assert main(["simulate", *SYNTH, "--dt", "0.01", "--tf", "1.0", "--out", str(tmp_path)]) == 0
+    assert "simulated 100 steps" in capsys.readouterr().out
+
+
 def test_simulate_horizon_defaults_to_one(tmp_path):
     rc = main(["simulate", "--synth", "random_stable", "--n", "6", "--dt", "0.1",
                "--out", str(tmp_path)])
@@ -441,6 +447,20 @@ def test_non_finite_step_or_horizon_exit_2(tmp_path, capsys, monkeypatch, comman
     assert main([*command, *SYNTH, *flags, "--out", "out"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and "dt and t_f must be positive and finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dt", ["1e-17", "1e-300"], ids=["memory", "size"])
+@pytest.mark.parametrize("command", [["simulate"], COMPARE + ["--order", "2"]],
+                         ids=["simulate", "compare"])
+def test_grid_too_large_exit_2(tmp_path, capsys, monkeypatch, command, dt):
+    # 1e17 steps ask numpy for an 800 PB grid and 1e300 for more elements
+    # than an array may hold: both are refused at once, before any step
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, *SYNTH, "--dt", dt, "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "more than fit in memory" in err
+    assert f"{float(dt) ** -1:.3g} steps" in err
     assert not (tmp_path / "out").exists()
 
 

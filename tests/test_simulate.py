@@ -214,29 +214,42 @@ def _reference_midpoint(sys, u, x0, dt, t_f, half_step=True):
     return outputs
 
 
-def _reference_impulse(sys, dt, t_f, half_step=True):
-    form = sys.to_system() if hasattr(sys, "to_system") else sys
-    v = np.ones(form.m)
-    x0 = _as_dense(form.B) @ v
+def _reference_kick(form):
+    """``M^{-1} B v`` for v = ones, the impulse response's initial state; M solved by ``splu``."""
+    x0 = _as_dense(form.B) @ np.ones(form.m)
     if getattr(form, "M", None) is not None:
         x0 = spla.splu(sp.csc_matrix(form.M)).solve(x0)
-    return _reference_midpoint(form, impulse_input(v), x0, dt, t_f, half_step)
+    return x0
+
+
+def _reference_impulse(sys, dt, t_f, half_step=True):
+    form = sys.to_system() if hasattr(sys, "to_system") else sys
+    return _reference_midpoint(form, impulse_input(np.ones(form.m)), _reference_kick(form), dt,
+                               t_f, half_step)
 
 
 def _reference_propagator(sys, u, x0, dt, t_f):
-    """Dense propagator loop ``x = Phi x + Gamma u``; Phi, Gamma from n-column ``lu_solve`` calls.
+    """Dense propagator loop ``x = Phi x + Gamma u``; Phi, Gamma from n-column solves.
 
     ``Phi = 2 (M - dt/2 A)^{-1} M - I`` and ``Gamma = dt (M - dt/2 A)^{-1} B``,
-    each from the LU of ``(M - dt/2 A)/2``; ``u = None`` steps without an input.
-    The outputs are one product of all states with C^T (and of all inputs with D^T).
+    each from the LU of ``(M - dt/2 A)/2`` (``lu_factor``, or ``splu`` on a
+    sparse pencil) solved with the dense M and with B; ``u = None`` steps
+    without an input. The outputs are one product of all states with C^T
+    (and of all inputs with D^T).
     """
     a, b, c, d = sys.A, sys.B, sys.C, sys.D
     n, m = b.shape
     m_mat = getattr(sys, "M", None)
-    m_mat = np.eye(n) if m_mat is None else m_mat
-    lu_piv = sla.lu_factor(0.5 * m_mat - (dt / 4.0) * a, check_finite=False)
-    phi = sla.lu_solve(lu_piv, m_mat, check_finite=False) - np.eye(n)
-    gamma = dt / 2.0 * sla.lu_solve(lu_piv, b, check_finite=False)
+    if m_mat is None:
+        m_mat = sp.identity(n, format="csc") if sp.issparse(a) else np.eye(n)
+    half = 0.5 * m_mat - (dt / 4.0) * a
+    if sp.issparse(half):
+        solve = spla.splu(sp.csc_matrix(half)).solve
+    else:
+        lu_piv = sla.lu_factor(half, check_finite=False)
+        solve = lambda rhs: sla.lu_solve(lu_piv, rhs, check_finite=False)  # noqa: E731
+    phi = solve(_as_dense(m_mat)) - np.eye(n)
+    gamma = dt / 2.0 * solve(b)
     nsteps = int(np.ceil(t_f / dt - 1e-9))
     times = dt * np.arange(nsteps + 1)
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
@@ -262,8 +275,9 @@ _SYSTEMS = {
         2.0,
     ),
 }
-# dense pencils with no more states than steps, which step with one propagator matrix
-_PROPAGATED = {"dense", "rom"}
+# pencils with no more states than steps, dense or of at most 256 states, which
+# step with one propagator matrix
+_PROPAGATED = {"dense", "rom", "sparse_generalized"}
 _INPUTS = {
     "step": lambda: step_input(0.7),
     "custom": lambda: custom_input(lambda t: np.array([np.sin(40.0 * t), np.cos(30.0 * t)])),
@@ -278,7 +292,7 @@ def test_impulse_bit_identical_to_reference_loop(kind):
     assert traj.times.size == 201
     if kind in _PROPAGATED:
         form = sys.to_system() if hasattr(sys, "to_system") else sys
-        ref = _reference_propagator(form, None, form.B @ np.ones(form.m), dt, t_f)
+        ref = _reference_propagator(form, None, _reference_kick(form), dt, t_f)
     else:
         ref = _reference_impulse(sys, dt, t_f)
     assert np.array_equal(traj.outputs, ref)
@@ -294,6 +308,34 @@ def test_forced_response_bit_identical_to_reference_loop(kind, signal):
     reference = _reference_propagator if kind in _PROPAGATED else _reference_midpoint
     assert np.array_equal(traj.outputs, reference(sys, u, None, dt, t_f))
     assert np.any(traj.outputs != 0.0)
+
+
+@pytest.mark.parametrize("n", [256, 257])
+@pytest.mark.parametrize("signal", ["impulse", "custom"])
+def test_sparse_pencil_size_bound(n, signal):
+    # a sparse pencil of at most 256 states steps with the propagator, a
+    # larger one keeps the per-step solve, both with more steps than states
+    sys, dt, t_f = make_synthetic("heat_like", n, 2, 2, seed=1), 1e-4, 0.03
+    if signal == "impulse":
+        out = impulse_response(sys, dt=dt, t_f=t_f).outputs
+        ref = (_reference_propagator(sys, None, _reference_kick(sys), dt, t_f) if n <= 256
+               else _reference_impulse(sys, dt, t_f))
+    else:
+        u = _INPUTS[signal]()
+        out = implicit_midpoint(sys, u, None, dt, t_f).outputs
+        reference = _reference_propagator if n <= 256 else _reference_midpoint
+        ref = reference(sys, u, None, dt, t_f)
+    assert out.shape == (301, 2)
+    assert np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize("dt", [1e-17, 1e-300], ids=["memory", "size"])
+def test_grid_too_large_raises_before_stepping(dt):
+    # 1e17 steps ask numpy for an 800 PB grid and 1e300 for more elements
+    # than an array may hold: both are refused at once, naming the step count
+    with pytest.raises(ValueError, match="more than fit in memory") as exc:
+        impulse_response(SCALAR, dt=dt, t_f=1.0)
+    assert f"asks for {dt ** -1:.3g} steps" in str(exc.value)
 
 
 def test_propagator_keeps_its_blocks_apart():
