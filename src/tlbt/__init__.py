@@ -17,9 +17,10 @@ The pipeline is rational Krylov Gramian factors
   ``mode_gramian``, which maps a mode and a side to one (or the dense Gramian).
 - :mod:`tlbt.reduction`: square-root balancing (``balance`` once per
   mode, ``truncate`` per order; ``Balancing.hsv`` holds the Hankel
-  values).
-- :mod:`tlbt.simulate`: implicit midpoint integration and the output
-  error metric.
+  values). A ``ReducedModel`` is a ``StandardSystem`` that also keeps
+  its projectors, so every function here takes it as a system.
+- :mod:`tlbt.simulate`: implicit midpoint integration of any system, a
+  reduced model included, and the output error metric.
 - :mod:`tlbt.synthetic`: deterministic desk-scale test systems.
 - :mod:`tlbt.mmio`: Matrix Market + JSON sidecar persistence.
 - :mod:`tlbt.cli`: the `tlbt` command.

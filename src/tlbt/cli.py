@@ -109,6 +109,8 @@ def _input_signal(args, m):
     if data.shape[1] < m + 1:
         raise ValueError(f"--input-file has {data.shape[1] - 1} input columns, fewer than m={m}")
     tgrid, vals = data[:, 0], data[:, 1 : m + 1]
+    if not (np.all(np.isfinite(data[:, : m + 1])) and np.all(np.diff(tgrid) > 0)):
+        raise ValueError("--input-file needs finite values and strictly increasing times")
 
     def fn(t):
         return np.array([np.interp(t, tgrid, vals[:, j]) for j in range(m)])
@@ -203,12 +205,12 @@ def cmd_hsv(args):
     return 0
 
 
-def _export_reduced(out, name, mode, r, rom, timings=False):
-    tag = f"{name}_{mode}_r{r}"
+def _export_reduced(out, name, rom, timings=False):
+    tag = f"{name}_{rom.mode}_r{rom.order}"
     sidecar = mmio.save_system(out, tag, rom.to_system())
     meta = {
-        "mode": mode,
-        "r": r,
+        "mode": rom.mode,
+        "r": rom.order,
         "t_s": rom.window.t_s if rom.window else None,
         "t_e": rom.window.t_e if rom.window else None,
         "sigma": [float(v) for v in rom.hsv],
@@ -229,15 +231,13 @@ def cmd_reduce(args):
     window = _window(args)
     cfg = _config(args)
     orders = _orders(args)
-    roms = []
-    for mode in args.mode:
-        bal = reduction.balance(sys_obj, mode, window, cfg, args.method)
-        roms += [(mode, r, bal.truncate(r)) for r in orders]
+    bals = [reduction.balance(sys_obj, mode, window, cfg, args.method) for mode in args.mode]
+    roms = [bal.truncate(r) for bal in bals for r in orders]
     out = _out_dir(args)
-    for mode, r, rom in roms:
-        _export_reduced(out, name, mode, r, rom, timings=args.timings)
+    for rom in roms:
+        _export_reduced(out, name, rom, timings=args.timings)
         print(
-            f"{name} {mode} r={r}: stable={int(rom.stable)} "
+            f"{name} {rom.mode} r={rom.order}: stable={int(rom.stable)} "
             f"t_mor={_fmt(rom.info.get('t_mor', 0.0))}"
         )
     return 0
@@ -283,12 +283,13 @@ def cmd_compare(args):
         for r in orders:
             rom = bal.truncate(r)
             red = simulate.implicit_midpoint(rom, u, None, args.dt, tf)
-            results.append((mode, r, rom, *simulate.relative_error_series(ref, red, window)))
+            results.append((rom, *simulate.relative_error_series(ref, red, window)))
     out = _out_dir(args)
 
     table = []
     e_by_mode = {}
-    for mode, r, rom, err, e_max in results:
+    for rom, err, e_max in results:
+        mode, r = rom.mode, rom.order
         _write_csv(
             out / f"{name}_error_t_{mode}_r{r}.csv",
             ["t", "E"],

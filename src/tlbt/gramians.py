@@ -509,7 +509,6 @@ def _solve_lowrank(sys, window, cfg, mode, side):
     bnorm = np.linalg.norm(b)
     trace, prev = [], []
     since_check = stagnant = 0
-    force_check = False
     mu = np.inf
 
     def run_check(exact):
@@ -543,10 +542,10 @@ def _solve_lowrank(sys, window, cfg, mode, side):
 
     while True:
         d, ritz = ws.dim, None
-        checked = since_check >= _CADENCE or force_check or d >= max_dim
+        checked = since_check >= _CADENCE or stagnant > 0 or d >= max_dim
         if checked:
             converged, y, f_change, mu, ritz = run_check(d >= n)
-            since_check, force_check = 0, False
+            since_check = 0
             trace.append({"k": len(ws.shifts) - 1, "shift": ws.shifts[-1], "dim": d,
                           "f_change": f_change, "mu": mu})
             if converged:
@@ -582,7 +581,6 @@ def _solve_lowrank(sys, window, cfg, mode, side):
             stagnant = 0
         else:
             stagnant += 1
-            force_check = True
             if stagnant > 2:
                 raise NoConvergenceError(
                     f"rational Krylov basis stagnated at dim {d} (mu {mu:.3e})"

@@ -4,7 +4,9 @@ Projectors are built from Gramian factors via the thin SVD of
 Z_Q^T M Z_P; the retained singular values are the (time-limited) Hankel
 singular values, computed once per mode and reused at every order.
 Works with exact dense factors and with the low-rank factors produced by
-the rational Krylov solver.
+the rational Krylov solver. The reduced model is a standard system, so
+the integrator, the Gramian solvers and the reduction itself take it as
+they take the system it came from.
 """
 
 import time
@@ -28,14 +30,10 @@ __all__ = [
 ]
 
 
-@dataclass
-class ReducedModel:
-    """Projected model (A, B, C, D) with the projectors that built it."""
+@dataclass(kw_only=True)
+class ReducedModel(StandardSystem):
+    """A reduced model: the projected standard system, with the projectors that built it."""
 
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
     T: np.ndarray
     S: np.ndarray
     hsv: np.ndarray
@@ -44,11 +42,8 @@ class ReducedModel:
     window: TimeWindow | None = None
     info: dict = field(default_factory=dict)
 
-    @property
-    def order(self):
-        return self.A.shape[0]
-
     def to_system(self):
+        """The same model as a plain :class:`StandardSystem`, without the projectors."""
         return StandardSystem(self.A, self.B, self.C, self.D)
 
 

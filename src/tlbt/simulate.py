@@ -11,8 +11,8 @@ of two ways, with one finiteness check after the loop:
   Phi = step(M) - I once (one n-column solve on ``mass_apply(I)``: M, I,
   or a descriptor's M1; a forced input also Gamma = dt/2 step(B)), and
   each step is one n x n product x <- Phi x + Gamma u; the outputs are
-  one product with C^T (and D^T) per block of stored states. Every
-  reduced model takes this route.
+  one product with C^T (and D^T) per block of stored states. A reduced
+  model is a dense standard system, stepped as such: it takes this route.
 - any other system (a sparse or descriptor pencil of more than 256
   states, or any system with more states than steps, where forming Phi
   would cost more than the steps) takes per step one ``mass_apply`` (no
@@ -121,17 +121,16 @@ def impulse_response(sys, v=None, dt=1e-3, t_f=1.0):
 
 
 def _integrate(sys, u, x0, dt, t_f):
-    """Midpoint steps on ``sys`` (a reduced model as its system): propagator or per-step loop."""
+    """Midpoint steps on ``sys``: propagator or per-step loop."""
     if not (0 < dt < np.inf and 0 < t_f < np.inf and float(t_f) / float(dt) < np.inf):
         raise ValueError(f"dt and t_f must be positive and finite, and so must t_f/dt; "
                          f"got dt={dt!r}, t_f={t_f!r}")
-    form = sys.to_system() if hasattr(sys, "to_system") else sys
-    b, c, d = form.B, form.C, form.D
+    b, c, d = sys.B, sys.C, sys.D
     n, m = b.shape
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
     if u is not None and u.kind == "impulse":
         v = np.ones(m) if u.vector is None else u.vector.reshape(m)
-        kick = form.mass_solve(b @ v)
+        kick = sys.mass_solve(b @ v)
         x = kick if x0 is None else x + kick
     nsteps = int(np.ceil(t_f / dt - 1e-9))
     try:
@@ -139,17 +138,17 @@ def _integrate(sys, u, x0, dt, t_f):
         outputs = np.empty((nsteps + 1, c.shape[0]))
     except (MemoryError, ValueError) as exc:  # no room, or more elements than an array holds
         raise ValueError(f"t_f/dt asks for {nsteps:.3g} steps, more than fit in memory") from exc
-    step = form.midpoint_step(dt)
+    step = sys.midpoint_step(dt)
     forced = u is not None and u.kind != "impulse"
-    mass, a = form.pencil()
+    mass, a = sys.pencil()
     dense = not (sp.issparse(mass) or sp.issparse(a))
     if n <= nsteps and (dense or n <= _SPARSE_PROPAGATED):
-        x = _propagate(form, step, x, u if forced else None, dt, times, outputs)
+        x = _propagate(sys, step, x, u if forced else None, dt, times, outputs)
     else:
         for k in range(nsteps + 1):
             outputs[k] = c @ x + d @ u.sample(times[k], m) if forced else c @ x
             if k < nsteps:
-                rhs = form.mass_apply(x)
+                rhs = sys.mass_apply(x)
                 if forced:
                     rhs = rhs + dt / 2.0 * (b @ u.sample(times[k] + dt / 2.0, m))
                 x = step(rhs) - x
@@ -158,7 +157,7 @@ def _integrate(sys, u, x0, dt, t_f):
     return Trajectory(times=times, outputs=outputs)
 
 
-def _propagate(form, step, x, u, dt, times, outputs):
+def _propagate(sys, step, x, u, dt, times, outputs):
     """Dense steps ``x <- Phi x + Gamma u``: ``Phi = step(M) - I``, ``Gamma = dt/2 step(B)``.
 
     M is the mass as ``mass_apply`` applies it (I, M, or a descriptor's
@@ -167,10 +166,10 @@ def _propagate(form, step, x, u, dt, times, outputs):
     outputs, written into ``outputs``, are one product with C^T (and one of
     its inputs with D^T). Returns the last state.
     """
-    b, c, d = form.B, form.C, form.D
+    b, c, d = sys.B, sys.C, sys.D
     n, m = b.shape
     nsteps = times.size - 1
-    phi = step(form.mass_apply(np.eye(n))) - np.eye(n)
+    phi = step(sys.mass_apply(np.eye(n))) - np.eye(n)
     gamma = dt / 2.0 * step(b) if u is not None else None
     states = np.empty((min(_BLOCK, nsteps + 1), n))
     for start in range(0, nsteps + 1, _BLOCK):

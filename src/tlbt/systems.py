@@ -5,8 +5,8 @@ with nonsingular M, and semi-explicit index-one descriptor systems in
 block form. State matrices (M, A, a descriptor's M1 and A1-A4) can be
 dense ndarrays or scipy.sparse matrices; B, C and D (a descriptor's B1,
 B2, C1 and C2) are made dense 2-D float arrays at construction, before
-their shapes are checked, so no other module converts them. Every dense
-matrix must be finite.
+their shapes are checked, so no other module converts them. Every matrix
+must be finite, a sparse one in its stored entries.
 
 The three types answer the solvers' questions alike, so no solver asks
 which type it holds: ``order`` is the dimension the solvers work in (n,
@@ -68,8 +68,9 @@ def _dense(a):
 
 
 def _finite(a, name, sparse=True):
-    """``a`` as a finite float array of at least two dimensions; sparse as given if ``sparse``."""
+    """``a`` checked finite, as a float array of at least 2-D or, if ``sparse``, a sparse one."""
     if sparse and sp.issparse(a):
+        linalg.check_finite(a.tocoo(copy=False).data, name)
         return a
     return linalg.check_finite(np.atleast_2d(_dense(a)), name)
 

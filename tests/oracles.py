@@ -159,12 +159,10 @@ def numerical_rank(obj, eps):
 def transfer_at(obj, s):
     """Transfer function ``C (s M - A)^{-1} B + D`` at a complex point s.
 
-    A reduced model answers through its standard system. A descriptor takes
-    ``splu`` of its block pencil (the algebraic part carries its
-    feedthrough); any other system a dense solve.
+    A descriptor takes ``splu`` of its block pencil (the algebraic part
+    carries its feedthrough); any other system, a reduced model included, a
+    dense solve.
     """
-    if hasattr(obj, "to_system"):
-        obj = obj.to_system()
     if hasattr(obj, "A4"):
         m_full, a_full = obj.pencil()
         b_full = np.vstack([_dense(obj.B1), _dense(obj.B2)])

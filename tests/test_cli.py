@@ -243,11 +243,12 @@ COMPARE = ["compare", *SYNTH, "--mode", "bt", "--te", "1.0"]
         (["reduce", "--synth", "heat_like", "--n", "1200", "--mode", "bt", "--order", "2",
           "--method", "dense"], "dense Gramian path refused for n=1200"),
         (["compare", *SYNTH, "--mode", "bt", "--order", "2"], "compare requires --te"),
+        (["gramian", "--mode", "bt"], "either --system or --synth is required"),
     ],
     ids=["simulate-missing-system", "simulate-no-input-file", "simulate-negative-dt",
          "synth-n1", "compare-dt0", "reduce-order0", "reduce-negative-order", "compare-order0",
          "gramian-no-window", "hsv-no-window", "reduce-no-window", "reduce-dense-too-large",
-         "compare-no-te"],
+         "compare-no-te", "gramian-no-source"],
 )
 def test_config_errors_exit_2_before_out(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -434,6 +435,41 @@ def test_input_file_without_data_rows_exit_2(tmp_path, capsys, monkeypatch, comm
     assert main([*argv, "--out", "out"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and "--input-file has no data rows" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("times, values", [([0.0, 0.5, 1.0], [1.0, np.nan, 1.0]),
+                                           ([1.0, 0.5, 0.0], [1.0, 0.0, 1.0]),
+                                           ([0.0, 0.5, 0.5], [1.0, 0.0, 1.0]),
+                                           ([0.0, np.nan, 1.0], [1.0, 0.0, 1.0])],
+                         ids=["nan-value", "decreasing", "repeated", "nan-time"])
+@pytest.mark.parametrize("command", [["simulate"], COMPARE + ["--order", "2"]],
+                         ids=["simulate", "compare"])
+def test_input_file_bad_time_column_exit_2(tmp_path, capsys, monkeypatch, command, times, values):
+    # np.interp needs finite, increasing sample times: anything else would be
+    # interpolated silently or integrated into non-finite outputs
+    monkeypatch.chdir(tmp_path)
+    np.savetxt("u.csv", np.column_stack([times, values]), delimiter=",", header="t,u1")
+    argv = [*command, *SYNTH, "--input", "file", "--input-file", "u.csv"]
+    assert main([*argv, "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "finite values and strictly increasing times" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["reduce", "--mode", "bt", "--order", "2"], ["simulate"]],
+                         ids=["reduce", "simulate"])
+def test_non_finite_sparse_state_matrix_exit_2(tmp_path, capsys, monkeypatch, command):
+    # a NaN stored in a sparse A is refused on load, not met later as a
+    # failed eigensolve or a singular factor
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--kind", "heat_like", "--n", "30", "--out", "sys"]) == 0
+    a = mmio.read_matrix("sys/plant_A.mtx")
+    a.data[0] = np.nan
+    mmio.write_matrix("sys/plant_A.mtx", a)
+    assert main([*command, "--system", "sys/plant.json", "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "A contains non-finite entries" in err
     assert not (tmp_path / "out").exists()
 
 

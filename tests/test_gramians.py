@@ -76,6 +76,32 @@ def test_config_rejects_max_dim_below_one(max_dim):
         SolverConfig(max_dim=max_dim)
 
 
+@pytest.mark.parametrize("tols", [{"tol_f": 0.0}, {"tol_f": 1.0}, {"tol_p": -1e-8}, {"tol_p": 2.0}],
+                         ids=["tol_f-zero", "tol_f-one", "tol_p-negative", "tol_p-above-one"])
+def test_config_rejects_tolerances_outside_unit_interval(tols):
+    with pytest.raises(ValueError, match=r"tolerances must lie in \(0, 1\)"):
+        SolverConfig(**tols)
+
+
+@pytest.mark.parametrize(
+    "mode, method, message",
+    [("bst", "krylov", "mode must be one of"), ("tlbt", "krylov", "'tlbt' needs a time window"),
+     ("mtlbt", "dense", "'mtlbt' needs a time window"),
+     ("bt", "exact", r"method must be dense\|krylov")],
+    ids=["unknown-mode", "tlbt-no-window", "mtlbt-dense-no-window", "unknown-method"],
+)
+def test_mode_gramian_rejects_bad_arguments(mode, method, message):
+    with pytest.raises(ValueError, match=message):
+        mode_gramian(SCALAR, mode, None, method=method)
+
+
+def test_lowrank_refuses_zero_input_matrix():
+    # a zero B has an empty start block, so there is no basis to grow
+    s = StandardSystem(np.diag([-1.0, -2.0]), np.zeros((2, 1)), np.ones((1, 2)))
+    with pytest.raises(ValueError, match="input factor B is numerically zero"):
+        solve_infinite_lowrank(s)
+
+
 # ---------------------------------------------------------------------------
 # dense paths
 

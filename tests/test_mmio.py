@@ -96,6 +96,14 @@ def test_save_rejects_a_non_system(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_load_rejects_an_unknown_kind(tmp_path):
+    sidecar = mmio.save_system(tmp_path, "plant", make_synthetic("random_stable", 4, 1, 1, seed=0))
+    meta = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps(dict(meta, kind="bilinear")))
+    with pytest.raises(ValueError, match="unknown system kind 'bilinear'"):
+        mmio.load_system(sidecar)
+
+
 def test_feedthrough_persisted(tmp_path):
     s = StandardSystem(
         np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]]), D=np.array([[2.5]])

@@ -180,3 +180,25 @@ def test_tracer_cross_checks_every_mode():
     assert metrics["gramians.solves"] == 6
     for key in ("gramians.iters", "gramians.d", "gramians.rank"):
         assert metrics[key] > 0, key
+
+
+def test_tracer_tells_full_from_reduced_simulations():
+    # the tracer counts an impulse response as the reduced model's when its
+    # system has ``to_system``: a reduced model has it, a plain system must not
+    assert hasattr(tlbt.ReducedModel, "to_system")
+    assert not hasattr(tlbt.StandardSystem, "to_system")
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    tracer.install(tlbt)
+    try:
+        tracer.run = 0
+        s = tlbt.make_synthetic("weakly_damped", 40, 2, 2, seed=1)
+        rom = tlbt.reduce(s, "bt", r=6)
+        for sys in (s, rom):
+            tlbt.impulse_response(sys, dt=1e-2, t_f=1.0)
+    finally:
+        tracer.uninstall()
+    tracing.cross_check(tracer.spans, 0)
+    metrics = tracing.layer_metrics(tracer.spans, 0)
+    assert metrics["simulate.full_s"] > 0 and metrics["simulate.rom_s"] > 0
+    assert metrics["simulate.steps"] == 200

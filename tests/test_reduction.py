@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -102,6 +103,11 @@ def test_reduce_tolerance_based_order():
     assert 2 * sig[rom.order:].sum() <= 1e-6
     if rom.order > 1:
         assert 2 * sig[rom.order - 1 :].sum() > 1e-6
+
+
+def test_reduce_needs_an_order_or_a_tolerance():
+    with pytest.raises(ValueError, match="either r or tol must be given"):
+        reduce(SCALAR, "bt")
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan])
@@ -308,3 +314,43 @@ def test_generalized_balance_factors_mass_once_per_side(monkeypatch):
     _assert_bit_identical([balance(s, mode, window) for mode in MODES], fresh)
     masses = [a for a, *_ in factored if a.shape == s.M.shape and abs(a - s.M).max() == 0]
     assert len(masses) == 2  # M and M^T (equal: heat_like's M is symmetric)
+
+
+def _arrays(result):
+    """The arrays of a solver's result, for a bit-for-bit comparison."""
+    if isinstance(result, reduction.Balancing):
+        return [result.z_p, result.z_q, result.u, result.hsv, result.v]
+    if isinstance(result, reduction.ReducedModel):
+        return [result.A, result.B, result.C, result.D, result.T, result.S, result.hsv]
+    return [np.asarray(result)]
+
+
+_ON_A_SYSTEM = {
+    "balance": lambda s: balance(s, "tlbt", TimeWindow(t_e=2.0)),
+    "reduce": lambda s: reduce(s, "bt", r=3),
+    "mode_gramian-dense": lambda s: mode_gramian(s, "mtlbt", TimeWindow(t_e=2.0), method="dense"),
+    "spectral_abscissa": systems.spectral_abscissa,
+    "half_decay_time": simulate.half_decay_time,
+    "shifted_solve": lambda s: systems.shifted_solve(s, 1.0 - 0.5j, s.B),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_ON_A_SYSTEM))
+def test_reduced_model_is_a_system(call):
+    # a reduced model is a standard system: every entry point takes it and
+    # answers as it answers for the plain system with the same matrices
+    rom = reduce(make_synthetic("weakly_damped", 40, 2, 2, seed=1), "bt", r=6)
+    assert isinstance(rom, StandardSystem) and type(rom.to_system()) is StandardSystem
+    got, ref = (_ON_A_SYSTEM[call](s) for s in (rom, rom.to_system()))
+    for a, b in zip(_arrays(got), _arrays(ref), strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_reduced_model_is_checked_like_a_system():
+    rom = reduce(make_synthetic("weakly_damped", 20, 2, 2, seed=1), "bt", r=4)
+    bad = rom.A.copy()
+    bad[0, 0] = np.nan
+    with pytest.raises(ValueError, match="A contains non-finite entries"):
+        dataclasses.replace(rom, A=bad)
+    with pytest.raises(ValueError, match="B/C dimensions inconsistent with A"):
+        dataclasses.replace(rom, B=rom.B[:2])

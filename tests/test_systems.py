@@ -18,7 +18,7 @@ from oracles import (
 )
 from tlbt.errors import SingularBlockError, SingularShiftError
 from tlbt.mmio import load_system, save_system
-from tlbt.reduction import reduce
+from tlbt.reduction import ReducedModel, reduce
 from tlbt.simulate import impulse_response, implicit_midpoint, step_input
 from tlbt.synthetic import make_synthetic
 from tlbt.systems import (
@@ -285,6 +285,48 @@ def test_descriptor_refuses_non_finite_dense_blocks(name):
         DescriptorIndex1(**blocks)
 
 
+_SPARSE_STATE = [("standard", "A"), ("generalized", "M"), ("generalized", "A"),
+                 *(("descriptor", name) for name in ("M1", "A1", "A2", "A3", "A4"))]
+
+
+@pytest.mark.parametrize("kind, name", _SPARSE_STATE, ids=[f"{k}-{n}" for k, n in _SPARSE_STATE])
+def test_sparse_state_matrix_refuses_non_finite_entries(kind, name):
+    # a sparse matrix is checked on its stored entries, as a dense one is on all
+    if kind == "descriptor":
+        s = random_descriptor(6, 3, 2, 2, seed=1)
+    else:
+        s = make_synthetic(_KINDS[kind], 6, 2, 2, seed=1)
+    bad = sp.csc_matrix(getattr(s, name), copy=True)
+    bad.data[0] = np.nan
+    with pytest.raises(ValueError, match=f"{name} contains non-finite entries"):
+        dataclasses.replace(s, **{name: bad})
+
+
+def _bad_block(**blocks):
+    return lambda: dataclasses.replace(random_descriptor(6, 3, 2, 2, seed=1), **blocks)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [(lambda: StandardSystem(np.ones((3, 2)), np.ones((3, 1)), np.ones((1, 3))),
+      "A must be square"),
+     (lambda: GeneralizedSystem(np.eye(3), -np.eye(2), np.ones((3, 1)), np.ones((1, 3))),
+      "M and A must be square of equal size"),
+     (lambda: GeneralizedSystem(np.ones((3, 2)), -np.eye(3), np.ones((3, 1)), np.ones((1, 3))),
+      "M and A must be square of equal size"),
+     (_bad_block(M1=np.eye(5)), "M1/A1 must be n_f x n_f"),
+     (_bad_block(A2=np.ones((6, 2))), "off-diagonal blocks inconsistent"),
+     (_bad_block(A4=np.eye(2)), "off-diagonal blocks inconsistent"),
+     (_bad_block(B2=np.ones((2, 2))), "B blocks inconsistent"),
+     (_bad_block(C2=np.ones((2, 2))), "C blocks inconsistent")],
+    ids=["standard-A", "generalized-A", "generalized-M", "descriptor-M1", "descriptor-A2",
+         "descriptor-A4", "descriptor-B2", "descriptor-C2"],
+)
+def test_state_matrix_shapes_checked(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_generalized_system_checks_feedthrough_shape():
     with pytest.raises(ValueError, match="D must be p x m"):
         GeneralizedSystem(np.eye(2), -np.eye(2), np.ones((2, 1)), np.ones((1, 2)), D=np.ones((2, 2)))
@@ -500,7 +542,7 @@ def test_dense_factor_closure_frees_lu_without_gc(rng):
         gc.enable()
 
 
-@pytest.mark.parametrize("cls", [StandardSystem, GeneralizedSystem, DescriptorIndex1])
+@pytest.mark.parametrize("cls", [StandardSystem, GeneralizedSystem, DescriptorIndex1, ReducedModel])
 def test_cache_fields_are_not_parameters(cls):
     cached = [f for f in dataclasses.fields(cls) if f.name.startswith("_")]
     assert cached
