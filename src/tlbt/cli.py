@@ -1,12 +1,12 @@
 """Command-line front end for batch Gramian, reduction, and validation runs.
 
-Subcommands: synth, gramian, hsv, reduce, simulate, compare. Systems come
-from a Matrix Market set with JSON sidecar (--system plant.json) or from
-the builtin generators (--synth weakly_damped --n 200 ...). All numeric
-output is printed with 17 significant digits; result files avoid
-timestamps and timings (opt in with --timings) so identical runs produce
-byte-identical outputs. Every command computes all it writes before it
-creates --out, so a failed run leaves no --out behind.
+Subcommands: synth, gramian, hsv, reduce, simulate, compare; hsv, reduce and
+compare balance through one stage. Systems come from a Matrix Market set
+with a JSON sidecar (--system plant.json) or a generator (--synth ...).
+Numbers are written at 17 significant digits, tables as numeric CSV; result
+files hold no timings unless --timings is given, so identical runs write
+identical bytes. Every command computes all it writes before it creates
+--out, so a failed run leaves no --out behind.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure.
 """
@@ -76,6 +76,8 @@ def _load_system(args):
 def _window(args):
     if args.te is not None:
         return TimeWindow(t_e=args.te, t_s=args.ts)
+    if args.command == "compare":
+        raise ValueError("compare requires --te")
     timed = [mode for mode in args.mode if mode != "bt"]
     if timed:
         raise ValueError(f"mode {timed[0]!r} needs a time window (--te)")
@@ -84,6 +86,14 @@ def _window(args):
 
 def _config(args):
     return SolverConfig(tol_f=args.tol_f, tol_p=args.tol_p, max_dim=args.max_dim)
+
+
+def _balancings(args):
+    """The system, its name, its window (flags checked) and a generator of each mode's Balancing."""
+    sys_obj, name = _load_system(args)
+    window, cfg = _window(args), _config(args)
+    bals = (reduction.balance(sys_obj, mode, window, cfg, args.method) for mode in args.mode)
+    return sys_obj, name, window, bals
 
 
 def _orders(args):
@@ -130,25 +140,6 @@ def _out_dir(args):
     return out
 
 
-def _shift_text(s):
-    if np.isinf(np.real(s)):
-        return "inf"
-    s = complex(s)
-    if s.imag == 0:
-        return _fmt(s.real)
-    return f"{_fmt(s.real)}{'+' if s.imag >= 0 else '-'}{_fmt(abs(s.imag))}j"
-
-
-def _write_trace(path, trace):
-    with open(path, "w") as fh:
-        fh.write("k,shift,dim,f_change,mu\n")
-        for row in trace:
-            fh.write(
-                f"{row['k']},{_shift_text(row['shift'])},{row['dim']},"
-                f"{_fmt(row['f_change'])},{_fmt(row['mu'])}\n"
-            )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -176,7 +167,10 @@ def cmd_gramian(args):
             tag = "ZP" if side == "reachability" else "ZQ"
             mmio.write_matrix(out / f"{name}_{tag}_{mode}.mtx", g.z)
             if args.trace:
-                _write_trace(out / f"{name}_trace_{tag}_{mode}.csv", g.trace)
+                _write_csv(out / f"{name}_trace_{tag}_{mode}.csv",
+                           ["k", "shift_re", "shift_im", "dim", "f_change", "mu"],
+                           [(row["k"], np.real(row["shift"]), np.imag(row["shift"]), row["dim"],
+                             row["f_change"], row["mu"]) for row in g.trace])
             summary[side] = {"d": g.subspace_dim, "rank": g.rank, "mu": g.residual, "stop": g.stop}
             if args.timings:
                 summary[side]["seconds"] = g.wall_time
@@ -189,12 +183,10 @@ def cmd_gramian(args):
 
 
 def cmd_hsv(args):
-    sys_obj, name = _load_system(args)
-    window = _window(args)
-    cfg = _config(args)
-    hsvs = [reduction.balance(sys_obj, mode, window, cfg, args.method).hsv for mode in args.mode]
+    _, name, _, bals = _balancings(args)
+    hsvs = [(bal.mode, bal.hsv) for bal in bals]
     out = _out_dir(args)
-    for mode, hsv in zip(args.mode, hsvs):
+    for mode, hsv in hsvs:
         _write_csv(
             out / f"{name}_hsv_{mode}.csv",
             ["index", "sigma"],
@@ -207,7 +199,7 @@ def cmd_hsv(args):
 
 def _export_reduced(out, name, rom, timings=False):
     tag = f"{name}_{rom.mode}_r{rom.order}"
-    sidecar = mmio.save_system(out, tag, rom.to_system())
+    mmio.save_system(out, tag, rom)
     meta = {
         "mode": rom.mode,
         "r": rom.order,
@@ -223,15 +215,11 @@ def _export_reduced(out, name, rom, timings=False):
     if timings:
         meta["t_mor"] = rom.info.get("t_mor")
     mmio._write_json(out / f"{tag}.json", meta)
-    return sidecar
 
 
 def cmd_reduce(args):
-    sys_obj, name = _load_system(args)
-    window = _window(args)
-    cfg = _config(args)
+    _, name, _, bals = _balancings(args)
     orders = _orders(args)
-    bals = [reduction.balance(sys_obj, mode, window, cfg, args.method) for mode in args.mode]
     roms = [bal.truncate(r) for bal in bals for r in orders]
     out = _out_dir(args)
     for rom in roms:
@@ -267,19 +255,15 @@ def cmd_simulate(args):
 
 
 def cmd_compare(args):
-    sys_obj, name = _load_system(args)
-    if args.te is None:
-        raise ValueError("compare requires --te")
-    window = TimeWindow(t_e=args.te, t_s=args.ts)
-    cfg = _config(args)
+    sys_obj, name, window, bals = _balancings(args)
     orders = sorted(_orders(args))
     tf = args.tf if args.tf is not None else args.te
     u = _input_signal(args, sys_obj.m)
     ref = simulate.implicit_midpoint(sys_obj, u, None, args.dt, tf)
+    simulate.relative_error_series(ref, ref, window)  # an empty error window, before any solve
 
     results = []
-    for mode in args.mode:
-        bal = reduction.balance(sys_obj, mode, window, cfg, args.method)
+    for bal in bals:
         for r in orders:
             rom = bal.truncate(r)
             red = simulate.implicit_midpoint(rom, u, None, args.dt, tf)
@@ -287,7 +271,6 @@ def cmd_compare(args):
     out = _out_dir(args)
 
     table = []
-    e_by_mode = {}
     for rom, err, e_max in results:
         mode, r = rom.mode, rom.order
         _write_csv(
@@ -299,13 +282,13 @@ def cmd_compare(args):
         if args.timings:
             entry["t_mor"] = rom.info["t_mor"]
         table.append(entry)
-        e_by_mode.setdefault(mode, {})[r] = e_max
         print(f"{name} {mode} r={r}: E_T={_fmt(e_max)} stable={int(rom.stable)}")
 
+    e_t = {(entry["mode"], entry["r"]): entry["E_T"] for entry in table}
     _write_csv(
         out / f"{name}_errors_vs_order.csv",
         ["r", *args.mode],
-        [(r, *[e_by_mode[mode][r] for mode in args.mode]) for r in orders],
+        [(r, *[e_t[mode, r] for mode in args.mode]) for r in orders],
     )
     payload = {
         "system": name,

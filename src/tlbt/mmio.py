@@ -13,8 +13,12 @@ files (relative to its own directory) and carries structure metadata:
       "alpha_shift": 0.08  # optional, applied on load (A <- A - alpha*M)
     }
 
-The files are the system class's constructor fields (D only when
-nonzero), loaded as written; the constructors make B, C and D dense.
+The files are the constructor fields of the kind's class (D only when
+nonzero), loaded as written; the constructors make B, C and D dense. A
+system saves as the kind of the nearest class in its MRO (a ReducedModel
+as standard). A sidecar that is not an object, names an unknown kind, or
+lacks a file name for a field other than D, or whose alpha_shift is not a
+number, is refused with ValueError.
 """
 
 import dataclasses
@@ -59,13 +63,13 @@ def _write_json(path, payload):
 
 def save_system(out_dir, name, sys):
     """Write a system's matrices plus sidecar; returns the sidecar path."""
-    kind = next((k for k, cls in _KINDS.items() if type(sys) is cls), None)
+    kind = next((k for cls in type(sys).__mro__ for k, c in _KINDS.items() if c is cls), None)
     if kind is None:
         raise TypeError(f"unsupported system type {type(sys)!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = {}
-    for key in _fields(type(sys)):
+    for key in _fields(_KINDS[kind]):
         mat = getattr(sys, key)
         if key != "D" or np.any(mat):
             files[key] = f"{name}_{key}.mtx"
@@ -83,13 +87,19 @@ def load_system(sidecar_path):
     sidecar_path = Path(sidecar_path)
     with open(sidecar_path) as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{sidecar_path} is not a JSON object")
     kind = meta.get("kind", "standard")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown system kind {kind!r}")
-    files = meta["files"]
-    blocks = {
-        key: read_matrix(sidecar_path.parent / files[key])
-        for key in _fields(_KINDS[kind]) if key in files
-    }
-    sys = _KINDS[kind](**blocks)
-    return alpha_shift(sys, float(meta.get("alpha_shift", 0.0))), meta
+    files, fields = meta.get("files"), _fields(_KINDS[kind])
+    if not (isinstance(files, dict) and all(isinstance(files.get(k, ""), str) for k in fields)):
+        raise ValueError("sidecar 'files' must map matrix names to file names")
+    missing = [key for key in fields if key not in files and key != "D"]
+    if missing:
+        raise ValueError(f"sidecar 'files' has no {', '.join(missing)}")
+    alpha = meta.get("alpha_shift", 0.0)
+    if not isinstance(alpha, (int, float)):
+        raise ValueError(f"sidecar 'alpha_shift' must be a number, got {alpha!r}")
+    blocks = {key: read_matrix(sidecar_path.parent / files[key]) for key in fields if key in files}
+    return alpha_shift(_KINDS[kind](**blocks), float(alpha)), meta

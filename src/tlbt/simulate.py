@@ -91,8 +91,11 @@ def impulse_input(v=None):
 
 
 def step_input(c=1.0):
-    """Constant input u(t) = c * ones_m (or the given vector)."""
-    return InputSignal(kind="constant", vector=np.asarray(c, dtype=float))
+    """Constant input u(t) = c * ones_m (or the given vector); ``c`` must be finite."""
+    c = np.asarray(c, dtype=float)
+    if not np.all(np.isfinite(c)):
+        raise ValueError(f"step input must be finite, got {c.tolist()!r}")
+    return InputSignal(kind="constant", vector=c)
 
 
 def custom_input(fn):
@@ -190,7 +193,8 @@ def relative_error_series(y, y_red, window=None):
     """Pointwise relative output error and its maximum over the window.
 
     E(t) = ||y(t) - y_r(t)|| / ||y(t)||; grid points where both responses
-    vanish give 0, points where only the reference vanishes give inf.
+    vanish give 0, points where only the reference vanishes give inf. A
+    window that holds no grid point has no maximum: ValueError.
     """
     if y.times.shape != y_red.times.shape or not np.allclose(
         y.times, y_red.times, rtol=0, atol=1e-12 * max(y.dt, 1e-30)
@@ -206,8 +210,9 @@ def relative_error_series(y, y_red, window=None):
         mask = np.ones(y.times.shape, dtype=bool)
     else:
         mask = (y.times >= window.t_s - 1e-12) & (y.times <= window.t_e + 1e-12)
-    e_max = float(np.max(err[mask])) if np.any(mask) else 0.0
-    return err, e_max
+    if not np.any(mask):
+        raise ValueError(f"no grid point lies in the error window [{window.t_s!r}, {window.t_e!r}]")
+    return err, float(np.max(err[mask]))
 
 
 def half_decay_time(sys):

@@ -1,5 +1,8 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -74,7 +77,7 @@ def test_gramian_scalar_timelimited_factor_value(tmp_path):
     z = mmio.read_matrix(out / "scalar1_ZP_tlbt.mtx")
     assert abs(abs(z[0, 0]) - np.sqrt(P_TL_01)) < 1e-6
     trace = (out / "scalar1_trace_ZP_tlbt.csv").read_text().splitlines()
-    assert trace[0] == "k,shift,dim,f_change,mu"
+    assert trace[0] == "k,shift_re,shift_im,dim,f_change,mu"
     assert len(trace) >= 2
 
 
@@ -159,9 +162,10 @@ def test_gramian_refuses_dense_method(tmp_path, capsys):
 
 
 def test_gramian_trace_csv_round_trips_shifts(tmp_path, monkeypatch):
-    # the --trace CSV writes each check's latest pole (inf, real, or complex
-    # as a+bj / a-bj) at 17 digits, so it parses back to the solver's value:
-    # complex on weakly_damped, real on heat_like (a real spectrum)
+    # the --trace CSV writes each check's latest pole as its real and
+    # imaginary parts (inf in shift_re) at 17 digits, so np.loadtxt reads it
+    # back to the solver's value: complex on weakly_damped, real on
+    # heat_like (a real spectrum)
     real, solves = cli.mode_gramian, {}
 
     def spy(sys, mode, window, cfg, side):
@@ -174,17 +178,17 @@ def test_gramian_trace_csv_round_trips_shifts(tmp_path, monkeypatch):
         assert main(["gramian", "--synth", kind, "--n", "40", "--m", "2", "--p", "2",
                      "--mode", "tlbt", "--te", te, "--trace", "--out", str(out)]) == 0
         for side, tag in (("reachability", "ZP"), ("observability", "ZQ")):
-            lines = (out / f"{kind}_n40_s0_trace_{tag}_tlbt.csv").read_text().splitlines()
-            assert lines[0] == "k,shift,dim,f_change,mu"
-            rows = [line.split(",") for line in lines[1:]]
-            shifts = [complex(row[1]) for row in rows]
-            assert shifts == [complex(entry["shift"]) for entry in solves[side].trace]
-            finite = [row[1] for row in rows if row[1] != "inf"]
-            assert finite and any("j" in sh for sh in finite) == is_complex
-            k, dims = [int(row[0]) for row in rows], [int(row[2]) for row in rows]
-            assert all(a < b for a, b in zip(k, k[1:]))
-            assert all(a <= b for a, b in zip(dims, dims[1:]))
-            assert float(rows[-1][4]) < 1e-8  # the default tol_p
+            path = out / f"{kind}_n40_s0_trace_{tag}_tlbt.csv"
+            assert path.read_text().splitlines()[0] == "k,shift_re,shift_im,dim,f_change,mu"
+            k, re, im, dims, _, mu = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+            shifts = [complex(entry["shift"]) for entry in solves[side].trace]
+            assert np.array_equal(re, np.real(shifts)) and np.array_equal(im, np.imag(shifts))
+            finite = np.isfinite(re)
+            assert finite.any() and np.all(im[~finite] == 0)
+            assert bool(np.any(im != 0)) == is_complex
+            assert np.all(k == np.round(k)) and np.all(np.diff(k) > 0)
+            assert np.all(np.diff(dims) >= 0)
+            assert mu[-1] < 1e-8  # the default tol_p
 
 
 def test_reduce_mtlbt_stable_on_suite(tmp_path):
@@ -471,6 +475,64 @@ def test_non_finite_sparse_state_matrix_exit_2(tmp_path, capsys, monkeypatch, co
     err = capsys.readouterr().err
     assert err.startswith("config error") and "A contains non-finite entries" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(lambda m: dict(m, files={"A": "s_A.mtx", "B": "s_B.mtx"}), "sidecar 'files' has no C"),
+     (lambda m: dict(m, files="x"), "'files' must map matrix names to file names"),
+     (lambda m: dict(m, files=dict(m["files"], C=["s_C.mtx"])),
+      "'files' must map matrix names to file names"),
+     (lambda m: dict(m, kind=[1]), "unknown system kind [1]"),
+     (lambda m: [m], "is not a JSON object")],
+    ids=["missing-C", "files-a-string", "file-name-a-list", "kind-a-list", "top-level-array"],
+)
+def test_malformed_sidecar_exit_2(tmp_path, capsys, monkeypatch, edit, message):
+    # each used to end in a traceback and exit 1
+    monkeypatch.chdir(tmp_path)
+    sidecar = mmio.save_system("sys", "s", SCALAR)
+    sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
+    assert main(["simulate", "--system", str(sidecar), "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_refuses_an_error_window_without_grid_points(tmp_path, capsys, monkeypatch):
+    # the grid [0, 0.5] misses the window [1, 2]: E_T used to be written as 0;
+    # the window is refused before any Gramian is solved
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(reduction, "balance", None)
+    argv = ["compare", "--synth", "weakly_damped", "--n", "20", "--mode", "bt", "--order", "4",
+            "--ts", "1", "--te", "2", "--tf", "0.5", "--out", "out"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "no grid point lies in the error window" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
+def test_non_finite_step_scale_exit_2(tmp_path, capsys, monkeypatch, scale):
+    # a non-finite step input used to be reported as a solver failure (exit 3)
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--synth", "weakly_damped", "--n", "20", "--input", "step",
+            f"--step-scale={scale}", "--out", "out"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "step input must be finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_module_runs_as_a_script(tmp_path):
+    # python -m tlbt.cli exits with main's code
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    run = subprocess.run(
+        [sys.executable, "-m", "tlbt.cli", "hsv", "--synth", "random_stable", "--n", "8",
+         "--mode", "tlbt", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert run.returncode == 2 and not (tmp_path / "out").exists()
+    assert run.stderr.startswith("config error") and "needs a time window" in run.stderr
 
 
 @pytest.mark.parametrize("flags", [["--tf", "inf"], ["--dt", "nan"], ["--dt", "inf"],

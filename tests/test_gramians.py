@@ -95,6 +95,12 @@ def test_mode_gramian_rejects_bad_arguments(mode, method, message):
         mode_gramian(SCALAR, mode, None, method=method)
 
 
+@pytest.mark.parametrize("method", ["krylov", "dense"])
+def test_mode_gramian_rejects_an_unknown_side(method):
+    with pytest.raises(ValueError, match=r"side must be reachability\|observability, got 'x'"):
+        mode_gramian(SCALAR, "bt", side="x", method=method)
+
+
 def test_lowrank_refuses_zero_input_matrix():
     # a zero B has an empty start block, so there is no basis to grow
     s = StandardSystem(np.diag([-1.0, -2.0]), np.zeros((2, 1)), np.ones((1, 2)))

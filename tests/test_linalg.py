@@ -173,6 +173,24 @@ def test_expm_zero():
     assert np.allclose(linalg.expm(np.zeros((3, 3))), np.eye(3))
 
 
+def test_expm_of_an_empty_matrix():
+    e = linalg.expm(np.zeros((0, 0)))
+    assert e.shape == (0, 0) and e.dtype == float
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: linalg.gen_eig(np.ones((2, 3))), "A must be square"),
+     (lambda: linalg.expm(np.ones((3, 2))), "A must be square"),
+     (lambda: linalg.lyap_dense(np.ones((2, 3)), np.eye(2)), "A and W must be square"),
+     (lambda: linalg.lyap_dense(-np.eye(2), np.eye(3)), "A and W must be square")],
+    ids=["gen_eig", "expm", "lyap-non-square", "lyap-mismatched"],
+)
+def test_dense_kernels_refuse_non_square_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_expm_nilpotent():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     assert np.allclose(linalg.expm(a), [[1.0, 1.0], [0.0, 1.0]], atol=1e-15)

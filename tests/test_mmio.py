@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.sparse as sp
 
 from conftest import random_descriptor
 from tlbt import mmio
+from tlbt.reduction import reduce
 from tlbt.synthetic import make_synthetic
 from tlbt.systems import DescriptorIndex1, GeneralizedSystem, StandardSystem
 
@@ -94,6 +96,54 @@ def test_save_rejects_a_non_system(tmp_path):
     with pytest.raises(TypeError, match="unsupported system type"):
         mmio.save_system(tmp_path, "plant", (s.A, s.B, s.C))
     assert not list(tmp_path.iterdir())
+
+
+def test_reduced_model_saves_as_a_standard_system(tmp_path):
+    # the kind is that of the nearest class in the MRO: a ReducedModel is standard,
+    # and its matrices load bit for bit, a descriptor model's retained D included
+    for name, system in (("wd", make_synthetic("weakly_damped", 40, 2, 2, seed=1)),
+                         ("dae", random_descriptor(20, 6, 2, 2, seed=7))):
+        rom = reduce(system, "bt", r=4)
+        sidecar = mmio.save_system(tmp_path, name, rom)
+        loaded, meta = mmio.load_system(sidecar)
+        assert meta["kind"] == "standard" and type(loaded) is StandardSystem
+        assert sorted(meta["files"]) == (["A", "B", "C", "D"] if np.any(rom.D) else ["A", "B", "C"])
+        for key in ("A", "B", "C", "D"):
+            assert np.array_equal(getattr(loaded, key), getattr(rom, key)), (name, key)
+    assert np.any(rom.D)
+
+
+def _sidecar(tmp_path, edit):
+    """A saved scalar system's sidecar, its JSON replaced by ``edit(meta)``."""
+    s = StandardSystem(np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]]))
+    sidecar = mmio.save_system(tmp_path, "plant", s)
+    sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
+    return sidecar
+
+
+MALFORMED = {
+    "missing-C": (lambda m: dict(m, files={"A": "plant_A.mtx", "B": "plant_B.mtx"}),
+                  "sidecar 'files' has no C"),
+    "files-a-string": (lambda m: dict(m, files="x"), "'files' must map matrix names to file names"),
+    "file-name-a-number": (lambda m: dict(m, files=dict(m["files"], B=3)),
+                           "'files' must map matrix names to file names"),
+    "kind-a-list": (lambda m: dict(m, kind=[1]), "unknown system kind [1]"),
+    "top-level-array": (lambda m: [m], "is not a JSON object"),
+    "alpha-a-list": (lambda m: dict(m, alpha_shift=[0.1]),
+                     "sidecar 'alpha_shift' must be a number, got [0.1]"),
+}
+
+
+@pytest.mark.parametrize("edit, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_load_rejects_a_malformed_sidecar(tmp_path, edit, message):
+    # each used to escape as TypeError or AttributeError
+    with pytest.raises(ValueError, match=re.escape(message)):
+        mmio.load_system(_sidecar(tmp_path, edit))
+
+
+def test_load_without_d_gives_zero_feedthrough(tmp_path):
+    loaded, _ = mmio.load_system(_sidecar(tmp_path, lambda m: m))
+    assert np.array_equal(loaded.D, np.zeros((1, 1)))
 
 
 def test_load_rejects_an_unknown_kind(tmp_path):

@@ -66,6 +66,18 @@ def test_square_root_rank_deficient():
         square_root_reduce(SCALAR, z, z, 2)
 
 
+def test_square_root_refuses_a_numerically_zero_sigma():
+    # sigma_2 = 1e-16 sigma_1 is in range but numerically zero
+    s = StandardSystem(np.diag([-1.0, -2.0]), np.eye(2), np.eye(2))
+    with pytest.raises(RankDeficientError, match="sigma_2 = 1.000e-16 is numerically zero"):
+        square_root_reduce(s, np.diag([1.0, 1e-16]), np.eye(2), 2)
+
+
+def test_factor_psd_refuses_a_non_symmetric_matrix():
+    with pytest.raises(ValueError, match="matrix is not symmetric"):
+        factor_psd(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
 def test_square_root_tie_warning():
     s = StandardSystem(np.diag([-1.0, -1.0]), np.eye(2), np.eye(2))
     z_p, z_q = exact_factors(s)

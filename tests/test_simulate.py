@@ -150,6 +150,24 @@ def test_relative_error_window_restriction():
     assert e_max == 0.0
 
 
+@pytest.mark.parametrize("window", [TimeWindow(t_e=2.0, t_s=1.5), TimeWindow(t_e=0.55, t_s=0.52)],
+                         ids=["past-the-grid", "between-points"])
+def test_relative_error_refuses_a_window_without_grid_points(window):
+    # a window past the last grid point, or between two of them, has no
+    # maximum error; it used to report E_T = 0
+    t = np.linspace(0, 1, 11)
+    y = Trajectory(times=t, outputs=np.ones((11, 1)))
+    with pytest.raises(ValueError, match="no grid point lies in the error window"):
+        relative_error_series(y, Trajectory(times=t, outputs=np.zeros((11, 1))), window)
+
+
+@pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf, [1.0, np.nan], [np.inf, 1.0]],
+                         ids=["nan", "inf", "-inf", "vector-nan", "vector-inf"])
+def test_step_input_refuses_non_finite_values(c):
+    with pytest.raises(ValueError, match="step input must be finite"):
+        step_input(c)
+
+
 def test_relative_error_grid_mismatch():
     y = Trajectory(times=np.linspace(0, 1, 5), outputs=np.ones((5, 1)))
     yr = Trajectory(times=np.linspace(0, 2, 5), outputs=np.ones((5, 1)))

@@ -69,6 +69,14 @@ def test_system_dimension_validation():
         StandardSystem(np.array([[np.nan]]), np.ones((1, 1)), np.ones((1, 1)))
 
 
+def test_descriptor_dimensions():
+    # n counts every state, order and n_f the differential ones; m and p
+    # come from the input and output blocks
+    d = random_descriptor(6, 4, 1, 2, seed=5)
+    assert (d.n, d.n_f, d.order, d.m, d.p) == (10, 6, 6, 1, 2)
+    assert d.B.shape == (6, 1) and d.C.shape == (2, 6) and d.D.shape == (2, 1)
+
+
 def test_eliminate_descriptor_hand_example():
     gen, d = eliminate_descriptor(scalar_descriptor())
     assert np.allclose(gen.A, [[-0.5]])

@@ -6,9 +6,14 @@ mu, a hash of the check trace (shift, d, f_change and mu at every check),
 a hash of the low-rank factor Z and a hash of the dense Gramian. After
 a system's solves, one ``sim`` line hashes the impulse response of the
 system and of its bt model of order 4, over its first window's [0, t_e]
-at dt = t_e/1000. Two checkouts that print the same lines solve and
-simulate the corpus bit for bit alike. A solve or simulation that raises
-prints the exception's class in place of its fields.
+at dt = t_e/1000. Then one ``cli`` line saves the system with
+``save_system`` and runs ``tlbt hsv`` (bt, tlbt), ``tlbt reduce`` (bt,
+tlbt, order 4) and ``tlbt compare`` (every mode, order 4, dt = t_e/1000)
+on it over the first window; it hashes the name and bytes of every file
+each command writes. Two checkouts that print the same lines solve,
+simulate and write the corpus bit for bit alike. A solve or simulation
+that raises prints the exception's class in place of its fields, and a
+command that fails prints its exit code in place of its hash.
 Run it from the root of each checkout and compare:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/solve_fingerprint.py > after.txt
@@ -20,15 +25,20 @@ runs made on one machine with one thread setting. The corpus builders live here,
 change to the tests never changes the corpus.
 """
 
+import contextlib
 import hashlib
+import io
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from tlbt import (DescriptorIndex1, StandardSystem, TimeWindow, impulse_response, make_synthetic,
-                  reduce)
+from tlbt import (DescriptorIndex1, StandardSystem, TimeWindow, cli, impulse_response,
+                  make_synthetic, reduce)
 from tlbt.gramians import MODES, SIDES, mode_gramian
+from tlbt.mmio import save_system
 
 
 def _digest(a):
@@ -101,7 +111,7 @@ CORPUS = {
 
 
 def fingerprints(corpus):
-    """One text line per (system, window, mode, side) of ``corpus``, then a ``sim`` line per system.
+    """One line per (system, window, mode, side) of ``corpus``, then a ``sim`` and a ``cli`` line.
 
     Each system is built once, so its later solves replay the shifts of
     its earlier ones, as a multi-mode command's do.
@@ -114,6 +124,7 @@ def fingerprints(corpus):
                 for side in SIDES:
                     yield f"{tag} {mode} {side[:5]} {_solve(system, mode, window, side)}"
         yield f"{name} sim {_simulate(system, windows[0].t_e)}"
+        yield f"{name} cli {_cli(system, windows[0])}"
 
 
 def _solve(system, mode, window, side):
@@ -143,6 +154,34 @@ def _simulate(system, t_e):
         except Exception as exc:
             value = type(exc).__name__
         fields.append(f"{key}={value}")
+    return " ".join(fields)
+
+
+def _cli(system, window):
+    """Hashes of the files that ``tlbt hsv``, ``reduce`` and ``compare`` write for ``system``."""
+    bt_tlbt = ["--mode", "bt", "--mode", "tlbt"]
+    commands = {"hsv": ["hsv", *bt_tlbt],
+                "reduce": ["reduce", *bt_tlbt, "--order", "4"],
+                "compare": ["compare", *bt_tlbt, "--mode", "mtlbt", "--order", "4",
+                            "--dt", repr(window.t_e / 1000)]}
+    fields = []
+    with tempfile.TemporaryDirectory() as tmp:
+        sidecar = save_system(tmp, "plant", system)
+        for key, argv in commands.items():
+            out = Path(tmp) / key
+            argv = [*argv, "--system", str(sidecar), "--ts", repr(window.t_s),
+                    "--te", repr(window.t_e), "--out", str(out)]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                rc = cli.main(argv)
+            if rc != 0:
+                fields.append(f"{key}={rc}")
+                continue
+            h = hashlib.sha256()
+            for path in sorted(out.iterdir()):
+                h.update(f"{path.name}\0".encode())
+                h.update(path.read_bytes())
+            fields.append(f"{key}={h.hexdigest()[:16]}")
     return " ".join(fields)
 
 
