@@ -214,7 +214,7 @@ def _export_reduced(out, name, rom, timings=False):
     }
     if timings:
         meta["t_mor"] = rom.info.get("t_mor")
-    mmio._write_json(out / f"{tag}.json", meta)
+    mmio._write_json(out / f"{tag}_meta.json", meta)
 
 
 def cmd_reduce(args):

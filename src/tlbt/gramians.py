@@ -16,10 +16,12 @@ termination. The basis, its image and the projected matrix grow in place
 relation, whose rank-m premise holds only while the start block is the
 only pole at infinity, and is read off n x 2m factors for every pencil.
 The basis itself, trimmed to its used size, is the result's
-``workspace``. Each adaptive shift is sampled from the convex hull of the
-mirrored Ritz values, computed here by a monotone chain on numpy (no
-qhull): a vertex within roundoff of the chord through its neighbours is
-merged, as qhull merges it.
+``workspace``; a solve replays the shifts, window ends and deepest Schur
+form of H that earlier solves of its side formed (``_solve_lowrank``).
+Each adaptive shift is sampled from the convex hull of the mirrored Ritz
+values, computed here by a monotone chain on numpy (no qhull): a vertex
+within roundoff of the chord through its neighbours is merged, as qhull
+merges it.
 """
 
 import time
@@ -428,24 +430,31 @@ def _select_shift(ritz, shifts, m):
 # projected quantities
 
 
-def _rhs(mode, window, h, b):
+def _rhs(mode, window, h, b, known=None):
     """``(ends, w)`` of a mode's equation H P + P H^T + W = 0, ``w() = (F, J)`` with W = F J F^T.
 
     ``ends`` lists ``e^{H t} b`` at the window ends t > 0 (``linalg.expm``,
     which raises OverflowRangeError out of range); b_s is b itself when
-    t_s = 0, and bt ignores ``window``. bt takes (b, I), tlbt ([b_s, b_e],
+    t_s = 0, and bt ignores ``window``. ``known`` maps ``(order of H, t)``
+    to an end formed before: it is read first, and filled, read-only,
+    once every end is formed. bt takes (b, I), tlbt ([b_s, b_e],
     diag(I, -I)) for b_s b_s^T - b_e b_e^T (Gawronski & Juang 1990), and
     mtlbt that W's absolute-eigenvalue surrogate (U |lambda|^{1/2}, I),
     dropping the eigenvalues at most 1e-12 of the largest in modulus. F
     has at most 2m columns. The dense route passes (M^{-1} A, M^{-1} B);
     the Krylov check passes (H, b_proj), and Q times each of its ends is
-    the Galerkin approximation of e^{M^{-1} A t} M^{-1} B. ``w`` is called
-    only by a check whose ends pass the tol_f gate, so a failing check
-    forms no W.
+    the Galerkin approximation of e^{M^{-1} A t} M^{-1} B, and passes its
+    reach form's cache as ``known``. ``w`` is called only by a check whose
+    ends pass the tol_f gate, so a failing check forms no W.
     """
     if mode == "bt":
         return [], lambda: (b, np.eye(b.shape[1]))
-    ends = [linalg.expm(h * t) @ b for t in (window.t_s, window.t_e) if t > 0]
+    known = {} if known is None else known
+    keys = [(len(h), t) for t in (window.t_s, window.t_e) if t > 0]
+    ends = [known[k] if k in known else linalg.expm(h * k[1]) @ b for k in keys]
+    for k, end in zip(keys, ends):
+        end.flags.writeable = False
+        known[k] = end
 
     def w():
         f = np.hstack(ends if window.t_s > 0 else [b, *ends])
@@ -493,9 +502,13 @@ def _solve_lowrank(sys, window, cfg, mode, side):
     (``inf`` first): each growth step takes the cached pole at
     ``len(workspace.shifts)`` while one exists and picks adaptively after
     that, appending what it picks; a complex pole still adds its
-    conjugate, the next entry. Every solve therefore equals a solve of a
-    fresh copy of the system, bit for bit, and picks no shift that an
-    earlier solve of its side picked.
+    conjugate, the next entry. So H and b_proj at dimension d depend on the
+    reach form and d alone, and the reach form also keeps the window ends
+    by (d, t) (:func:`_rhs`'s ``known``) and the real Schur form of H at
+    the deepest d a check formed (``schur``), which a check reads before
+    it calls ``linalg.expm`` or factors H. Every solve therefore equals a
+    solve of a fresh copy of the system, bit for bit, and forms no shift,
+    end or deepest Schur form that an earlier solve of its side formed.
     """
     cfg = cfg or SolverConfig()
     _require_stable(sys)
@@ -511,17 +524,26 @@ def _solve_lowrank(sys, window, cfg, mode, side):
     since_check = stagnant = 0
     mu = np.inf
 
+    def schur():
+        """``(R, U, Ritz values)`` of H; the reach form keeps the deepest one formed."""
+        deepest, *found = form._deepest
+        if deepest != ws.dim:
+            found = linalg._real_schur(ws.h)
+            if ws.dim > deepest:
+                form._deepest = (ws.dim, *found)
+        return found
+
     def run_check(exact):
-        """(converged, y, f_change, mu, Ritz values of the solve or None).
+        """(converged, y, f_change, mu).
 
         ``exact`` (d = n) skips the tol_f gate on the window ends of :func:`_rhs`.
         Q is orthonormal and nested, so the lifted approximations change as
         their zero-padded coefficients do.
         """
         try:
-            ends, w = _rhs(mode, window, ws.h, ws.b_proj)
+            ends, w = _rhs(mode, window, ws.h, ws.b_proj, form._ends)
         except OverflowRangeError:
-            return False, None, np.inf, np.inf, None
+            return False, None, np.inf, np.inf
         f_changes = [0.0]
         for i, c in enumerate(ends):
             cur = np.linalg.norm(c)
@@ -531,20 +553,20 @@ def _solve_lowrank(sys, window, cfg, mode, side):
         prev[:] = ends
         fch = max(f_changes)
         if not exact and fch >= cfg.tol_f:
-            return False, None, fch, np.inf, None
+            return False, None, fch, np.inf
         f, j = w()
         try:
-            y, ritz = linalg.lyap_dense(ws.h, f @ j @ f.T, eigenvalues=True)
+            y = linalg.lyap_dense(ws.h, f @ j @ f.T, schur=schur())
         except SpectrumConflictError:
-            return False, None, fch, np.inf, None
+            return False, None, fch, np.inf
         mu_k = ws.residual(y, f, j)
-        return mu_k < cfg.tol_p, y, fch, mu_k, ritz
+        return mu_k < cfg.tol_p, y, fch, mu_k
 
     while True:
-        d, ritz = ws.dim, None
+        d = ws.dim
         checked = since_check >= _CADENCE or stagnant > 0 or d >= max_dim
         if checked:
-            converged, y, f_change, mu, ritz = run_check(d >= n)
+            converged, y, f_change, mu = run_check(d >= n)
             since_check = 0
             trace.append({"k": len(ws.shifts) - 1, "shift": ws.shifts[-1], "dim": d,
                           "f_change": f_change, "mu": mu})
@@ -558,9 +580,7 @@ def _solve_lowrank(sys, window, cfg, mode, side):
         if len(ws.shifts) < len(poles):
             s = poles[len(ws.shifts)]
         else:
-            if ritz is None:
-                ritz = linalg._real_schur(ws.h)[2] if checked else linalg.gen_eig(ws.h)
-            s = _select_shift(ritz, ws.shifts, m)
+            s = _select_shift(schur()[2] if checked else linalg.gen_eig(ws.h), ws.shifts, m)
         # grow the basis by (M^{-1} A - s I)^{-1} v = (A - s M)^{-1} M v, so the
         # basis, and with it the Gramian factor, lives in the original coordinates
         mv = form.mass_apply(ws.q[:, -m:])

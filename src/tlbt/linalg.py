@@ -153,22 +153,21 @@ def _real_schur(a):
     return r, u, w[np.lexsort((-w.imag, -w.real))]
 
 
-def lyap_dense(a, w, eigenvalues=False):
+def lyap_dense(a, w, schur=None):
     """Solve ``A X + X A^T = -W`` for symmetric ``W`` (Bartels-Stewart).
 
     Requires ``Lambda(A)`` and ``Lambda(-A)`` disjoint; raises
     :class:`SpectrumConflictError` otherwise. One real Schur form serves
     both the check and the solve, which is the sequence of
-    ``scipy.linalg.solve_continuous_lyapunov`` (same result bit for bit).
-    The result is symmetrized. With ``eigenvalues=True`` returns
-    ``(X, Lambda(A))``, the eigenvalues read off that Schur form (sorted as
-    by :func:`gen_eig`).
+    ``scipy.linalg.solve_continuous_lyapunov`` (same result bit for bit):
+    ``schur``, A's ``(R, U, Lambda(A))`` as :func:`_real_schur` gives it,
+    or computed here when None. The result is symmetrized.
     """
     a = np.asarray(a, dtype=float)
     w = check_finite(np.asarray(w, dtype=float), "W")
     if a.shape[0] != a.shape[1] or w.shape != a.shape:
         raise ValueError("A and W must be square of equal size")
-    r, u, vals = _real_schur(a)
+    r, u, vals = _real_schur(a) if schur is None else schur
     if _spectrum_conflict(vals, np.max(np.abs(vals)) if vals.size else 0.0):
         raise SpectrumConflictError(
             "Lambda(A) and Lambda(-A) intersect; Lyapunov equation is singular"
@@ -183,5 +182,4 @@ def lyap_dense(a, w, eigenvalues=False):
                       RuntimeWarning, stacklevel=2)
     y *= scale
     x = u @ y @ u.T
-    x = 0.5 * (x + x.T)
-    return (x, vals) if eigenvalues else x
+    return 0.5 * (x + x.T)

@@ -29,8 +29,10 @@ data arrays aligned to it (on which every shifted and step matrix is
 formed, as scipy's sparse arithmetic would form it), the dual, the
 spectral abscissa,
 ``dense_state_input()`` (M^{-1} A and M^{-1} B when M is not I, for the
-dense routes, up to ``_DENSE_MAX``), the Krylov shifts of the system's
-own reachability solves (never shared with the dual), a descriptor's A4
+dense routes, up to ``_DENSE_MAX``), what the system's own reachability
+solves replay (never shared with the dual): their Krylov shifts, the
+window ends of their checks and the deepest real Schur form of the
+projected matrix (``gramians._solve_lowrank``), a descriptor's A4
 LU and block pencil, and the complex Schur form that a dense standard
 system shares with its dual for every shifted solve and for the
 spectrum. No cached object refers back to the system that holds it.
@@ -103,8 +105,12 @@ class _System:
     _mass_lu: object = field(default=None, init=False, repr=False, compare=False)
     _abscissa: float = field(default=None, init=False, repr=False, compare=False)
     _state_input: tuple = field(default=None, init=False, repr=False, compare=False)
-    # shifts of the reachability solves so far, inf first; see gramians._solve_lowrank
+    # what the reachability solves so far replay (see gramians._solve_lowrank): their
+    # shifts, inf first; the window ends e^{H t} b_proj by (d, t), read-only; and
+    # (d, R, U, Ritz values), the real Schur form of H at the deepest d a check formed it
     _poles: list = field(default_factory=lambda: [np.inf], init=False, repr=False, compare=False)
+    _ends: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _deepest: tuple = field(default=(0, None, None, None), init=False, repr=False, compare=False)
     # a sparse pencil's union pattern with M's and A's data aligned to it; see _combine
     _pattern: tuple = field(default=None, init=False, repr=False, compare=False)
 

@@ -17,6 +17,7 @@ from tlbt import cli, mmio, reduction, schemas
 from tlbt.cli import main
 from tlbt.gramians import SolverConfig, TimeWindow, mode_gramian
 from tlbt.reduction import balance, reduce
+from tlbt.simulate import impulse_response
 from tlbt.synthetic import make_synthetic
 from tlbt.systems import StandardSystem
 
@@ -109,10 +110,28 @@ def test_reduce_bt_stable_flag(tmp_path):
          "--mode", "bt", "--order", "2", "--timings", "--out", str(out)]
     )
     assert rc == 0
-    meta = json.loads((out / "random_stable_n20_s1_bt_r2.json").read_text())
+    meta = json.loads((out / "random_stable_n20_s1_bt_r2_meta.json").read_text())
     assert meta["stable"] == 1
     assert meta["E_T"] is None
     assert meta["t_mor"] > 0
+
+
+def test_reduced_model_written_by_reduce_loads_and_simulates(tmp_path):
+    # the model's sidecar and its metadata are two files: the model loads
+    # back, and simulates as the in-memory model does, bit for bit
+    out = tmp_path / "r"
+    rc = main(["reduce", "--synth", "weakly_damped", "--n", "20", "--seed", "1",
+               "--mode", "tlbt", "--te", "5", "--order", "4", "--out", str(out)])
+    assert rc == 0
+    jsonschema.validate(json.loads((out / "weakly_damped_n20_s1_tlbt_r4_meta.json").read_text()),
+                        schemas.REDUCE_METADATA)
+    loaded, meta = mmio.load_system(out / "weakly_damped_n20_s1_tlbt_r4.json")
+    assert meta["kind"] == "standard"
+    rom = reduce(make_synthetic("weakly_damped", 20, seed=1), "tlbt", TimeWindow(t_e=5.0), r=4)
+    sims = [impulse_response(model, dt=0.01, t_f=5.0).outputs for model in (loaded, rom)]
+    assert sims[0].tobytes() == sims[1].tobytes()
+    assert main(["simulate", "--system", str(out / "weakly_damped_n20_s1_tlbt_r4.json"),
+                 "--dt", "0.01", "--tf", "5", "--out", str(tmp_path / "s")]) == 0
 
 
 def test_reduce_and_gramian_rerun_byte_identical(tmp_path):
@@ -131,7 +150,8 @@ def test_reduce_and_gramian_rerun_byte_identical(tmp_path):
         assert list(files1) == list(files2)
         for name in files1:
             assert files1[name] == files2[name], f"{cmd}: {name} differs between reruns"
-    meta = json.loads((tmp_path / "reduce/run1/random_stable_n20_s1_tlbt_r2.json").read_text())
+    meta_path = tmp_path / "reduce/run1/random_stable_n20_s1_tlbt_r2_meta.json"
+    meta = json.loads(meta_path.read_text())
     assert "t_mor" not in meta
     summary_path = tmp_path / "gramian/run1/random_stable_n20_s1_gramian_bt.json"
     summary = json.loads(summary_path.read_text())
@@ -199,7 +219,7 @@ def test_reduce_mtlbt_stable_on_suite(tmp_path):
              "--mode", "mtlbt", "--te", "1.0", "--order", "3", "--out", str(out)]
         )
         assert rc == 0
-        meta = json.loads((out / f"random_stable_n16_s{seed}_mtlbt_r3.json").read_text())
+        meta = json.loads((out / f"random_stable_n16_s{seed}_mtlbt_r3_meta.json").read_text())
         assert meta["stable"] == 1
 
 
@@ -342,7 +362,7 @@ def test_compare_and_reduce_timings_share_t_mor(tmp_path, monkeypatch):
     assert main(["compare", *common, "--dt", "0.01", "--out", str(tmp_path / "c")]) == 0
     table = json.loads((tmp_path / "c" / "random_stable_n12_s1_compare.json").read_text())
     assert main(["reduce", *common, "--out", str(tmp_path / "r")]) == 0
-    meta = json.loads((tmp_path / "r" / "random_stable_n12_s1_tlbt_r2.json").read_text())
+    meta = json.loads((tmp_path / "r" / "random_stable_n12_s1_tlbt_r2_meta.json").read_text())
     assert [table["results"][0]["t_mor"], meta["t_mor"]] == t_mor
 
 
@@ -391,7 +411,7 @@ def test_summaries_validate_against_schemas(tmp_path):
         ["reduce", "--synth", "random_stable", "--n", "12", "--seed", "0",
          "--mode", "tlbt", "--te", "1.0", "--order", "2", "--out", str(out)]
     ) == 0
-    meta = json.loads((out / "random_stable_n12_s0_tlbt_r2.json").read_text())
+    meta = json.loads((out / "random_stable_n12_s0_tlbt_r2_meta.json").read_text())
     jsonschema.validate(meta, schemas.REDUCE_METADATA)
 
 

@@ -33,6 +33,8 @@ from tlbt.errors import (
 )
 from tlbt.reduction import balance, reduce
 from tlbt.gramians import (
+    MODES,
+    SIDES,
     SolverConfig,
     TimeWindow,
     _hull_boundary,
@@ -596,6 +598,88 @@ def test_sides_cache_their_own_poles():
     fresh = make_synthetic("weakly_damped", 60, 2, 2, seed=1)
     _assert_same_solve(solve_infinite_lowrank(fresh, cfg, "observability"), obs)
     assert s.transposed()._poles is not s._poles
+
+
+# The reach form also keeps the window ends of its checks and the deepest
+# Schur form of H: a warm solve must still equal a cold one.
+WARM_CASES = {
+    "wd60": (lambda: _weakly_damped_60(), [TimeWindow(t_e=5.0), TimeWindow(t_e=5.0, t_s=1.0)]),
+    "heat200": (lambda: _heat(200), [TimeWindow(t_e=0.05)]),
+    "desc40": (lambda: random_descriptor(40, 10, 2, 2, seed=3), [TimeWindow(t_e=1.0)]),
+    "cd400": (lambda: convection_diffusion(20), [TimeWindow(t_e=0.01)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WARM_CASES))
+def test_warm_cache_equals_cold_solve_in_either_mode_order(case):
+    # wd60's two windows share t = 5, so the second window reads ends the
+    # first one formed; each order solves one system, each cold solve a fresh copy
+    build, windows = WARM_CASES[case]
+    cold = {}
+    for order in (MODES, MODES[::-1]):
+        s = build()
+        for window in windows:
+            for mode in order:
+                for side in SIDES:
+                    key = (window.t_s, mode, side)
+                    if key not in cold:
+                        cold[key] = mode_gramian(build(), mode, window, side=side)
+                    _assert_same_solve(cold[key], mode_gramian(s, mode, window, side=side))
+        assert s._ends and s.transposed()._ends
+
+
+def test_warm_cache_after_cap_equals_cold_solve():
+    # a capped solve leaves ends and a Schur form at its depths; the solves
+    # that go on past them equal cold ones
+    window = TimeWindow(t_e=5.0)
+    s = _weakly_damped_60()
+    with pytest.raises(MaxDimExceededError):
+        solve_timelimited_lowrank(s, window, SolverConfig(max_dim=20))
+    assert s._deepest[0] == 14 and list(s._ends) == [(14, 5.0), (22, 5.0)]
+    for solve in (solve_timelimited_lowrank, solve_modified_lowrank):
+        _assert_same_solve(solve(_weakly_damped_60(), window), solve(s, window))
+    assert s._deepest[0] == 60
+
+
+def test_overflowing_check_caches_no_end(monkeypatch):
+    # the second check's t_e end overflows after its t_s end was formed:
+    # neither is kept, and the next solve forms both and equals a cold one
+    window = TimeWindow(t_e=2.0, t_s=0.5)
+    s = make_synthetic("random_stable", 60, 2, 2, seed=1)
+    with monkeypatch.context() as patch:
+        _fail_once(patch, "expm", OverflowRangeError("expm out of range"), at=4)
+        g = solve_timelimited_lowrank(s, window)
+    d = g.trace[1]["dim"]
+    assert g.trace[1]["f_change"] == np.inf and d < g.subspace_dim
+    assert [k for k in s._ends if k[0] == d] == []
+    cold = solve_timelimited_lowrank(make_synthetic("random_stable", 60, 2, 2, seed=1), window)
+    _assert_same_solve(cold, solve_timelimited_lowrank(s, window))
+    assert (d, 0.5) in s._ends and (d, 2.0) in s._ends
+
+
+def test_replayed_work_forms_each_end_and_deepest_schur_once(monkeypatch):
+    # bt, then tlbt, then mtlbt over one window, on both sides: mtlbt reads
+    # every window end tlbt formed, and each side factors H at its deepest
+    # d once, and keeps that one Schur form only
+    expm, schur = [], []
+    real_expm, real_schur = linalg.expm, linalg._real_schur
+    monkeypatch.setattr(linalg, "expm", lambda a: expm.append(a.shape) or real_expm(a))
+    monkeypatch.setattr(linalg, "_real_schur", lambda a: schur.append(a.shape) or real_schur(a))
+    s, window = _weakly_damped_60(), TimeWindow(t_e=5.0)
+    formed = dict.fromkeys(SIDES, 0)  # Schur forms of H at d = n, per side
+    for mode in MODES:
+        for side in SIDES:
+            expm.clear()
+            schur.clear()
+            mode_gramian(s, mode, window, side=side)
+            assert (mode != "tlbt") == (expm == [])
+            formed[side] += schur.count((60, 60))
+    assert formed == dict.fromkeys(SIDES, 1)
+    for form in (s, s.transposed()):
+        d, r, u, ritz = form._deepest
+        assert d == 60 and r.nbytes + u.nbytes <= 2 * d * d * 8 and ritz.shape == (d,)
+        assert all(not end.flags.writeable and end.shape == (k[0], 2)
+                   for k, end in form._ends.items())
 
 
 # ---------------------------------------------------------------------------

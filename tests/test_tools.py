@@ -9,12 +9,13 @@ def _fields(line, skip):
 
 
 def test_solve_fingerprint_smoke():
-    # one line per mode and side, with every field, then one simulation line
-    # and one command-line line, and the same lines on a rerun
+    # one line per mode and side, with every field, the same fields in
+    # reverse mode order on a fresh copy, then one simulation line and one
+    # command-line line, and the same lines on a rerun
     corpus = {"wd10": (lambda: make_synthetic("weakly_damped", 10, 1, 1, seed=0),
                        [TimeWindow(t_e=2.0, t_s=0.5)])}
-    lines = list(solve_fingerprint.fingerprints(corpus))
-    assert len(lines) == 8
+    lines = list(solve_fingerprint.fingerprints(corpus, reverse=("wd10",)))
+    assert len(lines) == 14
     cli = lines.pop()
     assert cli.startswith("wd10 cli ")
     fields = _fields(cli, 2)
@@ -25,12 +26,19 @@ def test_solve_fingerprint_smoke():
     fields = _fields(sim, 2)
     assert list(fields) == ["full", "rom"]
     assert all(len(value) == 16 for value in fields.values())
-    for line in lines:
+    forward, rev = lines[:6], lines[6:]
+    for line in forward:
         assert line.startswith("wd10[0.5,2.0] ")
         fields = _fields(line, 3)
         assert list(fields) == ["shifts", "d", "rank", "stop", "mu", "trace", "z", "dense"]
         assert all(len(fields[k]) == 16 for k in ("shifts", "trace", "z", "dense"))
-    assert list(solve_fingerprint.fingerprints(corpus)) == [*lines, sim, cli]
+    assert [line.split()[1] for line in rev] == ["mtlbt"] * 2 + ["tlbt"] * 2 + ["bt"] * 2
+    by_solve = {tuple(line.split()[:3]): _fields(line, 3) for line in forward}
+    for line in rev:
+        assert line.split()[3] == "rev"
+        assert _fields(line, 4) == by_solve[tuple(line.split()[:3])]
+    assert list(solve_fingerprint.fingerprints(corpus, reverse=("wd10",))) == [*lines, sim, cli]
+    assert len(list(solve_fingerprint.fingerprints(corpus))) == 8  # only the named systems
 
 
 def test_cli_fingerprint_reports_exit_codes():

@@ -3,14 +3,17 @@
 Prints one line per (system, window, mode, side) of the corpus: a hash of
 the Krylov shifts, the subspace dimension d, the rank, the stop reason,
 mu, a hash of the check trace (shift, d, f_change and mu at every check),
-a hash of the low-rank factor Z and a hash of the dense Gramian. After
-a system's solves, one ``sim`` line hashes the impulse response of the
-system and of its bt model of order 4, over its first window's [0, t_e]
-at dt = t_e/1000. Then one ``cli`` line saves the system with
-``save_system`` and runs ``tlbt hsv`` (bt, tlbt), ``tlbt reduce`` (bt,
-tlbt, order 4) and ``tlbt compare`` (every mode, order 4, dt = t_e/1000)
-on it over the first window; it hashes the name and bytes of every file
-each command writes. Two checkouts that print the same lines solve,
+a hash of the low-rank factor Z and a hash of the dense Gramian. wd60
+and heat200 are then solved again on a fresh copy with the modes in
+reverse order (mtlbt, tlbt, bt); those ``rev`` lines carry the same
+fields as the first ones, as no solve depends on which modes its system
+solved before. After a system's solves, one ``sim`` line hashes the
+impulse response of the system and of its bt model of order 4, over its
+first window's [0, t_e] at dt = t_e/1000. Then one ``cli`` line saves
+the system with ``save_system`` and runs ``tlbt hsv`` (bt, tlbt),
+``tlbt reduce`` (bt, tlbt, order 4) and ``tlbt compare`` (every mode,
+order 4, dt = t_e/1000) on it over the first window; it hashes the name
+and bytes of every file each command writes. Two checkouts that print the same lines solve,
 simulate and write the corpus bit for bit alike. A solve or simulation
 that raises prints the exception's class in place of its fields, and a
 command that fails prints its exit code in place of its hash.
@@ -110,21 +113,34 @@ CORPUS = {
 }
 
 
-def fingerprints(corpus):
+#: systems of the corpus solved once more, on a fresh copy, in reverse mode order
+REVERSED = ("wd60", "heat200")
+
+
+def fingerprints(corpus, reverse=REVERSED):
     """One line per (system, window, mode, side) of ``corpus``, then a ``sim`` and a ``cli`` line.
 
-    Each system is built once, so its later solves replay the shifts of
-    its earlier ones, as a multi-mode command's do.
+    Each system is built once, so its later solves replay the shifts and
+    the projected work of its earlier ones, as a multi-mode command's do.
+    A system named in ``reverse`` is then built again and solved with the
+    modes in reverse order: its ``rev`` lines must equal its first lines.
     """
     for name, (build, windows) in corpus.items():
         system = build()
-        for window in windows:
-            tag = f"{name}[{window.t_s!r},{window.t_e!r}]"
-            for mode in MODES:
-                for side in SIDES:
-                    yield f"{tag} {mode} {side[:5]} {_solve(system, mode, window, side)}"
+        yield from _solves(name, system, windows, MODES, "")
+        if name in reverse:
+            yield from _solves(name, build(), windows, MODES[::-1], " rev")
         yield f"{name} sim {_simulate(system, windows[0].t_e)}"
         yield f"{name} cli {_cli(system, windows[0])}"
+
+
+def _solves(name, system, windows, modes, label):
+    """One line per (window, mode, side), the modes in the given order."""
+    for window in windows:
+        tag = f"{name}[{window.t_s!r},{window.t_e!r}]"
+        for mode in modes:
+            for side in SIDES:
+                yield f"{tag} {mode} {side[:5]}{label} {_solve(system, mode, window, side)}"
 
 
 def _solve(system, mode, window, side):
