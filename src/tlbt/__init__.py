@@ -10,8 +10,8 @@ The pipeline is rational Krylov Gramian factors
 - :mod:`tlbt.systems`: standard/generalized/descriptor representations
   behind one interface (order, mass and its cached solve, action of A,
   B, C and D, the pencil its LU routes factor, midpoint step, cached
-  dual and Krylov shifts), the shifted solves (a cached Schur form for
-  dense standard systems, LU of the pencil otherwise), spectral abscissa.
+  dual), the shifted solves (a cached Schur form for dense standard
+  systems, LU of the pencil otherwise), spectral abscissa.
 - :mod:`tlbt.gramians`: low-rank (rational Krylov) Gramian solvers,
   infinite / time-limited / stability-preserving modified, and
   ``mode_gramian``, which maps a mode and a side to one (or the dense Gramian).

@@ -1,27 +1,21 @@
 """Infinite and time-limited Gramians: the dense route and the low-rank solver.
 
-Every mode's Gramian solves one Lyapunov equation A P + P A^T + W = 0. One
-map (``_rhs``) forms e^{A t} B at the window ends and gives W = F J F^T,
-F of at most 2m columns (Gawronski & Juang): bt takes B B^T, tlbt
-B_s B_s^T - B_e B_e^T, and mtlbt the absolute-eigenvalue surrogate of the
-possibly indefinite tlbt W. The dense route (``_dense_gramian``) is that
-map and a Bartels-Stewart solve on (M^{-1} A, M^{-1} B). The large-scale
-route is a rational Krylov subspace method with adaptive shift
-selection: the basis is grown by shifted solves until the window ends
-that ``_rhs`` forms on the projected (H, b_proj) stop changing (compared
-in coefficient space), then the projected (time-limited) Lyapunov
-equation is solved with that map's W and a residual bound decides
-termination. The basis, its image and the projected matrix grow in place
-(block CGS2, bordering); the residual bound comes from the rational Arnoldi
-relation, whose rank-m premise holds only while the start block is the
-only pole at infinity, and is read off n x 2m factors for every pencil.
-The basis itself, trimmed to its used size, is the result's
-``workspace``; a solve replays the shifts, window ends and deepest Schur
-form of H that earlier solves of its side formed (``_solve_lowrank``).
-Each adaptive shift is sampled from the convex hull of the mirrored Ritz
-values, computed here by a monotone chain on numpy (no qhull): a vertex
-within roundoff of the chord through its neighbours is merged, as qhull
-merges it.
+Every mode's Gramian solves one Lyapunov equation A P + P A^T + W = 0.
+``_window_ends`` forms e^{A t} B at the window ends, and ``_rhs`` maps a
+mode and those ends to W = F J F^T, F of at most 2m columns (Gawronski &
+Juang): bt takes B B^T, tlbt B_s B_s^T - B_e B_e^T, mtlbt the
+absolute-eigenvalue surrogate of that possibly indefinite W. The dense
+route (``_dense_gramian``) is both and a Bartels-Stewart solve on
+(M^{-1} A, M^{-1} B). The large-scale route is a rational Krylov method
+with adaptive shifts (``_solve_lowrank``): its basis (``_Basis``) grows by
+shifted solves until the window ends of the projected (H, b_proj) stop
+changing, then the projected equation is solved with ``_rhs``'s W and a
+residual bound from the rational Arnoldi relation decides termination.
+The trimmed basis is the result's ``workspace``; a solve replays what
+earlier solves of its side formed (``_Replay``). Each adaptive shift is
+sampled from the convex hull of the mirrored Ritz values, a monotone
+chain on numpy (no qhull) that merges vertices within roundoff of a
+chord, as qhull does.
 """
 
 import time
@@ -104,6 +98,8 @@ class LowRankGramian:
     """Low-rank factor Z with Z Z^T approximating a Gramian.
 
     ``stop``: "converged", or "exact_space" when the basis reached dimension n.
+    ``residual`` (mu) bounds the residual of Q Y Q^T for the projected
+    right-hand side (``_Basis.residual``), not of Z Z^T for the true one.
     """
 
     z: np.ndarray
@@ -122,11 +118,9 @@ class LowRankGramian:
 
 def _reach_form(sys, side):
     """System whose reachability Gramian is the requested one (the cached dual)."""
-    if side == "reachability":
-        return sys
-    if side == "observability":
-        return sys.transposed()
-    raise ValueError(f"side must be reachability|observability, got {side!r}")
+    if side not in SIDES:
+        raise ValueError(f"side must be reachability|observability, got {side!r}")
+    return sys if side == "reachability" else sys.transposed()
 
 
 def _dense_gramian(sys, mode, window, side):
@@ -141,8 +135,7 @@ def _dense_gramian(sys, mode, window, side):
             f"dense Gramian path refused for n={sys.order} > threshold {systems._DENSE_MAX}"
         )
     a, b = _reach_form(sys, side).dense_state_input()
-    _, w = _rhs(mode, window, a, b)
-    f, j = w()
+    f, j = _rhs(mode, window, b, _window_ends(window, a, b))
     return linalg.lyap_dense(a, f @ j @ f.T)
 
 
@@ -182,11 +175,11 @@ def _widen(a, rows, cols):
 class _Basis:
     """The rational Arnoldi state of a solve, grown in place; a result's ``workspace``.
 
-    Q, M^{-1} A Q, H = Q^T M^{-1} A Q and b_proj live in buffers that
-    double when full, so they never hold more than twice the columns in
-    use; ``q``, ``h`` and ``b_proj`` are views of the leading blocks. New
-    columns are orthogonalized by block CGS2, H is bordered with their rows
-    and columns, and b_proj with zero rows (B lies in the start block).
+    Q, M^{-1} A Q and H = Q^T M^{-1} A Q live in buffers that double when
+    full, so they never hold more than twice the columns in use; ``q`` and
+    ``h`` are views of the leading blocks. New columns are orthogonalized
+    by block CGS2 and H is bordered with their rows and columns. B lies in
+    the start block, so ``b_proj = Q^T b`` is ``Q_start^T b`` over zero rows.
     ``sys`` supplies the pencil (A, M) through the system interface
     (``apply_a``, ``mass_apply``, ``mass_solve``). ``shifts`` lists the
     poles used, ``inf`` first. ``trim`` ends the solve.
@@ -196,12 +189,11 @@ class _Basis:
         self.sys, self.m, self.shifts = sys, sys.m, [np.inf]
         self.q = self._q = self._aq = np.zeros((sys.order, 0))
         self.h = self._h = np.zeros((0, 0))
-        self.b_proj = self._bp = np.zeros((0, self.m))
         self.extend(b)
         if self.dim == 0:
             raise ValueError("input factor B is numerically zero")
         self.m0 = self.dim
-        self._bp[: self.m0] = self.q.T @ b
+        self._beta = self.q.T @ b
         mass = np.ones((1, 1)) if sys.mass is None else abs(sys.mass)
         self._mass_sq = float(mass.sum(0).max() * mass.sum(1).max())  # >= ||M||_2^2
 
@@ -209,13 +201,17 @@ class _Basis:
     def dim(self):
         return self.q.shape[1]
 
+    @property
+    def b_proj(self):
+        return _widen(self._beta, self.dim, self.m)
+
     def extend(self, v):
         """Append the part of ``v`` outside ``range(Q)``; returns the columns added."""
         d, n = self.dim, self.sys.order
         if d + v.shape[1] > self._q.shape[1]:
             cap = max(d + v.shape[1], min(2 * self._q.shape[1], n))
             self._q, self._aq = _widen(self._q, n, cap), _widen(self._aq, n, cap)
-            self._h, self._bp = _widen(self._h, cap, cap), _widen(self._bp, cap, self.m)
+            self._h = _widen(self._h, cap, cap)
         e = d + linalg.orthonormal_extend(self._q, d, v)
         if e == d:
             return 0
@@ -223,23 +219,24 @@ class _Basis:
         aq[:, d:e] = self.sys.mass_solve(self.sys.apply_a(new))
         self._h[:e, d:e] = self._q[:, :e].T @ aq[:, d:e]
         self._h[d:e, :d] = new.T @ aq[:, :d]
-        self.q, self.h, self.b_proj = self._q[:, :e], self._h[:e, :e], self._bp[:e]
+        self.q, self.h = self._q[:, :e], self._h[:e, :e]
         return e - d
 
     def trim(self):
-        """Keep owned copies of ``q``, ``h`` and ``b_proj`` at their used size only.
+        """Keep owned copies of ``q`` and ``h`` at their used size only.
 
         Drops the doubling buffers, the image M^{-1} A Q and the system, so
         a returned workspace holds the basis once; it can no longer grow.
         """
-        self.q, self.h, self.b_proj = self.q.copy(), self.h.copy(), self.b_proj.copy()
-        del self.sys, self._q, self._aq, self._h, self._bp
+        self.q, self.h = self.q.copy(), self.h.copy()
+        del self.sys, self._q, self._aq, self._h
 
     def residual(self, y, f, j):
         """Upper bound on the scaled residual for X = Q Y Q^T, spectral norm.
 
         ``mu >= ||A X M^T + M X A^T + G|| / ||G||`` with ``G = (M Q F) J (M Q F)^T``
-        for the ``W = F J F^T`` of :func:`_rhs`. Every pole after the start
+        for the ``W = F J F^T`` of :func:`_rhs`: the projected right-hand side
+        and the full Y, not the truncated factor. Every pole after the start
         block is finite, so ``M^{-1} A`` maps the space into itself plus
         ``range(M^{-1} A Q_start)``: the rational Arnoldi relation reads
         ``M^{-1} A Q = Q H + U_F C`` with ``U_F`` (n x m) spanning
@@ -300,15 +297,12 @@ def _hull_boundary(points, npts):
     """npts points on the convex hull boundary of complex points, spaced by linspace per edge.
 
     The vertices run counterclockwise from the lexicographically smallest
-    point (real, then imaginary part): Andrew's monotone chain (1979) on the
-    sorted points, the lower chain over the points on or below the line from
-    the first to the last point and the upper chain over those on or above
-    it (points within the tolerance of that line take part in both). A
-    vertex within ``_HULL_TOL`` times the largest coordinate of the chord
-    through its neighbours is merged into that edge, as qhull merges it:
-    the Ritz values of weakly damped modes lie on rays, and keeping such
-    vertices would change the candidates and the picked shift. With fewer
-    than three vertices (collinear points) the segment between the two most
+    point: Andrew's monotone chain (1979), lower and upper chains split by
+    the line from the first to the last sorted point (points within the
+    tolerance of it take part in both). A vertex within ``_HULL_TOL`` times
+    the largest coordinate of the chord through its neighbours is merged,
+    as qhull merges it: the Ritz values of weakly damped modes lie on rays.
+    With fewer than three vertices the segment between the two most
     distant points is sampled.
     """
     p = points[np.lexsort((points.imag, points.real))]
@@ -337,28 +331,21 @@ def _select_shift(ritz, shifts, m):
     """Next pole for the rational Krylov basis.
 
     Druskin & Simoncini (2011, "Adaptive rational Krylov subspaces for
-    large-scale dynamical systems"): maximizes
-    prod|s - s_j|^m / prod|s - z_j|, with s_j the previous finite shifts
-    and z_j the Ritz values, over a discretized boundary of the convex
-    hull of the mirrored Ritz values {-conj(z)} (``_hull_boundary``: a
-    monotone chain that merges vertices within ``_HULL_TOL`` of a chord, so
-    Ritz values on the rays of weakly damped modes give the hull qhull
-    gives). The next pole thus goes where the rational function with the
-    Ritz values as zeros and the shifts as poles is smallest, i.e. where
-    the current space resolves the spectrum worst. Ritz values that are
-    real within 1e-12 of the largest modulus are sampled on their
-    interval instead, on a geometric grid when it is positive, so stiff
-    spectra get candidates in every decade. Both point sets are closed
-    under conjugation, so the objective is too: only candidates ``x + iy``
-    in the upper half-plane are evaluated, a pair ``a +/- ib`` as one real
-    factor ``|(s - p)(s - conj(p))|^2
-    = ((x - a)^2 + b^2 - y^2)^2 + (2y(x - a))^2`` (its root on real candidates)
-    of the points divided by the largest Ritz modulus (4th powers stay in range).
-    Points too close to previous shifts (1e-8 relative) or to mirrored
-    Ritz values (1e-12 relative) are excluded; when every candidate is, or
-    the mirrored Ritz values coincide, a point next to the first mirrored
-    Ritz value is returned (``_perturbed``). Complex results come back
-    as the upper-half-plane representative of the conjugate pair.
+    large-scale dynamical systems"): maximizes prod|s - s_j|^m / prod|s - z_j|,
+    with s_j the previous finite shifts and z_j the Ritz values, over the
+    boundary of the convex hull of the mirrored Ritz values {-conj(z)}
+    (``_hull_boundary``), i.e. where the current space resolves the
+    spectrum worst. Ritz values real within 1e-12 of the largest modulus
+    are sampled on their interval instead, geometrically when it is
+    positive, so stiff spectra get candidates in every decade. Both point
+    sets are closed under conjugation: only candidates ``x + iy`` in the
+    upper half-plane are evaluated, a pair ``a +/- ib`` as one real factor
+    ``((x - a)^2 + b^2 - y^2)^2 + (2y(x - a))^2`` (its root on real
+    candidates) of the points divided by the largest Ritz modulus. Points
+    within 1e-8 (relative) of previous shifts or 1e-12 of mirrored Ritz
+    values are excluded; when every candidate is, or the mirrored Ritz
+    values coincide, ``_perturbed`` gives a point next to the first one.
+    A complex result is the upper-half-plane member of its pair.
     """
     ritz = np.asarray(ritz, dtype=complex)
     scale = float(np.max(np.abs(ritz))) or 1.0
@@ -430,46 +417,55 @@ def _select_shift(ritz, shifts, m):
 # projected quantities
 
 
-def _rhs(mode, window, h, b, known=None):
-    """``(ends, w)`` of a mode's equation H P + P H^T + W = 0, ``w() = (F, J)`` with W = F J F^T.
+def _window_ends(window, h, b, known=None):
+    """``e^{h t} b`` at the window ends t > 0, t_s first; none without a window (bt).
 
-    ``ends`` lists ``e^{H t} b`` at the window ends t > 0 (``linalg.expm``,
-    which raises OverflowRangeError out of range); b_s is b itself when
-    t_s = 0, and bt ignores ``window``. ``known`` maps ``(order of H, t)``
-    to an end formed before: it is read first, and filled, read-only,
-    once every end is formed. bt takes (b, I), tlbt ([b_s, b_e],
-    diag(I, -I)) for b_s b_s^T - b_e b_e^T (Gawronski & Juang 1990), and
-    mtlbt that W's absolute-eigenvalue surrogate (U |lambda|^{1/2}, I),
-    dropping the eigenvalues at most 1e-12 of the largest in modulus. F
-    has at most 2m columns. The dense route passes (M^{-1} A, M^{-1} B);
-    the Krylov check passes (H, b_proj), and Q times each of its ends is
-    the Galerkin approximation of e^{M^{-1} A t} M^{-1} B, and passes its
-    reach form's cache as ``known``. ``w`` is called only by a check whose
-    ends pass the tol_f gate, so a failing check forms no W.
+    ``linalg.expm`` raises OverflowRangeError out of range. ``known`` maps
+    ``(order of h, t)`` to an end formed before; it is read first, and
+    filled, read-only, once every end is formed. A Krylov check passes
+    (H, b_proj) and its replayed ends, the dense route (M^{-1} A, M^{-1} B).
     """
-    if mode == "bt":
-        return [], lambda: (b, np.eye(b.shape[1]))
+    if window is None:
+        return []
     known = {} if known is None else known
     keys = [(len(h), t) for t in (window.t_s, window.t_e) if t > 0]
     ends = [known[k] if k in known else linalg.expm(h * k[1]) @ b for k in keys]
     for k, end in zip(keys, ends):
         end.flags.writeable = False
         known[k] = end
+    return ends
 
-    def w():
-        f = np.hstack(ends if window.t_s > 0 else [b, *ends])
-        j = np.diag(np.repeat([1.0, -1.0], b.shape[1]))
-        if mode == "tlbt":
-            return f, j
-        u, lam = _sym_lowrank(f, j)
-        f = _scaled_columns(np.abs(lam), u)
-        return f, np.eye(f.shape[1])
 
-    return ends, w
+def _rhs(mode, window, b, ends):
+    """``(F, J)`` with W = F J F^T, the right-hand side of a mode's equation H P + P H^T + W = 0.
+
+    ``ends`` are :func:`_window_ends` of ``(h, b)``, and b_s is b when t_s = 0.
+    bt takes (b, I), tlbt ([b_s, b_e], diag(I, -I)) for b_s b_s^T - b_e b_e^T
+    (Gawronski & Juang 1990), mtlbt that W's absolute-eigenvalue surrogate
+    (U |lambda|^{1/2}, I) without the eigenvalues at most 1e-12 of the largest.
+    """
+    if mode == "bt":
+        return b, np.eye(b.shape[1])
+    f = np.hstack(ends if window.t_s > 0 else [b, *ends])
+    j = np.diag(np.repeat([1.0, -1.0], b.shape[1]))
+    if mode == "tlbt":
+        return f, j
+    u, lam = _sym_lowrank(f, j)
+    f = _scaled_columns(np.abs(lam), u)
+    return f, np.eye(f.shape[1])
 
 
 # ---------------------------------------------------------------------------
 # the rational Krylov solver
+
+
+@dataclass
+class _Replay:
+    """What a reach form's solves replay (:func:`_solve_lowrank`)."""
+
+    poles: list = field(default_factory=lambda: [np.inf])  # shifts picked, inf first
+    ends: dict = field(default_factory=dict)  # e^{H t} b_proj by (d, t), read-only
+    deepest: tuple = (0, None, None, None)  # (d, R, U, Ritz values) of the deepest H checked
 
 
 def _require_stable(sys):
@@ -494,27 +490,23 @@ def _require_stable(sys):
 def _solve_lowrank(sys, window, cfg, mode, side):
     """Shared driver behind the three low-rank Gramian solvers.
 
-    The adaptive shifts depend only on the pencil and the start block: the
-    Ritz values come from the Schur form of H at a check (every
-    ``_CADENCE`` shifts, solved or not) and from ``gen_eig`` between
-    checks, never from the mode, the window or the tolerances. So the
-    reach form (the system or its cached dual) keeps one shift list
-    (``inf`` first): each growth step takes the cached pole at
-    ``len(workspace.shifts)`` while one exists and picks adaptively after
-    that, appending what it picks; a complex pole still adds its
-    conjugate, the next entry. So H and b_proj at dimension d depend on the
-    reach form and d alone, and the reach form also keeps the window ends
-    by (d, t) (:func:`_rhs`'s ``known``) and the real Schur form of H at
-    the deepest d a check formed (``schur``), which a check reads before
-    it calls ``linalg.expm`` or factors H. Every solve therefore equals a
-    solve of a fresh copy of the system, bit for bit, and forms no shift,
-    end or deepest Schur form that an earlier solve of its side formed.
+    The adaptive shifts depend only on the pencil and the start block (the
+    Ritz values come from H every ``_CADENCE`` shifts, never from the mode,
+    the window or the tolerances). So the reach form (the system or its
+    cached dual) keeps a :class:`_Replay` in its ``_replay`` slot: each
+    growth step takes its pole at ``len(workspace.shifts)`` while there is
+    one and appends what it picks after that. H and b_proj at dimension d
+    then depend on the reach form and d alone, so the replay also keeps the
+    window ends by (d, t) and the deepest Schur form of H a check formed.
+    Every solve equals a solve of a fresh copy of the system, bit for bit,
+    and forms no shift, end or deepest Schur form formed before on its side.
     """
     cfg = cfg or SolverConfig()
     _require_stable(sys)
     t0 = time.perf_counter()
     form = _reach_form(sys, side)
-    poles = form._poles
+    replay = form._replay = form._replay or _Replay()
+    poles = replay.poles
     n, m = form.order, form.m
     b = form.mass_solve(form.B)
     ws = _Basis(form, b)
@@ -525,23 +517,23 @@ def _solve_lowrank(sys, window, cfg, mode, side):
     mu = np.inf
 
     def schur():
-        """``(R, U, Ritz values)`` of H; the reach form keeps the deepest one formed."""
-        deepest, *found = form._deepest
+        """``(R, U, Ritz values)`` of H; the replay keeps the deepest one formed."""
+        deepest, *found = replay.deepest
         if deepest != ws.dim:
             found = linalg._real_schur(ws.h)
             if ws.dim > deepest:
-                form._deepest = (ws.dim, *found)
+                replay.deepest = (ws.dim, *found)
         return found
 
     def run_check(exact):
-        """(converged, y, f_change, mu).
+        """(converged, y, f_change, mu); ``exact`` (d = n) skips the tol_f gate.
 
-        ``exact`` (d = n) skips the tol_f gate on the window ends of :func:`_rhs`.
-        Q is orthonormal and nested, so the lifted approximations change as
+        Q is orthonormal and nested, so the lifted window ends change as
         their zero-padded coefficients do.
         """
+        b_proj = ws.b_proj
         try:
-            ends, w = _rhs(mode, window, ws.h, ws.b_proj, form._ends)
+            ends = _window_ends(window, ws.h, b_proj, replay.ends)
         except OverflowRangeError:
             return False, None, np.inf, np.inf
         f_changes = [0.0]
@@ -554,7 +546,7 @@ def _solve_lowrank(sys, window, cfg, mode, side):
         fch = max(f_changes)
         if not exact and fch >= cfg.tol_f:
             return False, None, fch, np.inf
-        f, j = w()
+        f, j = _rhs(mode, window, b_proj, ends)
         try:
             y = linalg.lyap_dense(ws.h, f @ j @ f.T, schur=schur())
         except SpectrumConflictError:
@@ -640,7 +632,9 @@ def mode_gramian(sys, mode, window=None, cfg=None, side="reachability", method="
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode != "bt" and window is None:
+    if mode == "bt":
+        window = None  # bt has no window ends
+    elif window is None:
         raise ValueError(f"mode {mode!r} needs a time window")
     if method == "dense":
         return _dense_gramian(sys, mode, window, side)

@@ -9,6 +9,7 @@ the integrator, the Gramian solvers and the reduction itself take it as
 they take the system it came from.
 """
 
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -79,18 +80,25 @@ class Balancing:
         return rom
 
 
+def _check_order(r):
+    """Refuse an order that is not an integer of at least 1 (a bool is not one)."""
+    if isinstance(r, bool) or not isinstance(r, numbers.Integral) or r < 1:
+        raise ValueError(f"order r must be an integer >= 1, got {r!r}")
+
+
 def square_root_reduce(sys, z_p, z_q, r, svd=None):
     """Balance-and-truncate to order r from Gramian factors.
 
     Builds T = Z_P Y_1 S_1^{-1/2}, S = Z_Q X_1 S_1^{-1/2} from the thin
     SVD of Z_Q^T M Z_P and projects with ``apply_a``, B, C and D (no
     n x n matrix); ``svd`` passes that SVD in when it is already known
-    (:func:`balance` computes it once for every order). Raises
-    RankDeficientError when the r-th singular value is below 1e-14 of
-    the largest.
+    (:func:`balance` computes it once for every order). Raises ValueError
+    unless r is an integer >= 1, RankDeficientError when r exceeds the
+    factor rank or sigma_r is below 1e-14 of the largest.
     """
+    _check_order(r)
     u, sig, v = svd if svd is not None else linalg.svd(z_q.T @ sys.mass_apply(z_p))
-    if r < 1 or r > sig.size:
+    if r > sig.size:
         raise RankDeficientError(f"order {r} out of range for factor rank {sig.size}")
     if sig[r - 1] <= 1e-14 * sig[0]:
         raise RankDeficientError(
@@ -155,6 +163,8 @@ def reduce(sys, mode, window=None, r=None, cfg=None, method="krylov", tol=None):
         raise ValueError("either r or tol must be given")
     if tol is not None and not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if r is not None:
+        _check_order(r)
     bal = balance(sys, mode, window, cfg, method)
     if tol is not None:
         sig = bal.hsv

@@ -194,7 +194,8 @@ def relative_error_series(y, y_red, window=None):
 
     E(t) = ||y(t) - y_r(t)|| / ||y(t)||; grid points where both responses
     vanish give 0, points where only the reference vanishes give inf. A
-    window that holds no grid point has no maximum: ValueError.
+    window that holds no grid point, or ends past the last one by more than
+    the integrator's step-count rounding (1e-9 dt), raises ValueError.
     """
     if y.times.shape != y_red.times.shape or not np.allclose(
         y.times, y_red.times, rtol=0, atol=1e-12 * max(y.dt, 1e-30)
@@ -207,11 +208,13 @@ def relative_error_series(y, y_red, window=None):
     err[~tiny] = diff[~tiny] / ref[~tiny]
     err[tiny & (diff > 1e-300)] = np.inf
     if window is None:
-        mask = np.ones(y.times.shape, dtype=bool)
-    else:
-        mask = (y.times >= window.t_s - 1e-12) & (y.times <= window.t_e + 1e-12)
+        return err, float(np.max(err))
+    mask = (y.times >= window.t_s - 1e-12) & (y.times <= window.t_e + 1e-12)
     if not np.any(mask):
         raise ValueError(f"no grid point lies in the error window [{window.t_s!r}, {window.t_e!r}]")
+    if window.t_e > y.times[-1] + 1e-9 * y.dt:
+        raise ValueError(f"the error window ends at {window.t_e!r}, "
+                         f"past the simulated horizon {float(y.times[-1])!r}")
     return err, float(np.max(err[mask]))
 
 

@@ -531,6 +531,18 @@ def test_compare_refuses_an_error_window_without_grid_points(tmp_path, capsys, m
     assert not (tmp_path / "out").exists()
 
 
+def test_compare_refuses_an_error_window_past_the_horizon(tmp_path, capsys, monkeypatch):
+    # --te 2 with --tf 1 used to exit 0 with E_T the maximum over [0, 1] only
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(reduction, "balance", None)
+    argv = ["compare", "--synth", "weakly_damped", "--n", "20", "--mode", "bt", "--order", "4",
+            "--te", "2", "--tf", "1", "--out", "out"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "past the simulated horizon" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
 def test_non_finite_step_scale_exit_2(tmp_path, capsys, monkeypatch, scale):
     # a non-finite step input used to be reported as a solver failure (exit 3)

@@ -1,4 +1,7 @@
 import contextlib
+import dataclasses
+import inspect
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -31,7 +34,7 @@ from tlbt.errors import (
     SpectrumConflictError,
     UnstableSystemError,
 )
-from tlbt.reduction import balance, reduce
+from tlbt.reduction import ReducedModel, balance, reduce
 from tlbt.gramians import (
     MODES,
     SIDES,
@@ -41,14 +44,18 @@ from tlbt.gramians import (
     _perturbed,
     _reach_form,
     _rhs,
+    _scaled_columns,
     _select_shift,
+    _sym_lowrank,
+    _window_ends,
     mode_gramian,
     solve_infinite_lowrank,
     solve_modified_lowrank,
     solve_timelimited_lowrank,
 )
 from tlbt.synthetic import make_synthetic
-from tlbt.systems import StandardSystem, alpha_shift, spectral_abscissa
+from tlbt.systems import (DescriptorIndex1, GeneralizedSystem, StandardSystem, alpha_shift,
+                          spectral_abscissa)
 
 SCALAR = StandardSystem(np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]]))
 
@@ -597,7 +604,7 @@ def test_sides_cache_their_own_poles():
     assert obs.workspace.shifts != reach.workspace.shifts
     fresh = make_synthetic("weakly_damped", 60, 2, 2, seed=1)
     _assert_same_solve(solve_infinite_lowrank(fresh, cfg, "observability"), obs)
-    assert s.transposed()._poles is not s._poles
+    assert s.transposed()._replay.poles is not s._replay.poles
 
 
 # The reach form also keeps the window ends of its checks and the deepest
@@ -625,7 +632,7 @@ def test_warm_cache_equals_cold_solve_in_either_mode_order(case):
                     if key not in cold:
                         cold[key] = mode_gramian(build(), mode, window, side=side)
                     _assert_same_solve(cold[key], mode_gramian(s, mode, window, side=side))
-        assert s._ends and s.transposed()._ends
+        assert s._replay.ends and s.transposed()._replay.ends
 
 
 def test_warm_cache_after_cap_equals_cold_solve():
@@ -635,10 +642,10 @@ def test_warm_cache_after_cap_equals_cold_solve():
     s = _weakly_damped_60()
     with pytest.raises(MaxDimExceededError):
         solve_timelimited_lowrank(s, window, SolverConfig(max_dim=20))
-    assert s._deepest[0] == 14 and list(s._ends) == [(14, 5.0), (22, 5.0)]
+    assert s._replay.deepest[0] == 14 and list(s._replay.ends) == [(14, 5.0), (22, 5.0)]
     for solve in (solve_timelimited_lowrank, solve_modified_lowrank):
         _assert_same_solve(solve(_weakly_damped_60(), window), solve(s, window))
-    assert s._deepest[0] == 60
+    assert s._replay.deepest[0] == 60
 
 
 def test_overflowing_check_caches_no_end(monkeypatch):
@@ -651,10 +658,10 @@ def test_overflowing_check_caches_no_end(monkeypatch):
         g = solve_timelimited_lowrank(s, window)
     d = g.trace[1]["dim"]
     assert g.trace[1]["f_change"] == np.inf and d < g.subspace_dim
-    assert [k for k in s._ends if k[0] == d] == []
+    assert [k for k in s._replay.ends if k[0] == d] == []
     cold = solve_timelimited_lowrank(make_synthetic("random_stable", 60, 2, 2, seed=1), window)
     _assert_same_solve(cold, solve_timelimited_lowrank(s, window))
-    assert (d, 0.5) in s._ends and (d, 2.0) in s._ends
+    assert (d, 0.5) in s._replay.ends and (d, 2.0) in s._replay.ends
 
 
 def test_replayed_work_forms_each_end_and_deepest_schur_once(monkeypatch):
@@ -676,10 +683,37 @@ def test_replayed_work_forms_each_end_and_deepest_schur_once(monkeypatch):
             formed[side] += schur.count((60, 60))
     assert formed == dict.fromkeys(SIDES, 1)
     for form in (s, s.transposed()):
-        d, r, u, ritz = form._deepest
+        d, r, u, ritz = form._replay.deepest
         assert d == 60 and r.nbytes + u.nbytes <= 2 * d * d * 8 and ritz.shape == (d,)
         assert all(not end.flags.writeable and end.shape == (k[0], 2)
-                   for k, end in form._ends.items())
+                   for k, end in form._replay.ends.items())
+
+
+def test_every_system_class_has_one_solver_field():
+    # the solver reads and writes one private field of a system: _replay
+    src = inspect.getsource(tlbt.gramians)
+    for cls in (StandardSystem, GeneralizedSystem, DescriptorIndex1, ReducedModel):
+        private = [f.name for f in dataclasses.fields(cls) if f.name.startswith("_")]
+        assert [name for name in private if re.search(rf"\.{name}\b", src)] == ["_replay"]
+    s = _heat(60)
+    assert s._replay is None
+    for side in SIDES:
+        solve_infinite_lowrank(s, side=side)
+    replays = [form._replay for form in (s, s.transposed())]
+    assert all(isinstance(r, tlbt.gramians._Replay) for r in replays)
+    assert replays[0] is not replays[1]
+    assert alpha_shift(s, 1.0)._replay is None
+
+
+def test_trimmed_workspace_derives_b_proj_from_the_start_block():
+    s = _heat(60)
+    ws = solve_timelimited_lowrank(s, TimeWindow(t_e=0.05)).workspace
+    assert ws.m0 == s.m and ws.dim > ws.m0 and not hasattr(ws, "_bp")
+    # Q_start^T b over zero rows, up to the rounding of a product on a copied Q
+    b = s.mass_solve(s.B)
+    assert ws.b_proj.shape == (ws.dim, s.m) and not ws.b_proj[ws.m0 :].any()
+    top = ws.q[:, : ws.m0].T @ b
+    assert np.allclose(ws.b_proj[: ws.m0], top, rtol=0, atol=1e-14 * np.linalg.norm(b))
 
 
 # ---------------------------------------------------------------------------
@@ -691,20 +725,50 @@ def _workspace_for(sys, t_e=1.0):
     return g, g.workspace
 
 
-def _ends(ws, window):
-    """The window ends ``e^{H t} b_proj`` (t > 0) that :func:`_rhs` forms on a workspace."""
-    return _rhs("tlbt", window, ws.h, ws.b_proj)[0]
-
-
 def test_expm_action_t0_returns_b():
     # t_s = 0: the window start is b_proj itself, no exponential, and Q b_proj = B
     s = make_synthetic("random_stable", 15, 2, 1, seed=1)
     _, ws = _workspace_for(s)
-    ends, w = _rhs("tlbt", TimeWindow(t_e=1.0), ws.h, ws.b_proj)
-    f, _ = w()
+    ends = _window_ends(TimeWindow(t_e=1.0), ws.h, ws.b_proj)
+    f, _ = _rhs("tlbt", TimeWindow(t_e=1.0), ws.b_proj, ends)
     assert len(ends) == 1 and np.array_equal(f[:, :2], ws.b_proj)
     lifted = ws.q @ f[:, :2]
     assert np.linalg.norm(lifted - s.B) <= 1e-12 * np.linalg.norm(s.B)
+
+
+def _same(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("t_s", [0.0, 0.5])
+@pytest.mark.parametrize("mode", MODES)
+def test_rhs_of_the_dense_ends_is_each_modes_right_hand_side(monkeypatch, mode, t_s):
+    # bt takes (b, I) and forms no end; tlbt the ends, after b when t_s = 0,
+    # with J = diag(I, -I); mtlbt the surrogate of tlbt's W. The dense
+    # Gramian solves exactly that W, bit for bit
+    s = make_synthetic("weakly_damped", 20, 2, 2, seed=1)
+    window = TimeWindow(t_e=2.0, t_s=t_s)
+    a, b = s.dense_state_input()
+    ends = _window_ends(window, a, b)
+    exact = [linalg.expm(a * t) @ b for t in (t_s, 2.0) if t > 0]
+    assert len(ends) == len(exact) and all(map(_same, ends, exact))
+    f_tl = np.hstack(ends if t_s > 0 else [b, *ends])
+    j_tl = np.diag([1.0, 1.0, -1.0, -1.0])
+    if mode == "bt":
+        ref = b, np.eye(2)
+    elif mode == "tlbt":
+        ref = f_tl, j_tl
+    else:
+        u, lam = _sym_lowrank(f_tl, j_tl)
+        f_abs = _scaled_columns(np.abs(lam), u)
+        ref = f_abs, np.eye(f_abs.shape[1])
+    f, j = _rhs(mode, window, b, ends)
+    assert _same(f, ref[0]) and _same(j, ref[1])
+    expm, real = [], linalg.expm
+    monkeypatch.setattr(linalg, "expm", lambda x: expm.append(x) or real(x))
+    dense = mode_gramian(s, mode, window, method="dense")
+    assert len(expm) == (0 if mode == "bt" else len(ends))
+    assert _same(dense, linalg.lyap_dense(a, f @ j @ f.T))
 
 
 def test_expm_action_full_subspace_exact(rng):
@@ -713,7 +777,7 @@ def test_expm_action_full_subspace_exact(rng):
     q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
     ws = SimpleNamespace(h=q.T @ a @ q, b_proj=q.T @ b)
     w = TimeWindow(t_e=0.7, t_s=0.2)
-    for t, end in zip((w.t_s, w.t_e), _ends(ws, w)):
+    for t, end in zip((w.t_s, w.t_e), _window_ends(w, ws.h, ws.b_proj)):
         lifted = q @ end
         dense = linalg.expm(a * t) @ b
         assert np.linalg.norm(lifted - dense) <= 1e-10 * np.linalg.norm(dense)
@@ -722,7 +786,7 @@ def test_expm_action_full_subspace_exact(rng):
 def test_expm_action_scalar_analytic():
     s = StandardSystem(np.array([[-2.0]]), np.array([[1.0]]), np.array([[1.0]]))
     g = solve_infinite_lowrank(s)
-    (end,) = _ends(g.workspace, TimeWindow(t_e=0.5))
+    (end,) = _window_ends(TimeWindow(t_e=0.5), g.workspace.h, g.workspace.b_proj)
     lifted = g.workspace.q @ end
     assert abs(lifted[0, 0] - 0.36787944117144233) < 1e-12
 
@@ -735,8 +799,8 @@ def _abs_sym(w):
 
 def _modified_factor(window, h, b):
     """The mtlbt factor F of :func:`_rhs` and its ends; J must be the identity."""
-    ends, w = _rhs("mtlbt", window, h, b)
-    f, j = w()
+    ends = _window_ends(window, h, b)
+    f, j = _rhs("mtlbt", window, b, ends)
     assert np.array_equal(j, np.eye(f.shape[1]))
     return f, ends
 

@@ -130,6 +130,25 @@ def test_reduce_rejects_tolerance_that_is_not_positive(tol):
         reduce(s, "bt", tol=tol)
 
 
+@pytest.mark.parametrize("r", [0, -3, 2.5, True, np.float64(2.0), "2"])
+def test_reduce_refuses_an_order_that_is_not_a_positive_integer(monkeypatch, r):
+    # each used to fail only after both Gramian solves, with a solver error,
+    # an IndexError or a numpy ValueError; now nothing is balanced
+    monkeypatch.setattr(reduction, "balance", None)
+    with pytest.raises(ValueError, match="order r must be an integer >= 1"):
+        reduce(SCALAR, "bt", r=r)
+
+
+def test_truncate_refuses_an_order_that_is_not_a_positive_integer():
+    bal = balance(make_synthetic("random_stable", 8, 1, 1, seed=1), "bt")
+    for r in (0, 2.5, True):
+        with pytest.raises(ValueError, match="order r must be an integer >= 1"):
+            bal.truncate(r)
+        with pytest.raises(ValueError, match="order r must be an integer >= 1"):
+            square_root_reduce(bal.system, bal.z_p, bal.z_q, r)
+    assert bal.truncate(np.int64(2)).order == 2
+
+
 def test_reduce_dense_method_matches_krylov():
     s = make_synthetic("random_stable", 30, 1, 1, seed=4)
     w = TimeWindow(t_e=2.0)

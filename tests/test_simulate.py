@@ -161,6 +161,28 @@ def test_relative_error_refuses_a_window_without_grid_points(window):
         relative_error_series(y, Trajectory(times=t, outputs=np.zeros((11, 1))), window)
 
 
+def test_relative_error_refuses_a_window_past_the_horizon():
+    # t_e = 2 on a grid over [0, 1] used to report the maximum over [0, 1] only
+    t = np.linspace(0, 1, 11)
+    y = Trajectory(times=t, outputs=np.ones((11, 1)))
+    with pytest.raises(ValueError, match="ends at 2.0, past the simulated horizon 1.0"):
+        relative_error_series(y, y, TimeWindow(t_e=2.0))
+    # the integrator's step-count rounding is allowed, and no more
+    assert relative_error_series(y, y, TimeWindow(t_e=1.0 + 0.5e-9 * y.dt))[1] == 0.0
+    with pytest.raises(ValueError, match="past the simulated horizon"):
+        relative_error_series(y, y, TimeWindow(t_e=1.0 + 2e-9 * y.dt))
+
+
+def test_relative_error_accepts_a_window_ending_at_t_f():
+    # t_f = t_e with dt = t_e/3000, as tlbt compare runs it: the last grid
+    # time may round below t_e, but never by more than 1e-9 dt
+    s = make_synthetic("weakly_damped", 20, 1, 1, seed=1)
+    for t_e in [half_decay_time(s), *np.geomspace(1e-3, 50.0, 37)]:
+        y = impulse_response(SCALAR, dt=t_e / 3000, t_f=t_e)
+        assert y.times.size == 3001
+        assert relative_error_series(y, y, TimeWindow(t_e=t_e))[1] == 0.0
+
+
 @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf, [1.0, np.nan], [np.inf, 1.0]],
                          ids=["nan", "inf", "-inf", "vector-nan", "vector-inf"])
 def test_step_input_refuses_non_finite_values(c):

@@ -1,6 +1,9 @@
+import warnings
+
+import scale_check
 import solve_fingerprint
 
-from tlbt.gramians import TimeWindow
+from tlbt.gramians import SolverConfig, TimeWindow
 from tlbt.synthetic import make_synthetic
 
 
@@ -51,3 +54,41 @@ def test_cli_fingerprint_reports_exit_codes():
     large = _fields(solve_fingerprint._cli(make_synthetic("random_stable", 8, 1, 1), window), 0)
     assert large["hsv"] != small["hsv"]
     assert all(len(value) == 16 for value in large.values())
+
+
+def _scale_rows(system, cases, sides):
+    """``scale_check.check`` rows of ``(mode, t_e)`` cases; n > 1000 warns that it is unverified."""
+    cfg = SolverConfig(tol_f=1e-8, tol_p=1e-8)
+    rows = []
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "system too large for dense stability verification")
+        for mode, t_e in cases:
+            window = None if t_e is None else TimeWindow(t_e=t_e)
+            rows += [(mode, scale_check.check(system, mode, window, cfg, side)) for side in sides]
+    return rows
+
+
+def test_scale_check_smoke():
+    # cd n = 2,500 (M = I, sparse) and heat_like n = 400 (an SPD mass matrix,
+    # so M^{-1} A is a LinearOperator): every true residual meets tol_p, and
+    # that of Q Y Q^T is within 10x of what mu and the ends' error account for
+    cd = solve_fingerprint.convection_diffusion(50)
+    heat = make_synthetic("heat_like", 400, 2, 2, seed=1)
+    rows = (_scale_rows(cd, [("bt", None), ("tlbt", 0.001), ("tlbt", 0.01)], ["reachability"])
+            + _scale_rows(heat, [("bt", None), ("tlbt", 0.001)], ["reachability", "observability"]))
+    assert len(rows) == 7
+    for mode, row in rows:
+        assert row["stop"] == "converged" and row["d"] < 200 and 0 < row["rank"] <= row["d"]
+        assert (row["ends"] is None) == (mode == "bt")
+        assert max(row["zz"], row["qyq"]) <= 1e-8
+        assert row["qyq"] <= 10 * max(row["mu"], row["ends"] or 0.0)
+
+
+def test_scale_check_prints_one_line_per_mode_and_side(capsys):
+    assert scale_check.main(["--synth", "random_stable", "--n", "30", "--te", "1.0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1:3] for line in lines] == [
+        [mode, side] for mode in ("bt", "tlbt", "mtlbt") for side in ("reach", "obser")]
+    assert all(f"{key}=" in line for line in lines
+               for key in ("d", "rank", "mu", "stop", "ends", "zz", "qyq"))
+    assert "ends=-" in lines[0] and "ends=-" not in lines[2]
