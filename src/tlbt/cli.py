@@ -155,8 +155,7 @@ def cmd_synth(args):
 
 def cmd_gramian(args):
     sys_obj, name = _load_system(args)
-    window = _window(args)
-    cfg = _config(args)
+    window, cfg = _window(args), _config(args)
     sides = {"reach": ["reachability"], "obs": ["observability"]}.get(args.side, SIDES)
     solves = [[(side, mode_gramian(sys_obj, mode, window, cfg, side)) for side in sides]
               for mode in args.mode]
@@ -187,11 +186,8 @@ def cmd_hsv(args):
     hsvs = [(bal.mode, bal.hsv) for bal in bals]
     out = _out_dir(args)
     for mode, hsv in hsvs:
-        _write_csv(
-            out / f"{name}_hsv_{mode}.csv",
-            ["index", "sigma"],
-            [(i + 1, v) for i, v in enumerate(hsv)],
-        )
+        _write_csv(out / f"{name}_hsv_{mode}.csv", ["index", "sigma"],
+                   [(i + 1, v) for i, v in enumerate(hsv)])
         shown = ", ".join(_fmt(v) for v in hsv[:5])
         print(f"{name} {mode}: {hsv.size} singular values, leading [{shown}]")
     return 0
@@ -273,11 +269,7 @@ def cmd_compare(args):
     table = []
     for rom, err, e_max in results:
         mode, r = rom.mode, rom.order
-        _write_csv(
-            out / f"{name}_error_t_{mode}_r{r}.csv",
-            ["t", "E"],
-            list(zip(ref.times, err)),
-        )
+        _write_csv(out / f"{name}_error_t_{mode}_r{r}.csv", ["t", "E"], list(zip(ref.times, err)))
         entry = {"mode": mode, "r": r, "E_T": e_max, "stable": int(rom.stable)}
         if args.timings:
             entry["t_mor"] = rom.info["t_mor"]

@@ -75,11 +75,11 @@ class TimeWindow:
 class SolverConfig:
     """Tolerances and limits for the low-rank Gramian solver.
 
-    tol_f gates the matrix-exponential action (relative change between
-    checks, Frobenius), tol_p an upper bound on the scaled Lyapunov residual
-    (spectral) of the equation with the projected right-hand side, so tol_f
-    alone controls the error in B_s and B_e. Projected quantities are only
-    evaluated every ``_CADENCE`` shifts.
+    tol_f bounds the change of W's factor F = [B_s, B_e] between checks
+    (Frobenius, relative to F's largest block, the scale of mu's ||G||),
+    tol_p the scaled Lyapunov residual (spectral) of the equation with the
+    projected right-hand side, so tol_f alone controls the error in B_s
+    and B_e. Projected quantities are only evaluated every ``_CADENCE`` shifts.
     """
 
     tol_f: float = 1e-8
@@ -436,6 +436,11 @@ def _window_ends(window, h, b, known=None):
     return ends
 
 
+def _blocks(window, b, ends):
+    """The blocks ``[b_s, b_e]`` of the time-limited F, b_s being b when t_s = 0."""
+    return ends if window.t_s > 0 else [b, *ends]
+
+
 def _rhs(mode, window, b, ends):
     """``(F, J)`` with W = F J F^T, the right-hand side of a mode's equation H P + P H^T + W = 0.
 
@@ -446,7 +451,7 @@ def _rhs(mode, window, b, ends):
     """
     if mode == "bt":
         return b, np.eye(b.shape[1])
-    f = np.hstack(ends if window.t_s > 0 else [b, *ends])
+    f = np.hstack(_blocks(window, b, ends))
     j = np.diag(np.repeat([1.0, -1.0], b.shape[1]))
     if mode == "tlbt":
         return f, j
@@ -511,8 +516,7 @@ def _solve_lowrank(sys, window, cfg, mode, side):
     b = form.mass_solve(form.B)
     ws = _Basis(form, b)
     max_dim = min(n, cfg.max_dim or 600)
-    bnorm = np.linalg.norm(b)
-    trace, prev = [], []
+    trace, prev = [], [np.zeros((0, m))] * 2
     since_check = stagnant = 0
     mu = np.inf
 
@@ -528,22 +532,21 @@ def _solve_lowrank(sys, window, cfg, mode, side):
     def run_check(exact):
         """(converged, y, f_change, mu); ``exact`` (d = n) skips the tol_f gate.
 
-        Q is orthonormal and nested, so the lifted window ends change as
-        their zero-padded coefficients do.
+        f_change: the ends' largest change since the last check (zero before
+        the first) over F's largest block (:func:`_blocks`), 0 if F is zero.
+        Q is orthonormal and nested, so the ends change as their coefficients.
         """
         b_proj = ws.b_proj
         try:
             ends = _window_ends(window, ws.h, b_proj, replay.ends)
         except OverflowRangeError:
             return False, None, np.inf, np.inf
-        f_changes = [0.0]
-        for i, c in enumerate(ends):
-            cur = np.linalg.norm(c)
-            diff = np.linalg.norm(c - _widen(prev[i], *c.shape)) if prev else np.inf
-            small = cur <= 1e-14 * bnorm and (diff <= 1e-14 * bnorm or not np.isfinite(diff))
-            f_changes.append(0.0 if small else diff / max(cur, 1e-300))
+        fch = 0.0
+        if ends:  # bt has none
+            change = max(np.linalg.norm(c - _widen(p, *c.shape)) for c, p in zip(ends, prev))
+            scale = max(map(np.linalg.norm, _blocks(window, b_proj, ends)))
+            fch = change / scale if scale else 0.0
         prev[:] = ends
-        fch = max(f_changes)
         if not exact and fch >= cfg.tol_f:
             return False, None, fch, np.inf
         f, j = _rhs(mode, window, b_proj, ends)

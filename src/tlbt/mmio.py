@@ -99,7 +99,7 @@ def load_system(sidecar_path):
     if missing:
         raise ValueError(f"sidecar 'files' has no {', '.join(missing)}")
     alpha = meta.get("alpha_shift", 0.0)
-    if not isinstance(alpha, (int, float)):
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
         raise ValueError(f"sidecar 'alpha_shift' must be a number, got {alpha!r}")
     blocks = {key: read_matrix(sidecar_path.parent / files[key]) for key in fields if key in files}
     return alpha_shift(_KINDS[kind](**blocks), float(alpha)), meta

@@ -51,6 +51,9 @@ _BLOCK = 256
 # Phi is 512 KiB; above that, a sparse step's two calls (M x and the
 # SuperLU solve) beat the n x n product
 _SPARSE_PROPAGATED = 256
+# t_f/dt at most this above an integer takes that many steps, so an error
+# window may end up to this times dt past the last grid time
+_STEP_ROUNDING = 1e-9
 
 
 @dataclass
@@ -135,7 +138,7 @@ def _integrate(sys, u, x0, dt, t_f):
         v = np.ones(m) if u.vector is None else u.vector.reshape(m)
         kick = sys.mass_solve(b @ v)
         x = kick if x0 is None else x + kick
-    nsteps = int(np.ceil(t_f / dt - 1e-9))
+    nsteps = int(np.ceil(t_f / dt - _STEP_ROUNDING))
     try:
         times = dt * np.arange(nsteps + 1)
         outputs = np.empty((nsteps + 1, c.shape[0]))
@@ -195,7 +198,7 @@ def relative_error_series(y, y_red, window=None):
     E(t) = ||y(t) - y_r(t)|| / ||y(t)||; grid points where both responses
     vanish give 0, points where only the reference vanishes give inf. A
     window that holds no grid point, or ends past the last one by more than
-    the integrator's step-count rounding (1e-9 dt), raises ValueError.
+    the integrator's step-count rounding (_STEP_ROUNDING dt), raises ValueError.
     """
     if y.times.shape != y_red.times.shape or not np.allclose(
         y.times, y_red.times, rtol=0, atol=1e-12 * max(y.dt, 1e-30)
@@ -212,7 +215,7 @@ def relative_error_series(y, y_red, window=None):
     mask = (y.times >= window.t_s - 1e-12) & (y.times <= window.t_e + 1e-12)
     if not np.any(mask):
         raise ValueError(f"no grid point lies in the error window [{window.t_s!r}, {window.t_e!r}]")
-    if window.t_e > y.times[-1] + 1e-9 * y.dt:
+    if window.t_e > y.times[-1] + _STEP_ROUNDING * y.dt:
         raise ValueError(f"the error window ends at {window.t_e!r}, "
                          f"past the simulated horizon {float(y.times[-1])!r}")
     return err, float(np.max(err[mask]))

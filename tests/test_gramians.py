@@ -930,6 +930,52 @@ def test_lowrank_timelimited_matches_dense_suite():
         assert g.rank <= g.subspace_dim <= (cfg.max_dim or 600)
 
 
+def _dense_error(s, g, mode, window, side):
+    p = mode_gramian(s, mode, window, side=side, method="dense")
+    return np.linalg.norm(g.z @ g.z.T - p, 2) / np.linalg.norm(p, 2)
+
+
+def test_ends_below_tol_f_of_b_take_bts_basis():
+    # e^{60 A} B is about 5e-14 ||B||: the ends' change is measured against
+    # F's largest block, B, so the first check passes the gate and tlbt
+    # needs bt's basis, not one that chases the ends' roundoff
+    s = make_synthetic("random_stable", 300, 2, 2, seed=1)
+    window = TimeWindow(t_e=60.0)
+    for side in SIDES:
+        g = solve_timelimited_lowrank(s, window, side=side)
+        assert g.subspace_dim == solve_infinite_lowrank(s, side=side).subspace_dim == 24
+        assert _dense_error(s, g, "tlbt", window, side) <= 1e-8
+
+
+@pytest.mark.parametrize("kind, n, t_s, t_e", [("random_stable", 100, 70.0, 80.0),
+                                               ("heat_like", 200, 8.0, 10.0)])
+def test_late_window_matches_dense(kind, n, t_s, t_e):
+    # F = [B_s, B_e] far below ||B||: the gate runs on F's own scale
+    s = make_synthetic(kind, n, 2, 2, seed=1)
+    window = TimeWindow(t_e=t_e, t_s=t_s)
+    for side in SIDES:
+        g = solve_timelimited_lowrank(s, window, side=side)
+        assert g.stop == "converged" and _dense_error(s, g, "tlbt", window, side) <= 1e-8
+
+
+def test_ends_that_underflow_give_a_zero_factor():
+    # every block of F is exactly zero: f_change 0 (no 0/0), W = 0 and Z empty
+    s = make_synthetic("heat_like", 50, 2, 2, seed=1)
+    for side in SIDES:
+        g = solve_timelimited_lowrank(s, TimeWindow(t_e=900.0, t_s=800.0), side=side)
+        assert (g.rank, g.residual, g.stop) == (0, 0.0, "converged")
+        assert g.trace[-1]["f_change"] == 0.0
+
+
+def test_first_check_records_a_finite_change():
+    # before the first check the ends count as zero, and b is F's first
+    # block when t_s = 0; bt has no ends and records the float 0.0
+    s = make_synthetic("random_stable", 60, 2, 2, seed=1)
+    assert np.isfinite(solve_timelimited_lowrank(s, TimeWindow(t_e=2.0)).trace[0]["f_change"])
+    f_change = solve_infinite_lowrank(s).trace[0]["f_change"]
+    assert type(f_change) is float and f_change == 0.0
+
+
 def test_lowrank_long_horizon_recovers_infinite():
     s = make_synthetic("random_stable", 30, 1, 1, seed=11)
     g_t = solve_timelimited_lowrank(s, TimeWindow(t_e=80.0))

@@ -131,6 +131,8 @@ MALFORMED = {
     "top-level-array": (lambda m: [m], "is not a JSON object"),
     "alpha-a-list": (lambda m: dict(m, alpha_shift=[0.1]),
                      "sidecar 'alpha_shift' must be a number, got [0.1]"),
+    "alpha-a-bool": (lambda m: dict(m, alpha_shift=True),  # a bool is an int to Python
+                     "sidecar 'alpha_shift' must be a number, got True"),
 }
 
 

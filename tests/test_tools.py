@@ -57,26 +57,35 @@ def test_cli_fingerprint_reports_exit_codes():
 
 
 def _scale_rows(system, cases, sides):
-    """``scale_check.check`` rows of ``(mode, t_e)`` cases; n > 1000 warns that it is unverified."""
+    """``scale_check.check`` rows of ``(mode, t_e[, t_s])`` cases, bt's ``(mode,)``.
+
+    n > 1000 warns that it is unverified.
+    """
     cfg = SolverConfig(tol_f=1e-8, tol_p=1e-8)
     rows = []
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "system too large for dense stability verification")
-        for mode, t_e in cases:
-            window = None if t_e is None else TimeWindow(t_e=t_e)
+        for mode, *times in cases:
+            window = TimeWindow(*times) if times else None
             rows += [(mode, scale_check.check(system, mode, window, cfg, side)) for side in sides]
     return rows
 
 
 def test_scale_check_smoke():
     # cd n = 2,500 (M = I, sparse) and heat_like n = 400 (an SPD mass matrix,
-    # so M^{-1} A is a LinearOperator): every true residual meets tol_p, and
-    # that of Q Y Q^T is within 10x of what mu and the ends' error account for
+    # so M^{-1} A is a LinearOperator), with a window starting after 0, and
+    # random_stable n = 300 with ends near 5e-14 ||B||: every true residual
+    # meets tol_p, and that of Q Y Q^T is within 10x of what mu and the
+    # ends' error account for
     cd = solve_fingerprint.convection_diffusion(50)
     heat = make_synthetic("heat_like", 400, 2, 2, seed=1)
-    rows = (_scale_rows(cd, [("bt", None), ("tlbt", 0.001), ("tlbt", 0.01)], ["reachability"])
-            + _scale_rows(heat, [("bt", None), ("tlbt", 0.001)], ["reachability", "observability"]))
-    assert len(rows) == 7
+    rs = make_synthetic("random_stable", 300, 2, 2, seed=1)
+    reach = ["reachability"]
+    rows = (_scale_rows(cd, [("bt",), ("tlbt", 0.001), ("tlbt", 0.01)], reach)
+            + _scale_rows(heat, [("bt",), ("tlbt", 0.001)], ["reachability", "observability"])
+            + _scale_rows(heat, [("tlbt", 0.05, 0.01)], reach)
+            + _scale_rows(rs, [("tlbt", 60.0)], reach))
+    assert len(rows) == 9
     for mode, row in rows:
         assert row["stop"] == "converged" and row["d"] < 200 and 0 < row["rank"] <= row["d"]
         assert (row["ends"] is None) == (mode == "bt")
