@@ -104,10 +104,13 @@ def _orders(args):
 
 
 def _input_signal(args, m):
+    """The input as a function of time, or None for the impulse (an initial state)."""
     if args.input == "impulse":
-        return simulate.impulse_input()
+        return None
     if args.input == "step":
-        return simulate.step_input(args.step_scale)
+        if not np.isfinite(args.step_scale):
+            raise ValueError(f"step input must be finite, got {args.step_scale!r}")
+        return lambda t: np.full(m, args.step_scale)
     if not args.input_file:
         raise ValueError("--input file requires --input-file")
     # the data rows after the header, blank and comment lines left out, as loadtxt leaves them
@@ -125,7 +128,14 @@ def _input_signal(args, m):
     def fn(t):
         return np.array([np.interp(t, tgrid, vals[:, j]) for j in range(m)])
 
-    return simulate.custom_input(fn)
+    return fn
+
+
+def _respond(sys_obj, u, dt, t_f):
+    """The impulse response of ``sys_obj`` (u None) or its response to ``u`` from rest."""
+    if u is None:
+        return simulate.impulse_response(sys_obj, dt=dt, t_f=t_f)
+    return simulate.implicit_midpoint(sys_obj, u, None, dt, t_f)
 
 
 def _write_csv(path, header, rows):
@@ -230,7 +240,7 @@ def cmd_reduce(args):
 def cmd_simulate(args):
     sys_obj, name = _load_system(args)
     u = _input_signal(args, sys_obj.m)
-    traj = simulate.implicit_midpoint(sys_obj, u, None, args.dt, args.tf)
+    traj = _respond(sys_obj, u, args.dt, args.tf)
     out = _out_dir(args)
     cols = [f"y{j + 1}" for j in range(traj.outputs.shape[1])]
     norms = traj.output_norms()
@@ -255,14 +265,14 @@ def cmd_compare(args):
     orders = sorted(_orders(args))
     tf = args.tf if args.tf is not None else args.te
     u = _input_signal(args, sys_obj.m)
-    ref = simulate.implicit_midpoint(sys_obj, u, None, args.dt, tf)
+    ref = _respond(sys_obj, u, args.dt, tf)
     simulate.relative_error_series(ref, ref, window)  # an empty error window, before any solve
 
     results = []
     for bal in bals:
         for r in orders:
             rom = bal.truncate(r)
-            red = simulate.implicit_midpoint(rom, u, None, args.dt, tf)
+            red = _respond(rom, u, args.dt, tf)
             results.append((rom, *simulate.relative_error_series(ref, red, window)))
     out = _out_dir(args)
 

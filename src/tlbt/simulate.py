@@ -19,10 +19,11 @@ of two ways, with one finiteness check after the loop:
   work when M = I) and one LAPACK ``getrs`` or SuperLU solve (a
   descriptor's on its block pencil, no separate A4 solve).
 
-An impulse input u = delta(t) v is realized as the initial state
-x0 + M^{-1} B v of the uncontrolled system, never by sampling a delta on
-the grid; since the input is zero after t = 0, no input is sampled or
-multiplied through B and D in the loop.
+An input is ``None`` (the free response from x0) or a function from a
+time to the m inputs. An impulse u = delta(t) v is no such function: it
+is the initial state M^{-1} B v of the free system
+(:func:`impulse_response`), never a delta sampled on the grid, so its
+loop samples no input and multiplies none through B and D.
 """
 
 from dataclasses import dataclass
@@ -35,10 +36,6 @@ from .systems import spectral_abscissa
 
 __all__ = [
     "Trajectory",
-    "InputSignal",
-    "impulse_input",
-    "step_input",
-    "custom_input",
     "implicit_midpoint",
     "impulse_response",
     "relative_error_series",
@@ -71,73 +68,23 @@ class Trajectory:
         return np.linalg.norm(self.outputs, axis=1)
 
 
-@dataclass
-class InputSignal:
-    """Control signal: impulse (via initial condition), constant, or callable."""
-
-    kind: str
-    vector: np.ndarray = None
-    fn: object = None
-
-    def sample(self, t, m):
-        if self.kind == "impulse":
-            return np.zeros(m)
-        if self.kind == "constant":
-            v = np.asarray(1.0 if self.vector is None else self.vector, dtype=float)
-            return np.full(m, float(v)) if v.ndim == 0 else v.reshape(m)
-        return np.asarray(self.fn(t), dtype=float).reshape(m)
-
-
-def impulse_input(v=None):
-    """Impulse u(t) = delta(t) v (default v = ones); the integrator adds M^{-1} B v to x0."""
-    return InputSignal(kind="impulse", vector=None if v is None else np.asarray(v, dtype=float))
-
-
-def step_input(c=1.0):
-    """Constant input u(t) = c * ones_m (or the given vector); ``c`` must be finite."""
-    c = np.asarray(c, dtype=float)
-    if not np.all(np.isfinite(c)):
-        raise ValueError(f"step input must be finite, got {c.tolist()!r}")
-    return InputSignal(kind="constant", vector=c)
-
-
-def custom_input(fn):
-    return InputSignal(kind="custom", fn=fn)
-
-
 def implicit_midpoint(sys, u, x0, dt, t_f):
-    """Integrate M x' = A x + B u from x(0) = x0 with the midpoint rule.
+    """Integrate M x' = A x + B u from x(0) = x0 (None: zero) with the midpoint rule.
 
-    One step solves (M - dt/2 A) w = M x_k + dt/2 B u(t_k + dt/2) for the
+    ``u`` is None (no input) or a function from a time to the m inputs;
+    its values are reshaped to m, so a wrong count raises ValueError. One
+    step solves (M - dt/2 A) w = M x_k + dt/2 B u(t_k + dt/2) for the
     midpoint state w and sets x_{k+1} = 2 w - x_k, which is
     (M - dt/2 A) x_{k+1} = (M + dt/2 A) x_k + dt B u(t_k + dt/2);
     outputs are y_k = C x_k + D u(t_k). Second-order accurate,
-    unconditionally stable on stable linear systems. An impulse input
-    u = delta(t) v starts the uncontrolled system from x0 + M^{-1} B v;
-    from x0 = None it is :func:`impulse_response`.
+    unconditionally stable on stable linear systems.
     """
-    if u is not None and u.kind == "impulse" and x0 is None:
-        return impulse_response(sys, u.vector, dt, t_f)
-    return _integrate(sys, u, x0, dt, t_f)
-
-
-def impulse_response(sys, v=None, dt=1e-3, t_f=1.0):
-    """Response to u(t) = delta(t) v (default v = ones): y(t) = C e^{At} B v."""
-    return _integrate(sys, impulse_input(v), None, dt, t_f)
-
-
-def _integrate(sys, u, x0, dt, t_f):
-    """Midpoint steps on ``sys``: propagator or per-step loop."""
     if not (0 < dt < np.inf and 0 < t_f < np.inf and float(t_f) / float(dt) < np.inf):
         raise ValueError(f"dt and t_f must be positive and finite, and so must t_f/dt; "
                          f"got dt={dt!r}, t_f={t_f!r}")
     b, c, d = sys.B, sys.C, sys.D
     n, m = b.shape
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
-    if u is not None and u.kind == "impulse":
-        v = np.ones(m) if u.vector is None else u.vector.reshape(m)
-        kick = sys.mass_solve(b @ v)
-        x = kick if x0 is None else x + kick
     nsteps = int(np.ceil(t_f / dt - _STEP_ROUNDING))
     try:
         times = dt * np.arange(nsteps + 1)
@@ -145,35 +92,43 @@ def _integrate(sys, u, x0, dt, t_f):
     except (MemoryError, ValueError) as exc:  # no room, or more elements than an array holds
         raise ValueError(f"t_f/dt asks for {nsteps:.3g} steps, more than fit in memory") from exc
     step = sys.midpoint_step(dt)
-    forced = u is not None and u.kind != "impulse"
+    sample = None if u is None else (lambda t: np.asarray(u(t), dtype=float).reshape(m))
     mass, a = sys.pencil()
     dense = not (sp.issparse(mass) or sp.issparse(a))
     if n <= nsteps and (dense or n <= _SPARSE_PROPAGATED):
-        x = _propagate(sys, step, x, u if forced else None, dt, times, outputs)
+        x = _propagate(sys, step, x, sample, dt, times, outputs)
     else:
         for k in range(nsteps + 1):
-            outputs[k] = c @ x + d @ u.sample(times[k], m) if forced else c @ x
+            outputs[k] = c @ x if sample is None else c @ x + d @ sample(times[k])
             if k < nsteps:
                 rhs = sys.mass_apply(x)
-                if forced:
-                    rhs = rhs + dt / 2.0 * (b @ u.sample(times[k] + dt / 2.0, m))
+                if sample is not None:
+                    rhs = rhs + dt / 2.0 * (b @ sample(times[k] + dt / 2.0))
                 x = step(rhs) - x
     if not (np.all(np.isfinite(outputs)) and np.all(np.isfinite(x))):
         raise SingularStepError("integration produced non-finite values")
     return Trajectory(times=times, outputs=outputs)
 
 
+def impulse_response(sys, v=None, dt=1e-3, t_f=1.0):
+    """Response to u(t) = delta(t) v (default v = ones): the free response from M^{-1} B v."""
+    m = sys.B.shape[1]
+    v = np.ones(m) if v is None else np.asarray(v, dtype=float).reshape(m)
+    return implicit_midpoint(sys, None, sys.mass_solve(sys.B @ v), dt, t_f)
+
+
 def _propagate(sys, step, x, u, dt, times, outputs):
     """Dense steps ``x <- Phi x + Gamma u``: ``Phi = step(M) - I``, ``Gamma = dt/2 step(B)``.
 
     M is the mass as ``mass_apply`` applies it (I, M, or a descriptor's
-    M1). Forming Phi is one n-column solve; each step is then one n x n
-    product. The states of ``_BLOCK`` steps are kept, and each block's
-    outputs, written into ``outputs``, are one product with C^T (and one of
-    its inputs with D^T). Returns the last state.
+    M1); ``u`` is None or a function from a time to the m inputs. Forming
+    Phi is one n-column solve; each step is then one n x n product. The
+    states of ``_BLOCK`` steps are kept, and each block's outputs, written
+    into ``outputs``, are one product with C^T (and one of its inputs with
+    D^T). Returns the last state.
     """
     b, c, d = sys.B, sys.C, sys.D
-    n, m = b.shape
+    n = b.shape[0]
     nsteps = times.size - 1
     phi = step(sys.mass_apply(np.eye(n))) - np.eye(n)
     gamma = dt / 2.0 * step(b) if u is not None else None
@@ -185,10 +140,10 @@ def _propagate(sys, step, x, u, dt, times, outputs):
             if k < nsteps:
                 x = phi.dot(x)
                 if u is not None:
-                    x += gamma.dot(u.sample(times[k] + dt / 2.0, m))
+                    x += gamma.dot(u(times[k] + dt / 2.0))
         outputs[start : block.stop] = states[: len(block)] @ c.T
         if u is not None:
-            outputs[start : block.stop] += np.array([u.sample(times[k], m) for k in block]) @ d.T
+            outputs[start : block.stop] += np.array([u(times[k]) for k in block]) @ d.T
     return x
 
 
@@ -196,9 +151,10 @@ def relative_error_series(y, y_red, window=None):
     """Pointwise relative output error and its maximum over the window.
 
     E(t) = ||y(t) - y_r(t)|| / ||y(t)||; grid points where both responses
-    vanish give 0, points where only the reference vanishes give inf. A
-    window that holds no grid point, or ends past the last one by more than
-    the integrator's step-count rounding (_STEP_ROUNDING dt), raises ValueError.
+    vanish give 0, points where only the reference vanishes give inf. The
+    window holds the grid times in [t_s - tol, t_e + tol], with tol the
+    integrator's step-count rounding (_STEP_ROUNDING dt); one that holds no
+    grid point, or ends past the last one by more than tol, raises ValueError.
     """
     if y.times.shape != y_red.times.shape or not np.allclose(
         y.times, y_red.times, rtol=0, atol=1e-12 * max(y.dt, 1e-30)
@@ -212,10 +168,11 @@ def relative_error_series(y, y_red, window=None):
     err[tiny & (diff > 1e-300)] = np.inf
     if window is None:
         return err, float(np.max(err))
-    mask = (y.times >= window.t_s - 1e-12) & (y.times <= window.t_e + 1e-12)
+    tol = _STEP_ROUNDING * y.dt
+    mask = (y.times >= window.t_s - tol) & (y.times <= window.t_e + tol)
     if not np.any(mask):
         raise ValueError(f"no grid point lies in the error window [{window.t_s!r}, {window.t_e!r}]")
-    if window.t_e > y.times[-1] + _STEP_ROUNDING * y.dt:
+    if window.t_e > y.times[-1] + tol:
         raise ValueError(f"the error window ends at {window.t_e!r}, "
                          f"past the simulated horizon {float(y.times[-1])!r}")
     return err, float(np.max(err[mask]))

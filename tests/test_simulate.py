@@ -14,13 +14,10 @@ from tlbt.gramians import TimeWindow
 from tlbt.reduction import reduce
 from tlbt.simulate import (
     Trajectory,
-    custom_input,
     half_decay_time,
-    impulse_input,
     impulse_response,
     implicit_midpoint,
     relative_error_series,
-    step_input,
 )
 from tlbt.synthetic import make_synthetic
 from tlbt.systems import DescriptorIndex1, GeneralizedSystem, StandardSystem
@@ -72,13 +69,20 @@ def test_midpoint_a_stability_large_steps():
 
 
 def test_midpoint_step_input_reaches_dc_gain():
-    traj = implicit_midpoint(SCALAR, step_input(1.0), None, 0.01, 20.0)
+    traj = implicit_midpoint(SCALAR, lambda t: np.full(1, 1.0), None, 0.01, 20.0)
     assert abs(traj.outputs[-1, 0] - 1.0) < 1e-3
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_midpoint_refuses_an_input_of_the_wrong_size(count):
+    s = make_synthetic("random_stable", 4, 2, 1, seed=1)
+    with pytest.raises(ValueError, match="reshape"):
+        implicit_midpoint(s, lambda t: np.ones(count), None, 0.1, 1.0)
 
 
 def test_midpoint_custom_input_matches_variation_of_constants():
     omega = 2.0
-    u = custom_input(lambda t: np.array([np.sin(omega * t)]))
+    u = lambda t: np.array([np.sin(omega * t)])  # noqa: E731
     traj = implicit_midpoint(SCALAR, u, None, 1e-3, 2.0)
     t = traj.times
     exact = (np.exp(-t) * omega - omega * np.cos(omega * t) + np.sin(omega * t)) / (1 + omega**2)
@@ -183,11 +187,20 @@ def test_relative_error_accepts_a_window_ending_at_t_f():
         assert relative_error_series(y, y, TimeWindow(t_e=t_e))[1] == 0.0
 
 
-@pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf, [1.0, np.nan], [np.inf, 1.0]],
-                         ids=["nan", "inf", "-inf", "vector-nan", "vector-inf"])
-def test_step_input_refuses_non_finite_values(c):
-    with pytest.raises(ValueError, match="step input must be finite"):
-        step_input(c)
+@pytest.mark.parametrize("t_e, steps, t_s, point", [
+    (43794.696609032464, 4439, 0.0, -1),  # the last grid time is t_e + 7.3e-12
+    (425061.21686876146, 2311, 39176.99662182873, 213),  # times[213] is t_s - 7.3e-12
+], ids=["end", "start"])
+def test_window_keeps_a_grid_point_on_its_end(t_e, steps, t_s, point):
+    # above t ~ 1e4 one ulp of a grid time exceeds 1e-12: a point that the
+    # step count puts on a window end is in the window, at any scale
+    times = impulse_response(SCALAR, dt=t_e / steps, t_f=t_e).times
+    assert times.size == steps + 1
+    out = np.ones((times.size, 1))
+    y = Trajectory(times, out.copy())
+    out[point] = 0.0
+    e_max = relative_error_series(y, Trajectory(times, out), TimeWindow(t_e=t_e, t_s=t_s))[1]
+    assert e_max == 1.0
 
 
 def test_relative_error_grid_mismatch():
@@ -249,9 +262,9 @@ def _reference_midpoint(sys, u, x0, dt, t_f, half_step=True):
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
     outputs = np.empty((nsteps + 1, c.shape[0]))
     for k in range(nsteps + 1):
-        outputs[k] = c @ x + d @ u.sample(times[k], m)
+        outputs[k] = c @ x if u is None else c @ x + d @ u(times[k])
         if k < nsteps:
-            u_mid = u.sample(times[k] + dt / 2.0, m)
+            u_mid = np.zeros(m) if u is None else u(times[k] + dt / 2.0)
             if half_step:
                 x = 2.0 * solve(m_mat @ x + dt / 2.0 * (b @ u_mid)) - x
             else:
@@ -268,8 +281,7 @@ def _reference_kick(form):
 
 
 def _reference_impulse(sys, dt, t_f, half_step=True):
-    return _reference_midpoint(sys, impulse_input(np.ones(sys.m)), _reference_kick(sys), dt, t_f,
-                               half_step)
+    return _reference_midpoint(sys, None, _reference_kick(sys), dt, t_f, half_step)
 
 
 def _reference_propagator(sys, u, x0, dt, t_f):
@@ -301,10 +313,10 @@ def _reference_propagator(sys, u, x0, dt, t_f):
     for k in range(nsteps + 1):
         states.append(x)
         if k < nsteps:
-            x = phi @ x if u is None else phi @ x + gamma @ u.sample(times[k] + dt / 2.0, m)
+            x = phi @ x if u is None else phi @ x + gamma @ u(times[k] + dt / 2.0)
     outputs = np.array(states) @ c.T
     if u is not None:
-        outputs += np.array([u.sample(t, m) for t in times]) @ d.T
+        outputs += np.array([u(t) for t in times]) @ d.T
     return outputs
 
 
@@ -323,8 +335,8 @@ _SYSTEMS = {
 # step with one propagator matrix
 _PROPAGATED = {"dense", "rom", "sparse_generalized"}
 _INPUTS = {
-    "step": lambda: step_input(0.7),
-    "custom": lambda: custom_input(lambda t: np.array([np.sin(40.0 * t), np.cos(30.0 * t)])),
+    "step": lambda t: np.full(2, 0.7),
+    "custom": lambda t: np.array([np.sin(40.0 * t), np.cos(30.0 * t)]),
 }
 
 
@@ -346,7 +358,7 @@ def test_impulse_bit_identical_to_reference_loop(kind):
 def test_forced_response_bit_identical_to_reference_loop(kind, signal):
     make, dt, t_f = _SYSTEMS[kind]
     sys = make()
-    u = _INPUTS[signal]()
+    u = _INPUTS[signal]
     traj = implicit_midpoint(sys, u, None, dt, t_f)
     reference = _reference_propagator if kind in _PROPAGATED else _reference_midpoint
     assert np.array_equal(traj.outputs, reference(sys, u, None, dt, t_f))
@@ -364,7 +376,7 @@ def test_sparse_pencil_size_bound(n, signal):
         ref = (_reference_propagator(sys, None, _reference_kick(sys), dt, t_f) if n <= 256
                else _reference_impulse(sys, dt, t_f))
     else:
-        u = _INPUTS[signal]()
+        u = _INPUTS[signal]
         out = implicit_midpoint(sys, u, None, dt, t_f).outputs
         reference = _reference_propagator if n <= 256 else _reference_midpoint
         ref = reference(sys, u, None, dt, t_f)
@@ -385,7 +397,7 @@ def test_propagator_keeps_its_blocks_apart():
     # more steps than one block of stored states: every block's outputs land
     # in their own rows, equal to one product over all states up to roundoff
     sys = make_synthetic("random_stable", 20, 2, 2, seed=1)
-    u, dt, t_f = _INPUTS["custom"](), 1e-3, 0.6
+    u, dt, t_f = _INPUTS["custom"], 1e-3, 0.6
     out = implicit_midpoint(sys, u, None, dt, t_f).outputs
     ref = _reference_propagator(sys, u, None, dt, t_f)
     assert out.shape == (601, 2)
@@ -415,7 +427,7 @@ def test_exploding_run_raises(sparse):
     assert np.all(np.isfinite(finite.outputs))
 
 
-@pytest.mark.parametrize("u", [None, step_input(1.0)], ids=["impulse", "step"])
+@pytest.mark.parametrize("u", [None, lambda t: np.full(2, 1.0)], ids=["impulse", "step"])
 def test_descriptor_steps_on_block_pencil_like_its_elimination(u):
     # the block-pencil midpoint step and the eliminated B, C, D reproduce the
     # response of the densely eliminated generalized system
@@ -442,7 +454,7 @@ def test_descriptor_reduced_and_simulated_without_dense_state_matrix():
     fresh = [
         impulse_response(desc(), dt=dt, t_f=t_f),
         impulse_response(fresh_rom, dt=dt, t_f=t_f),
-        implicit_midpoint(desc(), step_input(1.0), None, dt, t_f),
+        implicit_midpoint(desc(), lambda t: np.full(2, 1.0), None, dt, t_f),
     ]
     d = desc()
     tracemalloc.start()
@@ -452,7 +464,7 @@ def test_descriptor_reduced_and_simulated_without_dense_state_matrix():
         trajectories = [
             impulse_response(d, dt=dt, t_f=t_f),
             impulse_response(rom, dt=dt, t_f=t_f),
-            implicit_midpoint(d, step_input(1.0), None, dt, t_f),
+            implicit_midpoint(d, lambda t: np.full(2, 1.0), None, dt, t_f),
         ]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -466,19 +478,20 @@ def test_descriptor_reduced_and_simulated_without_dense_state_matrix():
 
 @pytest.mark.parametrize("kind", ["weakly_damped", "heat_like"])
 def test_midpoint_impulse_input_starts_from_mass_solved_kick(kind):
-    # an impulse input u = delta(t) v starts from x0 + M^{-1} B v, and from
-    # x0 = None it is the impulse response
+    # an impulse u = delta(t) v is the free response from M^{-1} B v; on top
+    # of an initial state x0 it starts from x0 + M^{-1} B v
     s = make_synthetic(kind, 20, 2, 2, seed=1)
     v, dt, t_f = np.array([1.0, -0.5]), 1e-2, 1.0
-    traj = implicit_midpoint(s, impulse_input(v), None, dt, t_f)
+    traj = impulse_response(s, v, dt, t_f)
     assert np.max(np.abs(traj.outputs)) > 0.1
-    assert np.array_equal(traj.outputs, impulse_response(s, v, dt, t_f).outputs)
+    free = implicit_midpoint(s, None, s.mass_solve(s.B @ v), dt, t_f)
+    assert np.array_equal(traj.outputs, free.outputs)
     kick = s.B @ v
     if kind == "heat_like":
         kick = spla.spsolve(s.M.tocsc(), kick)
     x0 = np.linspace(-1.0, 1.0, 20)
     ref = implicit_midpoint(s, None, x0 + kick, dt, t_f).outputs
-    out = implicit_midpoint(s, impulse_input(v), x0, dt, t_f).outputs
+    out = implicit_midpoint(s, None, x0 + s.mass_solve(s.B @ v), dt, t_f).outputs
     assert np.allclose(out, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
@@ -502,7 +515,7 @@ def test_half_step_matches_textbook_midpoint_loop(kind, signal):
         out = impulse_response(sys, dt=dt, t_f=t_f).outputs
         ref = _reference_impulse(ref_sys, dt, t_f, half_step=False)
     else:
-        u = _INPUTS[signal]()
+        u = _INPUTS[signal]
         out = implicit_midpoint(sys, u, None, dt, t_f).outputs
         ref = _reference_midpoint(ref_sys, u, None, dt, t_f, half_step=False)
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))

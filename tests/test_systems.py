@@ -19,7 +19,7 @@ from oracles import (
 from tlbt.errors import SingularBlockError, SingularShiftError
 from tlbt.mmio import load_system, save_system
 from tlbt.reduction import ReducedModel, reduce
-from tlbt.simulate import impulse_response, implicit_midpoint, step_input
+from tlbt.simulate import impulse_response, implicit_midpoint
 from tlbt.synthetic import make_synthetic
 from tlbt.systems import (
     DescriptorIndex1,
@@ -354,7 +354,7 @@ def test_sparse_feedthrough_reduces_simulates_and_round_trips(kind, tmp_path):
     rom_d, rom_s = (reduce(s, "bt", r=3).to_system() for s in (dense, sparse))
     for key in ("A", "B", "C", "D"):
         assert np.array_equal(getattr(rom_s, key), getattr(rom_d, key))
-    u = step_input(1.0)
+    u = lambda t: np.full(2, 1.0)  # noqa: E731
     assert np.array_equal(implicit_midpoint(rom_s, u, None, 1e-2, 1.0).outputs,
                           implicit_midpoint(rom_d, u, None, 1e-2, 1.0).outputs)
     for name, sys, ref in (("system", sparse, dense), ("rom", rom_s, rom_d)):

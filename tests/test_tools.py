@@ -22,8 +22,9 @@ def test_solve_fingerprint_smoke():
     cli = lines.pop()
     assert cli.startswith("wd10 cli ")
     fields = _fields(cli, 2)
-    assert list(fields) == ["hsv", "reduce", "compare"]
+    assert list(fields) == ["hsv", "reduce", "compare", "step", "file"]
     assert all(len(value) == 16 for value in fields.values())
+    assert fields["step"] != fields["file"]
     sim = lines.pop()
     assert sim.startswith("wd10 sim ")
     fields = _fields(sim, 2)
@@ -46,10 +47,11 @@ def test_solve_fingerprint_smoke():
 
 def test_cli_fingerprint_reports_exit_codes():
     # three states cannot be reduced to order 4: reduce and compare exit 3,
-    # and their exit codes stand in place of the hashes; hsv still succeeds
+    # and their exit codes stand in place of the hashes; hsv and the forced
+    # simulations still succeed
     window = TimeWindow(t_e=2.0, t_s=0.5)
     small = _fields(solve_fingerprint._cli(make_synthetic("random_stable", 3, 1, 1), window), 0)
-    assert len(small["hsv"]) == 16
+    assert all(len(small[key]) == 16 for key in ("hsv", "step", "file"))
     assert small["reduce"] == small["compare"] == "3"
     large = _fields(solve_fingerprint._cli(make_synthetic("random_stable", 8, 1, 1), window), 0)
     assert large["hsv"] != small["hsv"]

@@ -12,8 +12,10 @@ impulse response of the system and of its bt model of order 4, over its
 first window's [0, t_e] at dt = t_e/1000. Then one ``cli`` line saves
 the system with ``save_system`` and runs ``tlbt hsv`` (bt, tlbt),
 ``tlbt reduce`` (bt, tlbt, order 4) and ``tlbt compare`` (every mode,
-order 4, dt = t_e/1000) on it over the first window; it hashes the name
-and bytes of every file each command writes. Two checkouts that print the same lines solve,
+order 4, dt = t_e/1000) on it over the first window, and two forced
+``tlbt simulate`` runs over [0, t_e] at dt = t_e/1000: ``--input step
+--step-scale 2`` and ``--input file`` (``_INPUT_FILE``, its times scaled
+by t_e); it hashes the name and bytes of every file each command writes. Two checkouts that print the same lines solve,
 simulate and write the corpus bit for bit alike. A solve or simulation
 that raises prints the exception's class in place of its fields, and a
 command that fails prints its exit code in place of its hash.
@@ -173,20 +175,30 @@ def _simulate(system, t_e):
     return " ".join(fields)
 
 
+#: rows (t / t_e, u1, u2) of the ``--input file`` CSV; a one-input system reads u1
+_INPUT_FILE = ((0.0, 1.0, 0.0), (0.25, -1.0, 2.0), (0.5, 0.5, 1.0), (1.0, 0.0, -1.0))
+
+
 def _cli(system, window):
-    """Hashes of the files that ``tlbt hsv``, ``reduce`` and ``compare`` write for ``system``."""
+    """Hashes of the files that ``tlbt hsv``, ``reduce``, ``compare`` and ``simulate`` write."""
+    span = ["--ts", repr(window.t_s), "--te", repr(window.t_e)]
+    grid = ["--dt", repr(window.t_e / 1000), "--tf", repr(window.t_e)]
     bt_tlbt = ["--mode", "bt", "--mode", "tlbt"]
-    commands = {"hsv": ["hsv", *bt_tlbt],
-                "reduce": ["reduce", *bt_tlbt, "--order", "4"],
-                "compare": ["compare", *bt_tlbt, "--mode", "mtlbt", "--order", "4",
-                            "--dt", repr(window.t_e / 1000)]}
     fields = []
     with tempfile.TemporaryDirectory() as tmp:
         sidecar = save_system(tmp, "plant", system)
+        u_csv = Path(tmp) / "u.csv"
+        u_csv.write_text("t,u1,u2\n" + "".join(
+            f"{frac * window.t_e!r},{u1!r},{u2!r}\n" for frac, u1, u2 in _INPUT_FILE))
+        commands = {"hsv": ["hsv", *bt_tlbt, *span],
+                    "reduce": ["reduce", *bt_tlbt, "--order", "4", *span],
+                    "compare": ["compare", *bt_tlbt, "--mode", "mtlbt", "--order", "4", *span,
+                                "--dt", repr(window.t_e / 1000)],
+                    "step": ["simulate", "--input", "step", "--step-scale", "2", *grid],
+                    "file": ["simulate", "--input", "file", "--input-file", str(u_csv), *grid]}
         for key, argv in commands.items():
             out = Path(tmp) / key
-            argv = [*argv, "--system", str(sidecar), "--ts", repr(window.t_s),
-                    "--te", repr(window.t_e), "--out", str(out)]
+            argv = [*argv, "--system", str(sidecar), "--out", str(out)]
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 rc = cli.main(argv)
