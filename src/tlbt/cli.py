@@ -103,8 +103,12 @@ def _orders(args):
     return args.order
 
 
-def _input_signal(args, m):
-    """The input as a function of time, or None for the impulse (an initial state)."""
+def _input_signal(args, m, t_f):
+    """The input as a function of time, or None for the impulse (an initial state).
+
+    An ``--input file`` table must cover the horizon [0, t_f] to within the
+    step-count rounding at both ends: ``np.interp`` would hold its end values.
+    """
     if args.input == "impulse":
         return None
     if args.input == "step":
@@ -124,6 +128,10 @@ def _input_signal(args, m):
     tgrid, vals = data[:, 0], data[:, 1 : m + 1]
     if not (np.all(np.isfinite(data[:, : m + 1])) and np.all(np.diff(tgrid) > 0)):
         raise ValueError("--input-file needs finite values and strictly increasing times")
+    tol = simulate._STEP_ROUNDING * args.dt
+    if tgrid[0] > tol or tgrid[-1] < t_f - tol:
+        raise ValueError(f"--input-file covers t in [{tgrid[0]:g}, {tgrid[-1]:g}], "
+                         f"not the horizon [0, {t_f:g}]")
 
     def fn(t):
         return np.array([np.interp(t, tgrid, vals[:, j]) for j in range(m)])
@@ -239,7 +247,7 @@ def cmd_reduce(args):
 
 def cmd_simulate(args):
     sys_obj, name = _load_system(args)
-    u = _input_signal(args, sys_obj.m)
+    u = _input_signal(args, sys_obj.m, args.tf)
     traj = _respond(sys_obj, u, args.dt, args.tf)
     out = _out_dir(args)
     cols = [f"y{j + 1}" for j in range(traj.outputs.shape[1])]
@@ -264,7 +272,7 @@ def cmd_compare(args):
     sys_obj, name, window, bals = _balancings(args)
     orders = sorted(_orders(args))
     tf = args.tf if args.tf is not None else args.te
-    u = _input_signal(args, sys_obj.m)
+    u = _input_signal(args, sys_obj.m, tf)
     ref = _respond(sys_obj, u, args.dt, tf)
     simulate.relative_error_series(ref, ref, window)  # an empty error window, before any solve
 

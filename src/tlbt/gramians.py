@@ -97,7 +97,8 @@ class SolverConfig:
 class LowRankGramian:
     """Low-rank factor Z with Z Z^T approximating a Gramian.
 
-    ``stop``: "converged", or "exact_space" when the basis reached dimension n.
+    ``stop``: "converged", or "exact_space" when the basis reached dimension n,
+    through poles or by a completion (``_Basis.complete``).
     ``residual`` (mu) bounds the residual of Q Y Q^T for the projected
     right-hand side (``_Basis.residual``), not of Z Z^T for the true one.
     """
@@ -182,11 +183,13 @@ class _Basis:
     the start block, so ``b_proj = Q^T b`` is ``Q_start^T b`` over zero rows.
     ``sys`` supplies the pencil (A, M) through the system interface
     (``apply_a``, ``mass_apply``, ``mass_solve``). ``shifts`` lists the
-    poles used, ``inf`` first. ``trim`` ends the solve.
+    poles used, ``inf`` first. ``complete`` appends the orthogonal
+    complement of Q and no pole. ``trim`` ends the solve.
     """
 
     def __init__(self, sys, b):
         self.sys, self.m, self.shifts = sys, sys.m, [np.inf]
+        self.completed_at = None  # d at which ``complete`` appended the complement
         self.q = self._q = self._aq = np.zeros((sys.order, 0))
         self.h = self._h = np.zeros((0, 0))
         self.extend(b)
@@ -205,6 +208,11 @@ class _Basis:
     def b_proj(self):
         return _widen(self._beta, self.dim, self.m)
 
+    @property
+    def key(self):
+        """``(d, completed_at)``: the poles replayed up to d and this fix H and b_proj."""
+        return self.dim, self.completed_at
+
     def extend(self, v):
         """Append the part of ``v`` outside ``range(Q)``; returns the columns added."""
         d, n = self.dim, self.sys.order
@@ -221,6 +229,11 @@ class _Basis:
         self._h[d:e, :d] = new.T @ aq[:, :d]
         self.q, self.h = self._q[:, :e], self._h[:e, :e]
         return e - d
+
+    def complete(self):
+        """Append the orthogonal complement of ``range(Q)``, the trailing columns of a full QR."""
+        self.completed_at = self.dim
+        self.extend(np.linalg.qr(self.q, mode="complete")[0][:, self.dim:])
 
     def trim(self):
         """Keep owned copies of ``q`` and ``h`` at their used size only.
@@ -246,6 +259,10 @@ class _Basis:
         projected equation's own residual. The first term's norm and
         ``||G||`` are read off n x 2m factors (:func:`_sym_lowrank`), with or
         without a mass matrix; the second is bounded by ``||M||_2^2 ||R_p||_2``.
+        At d = n the relation holds only to roundoff (U_F then spans noise),
+        and columns appended by :meth:`complete` satisfy it not at all, so
+        there the bound adds the relation's own defect ``2 ||M||_2 ||M E Y||_2``
+        with ``E = M^{-1} A Q - Q H - U_F C``.
         """
         q, h, aq = self.q, self.h, self._aq[:, : self.dim]
         g = aq[:, : self.m0] - q @ h[:, : self.m0]
@@ -254,6 +271,10 @@ class _Basis:
         swap = np.roll(np.eye(2 * self.m0), self.m0, axis=1)
         num = np.abs(_sym_lowrank(self.sys.mass_apply(np.hstack([u, q @ cy.T])), swap)[1]).max()
         num += self._mass_sq * np.linalg.norm(h @ y + y @ h.T + f @ j @ f.T, 2)
+        if self.dim == self.sys.order:
+            e = aq - q @ h
+            e -= u @ (u.T @ e)
+            num += 2.0 * np.sqrt(self._mass_sq) * np.linalg.norm(self.sys.mass_apply(e @ y), 2)
         den = np.abs(_sym_lowrank(self.sys.mass_apply(q @ f), j)[1]).max(initial=0.0)
         return float(num) if den == 0.0 else float(num / den)
 
@@ -417,18 +438,19 @@ def _select_shift(ritz, shifts, m):
 # projected quantities
 
 
-def _window_ends(window, h, b, known=None):
+def _window_ends(window, h, b, known=None, basis=None):
     """``e^{h t} b`` at the window ends t > 0, t_s first; none without a window (bt).
 
     ``linalg.expm`` raises OverflowRangeError out of range. ``known`` maps
-    ``(order of h, t)`` to an end formed before; it is read first, and
-    filled, read-only, once every end is formed. A Krylov check passes
-    (H, b_proj) and its replayed ends, the dense route (M^{-1} A, M^{-1} B).
+    ``(basis, t)`` to an end formed before, ``basis`` being the key of
+    (h, b); it is read first, and filled, read-only, once every end is
+    formed. A Krylov check passes (H, b_proj), its replayed ends and the
+    basis key (``_Basis.key``), the dense route (M^{-1} A, M^{-1} B).
     """
     if window is None:
         return []
     known = {} if known is None else known
-    keys = [(len(h), t) for t in (window.t_s, window.t_e) if t > 0]
+    keys = [(basis, t) for t in (window.t_s, window.t_e) if t > 0]
     ends = [known[k] if k in known else linalg.expm(h * k[1]) @ b for k in keys]
     for k, end in zip(keys, ends):
         end.flags.writeable = False
@@ -466,11 +488,16 @@ def _rhs(mode, window, b, ends):
 
 @dataclass
 class _Replay:
-    """What a reach form's solves replay (:func:`_solve_lowrank`)."""
+    """What a reach form's solves replay (:func:`_solve_lowrank`).
+
+    The projected work is keyed by ``_Basis.key``, so a basis completed at
+    one d reads nothing formed on one completed at another, or built by poles.
+    """
 
     poles: list = field(default_factory=lambda: [np.inf])  # shifts picked, inf first
-    ends: dict = field(default_factory=dict)  # e^{H t} b_proj by (d, t), read-only
-    deepest: tuple = (0, None, None, None)  # (d, R, U, Ritz values) of the deepest H checked
+    ends: dict = field(default_factory=dict)  # e^{H t} b_proj by (_Basis.key, t), read-only
+    # (_Basis.key, R, U, Ritz values) of the deepest H checked, the latest at its d
+    deepest: tuple = ((0, None), None, None, None)
 
 
 def _require_stable(sys):
@@ -492,6 +519,20 @@ def _require_stable(sys):
         )
 
 
+def _needs_whole_space(last, now, n):
+    """Whether two failed checks ``(d, q)`` extrapolate to convergence only at d >= n.
+
+    q >= 1 is a check's distance from convergence (the gate's f_change /
+    tol_f while it fails, then mu / tol_p), and log q is extrapolated
+    linearly in d to 0. A check that shows no progress counts as d >= n;
+    a non-finite q never does.
+    """
+    if last is None or not np.all(np.isfinite([last[1], now[1]])):
+        return False
+    (d0, q0), (d, q) = last, now
+    return q >= q0 or (d - d0) * np.log(q) >= (n - d) * np.log(q0 / q)
+
+
 def _solve_lowrank(sys, window, cfg, mode, side):
     """Shared driver behind the three low-rank Gramian solvers.
 
@@ -501,10 +542,16 @@ def _solve_lowrank(sys, window, cfg, mode, side):
     cached dual) keeps a :class:`_Replay` in its ``_replay`` slot: each
     growth step takes its pole at ``len(workspace.shifts)`` while there is
     one and appends what it picks after that. H and b_proj at dimension d
-    then depend on the reach form and d alone, so the replay also keeps the
-    window ends by (d, t) and the deepest Schur form of H a check formed.
+    then depend on the reach form, d and where a completion appended the
+    complement (``_Basis.key``), so the replay also keeps the window ends by
+    (key, t) and the deepest Schur form of H a check formed, with its key.
     Every solve equals a solve of a fresh copy of the system, bit for bit,
     and forms no shift, end or deepest Schur form formed before on its side.
+
+    Past half the space (2d >= n, with the cap at n), a failed check whose
+    progress, extrapolated from the last check (``_needs_whole_space``),
+    reaches convergence only at d >= n completes the basis: the next pass
+    checks at d = n with no new pole, so its trace row repeats ``k``.
     """
     cfg = cfg or SolverConfig()
     _require_stable(sys)
@@ -516,17 +563,17 @@ def _solve_lowrank(sys, window, cfg, mode, side):
     b = form.mass_solve(form.B)
     ws = _Basis(form, b)
     max_dim = min(n, cfg.max_dim or 600)
-    trace, prev = [], [np.zeros((0, m))] * 2
+    trace, prev, last = [], [np.zeros((0, m))] * 2, None
     since_check = stagnant = 0
     mu = np.inf
 
     def schur():
         """``(R, U, Ritz values)`` of H; the replay keeps the deepest one formed."""
         deepest, *found = replay.deepest
-        if deepest != ws.dim:
+        if deepest != ws.key:
             found = linalg._real_schur(ws.h)
-            if ws.dim > deepest:
-                replay.deepest = (ws.dim, *found)
+            if ws.dim >= deepest[0]:
+                replay.deepest = (ws.key, *found)
         return found
 
     def run_check(exact):
@@ -538,7 +585,7 @@ def _solve_lowrank(sys, window, cfg, mode, side):
         """
         b_proj = ws.b_proj
         try:
-            ends = _window_ends(window, ws.h, b_proj, replay.ends)
+            ends = _window_ends(window, ws.h, b_proj, replay.ends, ws.key)
         except OverflowRangeError:
             return False, None, np.inf, np.inf
         fch = 0.0
@@ -572,6 +619,11 @@ def _solve_lowrank(sys, window, cfg, mode, side):
                     f"subspace cap {max_dim} reached (dim {d}, mu {mu:.3e}, "
                     f"expm change {f_change:.3e})"
                 )
+            q = f_change / cfg.tol_f if f_change >= cfg.tol_f else mu / cfg.tol_p
+            if 2 * d >= n and max_dim == n and _needs_whole_space(last, (d, q), n):
+                ws.complete()
+                continue
+            last = (d, q)
         if len(ws.shifts) < len(poles):
             s = poles[len(ws.shifts)]
         else:

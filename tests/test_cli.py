@@ -206,7 +206,10 @@ def test_gramian_trace_csv_round_trips_shifts(tmp_path, monkeypatch):
             finite = np.isfinite(re)
             assert finite.any() and np.all(im[~finite] == 0)
             assert bool(np.any(im != 0)) == is_complex
-            assert np.all(k == np.round(k)) and np.all(np.diff(k) > 0)
+            # k grows at every check but the one after the basis is completed
+            # to d = n = 40, which adds no pole
+            step, completed = np.diff(k), dims[1:] == 40
+            assert np.all(k == np.round(k)) and np.all((step > 0) | ((step == 0) & completed))
             assert np.all(np.diff(dims) >= 0)
             assert mu[-1] < 1e-8  # the default tol_p
 
@@ -479,6 +482,37 @@ def test_input_file_bad_time_column_exit_2(tmp_path, capsys, monkeypatch, comman
     err = capsys.readouterr().err
     assert err.startswith("config error") and "finite values and strictly increasing times" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.5, 0.9], [0.1, 0.5, 1.0], [1e-8, 1.0],
+                                   [0.0, 1.0 - 1e-8]],
+                         ids=["ends-early", "starts-late", "starts-past-rounding",
+                              "ends-before-rounding"])
+@pytest.mark.parametrize("command", [["simulate"], COMPARE + ["--order", "2"]],
+                         ids=["simulate", "compare"])
+def test_input_file_not_covering_the_horizon_exit_2(tmp_path, capsys, monkeypatch, command,
+                                                    times):
+    # np.interp would hold the table's end values outside it: a table must
+    # cover [0, tf] (tf = 1.0 both times) to within the step-count rounding,
+    # 1e-9 dt = 1e-11 here, at both ends
+    monkeypatch.chdir(tmp_path)
+    np.savetxt("u.csv", np.column_stack([times, np.ones(len(times))]), delimiter=",",
+               header="t,u1")
+    argv = [*command, *SYNTH, "--input", "file", "--input-file", "u.csv", "--tf", "1.0"]
+    assert main([*argv, "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "not the horizon [0, 1]" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("times", [[-1e-12, 1.0 - 1e-12], [-1.0, 0.5, 2.0]],
+                         ids=["within-rounding", "wider"])
+def test_input_file_covering_the_horizon_runs(tmp_path, monkeypatch, times):
+    monkeypatch.chdir(tmp_path)
+    np.savetxt("u.csv", np.column_stack([times, np.ones(len(times))]), delimiter=",",
+               header="t,u1")
+    assert main(["simulate", *SYNTH, "--input", "file", "--input-file", "u.csv",
+                 "--tf", "1.0", "--out", "out"]) == 0
 
 
 @pytest.mark.parametrize("command", [["reduce", "--mode", "bt", "--order", "2"], ["simulate"]],

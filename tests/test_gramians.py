@@ -637,15 +637,49 @@ def test_warm_cache_equals_cold_solve_in_either_mode_order(case):
 
 def test_warm_cache_after_cap_equals_cold_solve():
     # a capped solve leaves ends and a Schur form at its depths; the solves
-    # that go on past them equal cold ones
+    # that go on past them equal cold ones. Below n the bases are pole-built
+    # (completed at None); the warm solves complete theirs at d = 38
     window = TimeWindow(t_e=5.0)
     s = _weakly_damped_60()
     with pytest.raises(MaxDimExceededError):
         solve_timelimited_lowrank(s, window, SolverConfig(max_dim=20))
-    assert s._replay.deepest[0] == 14 and list(s._replay.ends) == [(14, 5.0), (22, 5.0)]
+    assert s._replay.deepest[0] == (14, None)
+    assert list(s._replay.ends) == [((14, None), 5.0), ((22, None), 5.0)]
     for solve in (solve_timelimited_lowrank, solve_modified_lowrank):
-        _assert_same_solve(solve(_weakly_damped_60(), window), solve(s, window))
-    assert s._replay.deepest[0] == 60
+        warm = solve(s, window)
+        _assert_same_solve(solve(_weakly_damped_60(), window), warm)
+    assert s._replay.deepest[0] == warm.workspace.key == (60, 38)
+
+
+def test_completed_basis_reads_no_pole_built_work():
+    # bt reaches n = 30 through poles; tlbt completes its basis at d = 22.
+    # Both bases have d = n, and tlbt must not read bt's Schur form of H
+    window = TimeWindow(t_e=1.0)
+    s = make_synthetic("heat_like", 30, 2, 2, seed=5)
+    for side in SIDES:
+        assert solve_infinite_lowrank(s, side=side).workspace.key == (30, None)
+        fresh = solve_timelimited_lowrank(make_synthetic("heat_like", 30, 2, 2, seed=5), window,
+                                          side=side)
+        assert fresh.workspace.key == (30, 22)
+        _assert_same_solve(fresh, solve_timelimited_lowrank(s, window, side=side))
+
+
+def _poles(g):
+    """Finite poles of a solve, a conjugate pair counted once."""
+    return sum(1 for sh in g.workspace.shifts[1:] if np.imag(sh) >= 0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_basis_that_needs_the_whole_space_is_completed(mode):
+    # wd60 over [0, 5] needs d = n in every mode: past n/2 the checks'
+    # progress says so, and one QR completes the basis, with 9 poles instead
+    # of the 15 that grew it to n before, and the dense Gramian's accuracy
+    s, window = _weakly_damped_60(), TimeWindow(t_e=5.0)
+    for side in SIDES:
+        g = mode_gramian(s, mode, window, side=side)
+        assert g.stop == "exact_space" and g.subspace_dim == 60 and _poles(g) < 15
+        assert g.workspace.key == (60, 38) and g.trace[-1]["k"] == g.trace[-2]["k"]
+        assert _dense_error(s, g, mode, window, side) <= 1e-12
 
 
 def test_overflowing_check_caches_no_end(monkeypatch):
@@ -658,16 +692,17 @@ def test_overflowing_check_caches_no_end(monkeypatch):
         g = solve_timelimited_lowrank(s, window)
     d = g.trace[1]["dim"]
     assert g.trace[1]["f_change"] == np.inf and d < g.subspace_dim
-    assert [k for k in s._replay.ends if k[0] == d] == []
+    assert [k for k in s._replay.ends if k[0][0] == d] == []
     cold = solve_timelimited_lowrank(make_synthetic("random_stable", 60, 2, 2, seed=1), window)
     _assert_same_solve(cold, solve_timelimited_lowrank(s, window))
-    assert (d, 0.5) in s._replay.ends and (d, 2.0) in s._replay.ends
+    assert ((d, None), 0.5) in s._replay.ends and ((d, None), 2.0) in s._replay.ends
 
 
 def test_replayed_work_forms_each_end_and_deepest_schur_once(monkeypatch):
     # bt, then tlbt, then mtlbt over one window, on both sides: mtlbt reads
     # every window end tlbt formed, and each side factors H at its deepest
-    # d once, and keeps that one Schur form only
+    # d once, and keeps that one Schur form only. Every solve completes its
+    # basis at d = 38, so all of them share the basis at d = n
     expm, schur = [], []
     real_expm, real_schur = linalg.expm, linalg._real_schur
     monkeypatch.setattr(linalg, "expm", lambda a: expm.append(a.shape) or real_expm(a))
@@ -683,9 +718,10 @@ def test_replayed_work_forms_each_end_and_deepest_schur_once(monkeypatch):
             formed[side] += schur.count((60, 60))
     assert formed == dict.fromkeys(SIDES, 1)
     for form in (s, s.transposed()):
-        d, r, u, ritz = form._replay.deepest
-        assert d == 60 and r.nbytes + u.nbytes <= 2 * d * d * 8 and ritz.shape == (d,)
-        assert all(not end.flags.writeable and end.shape == (k[0], 2)
+        (d, completed_at), r, u, ritz = form._replay.deepest
+        assert (d, completed_at) == (60, 38)
+        assert r.nbytes + u.nbytes <= 2 * d * d * 8 and ritz.shape == (d,)
+        assert all(not end.flags.writeable and end.shape == (k[0][0], 2)
                    for k, end in form._replay.ends.items())
 
 
@@ -1358,7 +1394,7 @@ def test_inplace_kernel_keeps_basis_and_projection(kind, n, side):
     with unverified if kind == "heat_like" else contextlib.nullcontext():
         g = solve_infinite_lowrank(s, SolverConfig(tol_f=1e-8, tol_p=1e-8), side)
     ws = g.workspace
-    if kind == "weakly_damped":  # d reaches n through complex shifts
+    if kind == "weakly_damped":  # complex shifts grow d past n/2, a completion to n
         assert g.subspace_dim == n and any(isinstance(sh, complex) for sh in ws.shifts)
     assert ws.q.shape == (n, g.subspace_dim) and ws.h.shape == (g.subspace_dim,) * 2
     assert np.linalg.norm(ws.q.T @ ws.q - np.eye(ws.dim)) <= 1e-10

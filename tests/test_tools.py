@@ -34,8 +34,10 @@ def test_solve_fingerprint_smoke():
     for line in forward:
         assert line.startswith("wd10[0.5,2.0] ")
         fields = _fields(line, 3)
-        assert list(fields) == ["shifts", "d", "rank", "stop", "mu", "trace", "z", "dense"]
+        assert list(fields) == ["shifts", "poles", "d", "rank", "stop", "mu", "trace", "z",
+                                "dense"]
         assert all(len(fields[k]) == 16 for k in ("shifts", "trace", "z", "dense"))
+        assert 0 < int(fields["poles"]) <= int(fields["d"])
     assert [line.split()[1] for line in rev] == ["mtlbt"] * 2 + ["tlbt"] * 2 + ["bt"] * 2
     by_solve = {tuple(line.split()[:3]): _fields(line, 3) for line in forward}
     for line in rev:

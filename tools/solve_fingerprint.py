@@ -1,9 +1,11 @@
 """Fingerprints of the Gramian solves on a fixed corpus, for bit-identity checks.
 
 Prints one line per (system, window, mode, side) of the corpus: a hash of
-the Krylov shifts, the subspace dimension d, the rank, the stop reason,
-mu, a hash of the check trace (shift, d, f_change and mu at every check),
-a hash of the low-rank factor Z and a hash of the dense Gramian. wd60
+the Krylov shifts, the number of finite poles (a conjugate pair counted
+once, so one shifted solve each), the subspace dimension d, the rank, the
+stop reason, mu, a hash of the check trace (shift, d, f_change and mu at
+every check), a hash of the low-rank factor Z and a hash of the dense
+Gramian. wd60
 and heat200 are then solved again on a fresh copy with the modes in
 reverse order (mtlbt, tlbt, bt); those ``rev`` lines carry the same
 fields as the first ones, as no solve depends on which modes its system
@@ -151,7 +153,8 @@ def _solve(system, mode, window, side):
         g = mode_gramian(system, mode, window, side=side)
         shifts = np.array(g.workspace.shifts, dtype=complex)
         trace = hashlib.sha256(repr([tuple(row.values()) for row in g.trace]).encode())
-        krylov = (f"shifts={_digest(shifts)} d={g.subspace_dim} rank={g.rank} "
+        poles = int(np.sum(np.isfinite(shifts) & (shifts.imag >= 0)))
+        krylov = (f"shifts={_digest(shifts)} poles={poles} d={g.subspace_dim} rank={g.rank} "
                   f"stop={g.stop} mu={g.residual!r} trace={trace.hexdigest()[:16]} "
                   f"z={_digest(g.z)}")
     except Exception as exc:  # a failure is a fingerprint too
