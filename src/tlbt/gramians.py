@@ -10,12 +10,12 @@ route (``_dense_gramian``) is both and a Bartels-Stewart solve on
 with adaptive shifts (``_solve_lowrank``): its basis (``_Basis``) grows by
 shifted solves until the window ends of the projected (H, b_proj) stop
 changing, then the projected equation is solved with ``_rhs``'s W and a
-residual bound from the rational Arnoldi relation decides termination.
-The trimmed basis is the result's ``workspace``; a solve replays what
-earlier solves of its side formed (``_Replay``). Each adaptive shift is
-sampled from the convex hull of the mirrored Ritz values, a monotone
-chain on numpy (no qhull) that merges vertices within roundoff of a
-chord, as qhull does.
+residual bound decides termination; at d = n the basis is I and that
+solve is the dense route's. The trimmed basis is the result's
+``workspace``; a solve replays what earlier solves of its side formed
+(``_Replay``). Each adaptive shift is sampled from the convex hull of the
+mirrored Ritz values, a monotone chain on numpy (no qhull) that merges
+vertices within roundoff of a chord, as qhull does.
 """
 
 import time
@@ -97,10 +97,12 @@ class SolverConfig:
 class LowRankGramian:
     """Low-rank factor Z with Z Z^T approximating a Gramian.
 
-    ``stop``: "converged", or "exact_space" when the basis reached dimension n,
-    through poles or by a completion (``_Basis.complete``).
-    ``residual`` (mu) bounds the residual of Q Y Q^T for the projected
-    right-hand side (``_Basis.residual``), not of Z Z^T for the true one.
+    ``stop``: "converged", or "exact_space" when the basis reached dimension
+    n (through poles or by ``_Basis.complete``); Z is then ``factor_psd`` of
+    the dense Gramian, bit for bit. ``residual`` (mu) bounds the residual of
+    Q Y Q^T for the projected right-hand side (``_Basis.residual``), not of
+    Z Z^T for the true one; at d = n it is Y's exact residual plus rounding.
+    ``workspace`` is the trimmed ``_Basis``, at d = n I and M^{-1} A.
     """
 
     z: np.ndarray
@@ -176,27 +178,26 @@ def _widen(a, rows, cols):
 class _Basis:
     """The rational Arnoldi state of a solve, grown in place; a result's ``workspace``.
 
-    Q, M^{-1} A Q and H = Q^T M^{-1} A Q live in buffers that double when
-    full, so they never hold more than twice the columns in use; ``q`` and
-    ``h`` are views of the leading blocks. New columns are orthogonalized
-    by block CGS2 and H is bordered with their rows and columns. B lies in
-    the start block, so ``b_proj = Q^T b`` is ``Q_start^T b`` over zero rows.
-    ``sys`` supplies the pencil (A, M) through the system interface
-    (``apply_a``, ``mass_apply``, ``mass_solve``). ``shifts`` lists the
-    poles used, ``inf`` first. ``complete`` appends the orthogonal
-    complement of Q and no pole. ``trim`` ends the solve.
+    Below d = n, Q, M^{-1} A Q and H = Q^T M^{-1} A Q live in buffers that
+    double when full (``q`` and ``h`` view their leading blocks). New
+    columns are orthogonalized by block CGS2 and border H. B lies in the
+    start block, so ``b_proj = Q^T b`` is ``Q_start^T b`` over zero rows.
+    ``sys`` supplies the pencil (A, M) (``apply_a``, ``mass_apply``,
+    ``mass_solve``); ``shifts`` lists the poles used, ``inf`` first. At
+    d = n, by poles or by :meth:`complete`, the basis is ``exact``: Q = I
+    and (H, b_proj) are the dense route's (M^{-1} A, M^{-1} B), the
+    system's cached arrays; the pole buffers are freed. ``trim`` ends the solve.
     """
 
     def __init__(self, sys, b):
         self.sys, self.m, self.shifts = sys, sys.m, [np.inf]
-        self.completed_at = None  # d at which ``complete`` appended the complement
         self.q = self._q = self._aq = np.zeros((sys.order, 0))
         self.h = self._h = np.zeros((0, 0))
-        self.extend(b)
-        if self.dim == 0:
+        self.m0 = self.extend(b)
+        if self.m0 == 0:
             raise ValueError("input factor B is numerically zero")
-        self.m0 = self.dim
-        self._beta = self.q.T @ b
+        if not self.exact:
+            self._beta = self.q.T @ b
         mass = np.ones((1, 1)) if sys.mass is None else abs(sys.mass)
         self._mass_sq = float(mass.sum(0).max() * mass.sum(1).max())  # >= ||M||_2^2
 
@@ -205,13 +206,12 @@ class _Basis:
         return self.q.shape[1]
 
     @property
-    def b_proj(self):
-        return _widen(self._beta, self.dim, self.m)
+    def exact(self):  # d = n, so Q = I
+        return self.dim == self.q.shape[0]
 
     @property
-    def key(self):
-        """``(d, completed_at)``: the poles replayed up to d and this fix H and b_proj."""
-        return self.dim, self.completed_at
+    def b_proj(self):
+        return self._beta if self.exact else _widen(self._beta, self.dim, self.m)
 
     def extend(self, v):
         """Append the part of ``v`` outside ``range(Q)``; returns the columns added."""
@@ -221,27 +221,29 @@ class _Basis:
             self._q, self._aq = _widen(self._q, n, cap), _widen(self._aq, n, cap)
             self._h = _widen(self._h, cap, cap)
         e = d + linalg.orthonormal_extend(self._q, d, v)
-        if e == d:
-            return 0
-        aq, new = self._aq, self._q[:, d:e]
-        aq[:, d:e] = self.sys.mass_solve(self.sys.apply_a(new))
-        self._h[:e, d:e] = self._q[:, :e].T @ aq[:, d:e]
-        self._h[d:e, :d] = new.T @ aq[:, :d]
-        self.q, self.h = self._q[:, :e], self._h[:e, :e]
+        if e == n:
+            self.complete()
+        elif e > d:
+            aq, new = self._aq, self._q[:, d:e]
+            aq[:, d:e] = self.sys.mass_solve(self.sys.apply_a(new))
+            self._h[:e, d:e] = self._q[:, :e].T @ aq[:, d:e]
+            self._h[d:e, :d] = new.T @ aq[:, :d]
+            self.q, self.h = self._q[:, :e], self._h[:e, :e]
         return e - d
 
     def complete(self):
-        """Append the orthogonal complement of ``range(Q)``, the trailing columns of a full QR."""
-        self.completed_at = self.dim
-        self.extend(np.linalg.qr(self.q, mode="complete")[0][:, self.dim:])
+        """Span the whole space: Q = I, (H, b_proj) = (M^{-1} A, M^{-1} B); no pole is added."""
+        self.q = np.eye(self.sys.order)
+        self.h, self._beta = self.sys.dense_state_input()
+        self._q = self._aq = self._h = None
 
     def trim(self):
-        """Keep owned copies of ``q`` and ``h`` at their used size only.
+        """Keep owned copies of ``q``, ``h`` and b_proj at their used size only.
 
         Drops the doubling buffers, the image M^{-1} A Q and the system, so
         a returned workspace holds the basis once; it can no longer grow.
         """
-        self.q, self.h = self.q.copy(), self.h.copy()
+        self.q, self.h, self._beta = self.q.copy(), self.h.copy(), self._beta.copy()
         del self.sys, self._q, self._aq, self._h
 
     def residual(self, y, f, j):
@@ -249,33 +251,35 @@ class _Basis:
 
         ``mu >= ||A X M^T + M X A^T + G|| / ||G||`` with ``G = (M Q F) J (M Q F)^T``
         for the ``W = F J F^T`` of :func:`_rhs`: the projected right-hand side
-        and the full Y, not the truncated factor. Every pole after the start
-        block is finite, so ``M^{-1} A`` maps the space into itself plus
+        and the full Y, not the truncated factor. With ``R_p = H Y + Y H^T + W``
+        the residual is ``M R_p M^T`` at d = n (Q = I): mu is its norm plus
+        ``eps ||M||^2 (2 ||H|| ||Y|| + ||W||)``, the rounding of R_p (each norm
+        bounded from above). Below n every pole after the start block is
+        finite, so ``M^{-1} A`` maps the space into itself plus
         ``range(M^{-1} A Q_start)``: the rational Arnoldi relation reads
         ``M^{-1} A Q = Q H + U_F C`` with ``U_F`` (n x m) spanning
         ``(I - Q Q^T) M^{-1} A Q_start`` and ``C = U_F^T (M^{-1} A Q - Q H)``.
         The residual is then ``V [[0, I], [I, 0]] V^T + M Q R_p Q^T M^T``
-        with ``V = [M U_F, M Q (C Y)^T]`` and ``R_p = H Y + Y H^T + W``, the
-        projected equation's own residual. The first term's norm and
+        with ``V = [M U_F, M Q (C Y)^T]``. The first term's norm and
         ``||G||`` are read off n x 2m factors (:func:`_sym_lowrank`), with or
         without a mass matrix; the second is bounded by ``||M||_2^2 ||R_p||_2``.
-        At d = n the relation holds only to roundoff (U_F then spans noise),
-        and columns appended by :meth:`complete` satisfy it not at all, so
-        there the bound adds the relation's own defect ``2 ||M||_2 ||M E Y||_2``
-        with ``E = M^{-1} A Q - Q H - U_F C``.
         """
-        q, h, aq = self.q, self.h, self._aq[:, : self.dim]
-        g = aq[:, : self.m0] - q @ h[:, : self.m0]
-        u = np.linalg.qr(g - q @ (q.T @ g))[0]
-        cy = (u.T @ aq - (u.T @ q) @ h) @ y
-        swap = np.roll(np.eye(2 * self.m0), self.m0, axis=1)
-        num = np.abs(_sym_lowrank(self.sys.mass_apply(np.hstack([u, q @ cy.T])), swap)[1]).max()
-        num += self._mass_sq * np.linalg.norm(h @ y + y @ h.T + f @ j @ f.T, 2)
-        if self.dim == self.sys.order:
-            e = aq - q @ h
-            e -= u @ (u.T @ e)
-            num += 2.0 * np.sqrt(self._mass_sq) * np.linalg.norm(self.sys.mass_apply(e @ y), 2)
-        den = np.abs(_sym_lowrank(self.sys.mass_apply(q @ f), j)[1]).max(initial=0.0)
+        q, h, w, mass = self.q, self.h, f @ j @ f.T, self.sys.mass_apply
+        r_p = h @ y + y @ h.T + w
+        if self.exact:  # ||H||_2 <= sqrt(||H||_1 ||H||_inf); Y and W are symmetric
+            h_norm = np.sqrt(np.linalg.norm(h, 1) * np.linalg.norm(h, np.inf))
+            rounding = 2.0 * h_norm * np.linalg.norm(y, 1) + np.linalg.norm(w, 1)
+            num = np.linalg.norm(mass(mass(r_p).T), 2)
+            num += np.finfo(float).eps * self._mass_sq * rounding
+        else:
+            aq = self._aq[:, : self.dim]
+            g = aq[:, : self.m0] - q @ h[:, : self.m0]
+            u = np.linalg.qr(g - q @ (q.T @ g))[0]
+            cy = (u.T @ aq - (u.T @ q) @ h) @ y
+            swap = np.roll(np.eye(2 * self.m0), self.m0, axis=1)
+            num = np.abs(_sym_lowrank(mass(np.hstack([u, q @ cy.T])), swap)[1]).max()
+            num += self._mass_sq * np.linalg.norm(r_p, 2)
+        den = np.abs(_sym_lowrank(mass(q @ f), j)[1]).max(initial=0.0)
         return float(num) if den == 0.0 else float(num / den)
 
 
@@ -438,19 +442,18 @@ def _select_shift(ritz, shifts, m):
 # projected quantities
 
 
-def _window_ends(window, h, b, known=None, basis=None):
+def _window_ends(window, h, b, known=None):
     """``e^{h t} b`` at the window ends t > 0, t_s first; none without a window (bt).
 
     ``linalg.expm`` raises OverflowRangeError out of range. ``known`` maps
-    ``(basis, t)`` to an end formed before, ``basis`` being the key of
-    (h, b); it is read first, and filled, read-only, once every end is
-    formed. A Krylov check passes (H, b_proj), its replayed ends and the
-    basis key (``_Basis.key``), the dense route (M^{-1} A, M^{-1} B).
+    ``(order of h, t)`` to an end formed before; it is read first, and
+    filled, read-only, once every end is formed. A Krylov check passes
+    (H, b_proj) and its replayed ends, the dense route (M^{-1} A, M^{-1} B).
     """
     if window is None:
         return []
     known = {} if known is None else known
-    keys = [(basis, t) for t in (window.t_s, window.t_e) if t > 0]
+    keys = [(len(h), t) for t in (window.t_s, window.t_e) if t > 0]
     ends = [known[k] if k in known else linalg.expm(h * k[1]) @ b for k in keys]
     for k, end in zip(keys, ends):
         end.flags.writeable = False
@@ -488,16 +491,11 @@ def _rhs(mode, window, b, ends):
 
 @dataclass
 class _Replay:
-    """What a reach form's solves replay (:func:`_solve_lowrank`).
-
-    The projected work is keyed by ``_Basis.key``, so a basis completed at
-    one d reads nothing formed on one completed at another, or built by poles.
-    """
+    """What a reach form's solves replay (:func:`_solve_lowrank`), by d."""
 
     poles: list = field(default_factory=lambda: [np.inf])  # shifts picked, inf first
-    ends: dict = field(default_factory=dict)  # e^{H t} b_proj by (_Basis.key, t), read-only
-    # (_Basis.key, R, U, Ritz values) of the deepest H checked, the latest at its d
-    deepest: tuple = ((0, None), None, None, None)
+    ends: dict = field(default_factory=dict)  # e^{H t} b_proj by (d, t), read-only
+    deepest: tuple = (0, None, None, None)  # (d, R, U, Ritz values) of the deepest H checked
 
 
 def _require_stable(sys):
@@ -542,16 +540,16 @@ def _solve_lowrank(sys, window, cfg, mode, side):
     cached dual) keeps a :class:`_Replay` in its ``_replay`` slot: each
     growth step takes its pole at ``len(workspace.shifts)`` while there is
     one and appends what it picks after that. H and b_proj at dimension d
-    then depend on the reach form, d and where a completion appended the
-    complement (``_Basis.key``), so the replay also keeps the window ends by
-    (key, t) and the deepest Schur form of H a check formed, with its key.
+    then depend on the reach form and d alone, so the replay also keeps the
+    window ends by (d, t) and the deepest Schur form of H a check formed.
     Every solve equals a solve of a fresh copy of the system, bit for bit,
     and forms no shift, end or deepest Schur form formed before on its side.
 
     Past half the space (2d >= n, with the cap at n), a failed check whose
     progress, extrapolated from the last check (``_needs_whole_space``),
     reaches convergence only at d >= n completes the basis: the next pass
-    checks at d = n with no new pole, so its trace row repeats ``k``.
+    checks at d = n with no new pole (its trace row repeats ``k``), and
+    that check is :func:`_dense_gramian`'s solve, bit for bit.
     """
     cfg = cfg or SolverConfig()
     _require_stable(sys)
@@ -563,17 +561,17 @@ def _solve_lowrank(sys, window, cfg, mode, side):
     b = form.mass_solve(form.B)
     ws = _Basis(form, b)
     max_dim = min(n, cfg.max_dim or 600)
-    trace, prev, last = [], [np.zeros((0, m))] * 2, None
+    trace, last, prev = [], None, [ws.q, [np.zeros((0, m))] * 2]  # Q, ends of the last check
     since_check = stagnant = 0
     mu = np.inf
 
     def schur():
         """``(R, U, Ritz values)`` of H; the replay keeps the deepest one formed."""
         deepest, *found = replay.deepest
-        if deepest != ws.key:
+        if deepest != ws.dim:
             found = linalg._real_schur(ws.h)
-            if ws.dim >= deepest[0]:
-                replay.deepest = (ws.key, *found)
+            if ws.dim > deepest:
+                replay.deepest = (ws.dim, *found)
         return found
 
     def run_check(exact):
@@ -581,19 +579,21 @@ def _solve_lowrank(sys, window, cfg, mode, side):
 
         f_change: the ends' largest change since the last check (zero before
         the first) over F's largest block (:func:`_blocks`), 0 if F is zero.
-        Q is orthonormal and nested, so the ends change as their coefficients.
+        Q is orthonormal and nested, so the ends change as their coefficients;
+        at d = n (Q = I) the last check's ends are first mapped by its Q.
         """
         b_proj = ws.b_proj
         try:
-            ends = _window_ends(window, ws.h, b_proj, replay.ends, ws.key)
+            ends = _window_ends(window, ws.h, b_proj, replay.ends)
         except OverflowRangeError:
             return False, None, np.inf, np.inf
         fch = 0.0
         if ends:  # bt has none
-            change = max(np.linalg.norm(c - _widen(p, *c.shape)) for c, p in zip(ends, prev))
+            ends0 = [prev[0][:, : len(p)] @ p for p in prev[1]] if exact else prev[1]
+            change = max(np.linalg.norm(c - _widen(p, *c.shape)) for c, p in zip(ends, ends0))
             scale = max(map(np.linalg.norm, _blocks(window, b_proj, ends)))
             fch = change / scale if scale else 0.0
-        prev[:] = ends
+        prev[:] = ws.q, ends
         if not exact and fch >= cfg.tol_f:
             return False, None, fch, np.inf
         f, j = _rhs(mode, window, b_proj, ends)
@@ -653,7 +653,7 @@ def _solve_lowrank(sys, window, cfg, mode, side):
                     f"rational Krylov basis stagnated at dim {d} (mu {mu:.3e})"
                 )
 
-    z = ws.q @ factor_psd(y)
+    z = factor_psd(y) if ws.exact else ws.q @ factor_psd(y)
     ws.trim()
     return LowRankGramian(
         z=z, residual=float(mu), subspace_dim=int(d), rank=int(z.shape[1]),

@@ -48,6 +48,7 @@ from tlbt.gramians import (
     _select_shift,
     _sym_lowrank,
     _window_ends,
+    factor_psd,
     mode_gramian,
     solve_infinite_lowrank,
     solve_modified_lowrank,
@@ -635,32 +636,41 @@ def test_warm_cache_equals_cold_solve_in_either_mode_order(case):
         assert s._replay.ends and s.transposed()._replay.ends
 
 
+def _completed_at(g):
+    """The d at which a solve's basis was completed to n, None if poles built it."""
+    before, last = g.trace[-2:]
+    return before["dim"] if g.workspace.exact and last["k"] == before["k"] else None
+
+
 def test_warm_cache_after_cap_equals_cold_solve():
     # a capped solve leaves ends and a Schur form at its depths; the solves
-    # that go on past them equal cold ones. Below n the bases are pole-built
-    # (completed at None); the warm solves complete theirs at d = 38
+    # that go on past them equal cold ones. Below n the bases are pole-built;
+    # the warm solves complete theirs at d = 38
     window = TimeWindow(t_e=5.0)
     s = _weakly_damped_60()
     with pytest.raises(MaxDimExceededError):
         solve_timelimited_lowrank(s, window, SolverConfig(max_dim=20))
-    assert s._replay.deepest[0] == (14, None)
-    assert list(s._replay.ends) == [((14, None), 5.0), ((22, None), 5.0)]
+    assert s._replay.deepest[0] == 14
+    assert list(s._replay.ends) == [(14, 5.0), (22, 5.0)]
     for solve in (solve_timelimited_lowrank, solve_modified_lowrank):
         warm = solve(s, window)
         _assert_same_solve(solve(_weakly_damped_60(), window), warm)
-    assert s._replay.deepest[0] == warm.workspace.key == (60, 38)
+        assert _completed_at(warm) == 38
+    assert s._replay.deepest[0] == warm.subspace_dim == 60
 
 
 def test_completed_basis_reads_no_pole_built_work():
     # bt reaches n = 30 through poles; tlbt completes its basis at d = 22.
-    # Both bases have d = n, and tlbt must not read bt's Schur form of H
+    # Both bases are then the identity, with H = M^{-1} A, so tlbt may read
+    # bt's Schur form of H at d = n, and must equal a fresh tlbt solve
     window = TimeWindow(t_e=1.0)
     s = make_synthetic("heat_like", 30, 2, 2, seed=5)
     for side in SIDES:
-        assert solve_infinite_lowrank(s, side=side).workspace.key == (30, None)
+        bt = solve_infinite_lowrank(s, side=side)
+        assert bt.workspace.exact and _completed_at(bt) is None
         fresh = solve_timelimited_lowrank(make_synthetic("heat_like", 30, 2, 2, seed=5), window,
                                           side=side)
-        assert fresh.workspace.key == (30, 22)
+        assert fresh.workspace.exact and _completed_at(fresh) == 22
         _assert_same_solve(fresh, solve_timelimited_lowrank(s, window, side=side))
 
 
@@ -672,14 +682,41 @@ def _poles(g):
 @pytest.mark.parametrize("mode", MODES)
 def test_basis_that_needs_the_whole_space_is_completed(mode):
     # wd60 over [0, 5] needs d = n in every mode: past n/2 the checks'
-    # progress says so, and one QR completes the basis, with 9 poles instead
-    # of the 15 that grew it to n before, and the dense Gramian's accuracy
+    # progress says so, and the basis is completed at d = 38 (to the
+    # identity), with 9 poles instead of the 15 that grew it to n before,
+    # and the dense Gramian's accuracy
     s, window = _weakly_damped_60(), TimeWindow(t_e=5.0)
     for side in SIDES:
         g = mode_gramian(s, mode, window, side=side)
         assert g.stop == "exact_space" and g.subspace_dim == 60 and _poles(g) < 15
-        assert g.workspace.key == (60, 38) and g.trace[-1]["k"] == g.trace[-2]["k"]
+        assert _completed_at(g) == 38
         assert _dense_error(s, g, mode, window, side) <= 1e-12
+
+
+# case: (system, window, modes). wd60 completes every basis; on heat_like
+# n = 30 (M != I) bt reaches n through poles and tlbt by a completion; the
+# descriptor's windowed modes complete theirs
+EXACT_CASES = {
+    "wd60": (lambda: _weakly_damped_60(), TimeWindow(t_e=5.0), MODES),
+    "heat30": (lambda: make_synthetic("heat_like", 30, 2, 2, seed=5), TimeWindow(t_e=1.0), MODES),
+    "desc40": (lambda: random_descriptor(40, 10, 2, 2, seed=3), TimeWindow(t_e=1.0),
+               ("tlbt", "mtlbt")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_CASES))
+def test_exact_space_solve_is_the_dense_solve(case):
+    # at d = n the basis is the identity and the check solves the dense
+    # route's equation on the dense route's arrays, so Z is factor_psd of
+    # the dense Gramian bit for bit
+    build, window, modes = EXACT_CASES[case]
+    s = build()
+    for mode in modes:
+        for side in SIDES:
+            g = mode_gramian(s, mode, window, side=side)
+            assert g.stop == "exact_space", (mode, side)
+            dense = mode_gramian(s, mode, window, side=side, method="dense")
+            assert np.array_equal(g.z, factor_psd(dense)), (mode, side)
 
 
 def test_overflowing_check_caches_no_end(monkeypatch):
@@ -692,10 +729,10 @@ def test_overflowing_check_caches_no_end(monkeypatch):
         g = solve_timelimited_lowrank(s, window)
     d = g.trace[1]["dim"]
     assert g.trace[1]["f_change"] == np.inf and d < g.subspace_dim
-    assert [k for k in s._replay.ends if k[0][0] == d] == []
+    assert [k for k in s._replay.ends if k[0] == d] == []
     cold = solve_timelimited_lowrank(make_synthetic("random_stable", 60, 2, 2, seed=1), window)
     _assert_same_solve(cold, solve_timelimited_lowrank(s, window))
-    assert ((d, None), 0.5) in s._replay.ends and ((d, None), 2.0) in s._replay.ends
+    assert (d, 0.5) in s._replay.ends and (d, 2.0) in s._replay.ends
 
 
 def test_replayed_work_forms_each_end_and_deepest_schur_once(monkeypatch):
@@ -718,10 +755,10 @@ def test_replayed_work_forms_each_end_and_deepest_schur_once(monkeypatch):
             formed[side] += schur.count((60, 60))
     assert formed == dict.fromkeys(SIDES, 1)
     for form in (s, s.transposed()):
-        (d, completed_at), r, u, ritz = form._replay.deepest
-        assert (d, completed_at) == (60, 38)
+        d, r, u, ritz = form._replay.deepest
+        assert d == 60
         assert r.nbytes + u.nbytes <= 2 * d * d * 8 and ritz.shape == (d,)
-        assert all(not end.flags.writeable and end.shape == (k[0][0], 2)
+        assert all(not end.flags.writeable and end.shape == (k[0], 2)
                    for k, end in form._replay.ends.items())
 
 
@@ -1159,18 +1196,32 @@ def test_ordering_invariant_p_inf_dominates(rng):
         assert np.linalg.eigvalsh(p_t).max() <= lam1 * (1 + 1e-10)
 
 
+def _assert_identity_state(sys, side, ws):
+    """An exact-space workspace: Q = I, and H and b_proj are the dense route's arrays."""
+    a, b = _reach_form(sys, side).dense_state_input()
+    assert np.array_equal(ws.q, np.eye(len(a)))
+    assert np.array_equal(ws.h, a) and np.array_equal(ws.b_proj, b)
+
+
 def test_workspace_invariants_after_solve():
-    s = make_synthetic("random_stable", 30, 2, 1, seed=21)
-    g = solve_timelimited_lowrank(s, TimeWindow(t_e=1.5))
-    ws = g.workspace
-    d = ws.dim
-    assert np.linalg.norm(ws.q.T @ ws.q - np.eye(d)) <= 1e-10
-    # starting block: range(B) inside range(Q), b_proj = [beta; 0]
-    proj = ws.q @ (ws.q.T @ s.B)
-    assert np.linalg.norm(proj - s.B) <= 1e-12 * np.linalg.norm(s.B)
-    assert np.linalg.norm(ws.b_proj[s.m:, :]) <= 1e-12 * np.linalg.norm(ws.b_proj)
-    assert ws.shifts[0] == np.inf
-    assert g.rank <= g.subspace_dim <= 600
+    # random_stable n = 100 converges at d = 48, a pole-built basis; at
+    # n = 30 the basis is completed, and is the identity
+    for n, stop in ((100, "converged"), (30, "exact_space")):
+        s = make_synthetic("random_stable", n, 2, 1, seed=21)
+        g = solve_timelimited_lowrank(s, TimeWindow(t_e=1.5))
+        ws = g.workspace
+        d = ws.dim
+        assert g.stop == stop and ws.exact == (stop == "exact_space")
+        assert np.linalg.norm(ws.q.T @ ws.q - np.eye(d)) <= 1e-10
+        # starting block: range(B) inside range(Q)
+        proj = ws.q @ (ws.q.T @ s.B)
+        assert np.linalg.norm(proj - s.B) <= 1e-12 * np.linalg.norm(s.B)
+        if ws.exact:
+            _assert_identity_state(s, "reachability", ws)
+        else:  # b_proj = [beta; 0]
+            assert np.linalg.norm(ws.b_proj[s.m:, :]) <= 1e-12 * np.linalg.norm(ws.b_proj)
+        assert ws.shifts[0] == np.inf
+        assert g.rank <= g.subspace_dim <= 600
 
 
 def test_decay_invariant_gap_shrinks_with_bound():
@@ -1398,6 +1449,9 @@ def test_inplace_kernel_keeps_basis_and_projection(kind, n, side):
         assert g.subspace_dim == n and any(isinstance(sh, complex) for sh in ws.shifts)
     assert ws.q.shape == (n, g.subspace_dim) and ws.h.shape == (g.subspace_dim,) * 2
     assert np.linalg.norm(ws.q.T @ ws.q - np.eye(ws.dim)) <= 1e-10
-    assert not np.any(ws.b_proj[2:])
+    if ws.exact:
+        _assert_identity_state(s, side, ws)
+    else:
+        assert not np.any(ws.b_proj[2:])
     fresh = _fresh_projection(s, side, ws.q)
     assert np.linalg.norm(ws.h - fresh) <= 1e-12 * np.linalg.norm(fresh)

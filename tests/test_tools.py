@@ -35,9 +35,12 @@ def test_solve_fingerprint_smoke():
         assert line.startswith("wd10[0.5,2.0] ")
         fields = _fields(line, 3)
         assert list(fields) == ["shifts", "poles", "d", "rank", "stop", "mu", "trace", "z",
-                                "dense"]
+                                "zdense", "dense"]
         assert all(len(fields[k]) == 16 for k in ("shifts", "trace", "z", "dense"))
         assert 0 < int(fields["poles"]) <= int(fields["d"])
+        assert fields["zdense"] in ("0", "1")
+        if fields["stop"] == "exact_space":  # the dense route's solve
+            assert fields["zdense"] == "1"
     assert [line.split()[1] for line in rev] == ["mtlbt"] * 2 + ["tlbt"] * 2 + ["bt"] * 2
     by_solve = {tuple(line.split()[:3]): _fields(line, 3) for line in forward}
     for line in rev:

@@ -4,9 +4,9 @@ Prints one line per (system, window, mode, side) of the corpus: a hash of
 the Krylov shifts, the number of finite poles (a conjugate pair counted
 once, so one shifted solve each), the subspace dimension d, the rank, the
 stop reason, mu, a hash of the check trace (shift, d, f_change and mu at
-every check), a hash of the low-rank factor Z and a hash of the dense
-Gramian. wd60
-and heat200 are then solved again on a fresh copy with the modes in
+every check), a hash of the low-rank factor Z, ``zdense=1`` when Z is
+``factor_psd`` of the dense Gramian bit for bit (else 0), and a hash of
+the dense Gramian. wd60 and heat200 are then solved again on a fresh copy with the modes in
 reverse order (mtlbt, tlbt, bt); those ``rev`` lines carry the same
 fields as the first ones, as no solve depends on which modes its system
 solved before. After a system's solves, one ``sim`` line hashes the
@@ -44,7 +44,7 @@ import scipy.sparse as sp
 
 from tlbt import (DescriptorIndex1, StandardSystem, TimeWindow, cli, impulse_response,
                   make_synthetic, reduce)
-from tlbt.gramians import MODES, SIDES, mode_gramian
+from tlbt.gramians import MODES, SIDES, factor_psd, mode_gramian
 from tlbt.mmio import save_system
 
 
@@ -158,11 +158,14 @@ def _solve(system, mode, window, side):
                   f"stop={g.stop} mu={g.residual!r} trace={trace.hexdigest()[:16]} "
                   f"z={_digest(g.z)}")
     except Exception as exc:  # a failure is a fingerprint too
-        krylov = f"krylov={type(exc).__name__}"
+        g, krylov = None, f"krylov={type(exc).__name__}"
     try:
-        dense = _digest(mode_gramian(system, mode, window, side=side, method="dense"))
+        p = mode_gramian(system, mode, window, side=side, method="dense")
+        dense = _digest(p)
     except Exception as exc:
-        dense = type(exc).__name__
+        p, dense = None, type(exc).__name__
+    if g is not None:
+        krylov += f" zdense={int(p is not None and np.array_equal(g.z, factor_psd(p)))}"
     return f"{krylov} dense={dense}"
 
 
