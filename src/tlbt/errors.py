@@ -42,7 +42,7 @@ class RankDeficientError(TlbtError):
 
 
 class GridMismatchError(TlbtError):
-    """Two trajectories do not share the same time grid."""
+    """Two trajectories do not share the same time grid or output count."""
 
 
 class SingularStepError(TlbtError):

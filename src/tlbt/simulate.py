@@ -3,21 +3,22 @@
 The integrator is the A-stable implicit midpoint rule with a fixed step,
 taken as a half step: x_{k+1} = 2 w - x_k, with the midpoint state w from
 (M - dt/2 A) w = M x_k + dt/2 B u. The system hands it that solve,
-factorized once (``midpoint_step``, which returns 2 w), and it steps one
-of two ways, with one finiteness check after the loop:
+factorized once (``midpoint_step``, which returns 2 w). One loop steps
+every system: it stores the states of a block of steps, writes their
+outputs as one product with C^T (and D^T), and checks finiteness once at
+the end. The map from x_k to x_{k+1}, and the block, are chosen once:
 
-- a system with no more states than steps whose pencil is dense, or
-  sparse with at most 256 states, forms the one-step propagator
-  Phi = step(M) - I once (one n-column solve on ``mass_apply(I)``: M, I,
-  or a descriptor's M1; a forced input also Gamma = dt/2 step(B)), and
-  each step is one n x n product x <- Phi x + Gamma u; the outputs are
-  one product with C^T (and D^T) per block of stored states. A reduced
-  model is a dense standard system, stepped as such: it takes this route.
+- a system with no more states than steps whose pencil is dense (a reduced
+  model's is), or sparse with at most 256 states, forms the propagator
+  Phi = step(M) - I (one n-column solve on ``mass_apply(I)``: M, I, or a
+  descriptor's M1; a forced input also Gamma = dt/2 step(B)) and steps
+  x <- Phi x + Gamma u, one n x n product, in blocks of 256 states.
 - any other system (a sparse or descriptor pencil of more than 256
   states, or any system with more states than steps, where forming Phi
-  would cost more than the steps) takes per step one ``mass_apply`` (no
-  work when M = I) and one LAPACK ``getrs`` or SuperLU solve (a
-  descriptor's on its block pencil, no separate A4 solve).
+  would cost more than the steps) steps x <- step(M x + dt/2 B u) - x:
+  one ``mass_apply`` (no work when M = I) and one LAPACK ``getrs`` or
+  SuperLU solve (a descriptor's on its block pencil, no separate A4
+  solve). Its block is one state: 256 states at n = 2.5e5 would take 512 MB.
 
 An input is ``None`` (the free response from x0) or a function from a
 time to the m inputs. An impulse u = delta(t) v is no such function: it
@@ -44,9 +45,9 @@ __all__ = [
 
 # steps whose states the dense propagator keeps for one output product
 _BLOCK = 256
-# largest sparse pencil that steps with the dense propagator: at n = 256
-# Phi is 512 KiB; above that, a sparse step's two calls (M x and the
-# SuperLU solve) beat the n x n product
+# largest sparse pencil that steps with the dense propagator (Phi: 512 KiB at
+# n = 256); a bound on n alone, though the n x n product still beat a sparse
+# step's two calls (M x and the SuperLU solve) up to n = 400 when last timed
 _SPARSE_PROPAGATED = 256
 # t_f/dt at most this above an integer takes that many steps, so an error
 # window may end up to this times dt past the last grid time
@@ -77,7 +78,8 @@ def implicit_midpoint(sys, u, x0, dt, t_f):
     midpoint state w and sets x_{k+1} = 2 w - x_k, which is
     (M - dt/2 A) x_{k+1} = (M + dt/2 A) x_k + dt B u(t_k + dt/2);
     outputs are y_k = C x_k + D u(t_k). Second-order accurate,
-    unconditionally stable on stable linear systems.
+    unconditionally stable on stable linear systems. One loop runs either
+    step map of the module docstring, chosen once per call.
     """
     if not (0 < dt < np.inf and 0 < t_f < np.inf and float(t_f) / float(dt) < np.inf):
         raise ValueError(f"dt and t_f must be positive and finite, and so must t_f/dt; "
@@ -94,17 +96,24 @@ def implicit_midpoint(sys, u, x0, dt, t_f):
     step = sys.midpoint_step(dt)
     sample = None if u is None else (lambda t: np.asarray(u(t), dtype=float).reshape(m))
     mass, a = sys.pencil()
-    dense = not (sp.issparse(mass) or sp.issparse(a))
-    if n <= nsteps and (dense or n <= _SPARSE_PROPAGATED):
-        x = _propagate(sys, step, x, sample, dt, times, outputs)
+    if n <= nsteps and (not (sp.issparse(mass) or sp.issparse(a)) or n <= _SPARSE_PROPAGATED):
+        phi = step(sys.mass_apply(np.eye(n))) - np.eye(n)
+        gamma = None if u is None else dt / 2.0 * step(b)
+        held, free = _BLOCK, phi.dot  # a bare product: an impulse step adds no Python frame
+        forced = lambda x, v: phi.dot(x) + gamma.dot(v)
     else:
-        for k in range(nsteps + 1):
-            outputs[k] = c @ x if sample is None else c @ x + d @ sample(times[k])
+        held, free = 1, (lambda x: step(sys.mass_apply(x)) - x)
+        forced = lambda x, v: step(sys.mass_apply(x) + dt / 2.0 * (b @ v)) - x
+    states = np.empty((min(held, nsteps + 1), n))
+    for start in range(0, nsteps + 1, held):
+        block = range(start, min(start + held, nsteps + 1))
+        for row, k in enumerate(block):
+            states[row] = x
             if k < nsteps:
-                rhs = sys.mass_apply(x)
-                if sample is not None:
-                    rhs = rhs + dt / 2.0 * (b @ sample(times[k] + dt / 2.0))
-                x = step(rhs) - x
+                x = free(x) if sample is None else forced(x, sample(times[k] + dt / 2.0))
+        outputs[start : block.stop] = states[: len(block)] @ c.T
+        if sample is not None:
+            outputs[start : block.stop] += np.array([sample(times[k]) for k in block]) @ d.T
     if not (np.all(np.isfinite(outputs)) and np.all(np.isfinite(x))):
         raise SingularStepError("integration produced non-finite values")
     return Trajectory(times=times, outputs=outputs)
@@ -117,36 +126,6 @@ def impulse_response(sys, v=None, dt=1e-3, t_f=1.0):
     return implicit_midpoint(sys, None, sys.mass_solve(sys.B @ v), dt, t_f)
 
 
-def _propagate(sys, step, x, u, dt, times, outputs):
-    """Dense steps ``x <- Phi x + Gamma u``: ``Phi = step(M) - I``, ``Gamma = dt/2 step(B)``.
-
-    M is the mass as ``mass_apply`` applies it (I, M, or a descriptor's
-    M1); ``u`` is None or a function from a time to the m inputs. Forming
-    Phi is one n-column solve; each step is then one n x n product. The
-    states of ``_BLOCK`` steps are kept, and each block's outputs, written
-    into ``outputs``, are one product with C^T (and one of its inputs with
-    D^T). Returns the last state.
-    """
-    b, c, d = sys.B, sys.C, sys.D
-    n = b.shape[0]
-    nsteps = times.size - 1
-    phi = step(sys.mass_apply(np.eye(n))) - np.eye(n)
-    gamma = dt / 2.0 * step(b) if u is not None else None
-    states = np.empty((min(_BLOCK, nsteps + 1), n))
-    for start in range(0, nsteps + 1, _BLOCK):
-        block = range(start, min(start + _BLOCK, nsteps + 1))
-        for row, k in enumerate(block):
-            states[row] = x
-            if k < nsteps:
-                x = phi.dot(x)
-                if u is not None:
-                    x += gamma.dot(u(times[k] + dt / 2.0))
-        outputs[start : block.stop] = states[: len(block)] @ c.T
-        if u is not None:
-            outputs[start : block.stop] += np.array([u(times[k]) for k in block]) @ d.T
-    return x
-
-
 def relative_error_series(y, y_red, window=None):
     """Pointwise relative output error and its maximum over the window.
 
@@ -155,11 +134,16 @@ def relative_error_series(y, y_red, window=None):
     window holds the grid times in [t_s - tol, t_e + tol], with tol the
     integrator's step-count rounding (_STEP_ROUNDING dt); one that holds no
     grid point, or ends past the last one by more than tol, raises ValueError.
+    Trajectories on different grids or of different output counts raise
+    GridMismatchError.
     """
     if y.times.shape != y_red.times.shape or not np.allclose(
         y.times, y_red.times, rtol=0, atol=1e-12 * max(y.dt, 1e-30)
     ):
         raise GridMismatchError("trajectories are on different time grids")
+    if y.outputs.shape[1] != y_red.outputs.shape[1]:
+        raise GridMismatchError(f"trajectories have {y.outputs.shape[1]} and "
+                                f"{y_red.outputs.shape[1]} outputs")
     ref = np.linalg.norm(y.outputs, axis=1)
     diff = np.linalg.norm(y.outputs - y_red.outputs, axis=1)
     err = np.zeros_like(ref)

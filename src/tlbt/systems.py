@@ -28,7 +28,8 @@ them: the LU of M, a sparse pencil's union pattern of (M, A) with both
 data arrays aligned to it (every shifted and step matrix is formed on
 it, as scipy's sparse arithmetic would form it), the dual, the spectral
 abscissa, ``dense_state_input()`` (M^{-1} A and M^{-1} B when M is not
-I, up to ``_DENSE_MAX``), a descriptor's A4 LU and block pencil, and the
+I, at any order: ``_DENSE_MAX`` bounds only the callers that refuse
+above it), a descriptor's A4 LU and block pencil, and the
 complex Schur form that a dense standard system shares with its dual for
 every shifted solve and for the spectrum; every other shifted solve
 factors its pencil by LU (``_factor``). No cached object refers back to
@@ -56,8 +57,11 @@ __all__ = [
     "alpha_shift",
 ]
 
-# largest order that is densified: by the dense Gramian routes, and for the
-# spectral abscissa of any system but a dense standard one (its Schur form)
+# largest order that the dense Gramian route and the spectral abscissa of any
+# system but a dense standard one (its Schur form) accept: both refuse a larger
+# one before densifying. It does not bound dense_state_input() itself: a Krylov
+# basis that reaches d = n (gramians._Basis, when the solver's cap max_dim
+# allows n) densifies M^{-1} A at any order
 _DENSE_MAX = 1000
 
 

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 from conftest import banded_descriptor, random_descriptor
 from oracles import eliminate_descriptor
-from tlbt import linalg
+from tlbt import linalg, simulate
 from tlbt.errors import GridMismatchError, SingularStepError
 from tlbt.gramians import TimeWindow
 from tlbt.reduction import reduce
@@ -210,6 +210,18 @@ def test_relative_error_grid_mismatch():
         relative_error_series(y, yr)
 
 
+def test_relative_error_refuses_different_output_counts():
+    # an (N, 1) reduced output used to broadcast against an (N, 2) reference
+    # and report E_T = 0
+    t = np.linspace(0, 1, 5)
+    y = Trajectory(times=t, outputs=np.ones((5, 2)))
+    yr = Trajectory(times=t, outputs=np.ones((5, 1)))
+    with pytest.raises(GridMismatchError, match="have 2 and 1 outputs"):
+        relative_error_series(y, yr)
+    with pytest.raises(GridMismatchError, match="have 1 and 2 outputs"):
+        relative_error_series(yr, y)
+
+
 def test_half_decay_time_scalar():
     assert abs(half_decay_time(SCALAR) - np.log(2.0)) < 1e-12
 
@@ -382,6 +394,47 @@ def test_sparse_pencil_size_bound(n, signal):
         ref = reference(sys, u, None, dt, t_f)
     assert out.shape == (301, 2)
     assert np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize("signal", ["impulse", "custom"])
+def test_propagator_and_per_step_maps_are_one_recurrence(monkeypatch, signal):
+    # one sparse pencil of 40 states over 300 steps (more than one block of
+    # stored states) through both step maps: the per-step route, forced by
+    # a size bound of 0, applies M once per step, the propagator once
+    sys, dt, t_f = make_synthetic("heat_like", 40, 2, 2, seed=1), 1e-4, 0.03
+    calls, real = [], GeneralizedSystem.mass_apply
+
+    def spy(self, v):
+        calls.append(1)
+        return real(self, v)
+
+    def run():
+        calls.clear()
+        if signal == "impulse":
+            return impulse_response(sys, dt=dt, t_f=t_f).outputs, len(calls)
+        return implicit_midpoint(sys, _INPUTS[signal], None, dt, t_f).outputs, len(calls)
+
+    monkeypatch.setattr(GeneralizedSystem, "mass_apply", spy)
+    propagated, propagated_calls = run()
+    monkeypatch.setattr(simulate, "_SPARSE_PROPAGATED", 0)
+    per_step, per_step_calls = run()
+    assert (propagated_calls, per_step_calls) == (1, 300)
+    assert propagated.shape == per_step.shape == (301, 2)
+    assert np.max(np.abs(per_step - propagated)) <= 1e-12 * np.max(np.abs(propagated))
+
+
+def test_per_step_route_keeps_one_state():
+    # a pencil of 20000 states over 300 steps: one stored state, not a block
+    # of 256 (which would add about 41 MB)
+    sys = make_synthetic("heat_like", 20000, 2, 2, seed=1)
+    tracemalloc.start()
+    try:
+        traj = impulse_response(sys, dt=1e-4, t_f=0.03)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.outputs.shape == (301, 2)
+    assert peak < 16e6
 
 
 @pytest.mark.parametrize("dt", [1e-17, 1e-300], ids=["memory", "size"])
